@@ -18,11 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import (
+    DEFAULT_TOL,
     ChainParam,
     CycleParam,
     UndecidableError,
     canonicalize_cycle,
     chain_tail_equivalent,
+    complex_pairs,
     cycles_equivalent,
     is_eventually_periodic,
     primitive_root,
@@ -30,8 +32,6 @@ from .params import (
     scale_cycle,
 )
 from .reps import build_cycle_rep, build_fiber_rep, cycle_anchor_vectors, cycle_isometry
-
-DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,7 @@ class ClassificationReport:
         if self.period is not None:
             out["period"] = self.period
         if self.root is not None:
-            out["root_factors"] = [
-                [[float(x.real), float(x.imag)] for x in f] for f in self.root.factors
-            ]
+            out["root_factors"] = [complex_pairs(f) for f in self.root.factors]
         return out
 
 
@@ -162,9 +160,7 @@ class DirectIntegralDescriptor:
         return {
             "measure": self.measure,
             "uniqueness": self.uniqueness,
-            "base_factors": [
-                [[float(x.real), float(x.imag)] for x in f] for f in self.base.factors
-            ],
+            "base_factors": [complex_pairs(f) for f in self.base.factors],
         }
 
 
@@ -206,8 +202,7 @@ class BranchingReport:
         }
         if self.generator_words:
             out["generators"] = [
-                [[[float(x.real), float(x.imag)] for x in f] for f in word]
-                for word in self.generator_words
+                [complex_pairs(f) for f in word] for word in self.generator_words
             ]
         return out
 

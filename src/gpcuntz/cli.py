@@ -22,12 +22,10 @@ import numpy as np
 from . import algebra, expressions, params, reps, states
 from .classify import classify, decompose_chain, decompose_cycle, equivalent
 
-DEFAULT_TOL = 1e-9
-
 
 def _tolerance() -> float:
     raw = os.environ.get("GPCUNTZ_TOL")
-    return float(raw) if raw else DEFAULT_TOL
+    return float(raw) if raw else params.DEFAULT_TOL
 
 
 # ----------------------------------------------------------------------
@@ -61,6 +59,9 @@ def param_from_json(obj):
         raise ValueError(f"unknown parameter kind {kind!r}")
     if "rotation" in obj:
         rot = obj["rotation"]
+        for key in ("num", "den"):
+            if key not in rot:
+                raise ValueError(f"chain 'rotation' is missing key {key!r}")
         return params.rotation_chain(Fraction(int(rot["num"]), int(rot["den"])))
     if "theta" in obj:
         return params.rotation_chain(float(obj["theta"]))
@@ -80,9 +81,7 @@ def param_from_json(obj):
 
 
 def param_to_json(p) -> dict:
-    def vec(f):
-        return [[float(x.real), float(x.imag)] for x in f]
-
+    vec = params.complex_pairs
     if isinstance(p, params.CycleParam):
         return {"kind": "cycle", "N": p.n, "factors": [vec(f) for f in p.factors]}
     if p.kind == "explicit":
@@ -197,6 +196,8 @@ def _cmd_decompose(args) -> int:
 
 def _build_rep(args, param):
     if isinstance(param, params.CycleParam):
+        if args.window:
+            raise ValueError("--window applies to chain parameters only")
         if args.fiber:
             phase_elem = expressions.parse(args.fiber, 2)
             phase = phase_elem.terms.get(((), ()), 0.0)
@@ -204,6 +205,8 @@ def _build_rep(args, param):
                 raise ValueError("--fiber must be a scalar expression")
             return reps.build_fiber_rep(param, phase, args.depth)
         return reps.build_cycle_rep(param, args.depth)
+    if args.fiber:
+        raise ValueError("--fiber applies to cycle parameters only")
     d_minus = args.window[0] if args.window else None
     d_plus = args.window[1] if args.window else None
     return reps.build_chain_rep(param, args.depth, d_minus, d_plus)
@@ -223,7 +226,7 @@ def _cmd_verify(args) -> int:
     param = _param_from_args(args)
     rep = _build_rep(args, param)
     tol = _tolerance()
-    report = reps.verify_gp(rep, tol=tol)
+    report = reps.verify_gp(rep)
     payload = report.to_dict()
     payload["passed"] = report.passed(tol)
     lines = [f"{key}: {value}" for key, value in sorted(payload.items())]

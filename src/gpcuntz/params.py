@@ -59,6 +59,12 @@ def basis_vector(n: int, i: int) -> np.ndarray:
     return unit_vector(v)
 
 
+def complex_pairs(values) -> list:
+    """[[re, im], ...] floats of a complex vector: the JSON form of vectors."""
+    values = np.asarray(values, dtype=complex)
+    return np.stack([values.real, values.imag], axis=-1).tolist()
+
+
 def _phase_split(v: np.ndarray):
     """(phase-normalized copy, removed phase); first significant entry real > 0."""
     idx = int(np.argmax(np.abs(v) > _FIRST_COMPONENT_TOL))
@@ -91,6 +97,8 @@ class CycleParam:
 
 def cycle(vectors) -> CycleParam:
     factors = tuple(unit_vector(v) for v in vectors)
+    if not factors:
+        raise ValueError("a cycle needs at least one factor")
     sizes = {f.size for f in factors}
     if len(sizes) != 1:
         raise RankMismatchError("cycle factors must share one ambient dimension")
@@ -272,6 +280,19 @@ def chain_factor(chain: ChainParam, m: int) -> np.ndarray:
     raise ValueError(f"unknown chain kind {chain.kind!r}")
 
 
+def param_factor(param, m: int) -> np.ndarray:
+    """The m-th factor of a cycle or chain parameter for any integer m.
+
+    Cycle factors repeat with period k; a chain continues with e_1 below
+    index 1, the factors its truncations step through below layer 1.
+    """
+    if isinstance(param, CycleParam):
+        return param.factors[(m - 1) % param.k]
+    if m < 1:
+        return basis_vector(param.n, 1)
+    return chain_factor(param, m)
+
+
 def rotation_to_explicit(chain: ChainParam) -> ChainParam:
     """Exact period block of a rational rotation chain."""
     if chain.kind != "rotation" or not isinstance(chain.theta, Fraction):
@@ -298,23 +319,19 @@ class PeriodicityVerdict:
     note: str = ""
 
 
-def _canonical_block(period, tol: float):
+def _canonical_block(period):
     return [_phase_split(f)[0] for f in period]
 
 
-def _minimal_tail_period(period, tol: float) -> int:
-    """Minimal p with z^(m+p) = c_m z^(m) along the periodic tail."""
-    block = _canonical_block(period, tol)
-    return _block_period(block, tol)
-
-
 def is_eventually_periodic(chain: ChainParam, tol: float = DEFAULT_TOL) -> PeriodicityVerdict:
+    # the tail period is the minimal p with z^(m+p) = c_m z^(m), i.e. the
+    # cyclic period of the phase-normalized period block
     if chain.kind == "explicit":
-        p = _minimal_tail_period(chain.period, tol)
+        p = _block_period(_canonical_block(chain.period), tol)
         return PeriodicityVerdict(True, p)
     if chain.kind == "rotation":
         if isinstance(chain.theta, Fraction):
-            p = _minimal_tail_period(rotation_to_explicit(chain).period, tol)
+            p = _block_period(_canonical_block(rotation_to_explicit(chain).period), tol)
             return PeriodicityVerdict(True, p)
         return PeriodicityVerdict(
             False,
@@ -343,9 +360,9 @@ def chain_tail_equivalent(z: ChainParam, y: ChainParam, tol: float = DEFAULT_TOL
 
     def tail_block(c: ChainParam):
         if c.kind == "explicit":
-            return _canonical_block(c.period, tol)
+            return _canonical_block(c.period)
         if c.kind == "rotation" and isinstance(c.theta, Fraction):
-            return _canonical_block(rotation_to_explicit(c).period, tol)
+            return _canonical_block(rotation_to_explicit(c).period)
         raise UndecidableError(
             f"chain kind {c.kind!r} has no exact periodic tail; "
             "use asymptotic diagnostics instead"

@@ -1,28 +1,29 @@
 """Finite truncations of the canonical parameter representations.
 
-The representation space is graded by pairs (layer, m): layers wrap
-cyclically 1..k for a cycle parameter and run over an integer window
-[-D-, D+] for a chain parameter; m runs over 1..N^D.  Each generator
-acts by
+The representation space is graded by pairs (layer, m), m = 1..N^D, and
+every truncation is given by a step table.  A row (source, target, u,
+scale) lets the generators step the source layer down to the target
+layer through the unitary u completing the factor consumed on that step:
 
-    S_i e_(layer, m) = sum_j conj(u_ij) e_(layer - 1, N(m-1) + j)
+    S_i e_(source, m) = scale * sum_j conj(u_ij) e_(target, N(m-1) + j)
 
-where u is the unitary completing the factor consumed on the step down
-from `layer` (for cycles the factor of the layer below, wrapping the
-last factor onto the step out of layer 1; for chains the factor of the
-layer itself, with the identity below layer 1).  Columns whose targets
-would leave the truncation are dropped, so the defining relations are
-exact on an interior sub-basis (m <= N^(D-1), and away from the window
-edges for chains) and all contracts are stated there.
+for m <= N^(D-1); the other columns would leave the truncation and are
+dropped.  The kinds differ only in their tables:
 
-The distinguished vector sits at (1, 1) for cycles and (0, 1) for
-chains; the scaled wrap of a fiber representation multiplies the step
-out of layer 1 by the conjugate fiber phase.
+* cycle -- layers 1..k; layer t steps to t - 1 through factor t - 1 and
+  layer 1 wraps onto layer k through the last factor;
+* fiber -- the cycle table with the wrap scaled by the conjugate phase;
+* chain -- window layers -D-..D+; each layer t above the bottom one steps
+  to t - 1 through factor t (e_1 below index 1).
+
+S_i* S_j = delta_ij holds exactly on the first N^(D-1) columns of every
+step source (`interior`) and sum_i S_i S_i* = I on every step target
+(`sum_interior`); all contracts are stated there.  The distinguished
+vector sits at (1, 1) for cycles and (0, 1) for chains.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,12 +33,10 @@ from .algebra import AlgebraElement, RankMismatchError
 from .params import (
     ChainParam,
     CycleParam,
-    basis_vector,
-    chain_factor,
+    complex_pairs,
+    param_factor,
     scale_cycle,
 )
-
-DEFAULT_TOL = 1e-9
 
 
 class TruncationOverflowError(RuntimeError):
@@ -111,67 +110,78 @@ class TruncatedRep:
         return self.param
 
 
-def _assemble(n, dim, entries):
-    """entries: per generator list of (rows, cols, vals) triples."""
-    gens = []
-    for rows, cols, vals in entries:
-        rows = np.concatenate(rows) if rows else np.zeros(0, dtype=int)
-        cols = np.concatenate(cols) if cols else np.zeros(0, dtype=int)
-        vals = np.concatenate(vals) if vals else np.zeros(0, dtype=complex)
-        gens.append(sp.csc_array((vals, (rows, cols)), shape=(dim, dim)))
-    return gens
+def _layered_rep(param, depth, layers, steps, omega_layer, kind, **fields) -> TruncatedRep:
+    """Truncation of depth `depth` on `layers` from a step table.
 
-
-def _cycle_entries(factors, n, depth, wrap_scale):
-    """Generator entries for a cyclically graded representation."""
-    k = len(factors)
+    `steps` holds one (source layer, target layer, completing unitary,
+    scale) row per step down.  Coefficients are formed entry by entry as
+    `scale * conj(u_ij)`, since numpy's array complex multiply can differ
+    from the scalar one in the last bit.  Chain steps pass scale None and
+    keep `conj(u_ij)` as it is: a factor 1.0 would turn their -0.0
+    imaginary parts into 0.0.
+    """
+    if depth < 2:
+        raise ValueError("depth must be at least 2")
+    n = param.n
     blk = n ** depth
     inner = n ** (depth - 1)
-    unitaries = [complete_unitary(f) for f in factors]
+    dim = len(layers) * blk
     ms = np.arange(inner)
     entries = [([], [], []) for _ in range(n)]
-    for layer in range(1, k + 1):
-        u = unitaries[(layer - 2) % k]        # factor consumed stepping down
-        scale = wrap_scale if layer == 1 else 1.0
-        row_base = ((layer - 2) % k) * blk
-        col_base = (layer - 1) * blk
-        for i in range(1, n + 1):
-            rows, cols, vals = entries[i - 1]
-            for j in range(1, n + 1):
-                coeff = scale * np.conj(u[i - 1, j - 1])
+    interior = np.zeros(dim, dtype=bool)
+    sum_interior = np.zeros(dim, dtype=bool)
+    for source, target, u, scale in steps:
+        col_base = layers.index(source) * blk
+        row_base = layers.index(target) * blk
+        interior[col_base : col_base + inner] = True
+        sum_interior[row_base : row_base + blk] = True
+        for i in range(n):
+            rows, cols, vals = entries[i]
+            for j in range(n):
+                coeff = np.conj(u[i, j]) if scale is None else scale * np.conj(u[i, j])
                 if abs(coeff) == 0.0:
                     continue
-                rows.append(row_base + n * ms + (j - 1))
+                rows.append(row_base + n * ms + j)
                 cols.append(col_base + ms)
                 vals.append(np.full(inner, coeff, dtype=complex))
-    return entries, blk, inner
+    gens = [
+        sp.csc_array(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(dim, dim),
+        )
+        for rows, cols, vals in entries
+    ]
+    omega = np.zeros(dim, dtype=complex)
+    omega[layers.index(omega_layer) * blk] = 1.0
+    return TruncatedRep(
+        n=n,
+        kind=kind,
+        depth=depth,
+        layers=layers,
+        gens=gens,
+        omega=omega,
+        interior=interior,
+        sum_interior=sum_interior,
+        param=param,
+        **fields,
+    )
+
+
+def _cycle_rep(z: CycleParam, depth: int, wrap_scale, kind: str, **fields) -> TruncatedRep:
+    """Layer t steps to t - 1 through factor t - 1; layer 1 wraps onto
+    layer k through the last factor, scaled by `wrap_scale`."""
+    steps = [
+        (t, (t - 2) % z.k + 1, complete_unitary(param_factor(z, t - 1)),
+         wrap_scale if t == 1 else 1.0)
+        for t in range(1, z.k + 1)
+    ]
+    return _layered_rep(z, depth, tuple(range(1, z.k + 1)), steps, 1, kind, **fields)
 
 
 def build_cycle_rep(z: CycleParam, depth: int) -> TruncatedRep:
     """Truncation of the cycle representation; the distinguished vector
     e_(1,1) is fixed by the product isometry of the factors."""
-    if depth < 2:
-        raise ValueError("depth must be at least 2")
-    entries, blk, inner = _cycle_entries(z.factors, z.n, depth, 1.0)
-    k = z.k
-    dim = k * blk
-    gens = _assemble(z.n, dim, entries)
-    omega = np.zeros(dim, dtype=complex)
-    omega[0] = 1.0
-    interior = np.zeros(dim, dtype=bool)
-    for layer in range(k):
-        interior[layer * blk : layer * blk + inner] = True
-    return TruncatedRep(
-        n=z.n,
-        kind="cycle",
-        depth=depth,
-        layers=tuple(range(1, k + 1)),
-        gens=gens,
-        omega=omega,
-        interior=interior,
-        sum_interior=np.ones(dim, dtype=bool),
-        param=z,
-    )
+    return _cycle_rep(z, depth, 1.0, "cycle")
 
 
 def build_fiber_rep(v: CycleParam, c, depth: int) -> TruncatedRep:
@@ -184,35 +194,7 @@ def build_fiber_rep(v: CycleParam, c, depth: int) -> TruncatedRep:
     c = complex(c)
     if abs(abs(c) - 1.0) > 1e-10:
         raise ValueError("fiber phase must be unimodular")
-    if depth < 2:
-        raise ValueError("depth must be at least 2")
-    entries, blk, inner = _cycle_entries(v.factors, v.n, depth, np.conj(c))
-    k = v.k
-    dim = k * blk
-    gens = _assemble(v.n, dim, entries)
-    omega = np.zeros(dim, dtype=complex)
-    omega[0] = 1.0
-    interior = np.zeros(dim, dtype=bool)
-    for layer in range(k):
-        interior[layer * blk : layer * blk + inner] = True
-    return TruncatedRep(
-        n=v.n,
-        kind="fiber",
-        depth=depth,
-        layers=tuple(range(1, k + 1)),
-        gens=gens,
-        omega=omega,
-        interior=interior,
-        sum_interior=np.ones(dim, dtype=bool),
-        param=v,
-        fiber_phase=c,
-    )
-
-
-def _chain_factor_ext(chain: ChainParam, m: int) -> np.ndarray:
-    if m <= 0:
-        return basis_vector(chain.n, 1)
-    return chain_factor(chain, m)
+    return _cycle_rep(v, depth, np.conj(c), "fiber", fiber_phase=c)
 
 
 def build_chain_rep(
@@ -227,58 +209,16 @@ def build_chain_rep(
     if z.kind == "prefix":
         raise ValueError("prefix chains carry no tail model; build from an "
                          "explicit, rotation or gray_zone chain")
-    if depth < 2:
-        raise ValueError("depth must be at least 2")
     if d_minus is None:
         d_minus = depth
     if d_plus is None:
         d_plus = depth
     if d_minus < 1 or d_plus < 1:
         raise ValueError("window extents must be >= 1")
-    n = z.n
-    blk = n ** depth
-    inner = n ** (depth - 1)
     layers = tuple(range(-d_minus, d_plus + 1))
-    dim = len(layers) * blk
-    ms = np.arange(inner)
-    entries = [([], [], []) for _ in range(n)]
-    for pos, t in enumerate(layers):
-        if t == -d_minus:
-            continue  # stepping down leaves the window: boundary columns
-        u = np.eye(n, dtype=complex) if t <= 0 else complete_unitary(chain_factor(z, t))
-        row_base = (pos - 1) * blk
-        col_base = pos * blk
-        for i in range(1, n + 1):
-            rows, cols, vals = entries[i - 1]
-            for j in range(1, n + 1):
-                coeff = np.conj(u[i - 1, j - 1])
-                if abs(coeff) == 0.0:
-                    continue
-                rows.append(row_base + n * ms + (j - 1))
-                cols.append(col_base + ms)
-                vals.append(np.full(inner, coeff, dtype=complex))
-    gens = _assemble(n, dim, entries)
-    omega = np.zeros(dim, dtype=complex)
-    omega[layers.index(0) * blk] = 1.0
-    interior = np.zeros(dim, dtype=bool)
-    sum_interior = np.zeros(dim, dtype=bool)
-    for pos, t in enumerate(layers):
-        if t > -d_minus:
-            interior[pos * blk : pos * blk + inner] = True
-        if t < d_plus:
-            sum_interior[pos * blk : (pos + 1) * blk] = True
-    return TruncatedRep(
-        n=n,
-        kind="chain",
-        depth=depth,
-        layers=layers,
-        gens=gens,
-        omega=omega,
-        interior=interior,
-        sum_interior=sum_interior,
-        param=z,
-        window=(d_minus, d_plus),
-    )
+    # the bottom layer has no step: stepping down would leave the window
+    steps = [(t, t - 1, complete_unitary(param_factor(z, t)), None) for t in layers[1:]]
+    return _layered_rep(z, depth, layers, steps, 0, "chain", window=(d_minus, d_plus))
 
 
 # ----------------------------------------------------------------------
@@ -327,15 +267,12 @@ _SUPPORT_TOL = 1e-12
 
 def _apply_generator(rep: TruncatedRep, letter: int, vec: np.ndarray, adjoint: bool):
     if adjoint:
-        if rep.kind == "chain":
-            top = rep.layers[-1]
-            mask = np.zeros(rep.dim, dtype=bool)
-            pos = rep.layers.index(top)
-            mask[pos * rep.block : (pos + 1) * rep.block] = True
-            if np.any(np.abs(vec[mask]) > _SUPPORT_TOL):
-                raise TruncationOverflowError(
-                    "support reached the top window layer; enlarge d_plus"
-                )
+        # adjoints annihilate every layer that no step targets: the top
+        # window layer of a chain, none of a cycle
+        if np.any(np.abs(vec[~rep.sum_interior]) > _SUPPORT_TOL):
+            raise TruncationOverflowError(
+                "support reached the top window layer; enlarge d_plus"
+            )
         return rep.gen_adjoint(letter) @ vec
     if np.any(np.abs(vec[~rep.interior]) > _SUPPORT_TOL):
         raise TruncationOverflowError(
@@ -399,7 +336,7 @@ def chain_vector(rep: TruncatedRep, t: int) -> np.ndarray:
     vec = rep.omega
     if t >= 0:
         for m in range(1, t + 1):
-            iso = vector_isometry(rep, _chain_factor_ext(rep.param, m))
+            iso = vector_isometry(rep, param_factor(rep.param, m))
             vec = iso.conjugate().transpose() @ vec
     else:
         for m in range(0, t, -1):
@@ -445,6 +382,25 @@ def enumerate_basis(rep: TruncatedRep, max_depth: int, anchors=None):
     return _enumerate_chain(rep, max_depth, anchors)
 
 
+def _branch_words(rep: TruncatedRep, factor, vec, letters: int):
+    """(j, word, pi(s_word s(u e_j)) vec) for every completion column
+    j = 2..N of `factor` and every word of `letters` letters.
+
+    Each level puts one more leading letter on the words of the previous
+    level, so the words come in itertools.product order and every vector
+    is one generator applied to a vector of the previous level.
+    """
+    u = complete_unitary(factor)
+    out = []
+    for j in range(2, rep.n + 1):
+        level = [((), vector_isometry(rep, u[:, j - 1]) @ vec)]
+        for _ in range(letters):
+            level = [((a,) + word, rep.gens[a - 1] @ v)
+                     for a in range(1, rep.n + 1) for word, v in level]
+        out += [(j, word, v) for word, v in level]
+    return out
+
+
 def _enumerate_cycle(rep: TruncatedRep, max_depth: int):
     factors = rep.effective_param().factors
     k = len(factors)
@@ -454,24 +410,11 @@ def _enumerate_cycle(rep: TruncatedRep, max_depth: int):
         )
     anchors = cycle_anchor_vectors(rep)
     out = [(BasisLabel(0, i + 1), anchors[i]) for i in range(k)]
-    if max_depth < 1:
-        return out
-    alphabet = range(1, rep.n + 1)
     for a in range(1, k + 1):
-        u = complete_unitary(factors[a - 1])
-        succ = anchors[a] if a < k else anchors[0]
-        branches = []
-        for j in range(2, rep.n + 1):
-            vec = vector_isometry(rep, u[:, j - 1]) @ succ
-            branches.append((j, vec))
-            out.append((BasisLabel(1, a, j), vec))
-        for depth in range(2, max_depth + 1):
-            for j, base in branches:
-                for word in itertools.product(alphabet, repeat=depth - 1):
-                    vec = base
-                    for letter in reversed(word):
-                        vec = rep.gens[letter - 1] @ vec
-                    out.append((BasisLabel(depth, a, j, word), vec))
+        # depth d branches off the next anchor and carries d - 1 letters
+        for depth in range(1, max_depth + 1):
+            words = _branch_words(rep, factors[a - 1], anchors[a % k], depth - 1)
+            out += [(BasisLabel(depth, a, j, word), v) for j, word, v in words]
     return out
 
 
@@ -492,34 +435,13 @@ def _enumerate_chain(rep: TruncatedRep, max_depth: int, anchors):
         raise ValueError("depth of the enumeration exceeds the truncation depth")
     e_cache = {t: chain_vector(rep, t) for t in range(min(anchors), max(anchors) + max_depth)}
     out = []
-    alphabet = range(1, rep.n + 1)
     for t in anchors:
         out.append((BasisLabel(1, t), e_cache[t]))
-        if max_depth < 2:
-            continue
-        branches = []
-        u = (
-            np.eye(rep.n, dtype=complex)
-            if t + 1 <= 0
-            else complete_unitary(chain_factor(rep.param, t + 1))
-        )
-        for j in range(2, rep.n + 1):
-            vec = vector_isometry(rep, u[:, j - 1]) @ e_cache[t + 1]
-            branches.append(vec)
-            out.append((BasisLabel(2, t, j), vec))
-        for depth in range(3, max_depth + 1):
-            u = (
-                np.eye(rep.n, dtype=complex)
-                if t + depth - 1 <= 0
-                else complete_unitary(chain_factor(rep.param, t + depth - 1))
-            )
-            for j in range(2, rep.n + 1):
-                base = vector_isometry(rep, u[:, j - 1]) @ e_cache[t + depth - 1]
-                for word in itertools.product(alphabet, repeat=depth - 2):
-                    vec = base
-                    for letter in reversed(word):
-                        vec = rep.gens[letter - 1] @ vec
-                    out.append((BasisLabel(depth, t, j, word), vec))
+        # depth d branches off E_(t+d-1) and carries d - 2 letters on top
+        for depth in range(2, max_depth + 1):
+            top = t + depth - 1
+            words = _branch_words(rep, param_factor(rep.param, top), e_cache[top], depth - 2)
+            out += [(BasisLabel(depth, t, j, word), v) for j, word, v in words]
     return out
 
 
@@ -574,7 +496,7 @@ def _gram_residual(vectors) -> float:
     return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
 
 
-def verify_gp(rep: TruncatedRep, param=None, tol: float = DEFAULT_TOL,
+def verify_gp(rep: TruncatedRep, param=None,
               basis_depth: int | None = None) -> VerificationReport:
     """Check the defining relations and the parameter contract.
 
@@ -603,7 +525,8 @@ def verify_gp(rep: TruncatedRep, param=None, tol: float = DEFAULT_TOL,
 
     eigen = None
     step = None
-    if rep.kind in ("cycle", "fiber"):
+    cyclic = rep.kind in ("cycle", "fiber")
+    if cyclic:
         iso_mat = cycle_isometry(rep, param.factors)
         eigen = float(np.linalg.norm(iso_mat @ rep.omega - rep.omega))
         family = _gram_residual(cycle_anchor_vectors(rep))
@@ -614,31 +537,25 @@ def verify_gp(rep: TruncatedRep, param=None, tol: float = DEFAULT_TOL,
         family = _gram_residual([vectors[t] for t in ts])
         step = 0.0
         for t in range(-(d_minus - 2), d_plus + 1):
-            iso_mat = vector_isometry(rep, _chain_factor_ext(rep.param, t))
+            iso_mat = vector_isometry(rep, param_factor(rep.param, t))
             step = max(
                 step, float(np.linalg.norm(iso_mat @ vectors[t] - vectors[t - 1]))
             )
 
     basis_gram = basis_count = expected = min_sing = None
-    if rep.kind in ("cycle", "fiber"):
-        k = len(param.factors)
-        d = basis_depth if basis_depth is not None else min(2, rep.depth - k)
-        if d >= 1:
-            fam = enumerate_basis(rep, d)
-            vectors = [vec for _, vec in fam]
-            basis_gram = _gram_residual(vectors)
-            basis_count = len(fam)
-            expected = k * rep.n ** d
-            sing = np.linalg.svd(np.stack(vectors, axis=1), compute_uv=False)
-            min_sing = float(sing[-1])
-    else:
-        d = basis_depth if basis_depth is not None else min(2, rep.depth)
+    k = len(param.factors) if cyclic else 0
+    d = basis_depth if basis_depth is not None else min(2, rep.depth - k)
+    if d >= 1:
         fam = enumerate_basis(rep, d)
         vectors = [vec for _, vec in fam]
         basis_gram = _gram_residual(vectors)
         basis_count = len(fam)
-        anchors = {label.anchor for label, _ in fam}
-        expected = len(anchors) * rep.n ** (d - 1)
+        # a cycle family holds k N^d vectors at depth d, a chain family
+        # N^(d-1) per anchor layer
+        if cyclic:
+            expected = k * rep.n ** d
+        else:
+            expected = len({label.anchor for label, _ in fam}) * rep.n ** (d - 1)
         sing = np.linalg.svd(np.stack(vectors, axis=1), compute_uv=False)
         min_sing = float(sing[-1])
 
@@ -675,50 +592,47 @@ def power_vanish(rep: TruncatedRep, z: CycleParam, v: np.ndarray, m_max: int) ->
 # ----------------------------------------------------------------------
 # export
 
+def _sorted_coo(mat) -> dict:
+    """JSON form of a generator: rows, cols and [re, im] values, ordered by
+    column and then row."""
+    coo = mat.tocoo()
+    order = np.lexsort((coo.row, coo.col))
+    return {
+        "rows": coo.row[order].tolist(),
+        "cols": coo.col[order].tolist(),
+        "values": complex_pairs(coo.data[order]),
+    }
+
+
 def export_coo(rep: TruncatedRep) -> str:
     """Coordinate-list text: `row col re im` per line, grouped by generator,
     with the basis labels and the distinguished vector appended."""
     lines = []
     for gi, mat in enumerate(rep.gens, start=1):
         lines.append(f"# S{gi}")
-        coo = mat.tocoo()
-        order = np.lexsort((coo.row, coo.col))
-        for idx in order:
-            v = coo.data[idx]
-            lines.append(
-                f"{int(coo.row[idx])} {int(coo.col[idx])} {float(v.real)!r} {float(v.imag)!r}"
-            )
+        coo = _sorted_coo(mat)
+        entries = zip(coo["rows"], coo["cols"], coo["values"])
+        lines += [f"{r} {c} {re!r} {im!r}" for r, c, (re, im) in entries]
     lines.append("# labels: index layer m")
     for idx in range(rep.dim):
         layer, m = rep.label_of(idx)
         lines.append(f"{idx} {layer} {m}")
     lines.append("# omega: index re im")
-    for idx in np.nonzero(np.abs(rep.omega) > 0)[0]:
-        v = rep.omega[idx]
-        lines.append(f"{int(idx)} {float(v.real)!r} {float(v.imag)!r}")
+    support = np.flatnonzero(rep.omega)
+    values = complex_pairs(rep.omega[support])
+    lines += [f"{idx} {re!r} {im!r}" for idx, (re, im) in zip(support.tolist(), values)]
     return "\n".join(lines) + "\n"
 
 
 def export_json(rep: TruncatedRep) -> dict:
-    gens = []
-    for mat in rep.gens:
-        coo = mat.tocoo()
-        order = np.lexsort((coo.row, coo.col))
-        gens.append(
-            {
-                "rows": [int(coo.row[i]) for i in order],
-                "cols": [int(coo.col[i]) for i in order],
-                "values": [[float(coo.data[i].real), float(coo.data[i].imag)] for i in order],
-            }
-        )
     return {
         "rank": rep.n,
         "kind": rep.kind,
         "depth": rep.depth,
         "dim": rep.dim,
         "layers": [int(t) for t in rep.layers],
-        "generators": gens,
-        "omega": [[float(x.real), float(x.imag)] for x in rep.omega],
+        "generators": [_sorted_coo(mat) for mat in rep.gens],
+        "omega": complex_pairs(rep.omega),
         "labels": [list(rep.label_of(i)) for i in range(rep.dim)],
-        "interior": [bool(b) for b in rep.interior],
+        "interior": rep.interior.tolist(),
     }

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import AlgebraElement, RankMismatchError, car_generator, multiply
-from .params import ChainParam, CycleParam, basis_vector, chain_factor, explicit_chain
+from .params import ChainParam, CycleParam, basis_vector, explicit_chain, param_factor
 
 
 class GPState:
@@ -30,14 +30,12 @@ class GPState:
         return self.param.n
 
     def factor(self, m: int) -> np.ndarray:
-        if self.is_cycle:
-            return self.param.factors[(m - 1) % self.param.k]
-        return chain_factor(self.param, m)
+        return param_factor(self.param, m)
 
     def _letter_product(self, word) -> complex:
         out = 1.0 + 0.0j
         for pos, letter in enumerate(word, start=1):
-            out *= self.factor(pos)[letter - 1]
+            out *= param_factor(self.param, pos)[letter - 1]
             if out == 0.0:
                 break
         return out

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -143,6 +144,34 @@ def test_verify(capsys):
     assert payload["isometry_residual"] < 1e-12
 
 
+@pytest.mark.parametrize("command", ["rep-build", "verify"])
+@pytest.mark.parametrize(
+    "param, flag, message",
+    [
+        (CHAIN_E2, ["--fiber", "-1"], "--fiber applies to cycle parameters only"),
+        (CYCLE_E1, ["--window", "2", "3"], "--window applies to chain parameters only"),
+    ],
+    ids=["fiber-on-chain", "window-on-cycle"],
+)
+def test_rep_flags_rejected_on_the_other_kind(capsys, command, param, flag, message):
+    code, out, err = run_cli(capsys, command, "--inline", param, "--depth", "3", *flag)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+def test_rotation_missing_key_is_named(capsys):
+    code, _, err = run_cli(capsys, "classify", "--inline", '{"kind":"chain","rotation":{"num":1}}')
+    assert code == 1
+    assert "missing key 'den'" in err
+
+
+def test_empty_cycle_needs_a_factor(capsys):
+    code, _, err = run_cli(capsys, "classify", "--inline", '{"kind":"cycle","factors":[]}')
+    assert code == 1
+    assert "a cycle needs at least one factor" in err
+
+
 def test_diagnostics_closed_form(capsys):
     code, out, _ = run_cli(capsys, "diagnostics", "--rotation", "1/3", "--p", "1",
                            "--M", "100", "--format", "json")
@@ -188,20 +217,25 @@ def test_tolerance_env_override(monkeypatch):
     assert cli._tolerance() == 1e-9
 
 
-def test_usage_error_exit_code():
-    proc = subprocess.run(
-        [sys.executable, "-m", "gpcuntz.cli", "no-such-command"],
+def run_module(*argv):
+    # the child process imports gpcuntz from the same tree as this test run,
+    # installed or not
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "gpcuntz.cli", *argv],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_usage_error_exit_code():
+    proc = run_module("no-such-command")
     assert proc.returncode == 2
 
 
 def test_missing_file_exit_code():
-    proc = subprocess.run(
-        [sys.executable, "-m", "gpcuntz.cli", "classify", "--param", "/nonexistent.json"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("classify", "--param", "/nonexistent.json")
     assert proc.returncode == 1
     assert "error:" in proc.stderr

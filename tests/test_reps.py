@@ -1,5 +1,7 @@
 """Truncated representations: construction, relations, bases, exports."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,24 @@ def test_chain_step_relation():
         assert np.linalg.norm(step - e_prev) < 1e-12
 
 
+def test_chain_rep_masks():
+    # the bottom layer has no step down, the top layer is no step target
+    rng = np.random.default_rng(22)
+    chain = g.explicit_chain([random_unit(rng, 3) for _ in range(2)])
+    rep = g.build_chain_rep(chain, 3, d_minus=2, d_plus=3)
+    blk, inner = 3 ** 3, 3 ** 2
+    assert rep.layers == (-2, -1, 0, 1, 2, 3)
+    interior = np.zeros(rep.dim, dtype=bool)
+    sum_interior = np.zeros(rep.dim, dtype=bool)
+    for pos, t in enumerate(rep.layers):
+        if t != -2:
+            interior[pos * blk : pos * blk + inner] = True
+        if t != 3:
+            sum_interior[pos * blk : (pos + 1) * blk] = True
+    assert np.array_equal(rep.interior, interior)
+    assert np.array_equal(rep.sum_interior, sum_interior)
+
+
 def test_chain_rejects_prefix_kind():
     with pytest.raises(ValueError):
         g.build_chain_rep(g.prefix_chain([E1]), 3)
@@ -129,6 +149,9 @@ def test_fiber_phase_one_matches_plain_cycle():
     fiber = g.build_fiber_rep(z, 1.0, 4)
     for a, b in zip(plain.gens, fiber.gens):
         assert abs(a - b).max() == 0.0
+    assert np.array_equal(plain.omega, fiber.omega)
+    assert np.array_equal(plain.interior, fiber.interior)
+    assert np.array_equal(plain.sum_interior, fiber.sum_interior)
 
 
 def test_fiber_eigenequation():
@@ -214,6 +237,76 @@ def test_enumerate_chain_basis():
     mat = np.stack([v for _, v in fam], axis=1)
     gram = mat.conj().T @ mat
     assert np.max(np.abs(gram - np.eye(len(fam)))) < 1e-9
+
+
+def _seed_word_vector(rep, base, word):
+    # reference: the word applied to its branch vector one letter at a time
+    vec = base
+    for letter in reversed(word):
+        vec = rep.gens[letter - 1] @ vec
+    return vec
+
+
+def _assert_matches_word_oracle(rep, fam, expected_labels, branch_base):
+    assert [label for label, _ in fam] == expected_labels
+    for label, vec in fam:
+        if label.branch == 0:
+            continue
+        base = branch_base(label)
+        assert np.array_equal(vec, _seed_word_vector(rep, base, label.prefix)), label
+
+
+def test_enumerate_basis_matches_word_oracle_on_cycles():
+    rng = np.random.default_rng(23)
+    cases = (
+        (g.build_cycle_rep(g.cycle([random_unit(rng, 2) for _ in range(2)]), 5), 3),
+        (g.build_fiber_rep(g.cycle([random_unit(rng, 3)]), np.exp(0.9j), 3), 2),
+    )
+    for rep, max_depth in cases:
+        factors = rep.effective_param().factors
+        k, n = len(factors), rep.n
+        anchors = g.reps.cycle_anchor_vectors(rep)
+        expected = [g.BasisLabel(0, a) for a in range(1, k + 1)]
+        for a in range(1, k + 1):
+            expected += [g.BasisLabel(1, a, j) for j in range(2, n + 1)]
+            for depth in range(2, max_depth + 1):
+                for j in range(2, n + 1):
+                    for word in itertools.product(range(1, n + 1), repeat=depth - 1):
+                        expected.append(g.BasisLabel(depth, a, j, word))
+
+        def branch_base(label):
+            u = g.complete_unitary(factors[label.anchor - 1])
+            column = u[:, label.branch - 1]
+            return g.reps.vector_isometry(rep, column) @ anchors[label.anchor % k]
+
+        fam = g.enumerate_basis(rep, max_depth)
+        _assert_matches_word_oracle(rep, fam, expected, branch_base)
+
+
+def test_enumerate_basis_matches_word_oracle_on_chain():
+    rng = np.random.default_rng(24)
+    chain = g.explicit_chain([random_unit(rng, 2) for _ in range(3)], [random_unit(rng, 2)])
+    rep = g.build_chain_rep(chain, 4, d_minus=2, d_plus=4)
+    max_depth = 3
+    expected = []
+    for t in (-1, 0, 1):
+        expected.append(g.BasisLabel(1, t))
+        for depth in range(2, max_depth + 1):
+            # rank 2: the completion has the single branch column j = 2
+            for word in itertools.product((1, 2), repeat=depth - 2):
+                expected.append(g.BasisLabel(depth, t, 2, word))
+
+    def branch_base(label):
+        top = label.anchor + label.depth - 1
+        factor = g.chain_factor(chain, top) if top >= 1 else E1
+        column = g.complete_unitary(factor)[:, label.branch - 1]
+        return g.reps.vector_isometry(rep, column) @ g.reps.chain_vector(rep, top)
+
+    fam = g.enumerate_basis(rep, max_depth)
+    _assert_matches_word_oracle(rep, fam, expected, branch_base)
+    for label, vec in fam:
+        if label.branch == 0:
+            assert np.array_equal(vec, g.reps.chain_vector(rep, label.anchor))
 
 
 # ----------------------------------------------------------------------
