@@ -15,6 +15,7 @@ from .algebra import (
     gauge_action,
     generator,
     identity,
+    leavitt_form,
     linear_combine,
     multiply,
     s_of,

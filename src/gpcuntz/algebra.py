@@ -4,10 +4,14 @@ The defining relations are s_i* s_j = delta_ij I together with
 s_1 s_1* + ... + s_N s_N* = I.  Every product of generators and adjoints
 reduces to a word s_J s_K* for multi-indices J, K over {1, ..., N} (the
 empty index stands for I on its side), so elements are stored as finite
-complex combinations of such words.  Only the first relation is applied
-as a rewrite; the range relation is handled by `expand_identity`, which
-pushes all terms of an element to a common sandwich depth so that
-equality modulo that relation becomes coefficient comparison.
+complex combinations of such words.  The first relation is applied as a
+rewrite on every product.  The range relation is decided by
+`leavitt_form`, which rewrites an element onto the basis of words s_J s_K*
+in which J and K do not both end in the letter N; two elements are equal
+modulo both relations exactly when their difference has zero Leavitt
+form.  `expand_identity` pushes all terms to a common sandwich depth
+instead; it serves `normalize --expand` and is the independent oracle
+the tests compare `leavitt_form` against.
 
 Coefficients are double precision; anything below PRUNE_TOL is dropped.
 All values are immutable after construction and every operation is pure.
@@ -21,6 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 PRUNE_TOL = 1e-12
+# most terms expand_identity may generate before merging them
+EXPAND_BUDGET = 1 << 22
 
 Word = tuple[int, ...]
 
@@ -196,21 +202,65 @@ def expand_identity(a: AlgebraElement, depth: int) -> AlgebraElement:
     sum_{|L|=d} c s_{JL} s_{KL}*.  Here d is chosen per term so that
     every term reaches (max over terms of min(|J|, |K|)) + depth.  Two
     elements agree modulo the range relation at depth d exactly when
-    expand_identity(a - b, d) is zero.
+    expand_identity(a - b, d) is zero.  An expansion that would generate
+    more than EXPAND_BUDGET terms raises ValueError before generating any.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if not a.terms:
         return a
     target = max(min(len(j), len(k)) for (j, k) in a.terms) + depth
+    tails = [target - min(len(j), len(k)) for (j, k) in a.terms]
+    # N >= 2, so a single term with this many tail letters is already over
+    # the budget; naming the power avoids building an enormous integer
+    if max(tails) >= EXPAND_BUDGET.bit_length():
+        raise ValueError(
+            f"expand_identity would generate at least {a.n}^{max(tails)} terms, "
+            f"over the budget of {EXPAND_BUDGET}"
+        )
+    count = sum(a.n**d for d in tails)
+    if count > EXPAND_BUDGET:
+        raise ValueError(
+            f"expand_identity would generate {count} terms, over the budget of {EXPAND_BUDGET}"
+        )
     out: dict = {}
     alphabet = range(1, a.n + 1)
-    for (j, k), c in a.terms.items():
-        d = target - min(len(j), len(k))
+    for ((j, k), c), d in zip(a.terms.items(), tails):
         for tail in itertools.product(alphabet, repeat=d):
             key = (j + tail, k + tail)
             out[key] = out.get(key, 0.0) + c
     return AlgebraElement.from_terms(a.n, out)
+
+
+def leavitt_form(a: AlgebraElement) -> AlgebraElement:
+    """Canonical form modulo both relations.
+
+    The words s_J s_K* in which J and K do not both end in the letter N
+    form a basis of the algebra with both relations, the Leavitt algebra
+    L(1, N) (the "special edge" basis of Abrams-Aranda Pino and of
+    Alahmadi-Alsulami-Jain-Zelmanov).  Writing s_N s_N* = I - sum_{i<N}
+    s_i s_i* rewrites s_{JN} s_{KN}* into s_J s_K* - sum_{i<N} s_{Ji} s_{Ki}*;
+    only the shorter first word can again end in N on both sides.  A term
+    J0 N^t, K0 N^t therefore becomes, after all t steps,
+
+        s_{J0} s_{K0}* - sum_{r<t} sum_{i<N} s_{J0 N^r i} s_{K0 N^r i}*,
+
+    and no word of the result ends in N on both sides.  Two elements are
+    equal modulo both relations exactly when leavitt_form(a - b) is zero.
+    """
+    n = a.n
+    out: dict = {}
+    for (j, k), c in a.terms.items():
+        t = 0
+        while t < min(len(j), len(k)) and j[-1 - t] == n and k[-1 - t] == n:
+            t += 1
+        j0, k0 = j[: len(j) - t], k[: len(k) - t]
+        out[(j0, k0)] = out.get((j0, k0), 0.0) + c
+        for r in range(t):
+            for i in range(1, n):
+                key = (j0 + (n,) * r + (i,), k0 + (n,) * r + (i,))
+                out[key] = out.get(key, 0.0) - c
+    return AlgebraElement.from_terms(n, out)
 
 
 # ----------------------------------------------------------------------

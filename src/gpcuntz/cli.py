@@ -31,48 +31,75 @@ def _tolerance() -> float:
 # ----------------------------------------------------------------------
 # parameter (de)serialization
 
-def _complex_in(entry) -> complex:
+def _number_in(entry, field: str, kind=float):
+    try:
+        return kind(entry)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{field} must be {what}, got {entry!r}") from None
+
+
+def _complex_in(entry, field: str) -> complex:
     if isinstance(entry, (int, float)):
         return complex(entry)
     if isinstance(entry, (list, tuple)) and len(entry) == 2:
-        return complex(float(entry[0]), float(entry[1]))
-    raise ValueError(f"expected a number or an [re, im] pair, got {entry!r}")
+        return complex(_number_in(entry[0], field), _number_in(entry[1], field))
+    raise ValueError(f"{field}: expected a number or an [re, im] pair, got {entry!r}")
 
 
-def _vector_in(entry) -> np.ndarray:
-    return np.asarray([_complex_in(x) for x in entry], dtype=complex)
+def _vector_in(entry, field: str) -> np.ndarray:
+    if not isinstance(entry, (list, tuple)):
+        raise ValueError(f"{field} must be a list of entries, got {entry!r}")
+    return np.asarray([_complex_in(x, field) for x in entry], dtype=complex)
+
+
+def _vectors_in(entry, field: str) -> list:
+    if not isinstance(entry, (list, tuple)):
+        raise ValueError(f"{field} must be a list of vectors, got {entry!r}")
+    return [_vector_in(f, f"{field}[{i}]") for i, f in enumerate(entry)]
 
 
 def param_from_json(obj):
-    """Decode the parameter schema into a cycle or chain parameter."""
+    """Decode the parameter schema into a cycle or chain parameter.
+
+    Malformed input raises ValueError naming the offending field.
+    """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("parameter JSON must be an object with a 'kind' key")
     kind = obj["kind"]
     if kind == "cycle":
         if "factors" not in obj:
             raise ValueError("cycle parameter needs 'factors'")
-        z = params.cycle([_vector_in(f) for f in obj["factors"]])
-        if "N" in obj and int(obj["N"]) != z.n:
+        z = params.cycle(_vectors_in(obj["factors"], "cycle 'factors'"))
+        if "N" in obj and _number_in(obj["N"], "cycle 'N'", int) != z.n:
             raise ValueError(f"declared N={obj['N']} but factors live in C^{z.n}")
         return z
     if kind != "chain":
         raise ValueError(f"unknown parameter kind {kind!r}")
     if "rotation" in obj:
         rot = obj["rotation"]
+        if not isinstance(rot, dict):
+            raise ValueError(
+                f"chain 'rotation' must be an object with keys 'num' and 'den', got {rot!r}"
+            )
         for key in ("num", "den"):
             if key not in rot:
                 raise ValueError(f"chain 'rotation' is missing key {key!r}")
-        return params.rotation_chain(Fraction(int(rot["num"]), int(rot["den"])))
+        num = _number_in(rot["num"], "chain 'rotation' num", int)
+        den = _number_in(rot["den"], "chain 'rotation' den", int)
+        if den == 0:
+            raise ValueError("chain 'rotation' den must be nonzero")
+        return params.rotation_chain(Fraction(num, den))
     if "theta" in obj:
-        return params.rotation_chain(float(obj["theta"]))
+        return params.rotation_chain(_number_in(obj["theta"], "chain 'theta'"))
     if obj.get("gray_zone"):
         return params.gray_zone_chain()
     if "prefix" in obj:
-        return params.prefix_chain([_vector_in(f) for f in obj["prefix"]])
+        return params.prefix_chain(_vectors_in(obj["prefix"], "chain 'prefix'"))
     if "period" in obj:
         return params.explicit_chain(
-            [_vector_in(f) for f in obj["period"]],
-            [_vector_in(f) for f in obj.get("preperiod", [])],
+            _vectors_in(obj["period"], "chain 'period'"),
+            _vectors_in(obj.get("preperiod", []), "chain 'preperiod'"),
         )
     raise ValueError(
         "chain parameter needs one of 'period', 'rotation', 'theta', "
@@ -268,7 +295,7 @@ def _cmd_diagnostics(args) -> int:
         payload["sums"][str(p)] = {"plain": plain, "abs": absolute}
         lines.append(f"p={p} S={plain!r} S_abs={absolute!r}")
     if args.target:
-        v = _vector_in(json.loads(args.target))
+        v = _vector_in(json.loads(args.target), "--target")
         sums = params.target_overlap_sums(chain, v, args.M)
         payload["target_sum"] = float(sums[-1])
         lines.append(f"target S={float(sums[-1])!r}")
@@ -289,9 +316,9 @@ def _cmd_car_check(args) -> int:
             mixed = algebra.multiply(a, b.adjoint()) + algebra.multiply(b.adjoint(), a)
             if n == m:
                 mixed = mixed - algebra.identity(2)
-            r1 = algebra.expand_identity(mixed, n + m).sup_norm()
+            r1 = algebra.leavitt_form(mixed).sup_norm()
             anti = algebra.multiply(a, b) + algebra.multiply(b, a)
-            r2 = algebra.expand_identity(anti, n + m).sup_norm()
+            r2 = algebra.leavitt_form(anti).sup_norm()
             worst = max(worst, r1, r2)
             payload["pairs"].append({"n": n, "m": m, "mixed": r1, "anti": r2})
             lines.append(f"n={n} m={m} mixed={r1!r} anti={r2!r}")

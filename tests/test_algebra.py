@@ -115,6 +115,76 @@ def test_expand_identity_negative_depth():
         g.expand_identity(g.identity(2), -1)
 
 
+def test_expand_identity_budget():
+    with pytest.raises(ValueError, match="16777216 terms"):
+        g.expand_identity(g.generator(4, 1), 12)
+    with pytest.raises(ValueError, match=r"at least 2\^40 terms"):
+        g.expand_identity(g.identity(2), 40)
+
+
+# ----------------------------------------------------------------------
+# Leavitt normal form, checked against identity expansion
+
+seeded_elements = st.tuples(st.integers(0, 2**32 - 1), st.integers(2, 4)).map(
+    lambda args: random_element(np.random.default_rng(args[0]), args[1], max_word=3)
+)
+
+
+def ends_in_top_letter_on_both_sides(key, n):
+    j, k = key
+    return bool(j and k and j[-1] == n and k[-1] == n)
+
+
+def rewritten_through_range(a, rng):
+    """a with each term pushed 0..2 levels through sum_i s_i s_i* = I."""
+    terms = {}
+    for (j, k), c in a.terms.items():
+        levels = int(rng.integers(0, 3))
+        for tail in itertools.product(range(1, a.n + 1), repeat=levels):
+            terms[(j + tail, k + tail)] = terms.get((j + tail, k + tail), 0.0) + c
+    return g.AlgebraElement.from_terms(a.n, terms)
+
+
+@given(seeded_elements, st.integers(0, 2))
+def test_leavitt_form_invariant_under_expansion(a, depth):
+    assert_elements_close(g.leavitt_form(g.expand_identity(a, depth)), g.leavitt_form(a), 1e-9)
+
+
+@given(seeded_elements)
+def test_leavitt_form_idempotent_and_in_basis(a):
+    form = g.leavitt_form(a)
+    assert g.leavitt_form(form) == form
+    assert not any(ends_in_top_letter_on_both_sides(key, a.n) for key in form.terms)
+
+
+@given(seeded_elements)
+def test_leavitt_form_commutes_with_adjoint(a):
+    assert_elements_close(g.leavitt_form(a.adjoint()), g.leavitt_form(a).adjoint(), 1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_leavitt_form_range_relation(n):
+    lower = g.linear_combine([(1, g.word_element(n, (i,), (i,))) for i in range(1, n)])
+    top = g.word_element(n, (n,), (n,))
+    assert g.leavitt_form(lower + top - g.identity(n)).is_zero()
+    assert g.leavitt_form(top) == g.identity(n) - lower
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.booleans())
+def test_leavitt_zero_test_agrees_with_expansion(seed, n, perturb):
+    rng = np.random.default_rng(seed)
+    a = random_element(rng, n, max_word=3)
+    b = rewritten_through_range(a, rng)
+    if perturb:
+        j = tuple(int(x) for x in rng.integers(1, n + 1, size=int(rng.integers(0, 3))))
+        k = tuple(int(x) for x in rng.integers(1, n + 1, size=int(rng.integers(0, 3))))
+        b = b + g.word_element(n, j, k, 1e-3)
+    diff = a - b
+    leavitt_zero = g.leavitt_form(diff).sup_norm() <= 1e-9
+    assert leavitt_zero == (g.expand_identity(diff, 1).sup_norm() <= 1e-9)
+    assert leavitt_zero != perturb
+
+
 # ----------------------------------------------------------------------
 # gauge action
 
@@ -222,8 +292,10 @@ def test_car_relations(n, m):
     if n == m:
         mixed = mixed - g.identity(2)
     assert g.expand_identity(mixed, n + m).sup_norm() < 1e-9
+    assert g.leavitt_form(mixed).sup_norm() < 1e-9
     anti = g.multiply(a, b) + g.multiply(b, a)
     assert g.expand_identity(anti, n + m).sup_norm() < 1e-9
+    assert g.leavitt_form(anti).sup_norm() < 1e-9
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ CYCLE_E1 = '{"kind":"cycle","N":2,"factors":[[[1,0],[0,0]]]}'
 CYCLE_E1E1 = '{"kind":"cycle","N":2,"factors":[[[1,0],[0,0]],[[1,0],[0,0]]]}'
 CHAIN_E2 = '{"kind":"chain","period":[[[0,0],[1,0]]]}'
 ROTATION_THIRD = '{"kind":"chain","rotation":{"num":1,"den":3}}'
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -166,6 +168,23 @@ def test_rotation_missing_key_is_named(capsys):
     assert "missing key 'den'" in err
 
 
+@pytest.mark.parametrize(
+    "param, message",
+    [
+        ('{"kind":"chain","rotation":5}', "chain 'rotation' must be an object"),
+        ('{"kind":"cycle","factors":5}', "cycle 'factors' must be a list of vectors"),
+        ('{"kind":"cycle","factors":[[1,0],5]}', "cycle 'factors'[1] must be a list of entries"),
+        ('{"kind":"chain","rotation":{"num":1,"den":0}}', "chain 'rotation' den must be nonzero"),
+    ],
+    ids=["rotation-not-object", "factors-not-list", "factor-not-list", "rotation-zero-den"],
+)
+def test_malformed_schema_names_the_field(capsys, param, message):
+    code, out, err = run_cli(capsys, "classify", "--inline", param)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
 def test_empty_cycle_needs_a_factor(capsys):
     code, _, err = run_cli(capsys, "classify", "--inline", '{"kind":"cycle","factors":[]}')
     assert code == 1
@@ -201,6 +220,28 @@ def test_car_check(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["max_residual"] < 1e-9
+
+
+def test_car_check_reaches_n_max_8(capsys):
+    code, out, _ = run_cli(capsys, "car-check", "--n-max", "8", "-f", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["pairs"]) == 64
+    assert payload["max_residual"] == 0.0
+
+
+@pytest.mark.parametrize("fmt, golden", [("text", "car_check_n4.txt"), ("json", "car_check_n4.json")])
+def test_car_check_output_is_stable(capsys, fmt, golden):
+    code, out, _ = run_cli(capsys, "car-check", "--n-max", "4", "-f", fmt)
+    assert code == 0
+    assert out == (DATA / golden).read_text()
+
+
+def test_normalize_expand_over_budget_is_refused(capsys):
+    code, out, err = run_cli(capsys, "normalize", "-N", "4", "--expand", "14", "s1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: expand_identity would generate 268435456 terms, over the budget of 4194304\n"
 
 
 def test_deterministic_output(capsys):
