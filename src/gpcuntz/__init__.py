@@ -47,6 +47,7 @@ from .params import (
     basis_vector,
     canonicalize_cycle,
     chain_factor,
+    chain_factors,
     chain_tail_equivalent,
     cycle,
     cycles_equivalent,

@@ -43,6 +43,16 @@ def _as_word(letters, n: int) -> Word:
     return word
 
 
+def _pruned(terms) -> dict:
+    """Terms with complex coefficients above PRUNE_TOL; keys are kept as given."""
+    out = {}
+    for key, c in terms.items():
+        c = complex(c)
+        if abs(c) > PRUNE_TOL:
+            out[key] = c
+    return out
+
+
 def term_sort_key(key):
     """Canonical term order: (|J|, J lexicographic, |K|, K lexicographic)."""
     j, k = key
@@ -67,12 +77,15 @@ class AlgebraElement:
 
     @classmethod
     def from_terms(cls, n: int, terms) -> "AlgebraElement":
-        pruned = {}
-        for (j, k), c in terms.items():
-            c = complex(c)
-            if abs(c) > PRUNE_TOL:
-                pruned[(_as_word(j, n), _as_word(k, n))] = c
-        return cls(n, pruned)
+        return cls(
+            n, {(_as_word(j, n), _as_word(k, n)): c for (j, k), c in _pruned(terms).items()}
+        )
+
+    @classmethod
+    def _from_words(cls, n: int, terms) -> "AlgebraElement":
+        """Like `from_terms` for keys that are already valid letter tuples,
+        such as the words of an operation on valid elements."""
+        return cls(n, _pruned(terms))
 
     # ------------------------------------------------------------------
     def is_zero(self) -> bool:
@@ -87,7 +100,7 @@ class AlgebraElement:
 
     def adjoint(self) -> "AlgebraElement":
         """The *-involution: c s_J s_K*  ->  conj(c) s_K s_J*."""
-        return AlgebraElement.from_terms(
+        return AlgebraElement._from_words(
             self.n, {(k, j): c.conjugate() for (j, k), c in self.terms.items()}
         )
 
@@ -100,10 +113,10 @@ class AlgebraElement:
         merged = dict(self.terms)
         for key, c in other.terms.items():
             merged[key] = merged.get(key, 0.0) + c
-        return AlgebraElement.from_terms(self.n, merged)
+        return AlgebraElement._from_words(self.n, merged)
 
     def __neg__(self):
-        return AlgebraElement.from_terms(self.n, {k: -c for k, c in self.terms.items()})
+        return AlgebraElement._from_words(self.n, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -114,7 +127,7 @@ class AlgebraElement:
         if isinstance(other, AlgebraElement):
             return multiply(self, other)
         if isinstance(other, (int, float, complex)):
-            return AlgebraElement.from_terms(
+            return AlgebraElement._from_words(
                 self.n, {k: c * other for k, c in self.terms.items()}
             )
         return NotImplemented
@@ -177,7 +190,7 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
                     continue
                 key = (j1, k2 + k1[len(j2):])
             out[key] = out.get(key, 0.0) + c1 * c2
-    return AlgebraElement.from_terms(a.n, out)
+    return AlgebraElement._from_words(a.n, out)
 
 
 def linear_combine(pairs) -> AlgebraElement:
@@ -192,7 +205,7 @@ def linear_combine(pairs) -> AlgebraElement:
             raise RankMismatchError(f"rank mismatch: {elem.n} vs {n}")
         for key, c in elem.terms.items():
             out[key] = out.get(key, 0.0) + coeff * c
-    return AlgebraElement.from_terms(n, out)
+    return AlgebraElement._from_words(n, out)
 
 
 def expand_identity(a: AlgebraElement, depth: int) -> AlgebraElement:
@@ -229,7 +242,7 @@ def expand_identity(a: AlgebraElement, depth: int) -> AlgebraElement:
         for tail in itertools.product(alphabet, repeat=d):
             key = (j + tail, k + tail)
             out[key] = out.get(key, 0.0) + c
-    return AlgebraElement.from_terms(a.n, out)
+    return AlgebraElement._from_words(a.n, out)
 
 
 def leavitt_form(a: AlgebraElement) -> AlgebraElement:
@@ -260,7 +273,7 @@ def leavitt_form(a: AlgebraElement) -> AlgebraElement:
             for i in range(1, n):
                 key = (j0 + (n,) * r + (i,), k0 + (n,) * r + (i,))
                 out[key] = out.get(key, 0.0) - c
-    return AlgebraElement.from_terms(n, out)
+    return AlgebraElement._from_words(n, out)
 
 
 # ----------------------------------------------------------------------
@@ -271,7 +284,7 @@ def gauge_action(c, a: AlgebraElement) -> AlgebraElement:
     c = complex(c)
     if abs(abs(c) - 1.0) > 1e-10:
         raise ValueError("gauge parameter must be unimodular")
-    return AlgebraElement.from_terms(
+    return AlgebraElement._from_words(
         a.n,
         {(j, k): coeff * c ** (len(j) - len(k)) for (j, k), coeff in a.terms.items()},
     )
@@ -294,7 +307,7 @@ def unitary_action(g, a: AlgebraElement) -> AlgebraElement:
     """
     g = _check_unitary(g, a.n)
     images = [
-        AlgebraElement.from_terms(
+        AlgebraElement._from_words(
             a.n, {((j,), ()): g[j - 1, i - 1] for j in range(1, a.n + 1)}
         )
         for i in range(1, a.n + 1)
@@ -310,7 +323,7 @@ def unitary_action(g, a: AlgebraElement) -> AlgebraElement:
         piece = multiply(left, right.adjoint())
         for key, val in piece.terms.items():
             out[key] = out.get(key, 0.0) + c * val
-    return AlgebraElement.from_terms(a.n, out)
+    return AlgebraElement._from_words(a.n, out)
 
 
 def conditional_expectation(a: AlgebraElement) -> AlgebraElement:
@@ -319,7 +332,7 @@ def conditional_expectation(a: AlgebraElement) -> AlgebraElement:
     Projects onto the fixed-point subalgebra of the circle action; it is
     idempotent and commutes with the adjoint.
     """
-    return AlgebraElement.from_terms(
+    return AlgebraElement._from_words(
         a.n, {(j, k): c for (j, k), c in a.terms.items() if len(j) == len(k)}
     )
 
@@ -337,7 +350,7 @@ def car_generator(n: int) -> AlgebraElement:
     for j in itertools.product((1, 2), repeat=n - 1):
         sign = -1.0 if sum(1 for x in j if x == 2) % 2 else 1.0
         terms[(j + (1,), j + (2,))] = sign
-    return AlgebraElement.from_terms(2, terms)
+    return AlgebraElement._from_words(2, terms)
 
 
 def s_of(vectors, n: int | None = None) -> AlgebraElement:
@@ -359,7 +372,7 @@ def s_of(vectors, n: int | None = None) -> AlgebraElement:
     for row in arr:
         if abs(np.linalg.norm(row) - 1.0) > 1e-10:
             raise ValueError("factors must be unit vectors within 1e-10")
-        factor = AlgebraElement.from_terms(
+        factor = AlgebraElement._from_words(
             n, {((i,), ()): row[i - 1] for i in range(1, n + 1)}
         )
         out = multiply(out, factor)

@@ -32,6 +32,9 @@ import numpy as np
 from .algebra import RankMismatchError
 
 DEFAULT_TOL = 1e-9
+# most chain factors, and most overlap summands, one diagnostics request may
+# generate
+DIAGNOSTICS_BUDGET = 1 << 23
 _FIRST_COMPONENT_TOL = 1e-8
 
 
@@ -239,45 +242,73 @@ def gray_zone_chain() -> ChainParam:
     return ChainParam("gray_zone", 2)
 
 
-def _planar(angle: float) -> np.ndarray:
-    return unit_vector(np.array([math.cos(angle), math.sin(angle)], dtype=complex))
+def _planar_rows(angles: np.ndarray) -> np.ndarray:
+    rows = np.zeros((angles.size, 2), dtype=complex)
+    rows[:, 0] = np.cos(angles)
+    rows[:, 1] = np.sin(angles)
+    return rows
 
 
-def gray_zone_half_angle(m: int) -> float:
-    """Half-angle of the m-th wobble pair: arcsin(1/(sqrt(2) m))."""
-    return math.asin(1.0 / (math.sqrt(2.0) * m))
+def chain_factors(chain: ChainParam, start: int, count: int) -> np.ndarray:
+    """Factors start, ..., start + count - 1 (start >= 1) as read-only rows.
+
+    Every chain kind is generated here in one vectorised pass; each row is
+    bit-identical to what the per-index formula gives.
+    """
+    if start < 1:
+        raise ValueError("factor index starts at 1")
+    if count < 0:
+        raise ValueError("factor count must be nonnegative")
+    if start + count > 1 << 62:
+        raise ValueError("factor indices must stay below 2^62")
+    idx = np.arange(start, start + count, dtype=np.int64)
+    if chain.kind == "explicit":
+        table = np.stack(chain.preperiod + chain.period)
+        pre = len(chain.preperiod)
+        pos = idx - 1
+        rows = table[np.where(pos < pre, pos, pre + (pos - pre) % len(chain.period))]
+    elif chain.kind == "rotation":
+        theta = chain.theta
+        if isinstance(theta, Fraction):
+            a, b = theta.numerator, theta.denominator
+            if b < 1 << 31:
+                # float(Fraction) is the correctly rounded num / den, and so
+                # is float64 division of two integers below 2^53
+                frac = (idx % b * a % b) / b
+            else:
+                frac = np.array([m * a % b / b for m in range(start, start + count)])
+        else:
+            # extended precision keeps the reduction of m*theta mod 1 near
+            # machine accuracy for m up to ~1e9
+            frac = np.fmod(idx.astype(np.longdouble) * np.longdouble(theta), 1.0)
+            frac = frac.astype(float)
+        rows = _planar_rows(2.0 * math.pi * frac)
+    elif chain.kind == "gray_zone":
+        # the m-th wobble pair has half-angle arcsin(1/(sqrt(2) m)); math.asin
+        # is kept because np.arcsin differs from it in the last bit
+        first, last = (start + 1) // 2, (start + count) // 2
+        args = 1.0 / (math.sqrt(2.0) * np.arange(first, last + 1, dtype=np.int64))
+        halves = np.array([math.asin(x) for x in args.tolist()])
+        half = halves[(idx + 1) // 2 - first]
+        rows = _planar_rows(np.where(idx % 2 == 1, math.pi / 4 - half, math.pi / 4 + half))
+    elif chain.kind == "prefix":
+        if start + count - 1 > len(chain.prefix):
+            raise UndecidableError(
+                f"prefix chain holds only {len(chain.prefix)} factors"
+            )
+        rows = np.array(chain.prefix[start - 1 : start - 1 + count], dtype=complex)
+        rows = rows.reshape(count, chain.n)
+    else:
+        raise ValueError(f"unknown chain kind {chain.kind!r}")
+    if np.any(np.abs(np.linalg.norm(rows, axis=1) - 1.0) > 1e-10):
+        raise ValueError("vector must have unit norm within 1e-10")
+    rows.flags.writeable = False
+    return rows
 
 
 def chain_factor(chain: ChainParam, m: int) -> np.ndarray:
     """The m-th factor (m >= 1)."""
-    if m < 1:
-        raise ValueError("factor index starts at 1")
-    if chain.kind == "explicit":
-        pre = len(chain.preperiod)
-        if m <= pre:
-            return chain.preperiod[m - 1]
-        return chain.period[(m - 1 - pre) % len(chain.period)]
-    if chain.kind == "rotation":
-        if isinstance(chain.theta, Fraction):
-            angle = 2.0 * math.pi * float((m * chain.theta) % 1)
-        else:
-            # extended precision keeps the reduction of m*theta mod 1 near
-            # machine accuracy for m up to ~1e9
-            frac = float(np.fmod(np.longdouble(m) * np.longdouble(chain.theta), 1.0))
-            angle = 2.0 * math.pi * frac
-        return _planar(angle)
-    if chain.kind == "gray_zone":
-        half = gray_zone_half_angle((m + 1) // 2)
-        if m % 2:
-            return _planar(math.pi / 4 - half)
-        return _planar(math.pi / 4 + half)
-    if chain.kind == "prefix":
-        if m > len(chain.prefix):
-            raise UndecidableError(
-                f"prefix chain holds only {len(chain.prefix)} factors"
-            )
-        return chain.prefix[m - 1]
-    raise ValueError(f"unknown chain kind {chain.kind!r}")
+    return chain_factors(chain, m, 1)[0]
 
 
 def param_factor(param, m: int) -> np.ndarray:
@@ -290,7 +321,7 @@ def param_factor(param, m: int) -> np.ndarray:
         return param.factors[(m - 1) % param.k]
     if m < 1:
         return basis_vector(param.n, 1)
-    return chain_factor(param, m)
+    return chain_factors(param, m, 1)[0]
 
 
 def rotation_to_explicit(chain: ChainParam) -> ChainParam:
@@ -298,7 +329,7 @@ def rotation_to_explicit(chain: ChainParam) -> ChainParam:
     if chain.kind != "rotation" or not isinstance(chain.theta, Fraction):
         raise ValueError("only rational rotation chains have an exact period")
     b = chain.theta.denominator
-    return explicit_chain([chain_factor(chain, m) for m in range(1, b + 1)])
+    return explicit_chain(chain_factors(chain, 1, b))
 
 
 # ----------------------------------------------------------------------
@@ -402,14 +433,19 @@ class DiagnosticsTable:
         return float(self.plain[p][-1]), float(self.absolute[p][-1])
 
 
-def _factor_rows(chain: ChainParam, count: int) -> np.ndarray:
-    return np.stack([chain_factor(chain, m) for m in range(1, count + 1)])
+def _check_budget(what: str, count: int) -> None:
+    if count > DIAGNOSTICS_BUDGET:
+        raise ValueError(
+            f"diagnostics would generate {count} {what}, over the budget of {DIAGNOSTICS_BUDGET}"
+        )
 
 
 def asymptotic_diagnostics(chain: ChainParam, p_max: int, m_max: int) -> DiagnosticsTable:
     if p_max < 1 or m_max < 1:
         raise ValueError("p_max and M must be >= 1")
-    rows = _factor_rows(chain, m_max + p_max)
+    _check_budget("factors", m_max + p_max)
+    _check_budget("overlap summands", p_max * m_max)
+    rows = chain_factors(chain, 1, m_max + p_max)
     plain, absolute = {}, {}
     for p in range(1, p_max + 1):
         inner = np.sum(np.conj(rows[:m_max]) * rows[p : p + m_max], axis=1)
@@ -422,7 +458,10 @@ def asymptotic_diagnostics(chain: ChainParam, p_max: int, m_max: int) -> Diagnos
 
 def target_overlap_sums(chain: ChainParam, v, m_max: int) -> np.ndarray:
     """Cumulative sums of 1 - |<z^(m)|v>| against a fixed unit vector."""
+    if m_max < 1:
+        raise ValueError("M must be >= 1")
     v = unit_vector(v)
-    rows = _factor_rows(chain, m_max)
+    _check_budget("factors", m_max)
+    rows = chain_factors(chain, 1, m_max)
     inner = rows @ np.conj(v)
     return np.cumsum(1.0 - np.abs(inner), dtype=np.longdouble).astype(float)

@@ -13,7 +13,14 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import AlgebraElement, RankMismatchError, car_generator, multiply
-from .params import ChainParam, CycleParam, basis_vector, explicit_chain, param_factor
+from .params import (
+    ChainParam,
+    CycleParam,
+    basis_vector,
+    chain_factors,
+    explicit_chain,
+    param_factor,
+)
 
 
 class GPState:
@@ -24,18 +31,28 @@ class GPState:
             raise TypeError("expected a cycle or chain parameter")
         self.param = param
         self.is_cycle = isinstance(param, CycleParam)
+        # chain factors 1..len(_chain_rows), generated in blocks on demand
+        self._chain_rows = np.empty((0, param.n), dtype=complex)
 
     @property
     def n(self) -> int:
         return self.param.n
 
     def factor(self, m: int) -> np.ndarray:
-        return param_factor(self.param, m)
+        if self.is_cycle or m < 1:
+            return param_factor(self.param, m)
+        if m > len(self._chain_rows):
+            count = max(m, 2 * len(self._chain_rows))
+            if self.param.kind == "prefix":
+                # the whole prefix at once; past its end chain_factors raises
+                count = max(m, len(self.param.prefix))
+            self._chain_rows = chain_factors(self.param, 1, count)
+        return self._chain_rows[m - 1]
 
     def _letter_product(self, word) -> complex:
         out = 1.0 + 0.0j
         for pos, letter in enumerate(word, start=1):
-            out *= param_factor(self.param, pos)[letter - 1]
+            out *= self.factor(pos)[letter - 1]
             if out == 0.0:
                 break
         return out

@@ -1,5 +1,8 @@
 """Shared constructors and oracles for the test suite."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 import gpcuntz as g
@@ -73,3 +76,26 @@ def brute_force_power(z, tol=1e-9):
         if abs(abs(np.vdot(cand, t)) - 1.0) < tol:
             return d, p
     return k, 1
+
+
+def reference_chain_factor(chain, m):
+    """Per-index chain factor by the direct formulas, independent of the
+    vectorised `chain_factors`: Fraction reduction, longdouble fmod, scalar
+    math.cos/math.sin/math.asin and tuple indexing."""
+    if chain.kind == "explicit":
+        pre = len(chain.preperiod)
+        if m <= pre:
+            return chain.preperiod[m - 1]
+        return chain.period[(m - 1 - pre) % len(chain.period)]
+    if chain.kind == "prefix":
+        return chain.prefix[m - 1]
+    if chain.kind == "rotation":
+        if isinstance(chain.theta, Fraction):
+            frac = float((m * chain.theta) % 1)
+        else:
+            frac = float(np.fmod(np.longdouble(m) * np.longdouble(chain.theta), 1.0))
+        angle = 2.0 * math.pi * frac
+    else:
+        half = math.asin(1.0 / (math.sqrt(2.0) * ((m + 1) // 2)))
+        angle = math.pi / 4 - half if m % 2 else math.pi / 4 + half
+    return np.array([math.cos(angle), math.sin(angle)], dtype=complex)

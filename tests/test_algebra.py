@@ -86,6 +86,22 @@ def test_linear_combine():
     assert g.linear_combine([(0.5, g.identity(2)), (0.5, g.identity(2))]) == g.identity(2)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_public_constructors_reject_letters_outside_alphabet(n):
+    for bad in (0, n + 1):
+        message = f"letter {bad} outside alphabet 1..{n}"
+        with pytest.raises(ValueError, match=message):
+            g.AlgebraElement.from_terms(n, {((1, bad), ()): 1.0})
+        with pytest.raises(ValueError, match=message):
+            g.AlgebraElement.from_terms(n, {((), (bad,)): 1.0})
+        with pytest.raises(ValueError, match=message):
+            g.word_element(n, (bad,), (1,))
+        with pytest.raises(ValueError, match=message):
+            g.word_element(n, (), (1, bad))
+        with pytest.raises(ValueError, match=message):
+            g.generator(n, bad)
+
+
 def test_linear_combine_rank_mismatch():
     with pytest.raises(g.RankMismatchError):
         g.linear_combine([(1, g.generator(2, 1)), (1, g.generator(3, 1))])

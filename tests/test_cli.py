@@ -237,6 +237,30 @@ def test_car_check_output_is_stable(capsys, fmt, golden):
     assert out == (DATA / golden).read_text()
 
 
+GRAY_TARGET = "[[0.7071067811865476,0],[0.7071067811865476,0]]"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (("--rotation", "3/7", "--p", "3", "--M", "10000"), "diagnostics_rot37.txt"),
+    (("--rotation", "3/7", "--p", "3", "--M", "10000", "-f", "json"), "diagnostics_rot37.json"),
+    (("--theta", "0.3819660112501051", "--p", "2", "--M", "5000", "-f", "json"),
+     "diagnostics_theta.json"),
+    (("--gray-zone", "--p", "2", "--M", "2000", "--target", GRAY_TARGET),
+     "diagnostics_gray_target.txt"),
+])
+def test_diagnostics_output_is_stable(capsys, argv, golden):
+    code, out, _ = run_cli(capsys, "diagnostics", *argv)
+    assert code == 0
+    assert out == (DATA / golden).read_text()
+
+
+def test_diagnostics_over_budget_is_refused(capsys):
+    code, out, err = run_cli(capsys, "diagnostics", "--rotation", "1/3", "--M", "1000000000000")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: diagnostics would generate 1000000000001 factors, over the budget")
+
+
 def test_normalize_expand_over_budget_is_refused(capsys):
     code, out, err = run_cli(capsys, "normalize", "-N", "4", "--expand", "14", "s1")
     assert code == 1

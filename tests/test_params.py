@@ -5,13 +5,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gpcuntz as g
 from helpers import (
     brute_force_power,
     random_cycle,
+    random_explicit_chain,
     random_nonperiodic_cycle,
     random_unit,
+    reference_chain_factor,
 )
 
 E1 = g.basis_vector(2, 1)
@@ -203,6 +206,81 @@ def test_tail_equivalent_offset_blocks():
 
 
 # ----------------------------------------------------------------------
+# chain factors
+
+ORACLE_CHAINS = {
+    "rotation 3/7": (g.rotation_chain(Fraction(3, 7)), 10**6),
+    "rotation 5/8": (g.rotation_chain(Fraction(5, 8)), 10**6),
+    "float theta": (g.rotation_chain(0.3819660112501051), 10**9),
+    "gray zone": (g.gray_zone_chain(), 10**6),
+    "explicit with preperiod": (
+        random_explicit_chain(np.random.default_rng(11), 3, 4, 5), 10**6,
+    ),
+}
+
+
+def _assert_reference_rows(rows, chain, start, count):
+    ref = np.stack([reference_chain_factor(chain, m) for m in range(start, start + count)])
+    assert np.array_equal(rows, ref)
+    # bit for bit, signs of zeros included
+    assert rows.dtype == ref.dtype and rows.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CHAINS))
+@pytest.mark.parametrize("start_kind", ["1", "2", "7", "far"])
+def test_chain_factors_match_reference(name, start_kind):
+    chain, far = ORACLE_CHAINS[name]
+    start = far if start_kind == "far" else int(start_kind)
+    for count in (1, 2, 3, 10_007):
+        rows = g.chain_factors(chain, start, count)
+        assert rows.shape == (count, chain.n)
+        _assert_reference_rows(rows, chain, start, count)
+    assert np.array_equal(g.chain_factor(chain, start), reference_chain_factor(chain, start))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    b=st.integers(1, 64),
+    a=st.integers(0, 63),
+    start=st.integers(1, 10**12),
+    count=st.integers(1, 40),
+)
+def test_rational_rotation_factors_match_reference(a, b, start, count):
+    chain = g.rotation_chain(Fraction(a % b, b))
+    _assert_reference_rows(g.chain_factors(chain, start, count), chain, start, count)
+
+
+def test_chain_factors_prefix_range():
+    vectors = [E1, E2, np.array([1.0, 1.0]) / math.sqrt(2.0)]
+    chain = g.prefix_chain(vectors)
+    assert np.array_equal(g.chain_factors(chain, 2, 2), np.stack(vectors[1:]))
+    with pytest.raises(g.UndecidableError):
+        g.chain_factors(chain, 2, 3)
+    with pytest.raises(g.UndecidableError):
+        g.chain_factor(chain, 4)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CHAINS))
+def test_chain_factors_reject_indices_out_of_range(name):
+    chain, _ = ORACLE_CHAINS[name]
+    for start in (0, -3):
+        with pytest.raises(ValueError, match="starts at 1"):
+            g.chain_factors(chain, start, 2)
+    with pytest.raises(ValueError, match="below 2"):
+        g.chain_factor(chain, 1 << 62)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CHAINS))
+def test_chain_factors_are_read_only(name):
+    chain, _ = ORACLE_CHAINS[name]
+    rows = g.chain_factors(chain, 1, 4)
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        g.chain_factor(chain, 3)[0] = 0.0
+
+
+# ----------------------------------------------------------------------
 # diagnostics
 
 def test_rotation_closed_form():
@@ -247,5 +325,18 @@ def test_gray_zone_target_sums_bounded():
 def test_diagnostics_validates_arguments():
     with pytest.raises(ValueError):
         g.asymptotic_diagnostics(g.gray_zone_chain(), 0, 10)
+    with pytest.raises(ValueError):
+        g.target_overlap_sums(g.gray_zone_chain(), E1, 0)
     with pytest.raises(g.UndecidableError):
         g.asymptotic_diagnostics(g.prefix_chain([E1]), 1, 10)
+
+
+def test_diagnostics_budget_refuses_before_generating():
+    budget = g.params.DIAGNOSTICS_BUDGET
+    chain = g.rotation_chain(Fraction(1, 3))
+    with pytest.raises(ValueError, match=f"{budget + 2} factors, over the budget of {budget}"):
+        g.asymptotic_diagnostics(chain, 1, budget + 1)
+    with pytest.raises(ValueError, match=f"{4 * budget} overlap summands"):
+        g.asymptotic_diagnostics(chain, 64, budget // 16)
+    with pytest.raises(ValueError, match=f"{budget + 1} factors"):
+        g.target_overlap_sums(chain, E1, budget + 1)

@@ -1,12 +1,18 @@
 """Parameter states: word formulas, positivity, gauge covariance, vacuum."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import gpcuntz as g
-from helpers import random_cycle, random_explicit_chain, random_nonperiodic_cycle
+from helpers import (
+    random_cycle,
+    random_explicit_chain,
+    random_nonperiodic_cycle,
+    reference_chain_factor,
+)
 
 E1 = g.basis_vector(2, 1)
 E2 = g.basis_vector(2, 2)
@@ -41,6 +47,33 @@ def test_chain_state_is_length_balanced():
         for k in all_words(2, 3):
             if len(j) != len(k):
                 assert state.word_value(j, k) == 0.0
+
+
+@pytest.mark.parametrize("chain", [
+    g.rotation_chain(Fraction(2, 9)),
+    g.rotation_chain(0.2),
+    g.gray_zone_chain(),
+    random_explicit_chain(np.random.default_rng(5), 3, 2, 3),
+], ids=["rotation", "float theta", "gray zone", "explicit"])
+def test_chain_state_factors_match_reference(chain):
+    state = g.GPState(chain)
+    # out of order, so the factor rows are generated in several blocks
+    for m in (1, 3, 2, 9, 4, 17, 40, 5):
+        assert np.array_equal(state.factor(m), reference_chain_factor(chain, m))
+    word = tuple(int(x) for x in np.random.default_rng(6).integers(1, chain.n + 1, size=12))
+    expected = 1.0 + 0.0j
+    for m, letter in enumerate(word, start=1):
+        expected *= reference_chain_factor(chain, m)[letter - 1]
+    assert g.state_eval_word(chain, word, word) == np.conj(expected) * expected
+
+
+def test_prefix_chain_state_reads_only_what_it_needs():
+    chain = g.prefix_chain([E1, E2])
+    assert g.state_eval_word(chain, (1, 2), (1, 2)) == 1.0
+    # the product vanishes at the first letter, before the prefix runs out
+    assert g.state_eval_word(chain, (2, 1, 1), (2, 1, 1)) == 0.0
+    with pytest.raises(g.UndecidableError):
+        g.state_eval_word(chain, (1, 2, 1), (1, 2, 1))
 
 
 def test_cycle_periodic_extension():
