@@ -32,8 +32,9 @@ import numpy as np
 from .algebra import RankMismatchError
 
 DEFAULT_TOL = 1e-9
-# most chain factors, and most overlap summands, one diagnostics request may
-# generate
+# most overlap summands, and most chain factors in C^2, one diagnostics
+# request may generate; factors are charged by their entries, so a chain in
+# C^N may generate 2 / N as many
 DIAGNOSTICS_BUDGET = 1 << 23
 _FIRST_COMPONENT_TOL = 1e-8
 
@@ -433,17 +434,22 @@ class DiagnosticsTable:
         return float(self.plain[p][-1]), float(self.absolute[p][-1])
 
 
-def _check_budget(what: str, count: int) -> None:
-    if count > DIAGNOSTICS_BUDGET:
+def _check_budget(what: str, count: int, limit: int = DIAGNOSTICS_BUDGET) -> None:
+    if count > limit:
         raise ValueError(
-            f"diagnostics would generate {count} {what}, over the budget of {DIAGNOSTICS_BUDGET}"
+            f"diagnostics would generate {count} {what}, over the budget of {limit}"
         )
+
+
+def _check_factor_budget(chain: ChainParam, count: int) -> None:
+    # count * N entries against 2 DIAGNOSTICS_BUDGET
+    _check_budget("factors", count, 2 * DIAGNOSTICS_BUDGET // chain.n)
 
 
 def asymptotic_diagnostics(chain: ChainParam, p_max: int, m_max: int) -> DiagnosticsTable:
     if p_max < 1 or m_max < 1:
         raise ValueError("p_max and M must be >= 1")
-    _check_budget("factors", m_max + p_max)
+    _check_factor_budget(chain, m_max + p_max)
     _check_budget("overlap summands", p_max * m_max)
     rows = chain_factors(chain, 1, m_max + p_max)
     plain, absolute = {}, {}
@@ -461,7 +467,7 @@ def target_overlap_sums(chain: ChainParam, v, m_max: int) -> np.ndarray:
     if m_max < 1:
         raise ValueError("M must be >= 1")
     v = unit_vector(v)
-    _check_budget("factors", m_max)
+    _check_factor_budget(chain, m_max)
     rows = chain_factors(chain, 1, m_max)
     inner = rows @ np.conj(v)
     return np.cumsum(1.0 - np.abs(inner), dtype=np.longdouble).astype(float)

@@ -20,6 +20,13 @@ S_i* S_j = delta_ij holds exactly on the first N^(D-1) columns of every
 step source (`interior`) and sum_i S_i S_i* = I on every step target
 (`sum_interior`); all contracts are stated there.  The distinguished
 vector sits at (1, 1) for cycles and (0, 1) for chains.
+
+The builders refuse, before allocating, more than REP_BUDGET basis vectors
+at rank 2 (2 REP_BUDGET / N at rank N).  The chain family E_t is pushed
+from Omega through the window once.  The exports are built from whole
+arrays: label columns by repeat and tile, and the `repr` text of an entry
+once per distinct bit pattern of its value, which a step table keeps to
+k N^2 per generator; the text is byte-stable and keeps every -0.0.
 """
 
 from __future__ import annotations
@@ -37,6 +44,12 @@ from .params import (
     param_factor,
     scale_cycle,
 )
+
+
+# most basis vectors, len(layers) * N^D, one truncation of rank 2 may have;
+# every generator holds about one entry per basis vector, so rank N is
+# allowed 2 / N of it
+REP_BUDGET = 1 << 20
 
 
 class TruncationOverflowError(RuntimeError):
@@ -110,6 +123,25 @@ class TruncatedRep:
         return self.param
 
 
+def _check_size(n: int, depth: int, layer_count: int) -> None:
+    """Refuse, before anything is allocated, a depth below 2 or a rank-n
+    truncation of more than 2 REP_BUDGET / n basis vectors."""
+    if depth < 2:
+        raise ValueError("depth must be at least 2")
+    limit = 2 * REP_BUDGET // n
+    # N >= 2, so this depth alone is over the budget; naming the power
+    # avoids building an enormous integer
+    if depth >= REP_BUDGET.bit_length():
+        count = f"at least {n}^{depth}"
+    else:
+        count = layer_count * n ** depth
+        if count <= limit:
+            return
+    raise ValueError(
+        f"truncation would have dimension {count}, over the budget of {limit} for rank {n}"
+    )
+
+
 def _layered_rep(param, depth, layers, steps, omega_layer, kind, **fields) -> TruncatedRep:
     """Truncation of depth `depth` on `layers` from a step table.
 
@@ -120,8 +152,6 @@ def _layered_rep(param, depth, layers, steps, omega_layer, kind, **fields) -> Tr
     keep `conj(u_ij)` as it is: a factor 1.0 would turn their -0.0
     imaginary parts into 0.0.
     """
-    if depth < 2:
-        raise ValueError("depth must be at least 2")
     n = param.n
     blk = n ** depth
     inner = n ** (depth - 1)
@@ -170,6 +200,7 @@ def _layered_rep(param, depth, layers, steps, omega_layer, kind, **fields) -> Tr
 def _cycle_rep(z: CycleParam, depth: int, wrap_scale, kind: str, **fields) -> TruncatedRep:
     """Layer t steps to t - 1 through factor t - 1; layer 1 wraps onto
     layer k through the last factor, scaled by `wrap_scale`."""
+    _check_size(z.n, depth, z.k)
     steps = [
         (t, (t - 2) % z.k + 1, complete_unitary(param_factor(z, t - 1)),
          wrap_scale if t == 1 else 1.0)
@@ -215,6 +246,7 @@ def build_chain_rep(
         d_plus = depth
     if d_minus < 1 or d_plus < 1:
         raise ValueError("window extents must be >= 1")
+    _check_size(z.n, depth, d_minus + d_plus + 1)
     layers = tuple(range(-d_minus, d_plus + 1))
     # the bottom layer has no step: stepping down would leave the window
     steps = [(t, t - 1, complete_unitary(param_factor(z, t)), None) for t in layers[1:]]
@@ -324,24 +356,46 @@ def cycle_anchor_vectors(rep: TruncatedRep) -> list:
     return out
 
 
-def chain_vector(rep: TruncatedRep, t: int) -> np.ndarray:
-    """E_t: Omega pushed |t| steps backward (t > 0) or forward along e_1."""
+def _chain_iso(rep: TruncatedRep, m: int, isos: dict):
+    """s(z_m), built once per m into `isos`; every m < 1 steps through e_1."""
+    key = max(m, 0)
+    if key not in isos:
+        isos[key] = vector_isometry(rep, param_factor(rep.param, m))
+    return isos[key]
+
+
+def _chain_vectors(rep: TruncatedRep, lo: int, hi: int, isos: dict | None = None) -> dict:
+    """{t: E_t} for lo <= t <= hi, and for every t between them and 0.
+
+    Omega is pushed through the window once: E_t = s(z_t)* E_(t-1) for
+    t > 0 and E_t = S_1 E_(t+1) for t < 0, so each vector comes from the
+    same sparse operations, in the same order, as a walk from Omega alone.
+    """
     if rep.kind != "chain":
         raise ValueError("chain vectors require a chain truncation")
     d_minus, d_plus = rep.window
-    if not -d_minus <= t <= d_plus:
-        raise TruncationOverflowError(
-            f"layer {t} outside the window [-{d_minus}, {d_plus}]"
-        )
+    for t in (lo, hi):
+        if not -d_minus <= t <= d_plus:
+            raise TruncationOverflowError(
+                f"layer {t} outside the window [-{d_minus}, {d_plus}]"
+            )
+    if isos is None:
+        isos = {}
+    out = {0: rep.omega}
     vec = rep.omega
-    if t >= 0:
-        for m in range(1, t + 1):
-            iso = vector_isometry(rep, param_factor(rep.param, m))
-            vec = iso.conjugate().transpose() @ vec
-    else:
-        for m in range(0, t, -1):
-            vec = _apply_generator(rep, 1, vec, adjoint=False)
-    return np.asarray(vec).ravel()
+    for m in range(1, hi + 1):
+        vec = _chain_iso(rep, m, isos).conjugate().transpose() @ vec
+        out[m] = vec
+    vec = rep.omega
+    for t in range(-1, lo - 1, -1):
+        vec = _apply_generator(rep, 1, vec, adjoint=False)
+        out[t] = vec
+    return {t: np.asarray(v).ravel() for t, v in out.items()}
+
+
+def chain_vector(rep: TruncatedRep, t: int) -> np.ndarray:
+    """E_t: Omega pushed |t| steps backward (t > 0) or forward along e_1."""
+    return _chain_vectors(rep, t, t)[t]
 
 
 @dataclass(frozen=True)
@@ -433,7 +487,7 @@ def _enumerate_chain(rep: TruncatedRep, max_depth: int, anchors):
             )
     if max_depth > rep.depth:
         raise ValueError("depth of the enumeration exceeds the truncation depth")
-    e_cache = {t: chain_vector(rep, t) for t in range(min(anchors), max(anchors) + max_depth)}
+    e_cache = _chain_vectors(rep, min(anchors), max(anchors) + max_depth - 1)
     out = []
     for t in anchors:
         out.append((BasisLabel(1, t), e_cache[t]))
@@ -533,11 +587,12 @@ def verify_gp(rep: TruncatedRep, param=None,
     else:
         d_minus, d_plus = rep.window
         ts = range(-(d_minus - 1), d_plus + 1)
-        vectors = {t: chain_vector(rep, t) for t in ts}
+        isos = {}
+        vectors = _chain_vectors(rep, ts[0], ts[-1], isos)
         family = _gram_residual([vectors[t] for t in ts])
         step = 0.0
         for t in range(-(d_minus - 2), d_plus + 1):
-            iso_mat = vector_isometry(rep, param_factor(rep.param, t))
+            iso_mat = _chain_iso(rep, t, isos)
             step = max(
                 step, float(np.linalg.norm(iso_mat @ vectors[t] - vectors[t - 1]))
             )
@@ -592,16 +647,33 @@ def power_vanish(rep: TruncatedRep, z: CycleParam, v: np.ndarray, m_max: int) ->
 # ----------------------------------------------------------------------
 # export
 
-def _sorted_coo(mat) -> dict:
-    """JSON form of a generator: rows, cols and [re, im] values, ordered by
-    column and then row."""
+def _sorted_coo(mat):
+    """Rows, cols and complex values of a generator, ordered by column and
+    then row."""
     coo = mat.tocoo()
     order = np.lexsort((coo.row, coo.col))
-    return {
-        "rows": coo.row[order].tolist(),
-        "cols": coo.col[order].tolist(),
-        "values": complex_pairs(coo.data[order]),
-    }
+    return coo.row[order], coo.col[order], coo.data[order]
+
+
+def _value_texts(values: np.ndarray) -> list:
+    """`re im` shortest round-trip text of every complex value.
+
+    repr runs once per distinct bit pattern, and a step table gives a
+    generator at most k N^2 of them.  The values are compared as raw
+    16-byte records, not as numbers, so -0.0 stays apart from 0.0.
+    """
+    bits = np.ascontiguousarray(values, dtype=complex).view("V16")
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    pairs = distinct.view(np.float64).reshape(-1, 2).tolist()
+    texts = np.asarray([f"{re!r} {im!r}" for re, im in pairs], dtype=object)
+    return texts[inverse.ravel()].tolist()
+
+
+def _label_columns(rep: TruncatedRep):
+    """Layer and m = 1..N^D of every basis index, in basis order."""
+    layers = np.repeat(np.asarray(rep.layers, dtype=np.int64), rep.block)
+    ms = np.tile(np.arange(1, rep.block + 1), len(rep.layers))
+    return layers, ms
 
 
 def export_coo(rep: TruncatedRep) -> str:
@@ -610,18 +682,21 @@ def export_coo(rep: TruncatedRep) -> str:
     lines = []
     for gi, mat in enumerate(rep.gens, start=1):
         lines.append(f"# S{gi}")
-        coo = _sorted_coo(mat)
-        entries = zip(coo["rows"], coo["cols"], coo["values"])
-        lines += [f"{r} {c} {re!r} {im!r}" for r, c, (re, im) in entries]
+        rows, cols, values = _sorted_coo(mat)
+        lines += map("{} {} {}".format, rows.tolist(), cols.tolist(), _value_texts(values))
     lines.append("# labels: index layer m")
-    for idx in range(rep.dim):
-        layer, m = rep.label_of(idx)
-        lines.append(f"{idx} {layer} {m}")
+    layers, ms = _label_columns(rep)
+    lines += map("{} {} {}".format, range(rep.dim), layers.tolist(), ms.tolist())
     lines.append("# omega: index re im")
     support = np.flatnonzero(rep.omega)
     values = complex_pairs(rep.omega[support])
     lines += [f"{idx} {re!r} {im!r}" for idx, (re, im) in zip(support.tolist(), values)]
     return "\n".join(lines) + "\n"
+
+
+def _generator_json(mat) -> dict:
+    rows, cols, values = _sorted_coo(mat)
+    return {"rows": rows.tolist(), "cols": cols.tolist(), "values": complex_pairs(values)}
 
 
 def export_json(rep: TruncatedRep) -> dict:
@@ -631,8 +706,8 @@ def export_json(rep: TruncatedRep) -> dict:
         "depth": rep.depth,
         "dim": rep.dim,
         "layers": [int(t) for t in rep.layers],
-        "generators": [_sorted_coo(mat) for mat in rep.gens],
+        "generators": [_generator_json(mat) for mat in rep.gens],
         "omega": complex_pairs(rep.omega),
-        "labels": [list(rep.label_of(i)) for i in range(rep.dim)],
+        "labels": np.stack(_label_columns(rep), axis=1).tolist(),
         "interior": rep.interior.tolist(),
     }

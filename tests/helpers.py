@@ -99,3 +99,61 @@ def reference_chain_factor(chain, m):
         half = math.asin(1.0 / (math.sqrt(2.0) * ((m + 1) // 2)))
         angle = math.pi / 4 - half if m % 2 else math.pi / 4 + half
     return np.array([math.cos(angle), math.sin(angle)], dtype=complex)
+
+
+def _reference_sorted_coo(mat) -> dict:
+    coo = mat.tocoo()
+    order = np.lexsort((coo.row, coo.col))
+    return {
+        "rows": coo.row[order].tolist(),
+        "cols": coo.col[order].tolist(),
+        "values": g.params.complex_pairs(coo.data[order]),
+    }
+
+
+def reference_export_coo(rep) -> str:
+    """`export_coo` formatted entry by entry and label by label through
+    `TruncatedRep.label_of`, independent of the array-built exporter."""
+    lines = []
+    for gi, mat in enumerate(rep.gens, start=1):
+        lines.append(f"# S{gi}")
+        coo = _reference_sorted_coo(mat)
+        entries = zip(coo["rows"], coo["cols"], coo["values"])
+        lines += [f"{r} {c} {re!r} {im!r}" for r, c, (re, im) in entries]
+    lines.append("# labels: index layer m")
+    for idx in range(rep.dim):
+        layer, m = rep.label_of(idx)
+        lines.append(f"{idx} {layer} {m}")
+    lines.append("# omega: index re im")
+    support = np.flatnonzero(rep.omega)
+    values = g.params.complex_pairs(rep.omega[support])
+    lines += [f"{idx} {re!r} {im!r}" for idx, (re, im) in zip(support.tolist(), values)]
+    return "\n".join(lines) + "\n"
+
+
+def reference_export_json(rep) -> dict:
+    """`export_json` with per-index labels from `TruncatedRep.label_of`."""
+    return {
+        "rank": rep.n,
+        "kind": rep.kind,
+        "depth": rep.depth,
+        "dim": rep.dim,
+        "layers": [int(t) for t in rep.layers],
+        "generators": [_reference_sorted_coo(mat) for mat in rep.gens],
+        "omega": g.params.complex_pairs(rep.omega),
+        "labels": [list(rep.label_of(i)) for i in range(rep.dim)],
+        "interior": rep.interior.tolist(),
+    }
+
+
+def reference_chain_vector(rep, t):
+    """E_t walked from Omega alone, building s(z_m) afresh at every step."""
+    vec = rep.omega
+    if t >= 0:
+        for m in range(1, t + 1):
+            iso = g.reps.vector_isometry(rep, g.params.param_factor(rep.param, m))
+            vec = iso.conjugate().transpose() @ vec
+    else:
+        for _ in range(-t):
+            vec = rep.gens[0] @ vec
+    return np.asarray(vec).ravel()

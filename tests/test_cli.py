@@ -261,6 +261,41 @@ def test_diagnostics_over_budget_is_refused(capsys):
     assert err.startswith("error: diagnostics would generate 1000000000001 factors, over the budget")
 
 
+GOLDEN_CYCLE = '{"kind":"cycle","N":2,"factors":[[[0.6,0],[0,0.8]],[[0,0],[1,0]]]}'
+GOLDEN_FIBER = '{"kind":"cycle","N":3,"factors":[[[0.6,0],[0,0.8],[0,0]],[[0,0],[0,0],[1,0]]]}'
+
+
+@pytest.mark.parametrize("fmt, ext", [("matrix-coo", "txt"), ("json", "json")])
+@pytest.mark.parametrize("argv, stem", [
+    (("--inline", GOLDEN_CYCLE, "--depth", "3"), "rep_build_cycle"),
+    (("--inline", GOLDEN_FIBER, "--depth", "2", "--fiber", "exp(i pi 2/3)"), "rep_build_fiber"),
+    (("--inline", '{"kind":"chain","gray_zone":true}', "--depth", "3", "--window", "2", "3"),
+     "rep_build_chain"),
+])
+def test_rep_build_output_is_stable(capsys, argv, stem, fmt, ext):
+    code, out, _ = run_cli(capsys, "rep-build", *argv, "-f", fmt)
+    assert code == 0
+    assert out == (DATA / f"{stem}.{ext}").read_text()
+
+
+def test_rep_build_over_budget_is_refused(capsys):
+    cycle = '{"kind":"cycle","factors":[[[1,0],[0,0]]]}'
+    code, out, err = run_cli(capsys, "rep-build", "--inline", cycle, "--depth", "40")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: truncation would have dimension at least 2^40, "
+                   "over the budget of 1048576 for rank 2\n")
+
+
+def test_diagnostics_budget_counts_entries(capsys):
+    period = [[[1, 0]] + [[0, 0]] * 15]
+    chain = json.dumps({"kind": "chain", "period": period})
+    code, out, err = run_cli(capsys, "diagnostics", "--inline", chain, "--p", "1", "--M", "8000000")
+    assert code == 1
+    assert out == ""
+    assert err == "error: diagnostics would generate 8000001 factors, over the budget of 1048576\n"
+
+
 def test_normalize_expand_over_budget_is_refused(capsys):
     code, out, err = run_cli(capsys, "normalize", "-N", "4", "--expand", "14", "s1")
     assert code == 1

@@ -340,3 +340,28 @@ def test_diagnostics_budget_refuses_before_generating():
         g.asymptotic_diagnostics(chain, 64, budget // 16)
     with pytest.raises(ValueError, match=f"{budget + 1} factors"):
         g.target_overlap_sums(chain, E1, budget + 1)
+
+
+def test_diagnostics_budget_charges_factor_entries(monkeypatch):
+    budget = g.params.DIAGNOSTICS_BUDGET
+    e1_16 = g.basis_vector(16, 1)
+    wide = g.explicit_chain([e1_16])
+    with pytest.raises(ValueError, match=f"8000001 factors, over the budget of {budget // 8}"):
+        g.asymptotic_diagnostics(wide, 1, 8_000_000)
+    with pytest.raises(ValueError, match=f"{budget // 8 + 1} factors"):
+        g.target_overlap_sums(wide, e1_16, budget // 8 + 1)
+
+    class Generated(Exception):
+        pass
+
+    def generated(*_):
+        raise Generated
+
+    # a request inside the budget gets as far as generating its factors
+    monkeypatch.setattr(g.params, "chain_factors", generated)
+    with pytest.raises(Generated):
+        g.asymptotic_diagnostics(g.explicit_chain([E1]), 1, budget - 2)
+    with pytest.raises(Generated):
+        g.asymptotic_diagnostics(wide, 1, budget // 8 - 1)
+    with pytest.raises(Generated):
+        g.target_overlap_sums(g.explicit_chain([E1]), E1, budget)

@@ -1,12 +1,20 @@
 """Truncated representations: construction, relations, bases, exports."""
 
 import itertools
+import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import gpcuntz as g
-from helpers import random_nonperiodic_cycle, random_unit
+from helpers import (
+    random_nonperiodic_cycle,
+    random_unit,
+    reference_chain_vector,
+    reference_export_coo,
+    reference_export_json,
+)
 
 E1 = g.basis_vector(2, 1)
 E2 = g.basis_vector(2, 2)
@@ -526,3 +534,86 @@ def test_export_json_shapes():
     assert len(data["generators"]) == 2
     assert len(data["labels"]) == rep.dim
     assert data["labels"][0] == [-1, 1]
+
+
+REAL_A = np.array([0.6, 0.8])
+REAL_B = np.array([0.8, -0.6])
+
+
+def _export_reps():
+    rng = np.random.default_rng(31)
+    third = np.exp(2j * np.pi / 3)
+    explicit = g.explicit_chain([random_unit(rng, 2) for _ in range(2)], [random_unit(rng, 2)])
+    return {
+        "cycle N=2": g.build_cycle_rep(g.cycle([random_unit(rng, 2) for _ in range(3)]), 4),
+        "cycle N=3": g.build_cycle_rep(g.cycle([random_unit(rng, 3) for _ in range(2)]), 3),
+        "fiber e^(2 pi i/3)": g.build_fiber_rep(
+            g.cycle([random_unit(rng, 3) for _ in range(2)]), third, 3),
+        # both signs of zero imaginary parts beside the same real part
+        "fiber 1, real factors": g.build_fiber_rep(g.cycle([REAL_A, REAL_B]), 1, 3),
+        "rotation 1/5": g.build_chain_rep(g.rotation_chain(Fraction(1, 5)), 4),
+        "rotation 1/5 window 2 5": g.build_chain_rep(g.rotation_chain(Fraction(1, 5)), 3, 2, 5),
+        "gray zone window 2 3": g.build_chain_rep(g.gray_zone_chain(), 3, 2, 3),
+        "explicit window 4 1": g.build_chain_rep(explicit, 4, 4, 1),
+        "explicit N=3 window 1 1": g.build_chain_rep(
+            g.explicit_chain([random_unit(rng, 3)]), 2, 1, 1),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_export_reps()))
+def test_exports_match_per_entry_reference(name):
+    rep = _export_reps()[name]
+    assert g.export_coo(rep) == reference_export_coo(rep)
+    assert (json.dumps(g.export_json(rep), sort_keys=True)
+            == json.dumps(reference_export_json(rep), sort_keys=True))
+
+
+def test_export_coo_keeps_the_sign_of_zero():
+    text = g.export_coo(g.build_fiber_rep(g.cycle([REAL_A, REAL_B]), 1, 3))
+    first = text.split("# S2")[0].splitlines()[1:]
+    values = {tuple(line.split()[2:]) for line in first}
+    assert {("0.8", "0.0"), ("0.8", "-0.0")} <= values
+    chain = g.export_coo(g.build_chain_rep(g.gray_zone_chain(), 3, 2, 3))
+    assert "0 8 1.0 -0.0\n" in chain
+
+
+@pytest.mark.parametrize("window", [(1, 1), (2, 5), (4, 2), (3, 3)])
+def test_chain_vectors_match_walk_from_omega(window):
+    rng = np.random.default_rng(32)
+    chain = g.explicit_chain([random_unit(rng, 2) for _ in range(3)], [random_unit(rng, 2)])
+    rep = g.build_chain_rep(chain, 4, *window)
+    d_minus, d_plus = window
+    isos = {}
+    family = g.reps._chain_vectors(rep, -d_minus, d_plus, isos)
+    assert sorted(family) == list(range(-d_minus, d_plus + 1))
+    # s(z_m) is built once per m >= 1
+    assert sorted(isos) == list(range(1, d_plus + 1))
+    for t in range(-d_minus, d_plus + 1):
+        expected = reference_chain_vector(rep, t).tobytes()
+        assert family[t].tobytes() == expected
+        assert g.reps.chain_vector(rep, t).tobytes() == expected
+    for t in (-d_minus - 1, d_plus + 1):
+        with pytest.raises(g.TruncationOverflowError, match="outside the window"):
+            g.reps.chain_vector(rep, t)
+
+
+def test_rep_budget_refuses_before_allocating(monkeypatch):
+    monkeypatch.setattr(g.reps, "REP_BUDGET", 64)
+    z = g.cycle([E1, E2])
+    assert g.build_cycle_rep(z, 5).dim == 64
+    with pytest.raises(ValueError, match="dimension 128, over the budget of 64 for rank 2"):
+        g.build_cycle_rep(z, 6)
+    # rank N is allowed 2 / N of the budget
+    z4 = g.cycle([g.basis_vector(4, 1)])
+    assert g.build_cycle_rep(z4, 2).dim == 16
+    with pytest.raises(ValueError, match="dimension 64, over the budget of 32 for rank 4"):
+        g.build_fiber_rep(z4, 1, 3)
+    with pytest.raises(ValueError, match="dimension at least 2\\^40, over the budget"):
+        g.build_cycle_rep(z, 40)
+
+    def no_steps(_):
+        raise AssertionError("a step was built for a refused truncation")
+
+    monkeypatch.setattr(g.reps, "complete_unitary", no_steps)
+    with pytest.raises(ValueError, match="dimension 8000000048, over the budget"):
+        g.build_chain_rep(g.gray_zone_chain(), 3, 10**9, 5)
