@@ -287,18 +287,20 @@ def _diag_chain(args):
 
 def _cmd_diagnostics(args) -> int:
     chain = _diag_chain(args)
-    table = params.asymptotic_diagnostics(chain, args.p, args.M)
+    target = None
+    if args.target:
+        target = params.unit_vector(_vector_in(json.loads(args.target), "--target"))
+    # one pass over the chain factors serves the table and the target sums
+    table, target_sums = params._diagnostics(chain, args.p, args.M, target)
     payload = {"M": args.M, "sums": {}}
     lines = []
     for p in range(1, args.p + 1):
         plain, absolute = table.final(p)
         payload["sums"][str(p)] = {"plain": plain, "abs": absolute}
         lines.append(f"p={p} S={plain!r} S_abs={absolute!r}")
-    if args.target:
-        v = _vector_in(json.loads(args.target), "--target")
-        sums = params.target_overlap_sums(chain, v, args.M)
-        payload["target_sum"] = float(sums[-1])
-        lines.append(f"target S={float(sums[-1])!r}")
+    if target is not None:
+        payload["target_sum"] = float(target_sums[-1])
+        lines.append(f"target S={float(target_sums[-1])!r}")
     _emit(args, payload, lines)
     return 0
 

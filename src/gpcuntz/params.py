@@ -446,7 +446,20 @@ def _check_factor_budget(chain: ChainParam, count: int) -> None:
     _check_budget("factors", count, 2 * DIAGNOSTICS_BUDGET // chain.n)
 
 
-def asymptotic_diagnostics(chain: ChainParam, p_max: int, m_max: int) -> DiagnosticsTable:
+def _cumulative(defects: np.ndarray) -> np.ndarray:
+    # accumulate in extended precision: 1e4 nearly equal summands damage
+    # the last couple of digits of a plain float64 running sum
+    return np.cumsum(defects, dtype=np.longdouble).astype(float)
+
+
+def _target_sums(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return _cumulative(1.0 - np.abs(rows @ np.conj(v)))
+
+
+def _diagnostics(chain: ChainParam, p_max: int, m_max: int, target=None):
+    """The asymptotic_diagnostics table and, for a unit vector `target`,
+    the target_overlap_sums of the same chain and M, from one chain_factors
+    call; every budget is checked before anything is generated."""
     if p_max < 1 or m_max < 1:
         raise ValueError("p_max and M must be >= 1")
     _check_factor_budget(chain, m_max + p_max)
@@ -455,11 +468,14 @@ def asymptotic_diagnostics(chain: ChainParam, p_max: int, m_max: int) -> Diagnos
     plain, absolute = {}, {}
     for p in range(1, p_max + 1):
         inner = np.sum(np.conj(rows[:m_max]) * rows[p : p + m_max], axis=1)
-        # accumulate in extended precision: 1e4 nearly equal summands damage
-        # the last couple of digits of a plain float64 running sum
-        plain[p] = np.cumsum(1.0 - inner.real, dtype=np.longdouble).astype(float)
-        absolute[p] = np.cumsum(1.0 - np.abs(inner), dtype=np.longdouble).astype(float)
-    return DiagnosticsTable(m_max, plain, absolute)
+        plain[p] = _cumulative(1.0 - inner.real)
+        absolute[p] = _cumulative(1.0 - np.abs(inner))
+    sums = None if target is None else _target_sums(rows[:m_max], target)
+    return DiagnosticsTable(m_max, plain, absolute), sums
+
+
+def asymptotic_diagnostics(chain: ChainParam, p_max: int, m_max: int) -> DiagnosticsTable:
+    return _diagnostics(chain, p_max, m_max)[0]
 
 
 def target_overlap_sums(chain: ChainParam, v, m_max: int) -> np.ndarray:
@@ -468,6 +484,4 @@ def target_overlap_sums(chain: ChainParam, v, m_max: int) -> np.ndarray:
         raise ValueError("M must be >= 1")
     v = unit_vector(v)
     _check_factor_budget(chain, m_max)
-    rows = chain_factors(chain, 1, m_max)
-    inner = rows @ np.conj(v)
-    return np.cumsum(1.0 - np.abs(inner), dtype=np.longdouble).astype(float)
+    return _target_sums(chain_factors(chain, 1, m_max), v)

@@ -27,6 +27,10 @@ from Omega through the window once.  The exports are built from whole
 arrays: label columns by repeat and tile, and the `repr` text of an entry
 once per distinct bit pattern of its value, which a step table keeps to
 k N^2 per generator; the text is byte-stable and keeps every -0.0.
+
+scipy.sparse is loaded only when a truncation is built or checked, inside
+the functions that call it, so importing this module (and with it the
+package and its command line) does not pay for it.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .algebra import AlgebraElement, RankMismatchError
 from .params import (
@@ -152,6 +155,8 @@ def _layered_rep(param, depth, layers, steps, omega_layer, kind, **fields) -> Tr
     keep `conj(u_ij)` as it is: a factor 1.0 would turn their -0.0
     imaginary parts into 0.0.
     """
+    import scipy.sparse as sp
+
     n = param.n
     blk = n ** depth
     inner = n ** (depth - 1)
@@ -267,16 +272,21 @@ def vector_isometry(rep: TruncatedRep, v):
     return out.tocsc()
 
 
-def cycle_isometry(rep: TruncatedRep, factors):
-    """Matrix of s(z^(1)) ... s(z^(k))."""
+def _product(mats):
     out = None
-    for f in factors:
-        m = vector_isometry(rep, f)
+    for m in mats:
         out = m if out is None else out @ m
     return out
 
 
+def cycle_isometry(rep: TruncatedRep, factors):
+    """Matrix of s(z^(1)) ... s(z^(k))."""
+    return _product([vector_isometry(rep, f) for f in factors])
+
+
 def word_matrix(rep: TruncatedRep, word):
+    import scipy.sparse as sp
+
     out = sp.identity(rep.dim, dtype=complex, format="csc")
     for letter in word:
         out = out @ rep.gens[letter - 1]
@@ -287,6 +297,8 @@ def element_matrix(rep: TruncatedRep, a: AlgebraElement):
     """Matrix of a normal-form element (adjoint words via conjugate transpose)."""
     if a.n != rep.n:
         raise RankMismatchError(f"rank mismatch: {a.n} vs {rep.n}")
+    import scipy.sparse as sp
+
     out = sp.csc_array((rep.dim, rep.dim), dtype=complex)
     for (j, k), c in a.terms.items():
         m = word_matrix(rep, j) @ word_matrix(rep, k).conjugate().transpose()
@@ -342,18 +354,25 @@ def vacuum_expectation(rep: TruncatedRep, a: AlgebraElement) -> complex:
 # ----------------------------------------------------------------------
 # distinguished families and basis enumeration
 
-def cycle_anchor_vectors(rep: TruncatedRep) -> list:
-    """The k vectors pi(s(z^(i)) ... s(z^(k))) Omega, i = 1..k."""
+def _cycle_isos(rep: TruncatedRep) -> list:
+    """s(z^(i)), i = 1..k, for the parameter the cycle truncation realizes."""
     if rep.kind not in ("cycle", "fiber"):
         raise ValueError("anchor vectors of this form require a cycle truncation")
-    factors = rep.effective_param().factors
-    k = len(factors)
-    out = [None] * k
+    return [vector_isometry(rep, f) for f in rep.effective_param().factors]
+
+
+def _anchor_vectors(rep: TruncatedRep, isos: list) -> list:
+    out = [None] * len(isos)
     vec = rep.omega
-    for i in range(k, 0, -1):
-        vec = vector_isometry(rep, factors[i - 1]) @ vec
+    for i in range(len(isos), 0, -1):
+        vec = isos[i - 1] @ vec
         out[i - 1] = vec
     return out
+
+
+def cycle_anchor_vectors(rep: TruncatedRep) -> list:
+    """The k vectors pi(s(z^(i)) ... s(z^(k))) Omega, i = 1..k."""
+    return _anchor_vectors(rep, _cycle_isos(rep))
 
 
 def _chain_iso(rep: TruncatedRep, m: int, isos: dict):
@@ -455,14 +474,16 @@ def _branch_words(rep: TruncatedRep, factor, vec, letters: int):
     return out
 
 
-def _enumerate_cycle(rep: TruncatedRep, max_depth: int):
+def _enumerate_cycle(rep: TruncatedRep, max_depth: int, anchors: list | None = None):
+    """`anchors`, when given, are the cycle_anchor_vectors of `rep`."""
     factors = rep.effective_param().factors
     k = len(factors)
     if rep.depth < max_depth + k:
         raise ValueError(
             f"insufficient depth: need >= {max_depth + k}, have {rep.depth}"
         )
-    anchors = cycle_anchor_vectors(rep)
+    if anchors is None:
+        anchors = cycle_anchor_vectors(rep)
     out = [(BasisLabel(0, i + 1), anchors[i]) for i in range(k)]
     for a in range(1, k + 1):
         # depth d branches off the next anchor and carries d - 1 letters
@@ -487,7 +508,7 @@ def _enumerate_chain(rep: TruncatedRep, max_depth: int, anchors):
             )
     if max_depth > rep.depth:
         raise ValueError("depth of the enumeration exceeds the truncation depth")
-    e_cache = _chain_vectors(rep, min(anchors), max(anchors) + max_depth - 1)
+    e_cache = _chain_vectors(rep, min(anchors), max(anchors) + max(max_depth, 1) - 1)
     out = []
     for t in anchors:
         out.append((BasisLabel(1, t), e_cache[t]))
@@ -560,7 +581,10 @@ def verify_gp(rep: TruncatedRep, param=None,
     the anchored family, and a spanning check of the enumerated basis
     against the matching graded interior.
     """
-    if param is None:
+    import scipy.sparse as sp
+
+    own_param = param is None
+    if own_param:
         param = rep.effective_param()
     ident = sp.identity(rep.dim, dtype=complex, format="csc")
     iso = 0.0
@@ -581,9 +605,15 @@ def verify_gp(rep: TruncatedRep, param=None,
     step = None
     cyclic = rep.kind in ("cycle", "fiber")
     if cyclic:
-        iso_mat = cycle_isometry(rep, param.factors)
+        # the factor isometries and anchors are built once, for the eigen,
+        # family and basis checks alike
+        isos = _cycle_isos(rep)
+        anchors = _anchor_vectors(rep, isos)
+        iso_mat = _product(isos) if own_param else cycle_isometry(rep, param.factors)
         eigen = float(np.linalg.norm(iso_mat @ rep.omega - rep.omega))
-        family = _gram_residual(cycle_anchor_vectors(rep))
+        family = _gram_residual(anchors)
+        # the basis check below sets the memory peak and needs only the anchors
+        del isos, iso_mat
     else:
         d_minus, d_plus = rep.window
         ts = range(-(d_minus - 1), d_plus + 1)
@@ -601,7 +631,7 @@ def verify_gp(rep: TruncatedRep, param=None,
     k = len(param.factors) if cyclic else 0
     d = basis_depth if basis_depth is not None else min(2, rep.depth - k)
     if d >= 1:
-        fam = enumerate_basis(rep, d)
+        fam = _enumerate_cycle(rep, d, anchors) if cyclic else enumerate_basis(rep, d)
         vectors = [vec for _, vec in fam]
         basis_gram = _gram_residual(vectors)
         basis_count = len(fam)

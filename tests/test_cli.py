@@ -261,6 +261,34 @@ def test_diagnostics_over_budget_is_refused(capsys):
     assert err.startswith("error: diagnostics would generate 1000000000001 factors, over the budget")
 
 
+def test_diagnostics_with_target_over_budget_is_refused(capsys, monkeypatch):
+    def no_factors(*_):
+        raise AssertionError("factors were generated for a refused request")
+
+    monkeypatch.setattr(cli.params, "chain_factors", no_factors)
+    code, out, err = run_cli(capsys, "diagnostics", "--rotation", "1/3", "--M", "1000000000000",
+                             "--target", GRAY_TARGET)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: diagnostics would generate 1000000000001 factors, over the budget")
+
+
+def test_diagnostics_target_shares_one_factor_pass(capsys, monkeypatch):
+    calls = []
+    generate = cli.params.chain_factors
+
+    def counted(chain, start, count):
+        calls.append((start, count))
+        return generate(chain, start, count)
+
+    monkeypatch.setattr(cli.params, "chain_factors", counted)
+    code, out, _ = run_cli(capsys, "diagnostics", "--gray-zone", "--p", "2", "--M", "2000",
+                           "--target", GRAY_TARGET)
+    assert code == 0
+    assert out == (DATA / "diagnostics_gray_target.txt").read_text()
+    assert calls == [(1, 2002)]
+
+
 GOLDEN_CYCLE = '{"kind":"cycle","N":2,"factors":[[[0.6,0],[0,0.8]],[[0,0],[1,0]]]}'
 GOLDEN_FIBER = '{"kind":"cycle","N":3,"factors":[[[0.6,0],[0,0.8],[0,0]],[[0,0],[0,0],[1,0]]]}'
 
@@ -317,17 +345,49 @@ def test_tolerance_env_override(monkeypatch):
     assert cli._tolerance() == 1e-9
 
 
-def run_module(*argv):
+def run_python(*args):
     # the child process imports gpcuntz from the same tree as this test run,
     # installed or not
     package_root = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "gpcuntz.cli", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_module(*argv):
+    return run_python("-m", "gpcuntz.cli", *argv)
+
+
+# runs one query in a fresh interpreter, then reports on stderr whether
+# scipy.sparse was loaded by the time it finished
+SPARSE_PROBE = """
+import sys
+from gpcuntz import cli
+code = cli.main(sys.argv[1:])
+print("scipy.sparse loaded:", "scipy.sparse" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv, loads_sparse", [
+    (("normalize", "-N", "2", "s1* s1"), False),
+    (("state-eval", "--inline", CYCLE_E1, "s1"), False),
+    (("classify", "--inline", CYCLE_E1E1), False),
+    (("equivalent", "--param", CYCLE_E1, "--other", CHAIN_E2), False),
+    (("decompose", "--inline", ROTATION_THIRD), False),
+    (("diagnostics", "--rotation", "1/3", "--M", "10", "--target", GRAY_TARGET), False),
+    (("car-check", "--n-max", "2"), False),
+    (("rep-build", "--inline", CYCLE_E1, "--depth", "2"), True),
+], ids=lambda value: value[0] if isinstance(value, tuple) else None)
+def test_scipy_sparse_is_loaded_only_to_build_a_rep(argv, loads_sparse):
+    proc = run_python("-c", SPARSE_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    assert proc.stderr.splitlines()[-1] == f"scipy.sparse loaded: {loads_sparse}"
 
 
 def test_usage_error_exit_code():

@@ -247,6 +247,14 @@ def test_enumerate_chain_basis():
     assert np.max(np.abs(gram - np.eye(len(fam)))) < 1e-9
 
 
+def test_enumerate_chain_basis_depth_zero_anchors():
+    rep = g.build_chain_rep(g.gray_zone_chain(), 4, 2, 3)
+    fam = g.enumerate_basis(rep, 0)
+    assert [label for label, _ in fam] == [g.BasisLabel(1, t) for t in (-1, 0, 1)]
+    for label, vec in fam:
+        assert np.array_equal(vec, g.chain_vector(rep, label.anchor))
+
+
 def _seed_word_vector(rep, base, word):
     # reference: the word applied to its branch vector one letter at a time
     vec = base
@@ -391,6 +399,24 @@ def test_verify_random_chain():
     chain = g.explicit_chain([random_unit(rng, 3) for _ in range(2)])
     report = g.verify_gp(g.build_chain_rep(chain, 4))
     assert report.passed(1e-10), report.to_dict()
+
+
+def test_verify_builds_each_cycle_factor_isometry_once(monkeypatch):
+    rng = np.random.default_rng(14)
+    z = random_nonperiodic_cycle(rng, 2, 3)
+    rep = g.build_fiber_rep(z, np.exp(0.4j), 5)
+    expected = g.verify_gp(rep).to_dict()
+    built = []
+    vector_isometry = g.reps.vector_isometry
+
+    def counted(rep, v):
+        built.append(np.asarray(v, dtype=complex))
+        return vector_isometry(rep, v)
+
+    monkeypatch.setattr(g.reps, "vector_isometry", counted)
+    assert g.verify_gp(rep).to_dict() == expected
+    for f in rep.effective_param().factors:
+        assert sum(np.array_equal(v, f) for v in built) == 1
 
 
 def test_verify_flags_corruption():
