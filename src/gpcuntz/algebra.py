@@ -11,7 +11,11 @@ in which J and K do not both end in the letter N; two elements are equal
 modulo both relations exactly when their difference has zero Leavitt
 form.  `expand_identity` pushes all terms to a common sandwich depth
 instead; it serves `normalize --expand` and is the independent oracle
-the tests compare `leavitt_form` against.
+the tests compare `leavitt_form` against.  `unitary_action` sums the
+terms of one (|J|, |K|) block at once rather than term by term: as one
+dense array acted on letter axis by letter axis when that array is small,
+and otherwise over sparse word images, built once per word from the
+image of its prefix, so a sparse G keeps them sparse at any length.
 
 Coefficients are double precision; anything below PRUNE_TOL is dropped.
 All values are immutable after construction and every operation is pure.
@@ -19,7 +23,9 @@ All values are immutable after construction and every operation is pure.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -299,31 +305,191 @@ def _check_unitary(g, n: int):
     return g
 
 
+def _segments(start, length):
+    """(owner, position) for the concatenated ranges start[i] .. start[i] +
+    length[i] - 1, each position with the index i of its range."""
+    owner = np.repeat(np.arange(len(length)), length)
+    shift = np.repeat(start - (np.cumsum(length) - length), length)
+    return owner, np.arange(owner.size) + shift
+
+
+def _merge(rows, cols, vals, width: int):
+    """Sum the entries of a COO triple that share (row, col); `width`
+    bounds the columns, so row * width + col identifies an entry."""
+    keys, slot = np.unique(rows * width + cols, return_inverse=True)
+    sums = np.empty(len(keys), dtype=complex)
+    sums.real = np.bincount(slot, vals.real, len(keys))
+    sums.imag = np.bincount(slot, vals.imag, len(keys))
+    return keys // width, keys % width, sums
+
+
+class _WordImages:
+    """Sparse images G^{(x)m} e_J of the given words and their prefixes,
+    built level by level in m = |J|.
+
+    A word's image is the Kronecker product of its prefix's image with the
+    entries of one column of G above PRUNE_TOL, multiplied in letter order;
+    products at or below PRUNE_TOL are dropped, as `multiply` drops them.
+    The words an image is supported on get compact ids per level: a level
+    m word is the pair (id of its level m-1 prefix, last letter), and the
+    pairs that occur are numbered in sorted order, so no id grows like N^m
+    and words of any length fit in int64.
+    """
+
+    def __init__(self, g, words):
+        n = g.shape[0]
+        # the entries of G above PRUNE_TOL, column by column
+        col_of, col_rows = np.nonzero(np.abs(g.T) > PRUNE_TOL)
+        col_vals = g[col_rows, col_of]
+        col_len = np.bincount(col_of, minlength=n)
+        col_start = np.cumsum(col_len) - col_len
+
+        by_length: dict = {}
+        for word in words:
+            for m in range(len(word), -1, -1):
+                level = by_length.setdefault(m, {})
+                if word[:m] in level:
+                    break
+                level[word[:m]] = len(level)
+        # per level: the word -> index map, (start, length) of each word's
+        # image in the level's (ids, values), and the (parent id, letter)
+        # of each support id
+        self.index = [{(): 0}]
+        self.start, self.length = [np.zeros(1, np.intp)], [np.ones(1, np.intp)]
+        self.ids, self.vals = [np.zeros(1, np.intp)], [np.ones(1, complex)]
+        self.parent, self.letter = [np.zeros(1, np.intp)], [np.zeros(0, np.intp)]
+        for m in range(1, max(by_length) + 1):
+            level = by_length[m]
+            prefix = np.array([self.index[m - 1][w[:-1]] for w in level], np.intp)
+            last = np.array([w[-1] - 1 for w in level], np.intp)
+            # entry by entry: the word, its prefix's image entry and the
+            # column entry of its last letter
+            owner, pos = _segments(self.start[m - 1][prefix], self.length[m - 1][prefix])
+            entry, col = _segments(col_start[last[owner]], col_len[last[owner]])
+            owner, pos = owner[entry], pos[entry]
+            vals = self.vals[m - 1][pos] * col_vals[col]
+            keep = np.abs(vals) > PRUNE_TOL
+            pairs = self.ids[m - 1][pos[keep]] * n + col_rows[col[keep]]
+            owner, vals = owner[keep], vals[keep]
+            keys, ids = np.unique(pairs, return_inverse=True)
+            length = np.bincount(owner, minlength=len(level))
+            self.index.append(level)
+            self.start.append(np.cumsum(length) - length)
+            self.length.append(length)
+            self.ids.append(ids)
+            self.vals.append(vals)
+            self.parent.append(keys // n)
+            self.letter.append(keys % n + 1)
+
+    def segments(self, m: int, words):
+        """Start and length of each word's image at level m."""
+        at = np.array([self.index[m][w] for w in words], np.intp)
+        return self.start[m][at], self.length[m][at]
+
+    def words(self, m: int, ids) -> list:
+        """Letter tuples of the level-m support words with the given ids."""
+        letters = np.empty((len(ids), m), np.intp)
+        for level in range(m, 0, -1):
+            letters[:, level - 1] = self.letter[level][ids]
+            ids = self.parent[level][ids]
+        return [tuple(row) for row in letters.tolist()]
+
+
+def _spread_block(images, la, lb, terms):
+    """Entries (row id, column id, value) of sum_t c_t u_J u_K^H over one
+    block's terms, the ids being those of `images` at levels la and lb.
+
+    C's coefficients are spread over the left images and merged into
+    X = U_J C, then X is spread over the right images and merged, so the
+    work is the sum over terms of |u_J| (1 + |u_K|).
+    """
+    lefts, rights, coeffs = zip(*((j, k, c) for (j, k), c in terms))
+    right_words = list(dict.fromkeys(rights))
+    right_at = {w: i for i, w in enumerate(right_words)}
+    kid = np.array([right_at[k] for k in rights], np.intp)
+    term, pos = _segments(*images.segments(la, lefts))
+    vals = np.array(coeffs, complex)[term] * images.vals[la][pos]
+    rows, kids, xs = _merge(images.ids[la][pos], kid[term], vals, len(right_words))
+    starts, lengths = images.segments(lb, right_words)
+    entry, pos = _segments(starts[kids], lengths[kids])
+    vals = xs[entry] * np.conj(images.vals[lb][pos])
+    rows, cols, sums = _merge(rows[entry], images.ids[lb][pos], vals, len(images.parent[lb]))
+    keep = np.abs(sums) > PRUNE_TOL
+    return rows[keep], cols[keep], sums[keep]
+
+
+def _dense_block(g, la, lb, terms):
+    """Entries (row, column, value) of sum_t c_t u_J u_K^H over one block's
+    terms, a row or column being the base-N number of its word, computed
+    as the array G^{(x)la} C (G^{(x)lb})^H: C holds the coefficients over
+    all N^(la+lb) word pairs, and G (conjugated on the K side) acts along
+    each of the la + lb letter axes in turn."""
+    n, size = g.shape[0], la + lb
+    letters = np.array([j + k for (j, k), _ in terms], np.intp).reshape(len(terms), size)
+    block = np.zeros(n ** size, dtype=complex)
+    block[(letters - 1) @ n ** np.arange(size - 1, -1, -1)] = [c for _, c in terms]
+    block = block.reshape((n,) * size)
+    for axis in range(size):
+        op = g if axis < la else g.conj()
+        block = np.moveaxis(np.tensordot(op, block, axes=(1, axis)), 0, axis)
+    block = block.reshape(n ** la, n ** lb)
+    rows, cols = np.nonzero(np.abs(block) > PRUNE_TOL)
+    return rows, cols, block[rows, cols]
+
+
+def _base_n_words(n: int, m: int, numbers) -> list:
+    """Letter tuples of the m-letter words whose base-N numbers are given;
+    a word that recurs is the same tuple object each time."""
+    digits = np.arange(n ** m)[:, None] // n ** np.arange(m - 1, -1, -1) % n + 1
+    table = [tuple(w) for w in digits.tolist()]
+    return [table[i] for i in numbers.tolist()]
+
+
+def _sparse_blocks(g, blocks: dict) -> set:
+    """The (|J|, |K|) blocks whose dense N^(|J|+|K|) array would hold more
+    entries than the sum over their terms of |u_J| (1 + |u_K|), an image
+    counted by the entries of the columns of g its letters pick."""
+    col_nnz = np.count_nonzero(np.abs(g) > PRUNE_TOL, axis=0).tolist()
+    words = {w for terms in blocks.values() for key, _ in terms for w in key}
+    nnz = {w: math.prod(col_nnz[x - 1] for x in w) for w in words}
+    return {
+        (la, lb) for (la, lb), terms in blocks.items()
+        if g.shape[0] ** (la + lb) > sum(nnz[j] * (1 + nnz[k]) for (j, k), _ in terms)
+    }
+
+
 def unitary_action(g, a: AlgebraElement) -> AlgebraElement:
     """The canonical U(N) action: s_i -> sum_j g[j,i] s_j, *-compatibly.
 
     The image of s_i is the combination of generators with coefficients
-    read down the i-th column of g.
+    read down the i-th column of g, so c s_J s_K* goes to
+    c (G^{(x)|J|} e_J)(G^{(x)|K|} e_K)^H read as a matrix over the words
+    of lengths |J| and |K|.  The terms of one block (|J|, |K|) are summed
+    as a whole: as one dense N^|J| x N^|K| array (`_dense_block`) when it
+    is no larger than the sum over terms of |u_J| (1 + |u_K|), counting
+    each image's entries by the nonzero entries of the columns of g its
+    letters pick, and otherwise over sparse images built once per word
+    (`_WordImages`, `_spread_block`).  Work and memory thus stay within
+    that sum, and a permutation or diagonal g keeps every image a single
+    word at any length.
     """
     g = _check_unitary(g, a.n)
-    images = [
-        AlgebraElement._from_words(
-            a.n, {((j,), ()): g[j - 1, i - 1] for j in range(1, a.n + 1)}
-        )
-        for i in range(1, a.n + 1)
-    ]
+    blocks: dict = {}
+    for key, c in a.terms.items():
+        blocks.setdefault((len(key[0]), len(key[1])), []).append((key, c))
+    sparse = _sparse_blocks(g, blocks)
+    if sparse:
+        images = _WordImages(g, {w for shape in sparse for key, _ in blocks[shape] for w in key})
     out: dict = {}
-    for (j, k), c in a.terms.items():
-        left = identity(a.n)
-        for x in j:
-            left = multiply(left, images[x - 1])
-        right = identity(a.n)
-        for x in k:
-            right = multiply(right, images[x - 1])
-        piece = multiply(left, right.adjoint())
-        for key, val in piece.terms.items():
-            out[key] = out.get(key, 0.0) + c * val
-    return AlgebraElement._from_words(a.n, out)
+    for (la, lb), terms in blocks.items():
+        if (la, lb) in sparse:
+            rows, cols, sums = _spread_block(images, la, lb, terms)
+            words = images.words
+        else:
+            rows, cols, sums = _dense_block(g, la, lb, terms)
+            words = functools.partial(_base_n_words, a.n)
+        out.update(zip(zip(words(la, rows), words(lb, cols)), sums.tolist()))
+    return AlgebraElement(a.n, out)
 
 
 def conditional_expectation(a: AlgebraElement) -> AlgebraElement:

@@ -289,9 +289,9 @@ def _cmd_diagnostics(args) -> int:
     chain = _diag_chain(args)
     target = None
     if args.target:
-        target = params.unit_vector(_vector_in(json.loads(args.target), "--target"))
+        target = _vector_in(json.loads(args.target), "--target")
     # one pass over the chain factors serves the table and the target sums
-    table, target_sums = params._diagnostics(chain, args.p, args.M, target)
+    table, target_sums = params._diagnostics(chain, args.p, args.M, target, "--target")
     payload = {"M": args.M, "sums": {}}
     lines = []
     for p in range(1, args.p + 1):
@@ -424,7 +424,6 @@ _DOMAIN_ERRORS = (
     expressions.ExprSyntaxError,
     OSError,
     json.JSONDecodeError,
-    KeyError,
 )
 
 

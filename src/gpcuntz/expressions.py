@@ -24,7 +24,7 @@ import cmath
 import math
 import re
 
-from .algebra import AlgebraElement, identity, multiply, word_element
+from .algebra import PRUNE_TOL, AlgebraElement, identity, multiply, word_element
 
 
 class ExprSyntaxError(ValueError):
@@ -97,10 +97,39 @@ class _Parser:
             return AlgebraElement.from_terms(self.n, {((), ()): coeff})
         return elem * coeff
 
-    def _add(self, a, b):
-        if a[1] is None and b[1] is None:
-            return (a[0] + b[0], None)
-        return (1.0, self._materialize(a) + self._materialize(b))
+    def _sum(self, summands):
+        """The left fold of `summands` by pair addition, in one dict.
+
+        A running sum of scalars stays a scalar.  Once an element enters,
+        the pair fold would, at every step, materialize the running sum
+        (multiplying each coefficient by 1.0), add the summand with
+        `get(key, 0.0) + c` and prune a copy of the whole result.  Here the
+        summand is added into one dict and only its keys are pruned.  The
+        factor 1.0 leaves a nonzero coefficient unchanged once applied, so
+        it is applied only to coefficients changed since the last step:
+        all of them after the first step, the summand's keys after later
+        ones.  Coefficients and key order come out as the fold gives them.
+        """
+        out, i = summands[0], 1
+        while i < len(summands) and out[1] is None and summands[i][1] is None:
+            out = (out[0] + summands[i][0], None)
+            i += 1
+        if i == len(summands):
+            return out
+        terms = dict(self._materialize(out).terms)
+        changed = ()
+        for step, pair in enumerate(summands[i:]):
+            for key in changed:
+                if key in terms:
+                    terms[key] = terms[key] * 1.0
+            piece = self._materialize(pair).terms
+            for key, c in piece.items():
+                terms[key] = terms.get(key, 0.0) + c
+            for key in piece:
+                if not abs(terms[key]) > PRUNE_TOL:
+                    del terms[key]
+            changed = piece if step else list(terms)
+        return (1.0, AlgebraElement(self.n, terms))
 
     def _mul(self, a, b):
         coeff = a[0] * b[0]
@@ -135,17 +164,14 @@ class _Parser:
             self._next()
             negate = True
         out = self.term()
-        if negate:
-            out = (-out[0], out[1])
+        summands = [(-out[0], out[1]) if negate else out]
         while True:
             tok = self._peek()
             if tok is None or tok[1] not in "+-":
-                return out
+                return self._sum(summands)
             self._next()
             rhs = self.term()
-            if tok[1] == "-":
-                rhs = (-rhs[0], rhs[1])
-            out = self._add(out, rhs)
+            summands.append((-rhs[0], rhs[1]) if tok[1] == "-" else rhs)
 
     def term(self):
         out = self.factor()

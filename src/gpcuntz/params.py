@@ -456,10 +456,22 @@ def _target_sums(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _cumulative(1.0 - np.abs(rows @ np.conj(v)))
 
 
-def _diagnostics(chain: ChainParam, p_max: int, m_max: int, target=None):
-    """The asymptotic_diagnostics table and, for a unit vector `target`,
-    the target_overlap_sums of the same chain and M, from one chain_factors
-    call; every budget is checked before anything is generated."""
+def _target_in(chain: ChainParam, v, name: str) -> np.ndarray:
+    """`v` as a unit vector of the chain's C^N; a vector of another length
+    raises ValueError naming `name`, its length and the chain's rank."""
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (chain.n,):
+        raise ValueError(f"{name} has {v.size} entries but the chain has rank {chain.n}")
+    return unit_vector(v)
+
+
+def _diagnostics(chain: ChainParam, p_max: int, m_max: int, target=None, name="target"):
+    """The asymptotic_diagnostics table and, for a unit vector `target`
+    (called `name` in errors), the target_overlap_sums of the same chain
+    and M, from one chain_factors call; every budget is checked before
+    anything is generated."""
+    if target is not None:
+        target = _target_in(chain, target, name)
     if p_max < 1 or m_max < 1:
         raise ValueError("p_max and M must be >= 1")
     _check_factor_budget(chain, m_max + p_max)
@@ -482,6 +494,6 @@ def target_overlap_sums(chain: ChainParam, v, m_max: int) -> np.ndarray:
     """Cumulative sums of 1 - |<z^(m)|v>| against a fixed unit vector."""
     if m_max < 1:
         raise ValueError("M must be >= 1")
-    v = unit_vector(v)
+    v = _target_in(chain, v, "target")
     _check_factor_budget(chain, m_max)
     return _target_sums(chain_factors(chain, 1, m_max), v)

@@ -22,7 +22,9 @@ step source (`interior`) and sum_i S_i S_i* = I on every step target
 vector sits at (1, 1) for cycles and (0, 1) for chains.
 
 The builders refuse, before allocating, more than REP_BUDGET basis vectors
-at rank 2 (2 REP_BUDGET / N at rank N).  The chain family E_t is pushed
+at rank 2 (2 REP_BUDGET / N at rank N), and `verify_gp` refuses, before it
+enumerates, a basis check whose dense stack of count x dim entries would
+exceed 8 REP_BUDGET.  The chain family E_t is pushed
 from Omega through the window once.  The exports are built from whole
 arrays: label columns by repeat and tile, and the `repr` text of an entry
 once per distinct bit pattern of its value, which a step table keeps to
@@ -53,6 +55,9 @@ from .params import (
 # every generator holds about one entry per basis vector, so rank N is
 # allowed 2 / N of it
 REP_BUDGET = 1 << 20
+# most entries, count x dim, the dense basis stack of verify_gp may hold
+# per REP_BUDGET basis vectors (128 MiB of complex entries at the default)
+_BASIS_STACK_SHARE = 8
 
 
 class TruncationOverflowError(RuntimeError):
@@ -493,7 +498,10 @@ def _enumerate_cycle(rep: TruncatedRep, max_depth: int, anchors: list | None = N
     return out
 
 
-def _enumerate_chain(rep: TruncatedRep, max_depth: int, anchors):
+def _chain_anchors(rep: TruncatedRep, max_depth: int, anchors=None) -> list:
+    """The anchor layers a chain enumeration to `max_depth` uses (by
+    default those of -1..1 the window allows), checked against the window
+    and the truncation depth."""
     d_minus, d_plus = rep.window
     if anchors is None:
         lo = max(-d_minus + 1, -1)
@@ -508,6 +516,11 @@ def _enumerate_chain(rep: TruncatedRep, max_depth: int, anchors):
             )
     if max_depth > rep.depth:
         raise ValueError("depth of the enumeration exceeds the truncation depth")
+    return anchors
+
+
+def _enumerate_chain(rep: TruncatedRep, max_depth: int, anchors):
+    anchors = _chain_anchors(rep, max_depth, anchors)
     e_cache = _chain_vectors(rep, min(anchors), max(anchors) + max(max_depth, 1) - 1)
     out = []
     for t in anchors:
@@ -586,6 +599,23 @@ def verify_gp(rep: TruncatedRep, param=None,
     own_param = param is None
     if own_param:
         param = rep.effective_param()
+    cyclic = rep.kind in ("cycle", "fiber")
+    k = len(param.factors) if cyclic else 0
+    d = basis_depth if basis_depth is not None else min(2, rep.depth - k)
+    # a cycle family holds k N^d vectors at depth d, a chain family
+    # N^(d-1) per anchor layer; the basis check stacks them densely
+    expected = None
+    if d >= 1:
+        if cyclic:
+            expected = k * rep.n ** d
+        else:
+            expected = len(_chain_anchors(rep, d)) * rep.n ** (d - 1)
+        limit = _BASIS_STACK_SHARE * REP_BUDGET
+        if expected * rep.dim > limit:
+            raise ValueError(
+                f"the basis check would stack {expected} vectors of dimension {rep.dim}, "
+                f"{expected * rep.dim} entries, over the budget of {limit}"
+            )
     ident = sp.identity(rep.dim, dtype=complex, format="csc")
     iso = 0.0
     for i in range(1, rep.n + 1):
@@ -603,7 +633,6 @@ def verify_gp(rep: TruncatedRep, param=None,
 
     eigen = None
     step = None
-    cyclic = rep.kind in ("cycle", "fiber")
     if cyclic:
         # the factor isometries and anchors are built once, for the eigen,
         # family and basis checks alike
@@ -627,20 +656,12 @@ def verify_gp(rep: TruncatedRep, param=None,
                 step, float(np.linalg.norm(iso_mat @ vectors[t] - vectors[t - 1]))
             )
 
-    basis_gram = basis_count = expected = min_sing = None
-    k = len(param.factors) if cyclic else 0
-    d = basis_depth if basis_depth is not None else min(2, rep.depth - k)
+    basis_gram = basis_count = min_sing = None
     if d >= 1:
         fam = _enumerate_cycle(rep, d, anchors) if cyclic else enumerate_basis(rep, d)
         vectors = [vec for _, vec in fam]
         basis_gram = _gram_residual(vectors)
         basis_count = len(fam)
-        # a cycle family holds k N^d vectors at depth d, a chain family
-        # N^(d-1) per anchor layer
-        if cyclic:
-            expected = k * rep.n ** d
-        else:
-            expected = len({label.anchor for label, _ in fam}) * rep.n ** (d - 1)
         sing = np.linalg.svd(np.stack(vectors, axis=1), compute_uv=False)
         min_sing = float(sing[-1])
 

@@ -6,6 +6,12 @@ z(J) = z^(1)_{j_1} ... z^(m)_{j_m} walks the factors with the k-periodic
 extension.  For a chain parameter the same product formula applies but
 only |J| = |K| survives.  Evaluation needs just the first max(|J|, |K|)
 factors, so rotation and gray-zone chains work on demand.
+
+`evaluate` computes z(J) and its conjugate once per distinct word of the
+element (and `gram_matrix` once per distinct word of all its entries),
+keeping them only for that call.  Each term then costs two lookups and
+the same scalar products, summed in the same order, as `word_value`
+would spend on it, so the result is the same to the bit.
 """
 
 from __future__ import annotations
@@ -59,23 +65,35 @@ class GPState:
 
     def word_value(self, left, right) -> complex:
         """Value on s_J s_K* for J=left, K=right."""
-        left, right = tuple(left), tuple(right)
+        return self._word_value(tuple(left), tuple(right), {})
+
+    def _word_value(self, left, right, memo: dict) -> complex:
+        """`word_value`, with z(J) and its conjugate read from and added to
+        `memo`, which maps a word to the pair."""
         if self.is_cycle:
             if (len(left) - len(right)) % self.param.k != 0:
                 return 0.0
         elif len(left) != len(right):
             return 0.0
-        zj = self._letter_product(left)
+        zj, zj_bar = memo.get(left) or self._z(left, memo)
         if zj == 0.0:
             return 0.0
-        return np.conj(zj) * self._letter_product(right)
+        return zj_bar * (memo.get(right) or self._z(right, memo))[0]
+
+    def _z(self, word, memo: dict):
+        """z(word) and its conjugate, stored in `memo`."""
+        value = self._letter_product(word)
+        pair = memo[word] = (value, np.conj(value))
+        return pair
 
     def evaluate(self, a: AlgebraElement) -> complex:
+        return self._evaluate(a, {})
+
+    def _evaluate(self, a: AlgebraElement, memo: dict) -> complex:
         if a.n != self.n:
             raise RankMismatchError(f"rank mismatch: {a.n} vs {self.n}")
-        return complex(
-            sum(c * self.word_value(j, k) for (j, k), c in a.terms.items())
-        )
+        word_value = self._word_value
+        return complex(sum(c * word_value(j, k, memo) for (j, k), c in a.terms.items()))
 
 
 def as_state(param_or_state) -> GPState:
@@ -98,12 +116,13 @@ def gram_matrix(param, elements) -> np.ndarray:
     elements = list(elements)
     size = len(elements)
     g = np.zeros((size, size), dtype=complex)
+    memo: dict = {}
     for i, a in enumerate(elements):
         a_star = a.adjoint()
         for j, b in enumerate(elements):
             if j < i:
                 continue
-            g[i, j] = state.evaluate(multiply(a_star, b))
+            g[i, j] = state._evaluate(multiply(a_star, b), memo)
             g[j, i] = np.conj(g[i, j])
     return g
 

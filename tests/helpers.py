@@ -157,3 +157,56 @@ def reference_chain_vector(rep, t):
         for _ in range(-t):
             vec = rep.gens[0] @ vec
     return np.asarray(vec).ravel()
+
+
+def reference_unitary_action(u, a):
+    """`unitary_action` term by term: each generator's image is an element,
+    each word's image a chain of `multiply` calls, and every piece is added
+    into one dict."""
+    n = a.n
+    images = [
+        g.AlgebraElement.from_terms(n, {((j,), ()): u[j - 1, i - 1] for j in range(1, n + 1)})
+        for i in range(1, n + 1)
+    ]
+    out = {}
+    for (j, k), c in a.terms.items():
+        left = g.identity(n)
+        for x in j:
+            left = g.multiply(left, images[x - 1])
+        right = g.identity(n)
+        for x in k:
+            right = g.multiply(right, images[x - 1])
+        for key, val in g.multiply(left, right.adjoint()).terms.items():
+            out[key] = out.get(key, 0.0) + c * val
+    return g.AlgebraElement.from_terms(n, out)
+
+
+def reference_state_eval(param, a):
+    """`state_eval` term by term: both words of each term are walked afresh
+    through the factors, and the terms are summed by a left fold from 0."""
+    state = g.GPState(param)
+
+    def word_value(j, k):
+        if state.is_cycle:
+            if (len(j) - len(k)) % state.param.k != 0:
+                return 0.0
+        elif len(j) != len(k):
+            return 0.0
+        zj = state._letter_product(j)
+        if zj == 0.0:
+            return 0.0
+        return np.conj(zj) * state._letter_product(k)
+
+    return complex(sum(c * word_value(j, k) for (j, k), c in a.terms.items()))
+
+
+def reference_parse_sum(parser, summands):
+    """The pair fold `expressions._Parser` did summand by summand: each
+    step materializes both sides and adds them with `AlgebraElement.__add__`."""
+    out = summands[0]
+    for pair in summands[1:]:
+        if out[1] is None and pair[1] is None:
+            out = (out[0] + pair[0], None)
+        else:
+            out = (1.0, parser._materialize(out) + parser._materialize(pair))
+    return out

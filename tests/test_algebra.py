@@ -1,13 +1,14 @@
 """Normal forms, structural maps and the anticommutation embedding."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import gpcuntz as g
-from helpers import assert_elements_close, random_element, random_unitary
+from helpers import assert_elements_close, random_element, random_unitary, reference_unitary_action
 
 words2 = st.lists(st.integers(1, 2), max_size=6).map(tuple)
 small_elements = st.dictionaries(
@@ -263,6 +264,81 @@ def test_unitary_action_multiplicative_and_composed():
             g.unitary_action(u @ v, a),
             1e-9,
         )
+
+
+def unitary_of_kind(rng, n, kind):
+    if kind == "permutation":
+        return np.eye(n)[rng.permutation(n)]
+    if kind == "diagonal":
+        return np.diag(np.exp(2j * np.pi * rng.random(n)))
+    return random_unitary(rng, n)
+
+
+def max_term_gap(a, b):
+    keys = set(a.terms) | set(b.terms)
+    return max((abs(a.terms.get(key, 0.0) - b.terms.get(key, 0.0)) for key in keys), default=0.0)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4),
+       st.sampled_from(["random", "permutation", "diagonal"]))
+def test_unitary_action_matches_term_by_term_reference(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    u = unitary_of_kind(rng, n, kind)
+    a = random_element(rng, n, max_word=3, n_terms=int(rng.integers(1, 9)))
+    image = g.unitary_action(u, a)
+    assert max_term_gap(image, reference_unitary_action(u, a)) <= 1e-12
+    if kind != "random":
+        # a monomial matrix maps each word to one word
+        assert len(image.terms) == len(a.terms)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4),
+       st.sampled_from(["random", "permutation", "diagonal"]))
+def test_unitary_action_block_kernels_agree(seed, n, kind):
+    # each block is summed densely or by sparse passes; force each in turn
+    rng = np.random.default_rng(seed)
+    u = unitary_of_kind(rng, n, kind)
+    a = random_element(rng, n, max_word=3, n_terms=int(rng.integers(1, 9)))
+    expected = reference_unitary_action(u, a)
+    for pick in (lambda unitary, blocks: set(blocks), lambda unitary, blocks: set()):
+        with mock.patch.object(g.algebra, "_sparse_blocks", pick):
+            assert max_term_gap(g.unitary_action(u, a), expected) <= 1e-12
+
+
+def test_unitary_action_permutation_on_long_words_gives_one_term():
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    a = g.word_element(2, (1, 2, 2) * 10, (2, 1) * 15, 0.5 - 0.25j)
+    image = g.unitary_action(swap, a)
+    flip = {1: 2, 2: 1}
+    assert image.terms == {
+        (tuple(flip[x] for x in (1, 2, 2) * 10), tuple(flip[x] for x in (2, 1) * 15)): 0.5 - 0.25j
+    }
+
+
+def test_unitary_action_on_a_forty_letter_word_at_rank_four():
+    rng = np.random.default_rng(40)
+    j = tuple(int(x) for x in rng.integers(1, 5, 40))
+    k = tuple(int(x) for x in rng.integers(1, 5, 3))
+    a = g.word_element(4, j, k, 1j) + g.word_element(4, j[:20], (), 2.0)
+    for kind in ("permutation", "diagonal"):
+        u = unitary_of_kind(rng, 4, kind)
+        # every prefix image keeps one entry
+        images = g.algebra._WordImages(u, [j])
+        assert all(lengths.tolist() == [1] for lengths in images.length)
+        image = g.unitary_action(u, a)
+        assert len(image.terms) == 2
+        assert max_term_gap(image, reference_unitary_action(u, a)) <= 1e-12
+    # a dense unitary on the 3-letter side alone stays within N^3 terms
+    u = random_unitary(rng, 4)
+    image = g.unitary_action(u, g.word_element(4, (), k))
+    assert len(image.terms) == 4 ** 3
+    assert max_term_gap(image, reference_unitary_action(u, g.word_element(4, (), k))) <= 1e-12
+
+
+def test_unitary_action_of_zero_is_zero():
+    assert g.unitary_action(random_unitary(np.random.default_rng(1), 3), g.zero(3)).is_zero()
 
 
 def test_unitary_action_rejects_nonunitary():

@@ -315,6 +315,62 @@ def test_rep_build_over_budget_is_refused(capsys):
                    "over the budget of 1048576 for rank 2\n")
 
 
+def test_verify_refuses_an_oversized_basis_check_before_enumerating(capsys, monkeypatch):
+    def no_family(*_):
+        raise AssertionError("the basis family was enumerated for a refused check")
+
+    monkeypatch.setattr(cli.reps, "_branch_words", no_family)
+    e = [[[1, 0] if j == i else [0, 0] for j in range(16)] for i in range(2)]
+    cycle = json.dumps({"kind": "cycle", "factors": e})
+    code, out, err = run_cli(capsys, "verify", "--inline", cycle, "--depth", "4")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: the basis check would stack 512 vectors of dimension 131072, "
+                   "67108864 entries, over the budget of 8388608\n")
+
+
+@pytest.mark.parametrize("param, field", [
+    ('{"factors":[[[1,0],[0,0]]]}', "'kind'"),
+    ('{"kind":"cycle","N":2}', "'factors'"),
+    ('{"kind":"chain"}', "'rotation'"),
+    ('{"kind":"chain","rotation":{"num":1}}', "'den'"),
+])
+def test_missing_schema_field_is_named(capsys, param, field):
+    code, out, err = run_cli(capsys, "classify", "--inline", param)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and field in err
+    assert len(err.splitlines()) == 1
+
+
+def test_diagnostics_target_of_wrong_rank_is_named(capsys):
+    code, out, err = run_cli(capsys, "diagnostics", "--gray-zone", "--p", "1", "--M", "10",
+                             "--target", "[[1,0],[0,0],[0,0]]")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --target has 3 entries but the chain has rank 2\n"
+
+
+STATE_EVAL_FACTOR = "(0.6 s1 + (0.3 + 0.4 i) s2 s1 - 0.5 i s2 s2)"
+STATE_EVAL_OTHER = "(exp(i 0.3) s1 + 0.25 s2 s1 + (0.1 - 0.7 i) s2 s2)"
+# 81 x 81 = 6561 terms with words of 4 to 8 letters on each side
+STATE_EVAL_ELEMENT = " ".join([STATE_EVAL_FACTOR] * 4 + ["(" + " ".join([STATE_EVAL_OTHER] * 4) + ")*"])
+
+
+@pytest.mark.parametrize("param, stem", [
+    ('{"kind":"cycle","N":2,"factors":[[[0.6,0],[0,0.8]],[[0,0.28],[0.96,0]],[[0.8,0],[0.36,0.48]]]}',
+     "state_eval_cycle"),
+    ('{"kind":"chain","rotation":{"num":2,"den":7}}', "state_eval_rotation"),
+    ('{"kind":"chain","preperiod":[[[0,0.6],[0.8,0]]],"period":[[[0.6,0],[0,0.8]],[[0,0],[1,0]]]}',
+     "state_eval_explicit"),
+])
+def test_state_eval_output_is_stable(capsys, param, stem):
+    assert len(cli.expressions.parse(STATE_EVAL_ELEMENT, 2).terms) == 6561
+    code, out, _ = run_cli(capsys, "state-eval", "--inline", param, STATE_EVAL_ELEMENT)
+    assert code == 0
+    assert out == (DATA / f"{stem}.txt").read_text()
+
+
 def test_diagnostics_budget_counts_entries(capsys):
     period = [[[1, 0]] + [[0, 0]] * 15]
     chain = json.dumps({"kind": "chain", "period": period})

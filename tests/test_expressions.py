@@ -3,11 +3,13 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import gpcuntz as g
-from helpers import assert_elements_close
+from gpcuntz import expressions
+from helpers import assert_elements_close, random_element, random_unit, reference_parse_sum
 
 elements = st.dictionaries(
     st.tuples(
@@ -101,3 +103,67 @@ def test_format_deterministic():
     rng_terms = {((1,), (2,)): 1.25 - 3j, ((), ()): 0.5j, ((2, 2), ()): -1.0}
     a = g.AlgebraElement.from_terms(2, rng_terms)
     assert g.format_element(a) == g.format_element(g.AlgebraElement.from_terms(2, rng_terms))
+
+
+def test_parse_roundtrips_a_2187_term_product():
+    rng = np.random.default_rng(2187)
+    a = g.s_of([random_unit(rng, 3) for _ in range(7)])
+    assert len(a.terms) == 2187
+    assert g.parse(g.format_element(a), 3) == a
+
+
+# adjoints and i leave coefficients with signed-zero parts, which the fold
+# must reproduce bit for bit
+SUM_ATOMS = ["s1", "s1*", "(s1)*", "i s1", "(i s1)*", "s2", "1.0", "i", "(1.0 s1)*", "(i)*",
+             "(s1 + s2)*", "(s1*)*", "1e-13 s1", "2.5 s2*"]
+
+
+def random_sum_text(rng, depth=0):
+    """A sum of products of atoms and nested sums, some negated or adjoint."""
+    text = ""
+    for index in range(int(rng.integers(1, 5))):
+        if depth > 1 or rng.random() < 0.7:
+            part = SUM_ATOMS[int(rng.integers(len(SUM_ATOMS)))]
+        else:
+            part = "(" + random_sum_text(rng, depth + 1) + ")" + ("*" if rng.random() < 0.5 else "")
+        if rng.random() < 0.3:
+            part += " " + SUM_ATOMS[int(rng.integers(len(SUM_ATOMS)))]
+        if index == 0:
+            text += ("- " if rng.random() < 0.5 else "") + part
+        else:
+            text += (" - " if rng.random() < 0.5 else " + ") + part
+    return text
+
+
+def term_bits(a):
+    return [(key, np.array([c], dtype=complex).tobytes()) for key, c in a.terms.items()]
+
+
+def assert_sums_like_the_pairwise_fold(text):
+    fold = expressions._Parser._sum
+    try:
+        expressions._Parser._sum = reference_parse_sum
+        expected = g.parse(text, 2)
+    finally:
+        expressions._Parser._sum = fold
+    assert term_bits(g.parse(text, 2)) == term_bits(expected)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_parse_sums_like_the_pairwise_fold(seed):
+    rng = np.random.default_rng(seed)
+    text = random_sum_text(rng)
+    if rng.random() < 0.5:
+        # summands that cancel a whole element, then bring keys back
+        a = g.format_element(random_element(rng, 2, max_word=3, n_terms=8))
+        text = f"{a} - ({a}) + {text.lstrip('- ')}"
+    assert_sums_like_the_pairwise_fold(text)
+
+
+@pytest.mark.parametrize("text", [
+    # a coefficient summed again after the running sum was materialized
+    "(s1* - (i s1 + s1 (s1*)*) + (- i s1 + i s1 + s2 + (s1*)*)* - s1)*",
+    "(- (- s1* (s1)* + (1.0 s1)* + (i)*) - i s1 + (s1*)* (1.0 s1)* + 1.0)*",
+])
+def test_parse_keeps_the_signed_zeros_of_the_pairwise_fold(text):
+    assert_sums_like_the_pairwise_fold(text)

@@ -623,6 +623,29 @@ def test_chain_vectors_match_walk_from_omega(window):
             g.reps.chain_vector(rep, t)
 
 
+def test_verify_basis_check_is_charged_before_enumerating(monkeypatch):
+    z = g.cycle([E1, E2])
+    rep = g.build_cycle_rep(z, 5)
+    # the depth-2 family: 2 * 2^2 vectors of dimension 64
+    assert g.verify_gp(rep).basis_count == 8
+    chain = g.build_chain_rep(g.gray_zone_chain(), 4, 2, 3)
+    assert chain.dim == 96
+    monkeypatch.setattr(g.reps, "REP_BUDGET", 63)
+
+    def no_family(*_):
+        raise AssertionError("the basis family was enumerated for a refused check")
+
+    monkeypatch.setattr(g.reps, "_enumerate_cycle", no_family)
+    monkeypatch.setattr(g.reps, "enumerate_basis", no_family)
+    with pytest.raises(ValueError, match="stack 8 vectors of dimension 64, 512 entries, "
+                                         "over the budget of 504"):
+        g.verify_gp(rep)
+    with pytest.raises(ValueError, match="stack 6 vectors of dimension 96"):
+        g.verify_gp(chain, basis_depth=2)
+    # no basis check, nothing to charge
+    assert g.verify_gp(rep, basis_depth=0).basis_count is None
+
+
 def test_rep_budget_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(g.reps, "REP_BUDGET", 64)
     z = g.cycle([E1, E2])

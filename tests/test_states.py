@@ -5,13 +5,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import gpcuntz as g
 from helpers import (
     random_cycle,
+    random_element,
     random_explicit_chain,
     random_nonperiodic_cycle,
+    random_unit,
     reference_chain_factor,
+    reference_state_eval,
 )
 
 E1 = g.basis_vector(2, 1)
@@ -123,6 +127,52 @@ def test_chain_state_gauge_invariant():
 
         a = random_element(rng, 2, max_word=2, n_terms=4)
         assert abs(state.evaluate(g.conditional_expectation(a)) - state.evaluate(a)) < 1e-12
+
+
+def bits(value):
+    return np.array([value], dtype=complex).tobytes()
+
+
+def random_param(rng, n, kind):
+    if kind == "cycle":
+        return random_cycle(rng, n, int(rng.integers(1, 4)))
+    if kind == "basis cycle":
+        # basis factors make many z(J) exactly 0
+        return g.cycle([g.basis_vector(n, int(i)) if rng.random() < 0.6 else random_unit(rng, n)
+                        for i in rng.integers(1, n + 1, int(rng.integers(1, 4)))])
+    return random_explicit_chain(rng, n, int(rng.integers(0, 3)), int(rng.integers(1, 3)))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4),
+       st.sampled_from(["cycle", "basis cycle", "chain"]))
+def test_evaluate_is_bit_identical_to_term_by_term_reference(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    param = random_param(rng, n, kind)
+    a = random_element(rng, n, max_word=4, n_terms=int(rng.integers(0, 30)))
+    if rng.random() < 0.5:
+        # a product repeats each word across many terms
+        a = g.multiply(a, random_element(rng, n, max_word=3, n_terms=8).adjoint())
+    assert bits(g.state_eval(param, a)) == bits(reference_state_eval(param, a))
+
+
+def test_gram_matrix_is_bit_identical_to_term_by_term_reference():
+    rng = np.random.default_rng(12)
+    for kind in ("cycle", "basis cycle", "chain"):
+        param = random_param(rng, 3, kind)
+        elements = [random_element(rng, 3, max_word=3, n_terms=6) for _ in range(5)]
+        expected = np.zeros((5, 5), dtype=complex)
+        for i, a in enumerate(elements):
+            for j in range(i, 5):
+                expected[i, j] = reference_state_eval(param, g.multiply(a.adjoint(), elements[j]))
+                expected[j, i] = np.conj(expected[i, j])
+        assert g.gram_matrix(param, elements).tobytes() == expected.tobytes()
+
+
+def test_evaluate_keeps_no_word_values_between_calls():
+    state = g.GPState(random_cycle(np.random.default_rng(2), 2, 3))
+    before = dict(vars(state))
+    state.evaluate(g.s_of([random_unit(np.random.default_rng(3), 2) for _ in range(6)]))
+    assert vars(state).keys() == before.keys()
 
 
 def test_state_rank_mismatch():
