@@ -11,11 +11,10 @@ in which J and K do not both end in the letter N; two elements are equal
 modulo both relations exactly when their difference has zero Leavitt
 form.  `expand_identity` pushes all terms to a common sandwich depth
 instead; it serves `normalize --expand` and is the independent oracle
-the tests compare `leavitt_form` against.  `unitary_action` sums the
-terms of one (|J|, |K|) block at once rather than term by term: as one
-dense array acted on letter axis by letter axis when that array is small,
-and otherwise over sparse word images, built once per word from the
-image of its prefix, so a sparse G keeps them sparse at any length.
+the tests compare `leavitt_form` against.  `unitary_action` acts on the
+terms of one (|J|, |K|) block at once rather than term by term, as one
+sparse tensor acted on letter axis by letter axis, so a sparse G keeps
+it sparse at any length.
 
 Coefficients are double precision; anything below PRUNE_TOL is dropped.
 All values are immutable after construction and every operation is pure.
@@ -23,9 +22,7 @@ All values are immutable after construction and every operation is pure.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -313,149 +310,130 @@ def _segments(start, length):
     return owner, np.arange(owner.size) + shift
 
 
-def _merge(rows, cols, vals, width: int):
-    """Sum the entries of a COO triple that share (row, col); `width`
-    bounds the columns, so row * width + col identifies an entry."""
-    keys, slot = np.unique(rows * width + cols, return_inverse=True)
+def _distinct(keys, space: int):
+    """(the distinct keys in increasing order, the index of each key among
+    them), as `np.unique(keys, return_inverse=True)` gives them, for keys
+    in range(space).  When the space is at most four times the number of
+    keys, a table over the space replaces the sort: it costs less, and a
+    process that never sorts never pages in numpy's sort kernels, which
+    adds a quarter of a megabyte or more to its resident size."""
+    if space > 4 * len(keys):
+        return np.unique(keys, return_inverse=True)
+    seen = np.zeros(space, bool)
+    seen[keys] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[keys]
+
+
+def _merge(keys, vals, height: int, width: int):
+    """Sum the values that share a key row * width + col, for rows in
+    range(height) and columns in range(width); returns the distinct rows
+    and columns, sorted by (row, col), and the sums."""
+    keys, slot = _distinct(keys, height * width)
     sums = np.empty(len(keys), dtype=complex)
     sums.real = np.bincount(slot, vals.real, len(keys))
     sums.imag = np.bincount(slot, vals.imag, len(keys))
     return keys // width, keys % width, sums
 
 
-class _WordImages:
-    """Sparse images G^{(x)m} e_J of the given words and their prefixes,
-    built level by level in m = |J|.
+def _suffix_ids(letters, n: int):
+    """Compact ids of the suffixes letters[t, i:] of the rows of an array
+    of letters in range(n).
 
-    A word's image is the Kronecker product of its prefix's image with the
-    entries of one column of G above PRUNE_TOL, multiplied in letter order;
-    products at or below PRUNE_TOL are dropped, as `multiply` drops them.
-    The words an image is supported on get compact ids per level: a level
-    m word is the pair (id of its level m-1 prefix, last letter), and the
-    pairs that occur are numbered in sorted order, so no id grows like N^m
-    and words of any length fit in int64.
+    Returns the id of each row at position 0 and, per position i, the
+    first letter and the id of the rest (at i + 1) of each suffix id,
+    plus the number of suffix ids at each position; a suffix is numbered
+    from the pair (first letter, id of the rest) in sorted order, so no
+    id grows like n^m.
     """
-
-    def __init__(self, g, words):
-        n = g.shape[0]
-        # the entries of G above PRUNE_TOL, column by column
-        col_of, col_rows = np.nonzero(np.abs(g.T) > PRUNE_TOL)
-        col_vals = g[col_rows, col_of]
-        col_len = np.bincount(col_of, minlength=n)
-        col_start = np.cumsum(col_len) - col_len
-
-        by_length: dict = {}
-        for word in words:
-            for m in range(len(word), -1, -1):
-                level = by_length.setdefault(m, {})
-                if word[:m] in level:
-                    break
-                level[word[:m]] = len(level)
-        # per level: the word -> index map, (start, length) of each word's
-        # image in the level's (ids, values), and the (parent id, letter)
-        # of each support id
-        self.index = [{(): 0}]
-        self.start, self.length = [np.zeros(1, np.intp)], [np.ones(1, np.intp)]
-        self.ids, self.vals = [np.zeros(1, np.intp)], [np.ones(1, complex)]
-        self.parent, self.letter = [np.zeros(1, np.intp)], [np.zeros(0, np.intp)]
-        for m in range(1, max(by_length) + 1):
-            level = by_length[m]
-            prefix = np.array([self.index[m - 1][w[:-1]] for w in level], np.intp)
-            last = np.array([w[-1] - 1 for w in level], np.intp)
-            # entry by entry: the word, its prefix's image entry and the
-            # column entry of its last letter
-            owner, pos = _segments(self.start[m - 1][prefix], self.length[m - 1][prefix])
-            entry, col = _segments(col_start[last[owner]], col_len[last[owner]])
-            owner, pos = owner[entry], pos[entry]
-            vals = self.vals[m - 1][pos] * col_vals[col]
-            keep = np.abs(vals) > PRUNE_TOL
-            pairs = self.ids[m - 1][pos[keep]] * n + col_rows[col[keep]]
-            owner, vals = owner[keep], vals[keep]
-            keys, ids = np.unique(pairs, return_inverse=True)
-            length = np.bincount(owner, minlength=len(level))
-            self.index.append(level)
-            self.start.append(np.cumsum(length) - length)
-            self.length.append(length)
-            self.ids.append(ids)
-            self.vals.append(vals)
-            self.parent.append(keys // n)
-            self.letter.append(keys % n + 1)
-
-    def segments(self, m: int, words):
-        """Start and length of each word's image at level m."""
-        at = np.array([self.index[m][w] for w in words], np.intp)
-        return self.start[m][at], self.length[m][at]
-
-    def words(self, m: int, ids) -> list:
-        """Letter tuples of the level-m support words with the given ids."""
-        letters = np.empty((len(ids), m), np.intp)
-        for level in range(m, 0, -1):
-            letters[:, level - 1] = self.letter[level][ids]
-            ids = self.parent[level][ids]
-        return [tuple(row) for row in letters.tolist()]
+    count = [1] * (letters.shape[1] + 1)
+    first, rest = [], []
+    ids = np.zeros(len(letters), np.intp)
+    for i in range(letters.shape[1] - 1, -1, -1):
+        keys, ids = _distinct(letters[:, i] * count[i + 1] + ids, n * count[i + 1])
+        first.append(keys // count[i + 1])
+        rest.append(keys % count[i + 1])
+        count[i] = len(keys)
+    return ids, first[::-1], rest[::-1], count
 
 
-def _spread_block(images, la, lb, terms):
-    """Entries (row id, column id, value) of sum_t c_t u_J u_K^H over one
-    block's terms, the ids being those of `images` at levels la and lb.
+def _row_words(letters, n: int) -> list:
+    """The rows of an array of letters in range(n) as words over 1..n, one
+    tuple per distinct row."""
+    ids, count = _suffix_ids(letters, n)[::3]
+    first_row = np.zeros(count[0], np.intp)
+    first_row[ids] = np.arange(len(ids))
+    table = [tuple(row) for row in (letters[first_row] + 1).tolist()]
+    return [table[i] for i in ids.tolist()]
 
-    C's coefficients are spread over the left images and merged into
-    X = U_J C, then X is spread over the right images and merged, so the
-    work is the sum over terms of |u_J| (1 + |u_K|).
+
+def _act_on_block(g, la, lb, terms):
+    """Terms of sum_t c_t u_J u_K^H over one block's terms (J, K), c_t,
+    all with |J| = la and |K| = lb, where u_J = G^{(x)la} e_J.
+
+    The coefficients form a sparse tensor over the la + lb letter axes of
+    J K; G acts on the first la axes and conj(G) on the last lb, one axis
+    at a time.  An entry is a pair (head, suffix): the head ids the image
+    letters on the axes already acted on, the suffix the term letters
+    still to act on, both numbered compactly (a head from its previous
+    head and new letter, in sorted order), so words of any length fit in
+    int64.  Acting on an axis extends each entry by the entries of one
+    column of G above PRUNE_TOL; entries that meet are summed and those at
+    or below PRUNE_TOL dropped, as `multiply` drops them.  No step holds
+    more entries than the sum over terms of |u_J| |u_K|, an image counted
+    by the entries above PRUNE_TOL in the columns its letters pick, and a
+    monomial G keeps one entry per term.
     """
-    lefts, rights, coeffs = zip(*((j, k, c) for (j, k), c in terms))
-    right_words = list(dict.fromkeys(rights))
-    right_at = {w: i for i, w in enumerate(right_words)}
-    kid = np.array([right_at[k] for k in rights], np.intp)
-    term, pos = _segments(*images.segments(la, lefts))
-    vals = np.array(coeffs, complex)[term] * images.vals[la][pos]
-    rows, kids, xs = _merge(images.ids[la][pos], kid[term], vals, len(right_words))
-    starts, lengths = images.segments(lb, right_words)
-    entry, pos = _segments(starts[kids], lengths[kids])
-    vals = xs[entry] * np.conj(images.vals[lb][pos])
-    rows, cols, sums = _merge(rows[entry], images.ids[lb][pos], vals, len(images.parent[lb]))
-    keep = np.abs(sums) > PRUNE_TOL
-    return rows[keep], cols[keep], sums[keep]
+    n = g.shape[0]
+    col_of, col_rows = np.nonzero(np.abs(g.T) > PRUNE_TOL)
+    col_vals = g[col_rows, col_of]
+    col_len = np.bincount(col_of, minlength=n)
+    col_start = np.cumsum(col_len) - col_len
 
-
-def _dense_block(g, la, lb, terms):
-    """Entries (row, column, value) of sum_t c_t u_J u_K^H over one block's
-    terms, a row or column being the base-N number of its word, computed
-    as the array G^{(x)la} C (G^{(x)lb})^H: C holds the coefficients over
-    all N^(la+lb) word pairs, and G (conjugated on the K side) acts along
-    each of the la + lb letter axes in turn."""
-    n, size = g.shape[0], la + lb
-    letters = np.array([j + k for (j, k), _ in terms], np.intp).reshape(len(terms), size)
-    block = np.zeros(n ** size, dtype=complex)
-    block[(letters - 1) @ n ** np.arange(size - 1, -1, -1)] = [c for _, c in terms]
-    block = block.reshape((n,) * size)
+    term_keys, coeffs = zip(*terms)
+    size = la + lb
+    word_letters = np.array([j + k for j, k in term_keys], np.intp).reshape(len(terms), size) - 1
+    suffix, first, rest, count = _suffix_ids(word_letters, n)
+    head, heads = np.zeros(len(terms), np.intp), 1
+    vals = np.array(coeffs, complex)
+    parent, letter = [], []
     for axis in range(size):
-        op = g if axis < la else g.conj()
-        block = np.moveaxis(np.tensordot(op, block, axes=(1, axis)), 0, axis)
-    block = block.reshape(n ** la, n ** lb)
-    rows, cols = np.nonzero(np.abs(block) > PRUNE_TOL)
-    return rows, cols, block[rows, cols]
-
-
-def _base_n_words(n: int, m: int, numbers) -> list:
-    """Letter tuples of the m-letter words whose base-N numbers are given;
-    a word that recurs is the same tuple object each time."""
-    digits = np.arange(n ** m)[:, None] // n ** np.arange(m - 1, -1, -1) % n + 1
-    table = [tuple(w) for w in digits.tolist()]
-    return [table[i] for i in numbers.tolist()]
-
-
-def _sparse_blocks(g, blocks: dict) -> set:
-    """The (|J|, |K|) blocks whose dense N^(|J|+|K|) array would hold more
-    entries than the sum over their terms of |u_J| (1 + |u_K|), an image
-    counted by the entries of the columns of g its letters pick."""
-    col_nnz = np.count_nonzero(np.abs(g) > PRUNE_TOL, axis=0).tolist()
-    words = {w for terms in blocks.values() for key, _ in terms for w in key}
-    nnz = {w: math.prod(col_nnz[x - 1] for x in w) for w in words}
-    return {
-        (la, lb) for (la, lb), terms in blocks.items()
-        if g.shape[0] ** (la + lb) > sum(nnz[j] * (1 + nnz[k]) for (j, k), _ in terms)
-    }
+        x = first[axis][suffix]
+        entry, at = _segments(col_start[x], col_len[x])
+        # the key (head * n + new letter) * count + rest of each extended
+        # entry, built in place: fewer live arrays keep the process smaller
+        keys = head[entry]
+        keys *= n
+        keys += col_rows[at]
+        keys *= count[axis + 1]
+        keys += rest[axis][suffix[entry]]
+        vals = vals[entry]
+        vals *= col_vals[at] if axis < la else np.conj(col_vals[at])
+        del x, entry, at
+        pairs, suffix, vals = _merge(keys, vals, heads * n, count[axis + 1])
+        del keys
+        keep = np.abs(vals) > PRUNE_TOL
+        if not keep.all():
+            pairs, suffix, vals = pairs[keep], suffix[keep], vals[keep]
+        # pairs come sorted, so each run of equal pairs is one new head
+        new = np.ones(len(pairs), bool)
+        new[1:] = pairs[1:] != pairs[:-1]
+        head = np.cumsum(new) - 1
+        parent.append(pairs[new] // n)
+        letter.append(pairs[new] % n)
+        heads = len(parent[-1])
+    # each entry's K letters, then its head at level la, which ids its J
+    k_letters = np.empty((len(head), lb), np.intp)
+    for axis in range(size - 1, la - 1, -1):
+        k_letters[:, axis - la] = letter[axis][head]
+        head = parent[axis][head]
+    at = np.arange(len(parent[la - 1]) if la else 1)
+    j_letters = np.empty((len(at), la), np.intp)
+    for axis in range(la - 1, -1, -1):
+        j_letters[:, axis] = letter[axis][at]
+        at = parent[axis][at]
+    table = [tuple(w) for w in (j_letters + 1).tolist()]
+    words = zip([table[i] for i in head.tolist()], _row_words(k_letters, n))
+    return zip(words, vals.tolist())
 
 
 def unitary_action(g, a: AlgebraElement) -> AlgebraElement:
@@ -464,31 +442,19 @@ def unitary_action(g, a: AlgebraElement) -> AlgebraElement:
     The image of s_i is the combination of generators with coefficients
     read down the i-th column of g, so c s_J s_K* goes to
     c (G^{(x)|J|} e_J)(G^{(x)|K|} e_K)^H read as a matrix over the words
-    of lengths |J| and |K|.  The terms of one block (|J|, |K|) are summed
-    as a whole: as one dense N^|J| x N^|K| array (`_dense_block`) when it
-    is no larger than the sum over terms of |u_J| (1 + |u_K|), counting
-    each image's entries by the nonzero entries of the columns of g its
-    letters pick, and otherwise over sparse images built once per word
-    (`_WordImages`, `_spread_block`).  Work and memory thus stay within
-    that sum, and a permutation or diagonal g keeps every image a single
-    word at any length.
+    of lengths |J| and |K|.  The terms of one block (|J|, |K|) are acted
+    on together, letter axis by letter axis, as one sparse tensor
+    (`_act_on_block`): terms whose images meet are merged as they go, no
+    step holds more entries than the sum over terms of |u_J| |u_K|, and a
+    permutation or diagonal g keeps every term a single word at any length.
     """
     g = _check_unitary(g, a.n)
     blocks: dict = {}
     for key, c in a.terms.items():
         blocks.setdefault((len(key[0]), len(key[1])), []).append((key, c))
-    sparse = _sparse_blocks(g, blocks)
-    if sparse:
-        images = _WordImages(g, {w for shape in sparse for key, _ in blocks[shape] for w in key})
     out: dict = {}
     for (la, lb), terms in blocks.items():
-        if (la, lb) in sparse:
-            rows, cols, sums = _spread_block(images, la, lb, terms)
-            words = images.words
-        else:
-            rows, cols, sums = _dense_block(g, la, lb, terms)
-            words = functools.partial(_base_n_words, a.n)
-        out.update(zip(zip(words(la, rows), words(lb, cols)), sums.tolist()))
+        out.update(_act_on_block(g, la, lb, terms))
     return AlgebraElement(a.n, out)
 
 

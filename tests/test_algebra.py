@@ -293,18 +293,14 @@ def test_unitary_action_matches_term_by_term_reference(seed, n, kind):
         assert len(image.terms) == len(a.terms)
 
 
-@settings(deadline=None, max_examples=40)
-@given(st.integers(0, 2**32 - 1), st.integers(2, 4),
-       st.sampled_from(["random", "permutation", "diagonal"]))
-def test_unitary_action_block_kernels_agree(seed, n, kind):
-    # each block is summed densely or by sparse passes; force each in turn
-    rng = np.random.default_rng(seed)
-    u = unitary_of_kind(rng, n, kind)
-    a = random_element(rng, n, max_word=3, n_terms=int(rng.integers(1, 9)))
-    expected = reference_unitary_action(u, a)
-    for pick in (lambda unitary, blocks: set(blocks), lambda unitary, blocks: set()):
-        with mock.patch.object(g.algebra, "_sparse_blocks", pick):
-            assert max_term_gap(g.unitary_action(u, a), expected) <= 1e-12
+@given(st.lists(st.integers(0, 40), max_size=30), st.integers(0, 200))
+def test_distinct_keys_match_unique(keys, spare):
+    # a table over the key space or a sort, by the space's size; both give np.unique's answer
+    keys = np.array(keys, np.intp)
+    distinct, slot = g.algebra._distinct(keys, (int(keys.max()) + 1 if len(keys) else 0) + spare)
+    expected, expected_slot = np.unique(keys, return_inverse=True)
+    assert distinct.tolist() == expected.tolist()
+    assert slot.tolist() == expected_slot.tolist()
 
 
 def test_unitary_action_permutation_on_long_words_gives_one_term():
@@ -322,12 +318,16 @@ def test_unitary_action_on_a_forty_letter_word_at_rank_four():
     j = tuple(int(x) for x in rng.integers(1, 5, 40))
     k = tuple(int(x) for x in rng.integers(1, 5, 3))
     a = g.word_element(4, j, k, 1j) + g.word_element(4, j[:20], (), 2.0)
+    merge = g.algebra._merge
     for kind in ("permutation", "diagonal"):
         u = unitary_of_kind(rng, 4, kind)
-        # every prefix image keeps one entry
-        images = g.algebra._WordImages(u, [j])
-        assert all(lengths.tolist() == [1] for lengths in images.length)
-        image = g.unitary_action(u, a)
+        # every letter axis keeps one entry per term
+        sizes = []
+        with mock.patch.object(
+            g.algebra, "_merge", lambda *args: sizes.append(len(args[0])) or merge(*args)
+        ):
+            image = g.unitary_action(u, a)
+        assert sizes == [1] * (40 + 3 + 20)
         assert len(image.terms) == 2
         assert max_term_gap(image, reference_unitary_action(u, a)) <= 1e-12
     # a dense unitary on the 3-letter side alone stays within N^3 terms
