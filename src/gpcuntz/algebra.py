@@ -17,6 +17,8 @@ sparse tensor acted on letter axis by letter axis, so a sparse G keeps
 it sparse at any length.
 
 Coefficients are double precision; anything below PRUNE_TOL is dropped.
+Unit norms, unimodular scalars and unitaries are accepted within UNIT_TOL
+throughout the package.
 All values are immutable after construction and every operation is pure.
 """
 
@@ -28,7 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 PRUNE_TOL = 1e-12
-# most terms expand_identity may generate before merging them
+# how far a unit vector's norm, a unimodular scalar's modulus or a unitary's
+# G G^H may stray from 1 (resp. I)
+UNIT_TOL = 1e-10
+# most terms expand_identity may generate before merging them, and most
+# entries unitary_action may hold
 EXPAND_BUDGET = 1 << 22
 
 Word = tuple[int, ...]
@@ -54,6 +60,14 @@ def _pruned(terms) -> dict:
         if abs(c) > PRUNE_TOL:
             out[key] = c
     return out
+
+
+def _unimodular(c, what: str) -> complex:
+    """complex(c), refused unless |c| = 1 within UNIT_TOL."""
+    c = complex(c)
+    if abs(abs(c) - 1.0) > UNIT_TOL:
+        raise ValueError(f"{what} must be unimodular")
+    return c
 
 
 def term_sort_key(key):
@@ -284,9 +298,7 @@ def leavitt_form(a: AlgebraElement) -> AlgebraElement:
 
 def gauge_action(c, a: AlgebraElement) -> AlgebraElement:
     """The circle action: s_i -> c s_i, so s_J s_K* picks up c^(|J|-|K|)."""
-    c = complex(c)
-    if abs(abs(c) - 1.0) > 1e-10:
-        raise ValueError("gauge parameter must be unimodular")
+    c = _unimodular(c, "gauge parameter")
     return AlgebraElement._from_words(
         a.n,
         {(j, k): coeff * c ** (len(j) - len(k)) for (j, k), coeff in a.terms.items()},
@@ -297,8 +309,8 @@ def _check_unitary(g, n: int):
     g = np.asarray(g, dtype=complex)
     if g.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got {g.shape}")
-    if np.max(np.abs(g @ g.conj().T - np.eye(n))) > 1e-10:
-        raise ValueError("matrix is not unitary within 1e-10")
+    if np.max(np.abs(g @ g.conj().T - np.eye(n))) > UNIT_TOL:
+        raise ValueError(f"matrix is not unitary within {UNIT_TOL}")
     return g
 
 
@@ -366,9 +378,10 @@ def _row_words(letters, n: int) -> list:
     return [table[i] for i in ids.tolist()]
 
 
-def _act_on_block(g, la, lb, terms):
+def _act_on_block(g, la, lb, word_letters, coeffs):
     """Terms of sum_t c_t u_J u_K^H over one block's terms (J, K), c_t,
-    all with |J| = la and |K| = lb, where u_J = G^{(x)la} e_J.
+    all with |J| = la and |K| = lb, where u_J = G^{(x)la} e_J; row t of
+    `word_letters` holds the letters of J K minus one.
 
     The coefficients form a sparse tensor over the la + lb letter axes of
     J K; G acts on the first la axes and conj(G) on the last lb, one axis
@@ -389,11 +402,9 @@ def _act_on_block(g, la, lb, terms):
     col_len = np.bincount(col_of, minlength=n)
     col_start = np.cumsum(col_len) - col_len
 
-    term_keys, coeffs = zip(*terms)
     size = la + lb
-    word_letters = np.array([j + k for j, k in term_keys], np.intp).reshape(len(terms), size) - 1
     suffix, first, rest, count = _suffix_ids(word_letters, n)
-    head, heads = np.zeros(len(terms), np.intp), 1
+    head, heads = np.zeros(len(coeffs), np.intp), 1
     vals = np.array(coeffs, complex)
     parent, letter = [], []
     for axis in range(size):
@@ -447,15 +458,45 @@ def unitary_action(g, a: AlgebraElement) -> AlgebraElement:
     (`_act_on_block`): terms whose images meet are merged as they go, no
     step holds more entries than the sum over terms of |u_J| |u_K|, and a
     permutation or diagonal g keeps every term a single word at any length.
+    A sum over EXPAND_BUDGET raises ValueError before any block is acted on.
     """
     g = _check_unitary(g, a.n)
     blocks: dict = {}
-    for key, c in a.terms.items():
-        blocks.setdefault((len(key[0]), len(key[1])), []).append((key, c))
+    for (j, k), c in a.terms.items():
+        words, coeffs = blocks.setdefault((len(j), len(k)), ([], []))
+        words.append(j + k)
+        coeffs.append(c)
+    letters = {
+        lens: np.array(words, np.intp).reshape(len(words), sum(lens)) - 1
+        for lens, (words, _) in blocks.items()
+    }
+    _check_action_size(g, letters.values())
     out: dict = {}
-    for (la, lb), terms in blocks.items():
-        out.update(_act_on_block(g, la, lb, terms))
+    for (la, lb), (_, coeffs) in blocks.items():
+        out.update(_act_on_block(g, la, lb, letters[la, lb], coeffs))
     return AlgebraElement(a.n, out)
+
+
+def _check_action_size(g, letter_blocks) -> None:
+    """Refuse, before acting, images of more than EXPAND_BUDGET entries in
+    all: the sum over terms of |u_J| |u_K|, where each letter multiplies an
+    image's size by the count of entries above PRUNE_TOL in the column of
+    G it picks.  Sizes add up as base-2 logarithms, so a long word builds
+    no huge integer."""
+    col_len = np.count_nonzero(np.abs(g) > PRUNE_TOL, axis=0)
+    log_len = np.log2(col_len)
+    logs = np.concatenate([np.zeros(0)] + [log_len[w].sum(axis=1) for w in letter_blocks])
+    if logs.max(initial=0.0) >= EXPAND_BUDGET.bit_length():
+        raise ValueError(
+            f"unitary_action would generate at least 2^{int(logs.max())} entries, "
+            f"over the budget of {EXPAND_BUDGET}"
+        )
+    # each term now has fewer than 2^23 entries, so int64 products are exact
+    count = sum(int(col_len[w].prod(axis=1).sum()) for w in letter_blocks)
+    if count > EXPAND_BUDGET:
+        raise ValueError(
+            f"unitary_action would generate {count} entries, over the budget of {EXPAND_BUDGET}"
+        )
 
 
 def conditional_expectation(a: AlgebraElement) -> AlgebraElement:
@@ -502,8 +543,8 @@ def s_of(vectors, n: int | None = None) -> AlgebraElement:
         raise RankMismatchError(f"vectors live in C^{arr.shape[1]}, expected C^{n}")
     out = identity(n)
     for row in arr:
-        if abs(np.linalg.norm(row) - 1.0) > 1e-10:
-            raise ValueError("factors must be unit vectors within 1e-10")
+        if abs(np.linalg.norm(row) - 1.0) > UNIT_TOL:
+            raise ValueError(f"factors must be unit vectors within {UNIT_TOL}")
         factor = AlgebraElement._from_words(
             n, {((i,), ()): row[i - 1] for i in range(1, n + 1)}
         )

@@ -3,9 +3,13 @@
 A cycle parameter is a tensor z^(1) x ... x z^(k) of unit vectors in C^N;
 a chain parameter is an infinite sequence of unit vectors.  Tensor
 equality only sees factors up to phases with unit product, so decisions
-go through a canonical form: each factor is rotated until its first
-significant component is real positive and the removed phases are
-collected into one global phase.
+compare factors by overlap phase: `_phase_match` returns the phases c_i
+of <b_i|a_i> when every |a_i - c_i b_i| is below the tolerance, with no
+component singled out (cycle equivalence also needs their product to be
+1), and rational rotations are decided in closed form.  The canonical
+form -- each factor rotated until its first component above 1e-8 is real
+positive, the removed phases collected into one global phase -- is for
+presentation only: canonicalize_cycle, roots and decomposition bases.
 
 Chains come in four kinds:
 
@@ -29,7 +33,7 @@ from functools import reduce
 
 import numpy as np
 
-from .algebra import RankMismatchError
+from .algebra import UNIT_TOL, RankMismatchError, _unimodular
 
 DEFAULT_TOL = 1e-9
 # most overlap summands, and most chain factors in C^2, one diagnostics
@@ -50,8 +54,8 @@ def unit_vector(components) -> np.ndarray:
     v = np.asarray(components, dtype=complex)
     if v.ndim != 1 or v.size < 2:
         raise ValueError("expected a vector in C^N with N >= 2")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-        raise ValueError("vector must have unit norm within 1e-10")
+    if abs(np.linalg.norm(v) - 1.0) > UNIT_TOL:
+        raise ValueError(f"vector must have unit norm within {UNIT_TOL}")
     v = v.copy()
     v.flags.writeable = False
     return v
@@ -111,9 +115,7 @@ def cycle(vectors) -> CycleParam:
 
 def scale_cycle(z: CycleParam, c) -> CycleParam:
     """The tensor c*z, realized by scaling the first factor."""
-    c = complex(c)
-    if abs(abs(c) - 1.0) > 1e-10:
-        raise ValueError("cycle scaling must be unimodular")
+    c = _unimodular(c, "cycle scaling")
     return CycleParam((unit_vector(z.factors[0] * c),) + z.factors[1:])
 
 
@@ -144,53 +146,58 @@ def _divisors(k: int):
     return [d for d in range(1, k + 1) if k % d == 0]
 
 
-def _block_period(factors, tol: float) -> int:
-    """Minimal divisor d of len(factors) with cyclic d-periodicity."""
-    k = len(factors)
-    for d in _divisors(k):
-        if all(
-            np.linalg.norm(factors[(i + d) % k] - factors[i]) < tol
-            for i in range(k)
-        ):
-            return d
-    return k
+def _phase_match(a: np.ndarray, b: np.ndarray, tol: float):
+    """The phases c_i of <b_i|a_i> if |a_i - c_i b_i| < tol for every row, else
+    None: the decision layer's one factor comparison, with no pivot."""
+    overlap = np.sum(np.conj(b) * a, axis=1)
+    phases = np.divide(overlap, np.abs(overlap), out=np.ones_like(overlap), where=overlap != 0)
+    return phases if np.all(np.linalg.norm(a - phases[:, None] * b, axis=1) < tol) else None
+
+
+def _block_period(rows: np.ndarray, tol: float):
+    """Least divisor d of len(rows) with row i a phase multiple of row i mod d,
+    and those phases (None for d = len(rows))."""
+    k = len(rows)
+    for d in _divisors(k)[:-1]:
+        phases = _phase_match(rows, np.tile(rows[:d], (k // d, 1)), tol)
+        if phases is not None:
+            return d, phases
+    return k, None
 
 
 def primitive_root(z: CycleParam, tol: float = DEFAULT_TOL):
     """Maximal tensor-power decomposition: (y, p) with z = y^(x p), y nonperiodic.
 
-    The canonical factor sequence of z must be (k/p)-periodic; the global
-    phase is absorbed into y through its principal p-th root (any root
-    works, they differ by the components of the power decomposition).
+    y is the first of p blocks of canonical factors that agree up to
+    phases, times a p-th root of the global phase (any root works, they
+    differ by the components of the power decomposition); where the
+    canonical pivot jumped between blocks, the matched phase joins it.
     """
     canon = canonicalize_cycle(z)
-    k = len(canon.factors)
-    d = _block_period(canon.factors, tol)
-    p = k // d
+    rows = np.stack(canon.factors)
+    d, phases = _block_period(rows, tol)
+    p = len(rows) // d
     if p == 1:
         return z, 1
-    root_phase = cmath.exp(cmath.log(canon.global_phase) / p)
+    phase = canon.global_phase
+    jumped = np.linalg.norm(rows - np.tile(rows[:d], (p, 1)), axis=1) >= tol
+    if jumped.any():
+        phase *= complex(np.prod(phases[jumped]))
+    root_phase = cmath.exp(cmath.log(phase) / p)
     head = (unit_vector(canon.factors[0] * root_phase),) + canon.factors[1:d]
     return CycleParam(head), p
 
 
 def cycles_equivalent(z: CycleParam, y: CycleParam, tol: float = DEFAULT_TOL) -> bool:
-    """Tensor equality up to a cyclic rotation of the factor list."""
+    """Tensor equality up to a cyclic rotation of the factor list: some
+    rotation matches y factorwise with phases whose product is 1."""
     if z.n != y.n:
         raise RankMismatchError(f"rank mismatch: {z.n} vs {y.n}")
     if z.k != y.k:
         return False
-    cz, cy = canonicalize_cycle(z), canonicalize_cycle(y)
-    if abs(cz.global_phase - cy.global_phase) > tol:
-        return False
-    k = z.k
-    for r in range(k):
-        if all(
-            np.linalg.norm(cz.factors[(i + r) % k] - cy.factors[i]) < tol
-            for i in range(k)
-        ):
-            return True
-    return False
+    zs, ys = np.stack(z.factors), np.stack(y.factors)
+    matches = (_phase_match(np.roll(zs, -r, axis=0), ys, tol) for r in range(z.k))
+    return any(c is not None and abs(np.prod(c) - 1.0) <= tol for c in matches)
 
 
 # ----------------------------------------------------------------------
@@ -301,8 +308,8 @@ def chain_factors(chain: ChainParam, start: int, count: int) -> np.ndarray:
         rows = rows.reshape(count, chain.n)
     else:
         raise ValueError(f"unknown chain kind {chain.kind!r}")
-    if np.any(np.abs(np.linalg.norm(rows, axis=1) - 1.0) > 1e-10):
-        raise ValueError("vector must have unit norm within 1e-10")
+    if np.any(np.abs(np.linalg.norm(rows, axis=1) - 1.0) > UNIT_TOL):
+        raise ValueError(f"vector must have unit norm within {UNIT_TOL}")
     rows.flags.writeable = False
     return rows
 
@@ -330,6 +337,7 @@ def rotation_to_explicit(chain: ChainParam) -> ChainParam:
     if chain.kind != "rotation" or not isinstance(chain.theta, Fraction):
         raise ValueError("only rational rotation chains have an exact period")
     b = chain.theta.denominator
+    _check_factor_budget(chain, b, f"the period block of rotation {chain.theta}")
     return explicit_chain(chain_factors(chain, 1, b))
 
 
@@ -351,20 +359,16 @@ class PeriodicityVerdict:
     note: str = ""
 
 
-def _canonical_block(period):
-    return [_phase_split(f)[0] for f in period]
-
-
 def is_eventually_periodic(chain: ChainParam, tol: float = DEFAULT_TOL) -> PeriodicityVerdict:
-    # the tail period is the minimal p with z^(m+p) = c_m z^(m), i.e. the
-    # cyclic period of the phase-normalized period block
+    # the tail period is the minimal p with z^(m+p) = c_m z^(m): the cyclic
+    # period of the period block up to phases; a rotation by a/b has
+    # z^(m+p) = +-z^(m) exactly when 2 p a / b is an integer
     if chain.kind == "explicit":
-        p = _block_period(_canonical_block(chain.period), tol)
-        return PeriodicityVerdict(True, p)
+        return PeriodicityVerdict(True, _block_period(np.stack(chain.period), tol)[0])
     if chain.kind == "rotation":
         if isinstance(chain.theta, Fraction):
-            p = _block_period(_canonical_block(rotation_to_explicit(chain).period), tol)
-            return PeriodicityVerdict(True, p)
+            b = chain.theta.denominator
+            return PeriodicityVerdict(True, b // math.gcd(b, 2))
         return PeriodicityVerdict(
             False,
             analytic_assumption=True,
@@ -385,16 +389,17 @@ def chain_tail_equivalent(z: ChainParam, y: ChainParam, tol: float = DEFAULT_TOL
     """Tail equivalence of two eventually periodic chains.
 
     For exactly periodic tails the defect series has periodic summands,
-    so it converges iff every tail summand vanishes, i.e. the period
-    blocks agree factorwise up to phase at some relative offset modulo
-    the lcm of the two periods.
+    so it converges iff every tail summand vanishes: the period blocks
+    agree factorwise up to phase at some offset (offsets equal modulo the
+    gcd of the periods compare the same pairs).  Rational rotations agree
+    so exactly when 2 (theta - theta') is an integer.
     """
 
     def tail_block(c: ChainParam):
         if c.kind == "explicit":
-            return _canonical_block(c.period)
-        if c.kind == "rotation" and isinstance(c.theta, Fraction):
-            return _canonical_block(rotation_to_explicit(c).period)
+            return np.stack(c.period)
+        if isinstance(c.theta, Fraction):
+            return np.stack(rotation_to_explicit(c).period)
         raise UndecidableError(
             f"chain kind {c.kind!r} has no exact periodic tail; "
             "use asymptotic diagnostics instead"
@@ -402,15 +407,12 @@ def chain_tail_equivalent(z: ChainParam, y: ChainParam, tol: float = DEFAULT_TOL
 
     if z.n != y.n:
         raise RankMismatchError(f"rank mismatch: {z.n} vs {y.n}")
+    if isinstance(z.theta, Fraction) and isinstance(y.theta, Fraction):
+        return (2 * (z.theta - y.theta)).denominator == 1
     bz, by = tail_block(z), tail_block(y)
-    span = math.lcm(len(bz), len(by))
-    for offset in range(span):
-        if all(
-            np.linalg.norm(bz[(m + offset) % len(bz)] - by[m % len(by)]) < tol
-            for m in range(span)
-        ):
-            return True
-    return False
+    m = np.arange(math.lcm(len(bz), len(by)))
+    return any(_phase_match(bz[(m + r) % len(bz)], by[m % len(by)], tol) is not None
+               for r in range(math.gcd(len(bz), len(by))))
 
 
 # ----------------------------------------------------------------------
@@ -434,16 +436,15 @@ class DiagnosticsTable:
         return float(self.plain[p][-1]), float(self.absolute[p][-1])
 
 
-def _check_budget(what: str, count: int, limit: int = DIAGNOSTICS_BUDGET) -> None:
+def _check_budget(what: str, count: int, limit: int = DIAGNOSTICS_BUDGET,
+                  source: str = "diagnostics") -> None:
     if count > limit:
-        raise ValueError(
-            f"diagnostics would generate {count} {what}, over the budget of {limit}"
-        )
+        raise ValueError(f"{source} would generate {count} {what}, over the budget of {limit}")
 
 
-def _check_factor_budget(chain: ChainParam, count: int) -> None:
+def _check_factor_budget(chain: ChainParam, count: int, source: str = "diagnostics") -> None:
     # count * N entries against 2 DIAGNOSTICS_BUDGET
-    _check_budget("factors", count, 2 * DIAGNOSTICS_BUDGET // chain.n)
+    _check_budget("factors", count, 2 * DIAGNOSTICS_BUDGET // chain.n, source)
 
 
 def _cumulative(defects: np.ndarray) -> np.ndarray:

@@ -37,11 +37,12 @@ package and its command line) does not pay for it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, RankMismatchError
+from .algebra import UNIT_TOL, AlgebraElement, RankMismatchError, _unimodular
 from .params import (
     ChainParam,
     CycleParam,
@@ -58,20 +59,22 @@ REP_BUDGET = 1 << 20
 # most entries, count x dim, the dense basis stack of verify_gp may hold
 # per REP_BUDGET basis vectors (128 MiB of complex entries at the default)
 _BASIS_STACK_SHARE = 8
+# complete_unitary skips a Gram-Schmidt candidate whose residual norm is below this
+_RESIDUAL_TOL = 1e-8
 
 
 class TruncationOverflowError(RuntimeError):
     """A vector's support escaped the exact interior during application."""
 
 
-def complete_unitary(z, residual_tol: float = 1e-8) -> np.ndarray:
+def complete_unitary(z) -> np.ndarray:
     """Deterministic unitary with first column z.
 
     Modified Gram-Schmidt over the sequence (z, e_1, ..., e_N), skipping
-    candidates whose residual norm falls below `residual_tol`.
+    candidates whose residual norm falls below _RESIDUAL_TOL.
     """
     z = np.asarray(z, dtype=complex)
-    if abs(np.linalg.norm(z) - 1.0) > 1e-10:
+    if abs(np.linalg.norm(z) - 1.0) > UNIT_TOL:
         raise ValueError("column seed must be a unit vector")
     n = z.size
     cols = [z]
@@ -83,7 +86,7 @@ def complete_unitary(z, residual_tol: float = 1e-8) -> np.ndarray:
         for c in cols:
             v = v - c * (np.conj(c) @ v)
         norm = np.linalg.norm(v)
-        if norm >= residual_tol:
+        if norm >= _RESIDUAL_TOL:
             cols.append(v / norm)
     return np.stack(cols, axis=1)
 
@@ -232,9 +235,7 @@ def build_fiber_rep(v: CycleParam, c, depth: int) -> TruncatedRep:
     vector e_(1,1); with c = 1 the matrices coincide with
     build_cycle_rep(v, depth).
     """
-    c = complex(c)
-    if abs(abs(c) - 1.0) > 1e-10:
-        raise ValueError("fiber phase must be unimodular")
+    c = _unimodular(c, "fiber phase")
     return _cycle_rep(v, depth, np.conj(c), "fiber", fiber_phase=c)
 
 
@@ -578,10 +579,11 @@ class VerificationReport:
         return {k: v for k, v in self.__dict__.items()}
 
 
-def _gram_residual(vectors) -> float:
+def _gram(vectors):
+    """Gram matrix of the stacked vectors and its largest deviation from I."""
     mat = np.stack(vectors, axis=1)
     gram = mat.conj().T @ mat
-    return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+    return gram, float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
 
 
 def verify_gp(rep: TruncatedRep, param=None,
@@ -640,7 +642,7 @@ def verify_gp(rep: TruncatedRep, param=None,
         anchors = _anchor_vectors(rep, isos)
         iso_mat = _product(isos) if own_param else cycle_isometry(rep, param.factors)
         eigen = float(np.linalg.norm(iso_mat @ rep.omega - rep.omega))
-        family = _gram_residual(anchors)
+        family = _gram(anchors)[1]
         # the basis check below sets the memory peak and needs only the anchors
         del isos, iso_mat
     else:
@@ -648,7 +650,7 @@ def verify_gp(rep: TruncatedRep, param=None,
         ts = range(-(d_minus - 1), d_plus + 1)
         isos = {}
         vectors = _chain_vectors(rep, ts[0], ts[-1], isos)
-        family = _gram_residual([vectors[t] for t in ts])
+        family = _gram([vectors[t] for t in ts])[1]
         step = 0.0
         for t in range(-(d_minus - 2), d_plus + 1):
             iso_mat = _chain_iso(rep, t, isos)
@@ -659,11 +661,11 @@ def verify_gp(rep: TruncatedRep, param=None,
     basis_gram = basis_count = min_sing = None
     if d >= 1:
         fam = _enumerate_cycle(rep, d, anchors) if cyclic else enumerate_basis(rep, d)
-        vectors = [vec for _, vec in fam]
-        basis_gram = _gram_residual(vectors)
+        gram, basis_gram = _gram([vec for _, vec in fam])
         basis_count = len(fam)
-        sing = np.linalg.svd(np.stack(vectors, axis=1), compute_uv=False)
-        min_sing = float(sing[-1])
+        # the singular values of the stacked family are the square roots of
+        # the eigenvalues of its Gram matrix
+        min_sing = math.sqrt(max(float(np.linalg.eigvalsh(gram)[0]), 0.0))
 
     return VerificationReport(
         kind=rep.kind,

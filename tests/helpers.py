@@ -78,6 +78,60 @@ def brute_force_power(z, tol=1e-9):
     return k, 1
 
 
+def brute_force_cycles_equivalent(z, y, tol=1e-9):
+    """Independent equivalence oracle on full tensors: some cyclic rotation
+    of z's factor list has the flattened tensor of y."""
+    if z.k != y.k:
+        return False
+    t = g.full_tensor(y)
+    return any(
+        np.linalg.norm(g.full_tensor(g.CycleParam(z.factors[r:] + z.factors[:r])) - t) < tol
+        for r in range(z.k)
+    )
+
+
+def _reference_canonical_block(rows):
+    """Each row divided by the phase of its first entry above 1e-8 in
+    modulus, as the float decision path compared factors."""
+    out = []
+    for v in rows:
+        a = v[int(np.argmax(np.abs(v) > 1e-8))]
+        out.append(v / (a / abs(a)))
+    return out
+
+
+def _reference_rotation_block(theta):
+    return _reference_canonical_block(
+        g.chain_factors(g.rotation_chain(theta), 1, theta.denominator)
+    )
+
+
+def reference_rotation_period(theta, tol=1e-9):
+    """Tail period of the rotation chain by a Fraction theta on the float
+    path: the least divisor d of the denominator b with the b canonical
+    factors cyclically d-periodic within tol."""
+    block = _reference_rotation_block(theta)
+    b = len(block)
+    for d in divisors(b):
+        if all(np.linalg.norm(block[(i + d) % b] - block[i]) < tol for i in range(b)):
+            return d
+
+
+def reference_rotation_tail_equivalent(theta, other, tol=1e-9):
+    """Tail equivalence of two rational rotation chains on the float path:
+    the canonical period blocks agree factorwise within tol at some offset
+    modulo the lcm of their lengths."""
+    bz, by = _reference_rotation_block(theta), _reference_rotation_block(other)
+    span = math.lcm(len(bz), len(by))
+    return any(
+        all(
+            np.linalg.norm(bz[(m + offset) % len(bz)] - by[m % len(by)]) < tol
+            for m in range(span)
+        )
+        for offset in range(span)
+    )
+
+
 def reference_chain_factor(chain, m):
     """Per-index chain factor by the direct formulas, independent of the
     vectorised `chain_factors`: Fraction reduction, longdouble fmod, scalar

@@ -337,6 +337,23 @@ def test_unitary_action_on_a_forty_letter_word_at_rank_four():
     assert max_term_gap(image, reference_unitary_action(u, g.word_element(4, (), k))) <= 1e-12
 
 
+def test_unitary_action_budget_is_charged_before_acting(monkeypatch):
+    def no_action(*_):
+        raise AssertionError("a block was acted on for a refused request")
+
+    monkeypatch.setattr(g.algebra, "_act_on_block", no_action)
+    u = random_unitary(np.random.default_rng(41), 4)
+    # one term whose images hold 4^14 = 2^28 entries
+    with pytest.raises(ValueError, match=r"unitary_action would generate at least 2\^28 entries, "
+                                         "over the budget of 4194304"):
+        g.unitary_action(u, g.word_element(4, (1,) * 14))
+    # terms of 4^10 + 4^11 entries, each under the budget alone
+    a = g.word_element(4, (1,) * 5, (2,) * 5) + g.word_element(4, (1,) * 10, (2,))
+    with pytest.raises(ValueError, match="unitary_action would generate 5242880 entries, "
+                                         "over the budget of 4194304"):
+        g.unitary_action(u, a)
+
+
 def test_unitary_action_of_zero_is_zero():
     assert g.unitary_action(random_unitary(np.random.default_rng(1), 3), g.zero(3)).is_zero()
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -371,6 +372,94 @@ def test_state_eval_output_is_stable(capsys, param, stem):
     assert out == (DATA / f"{stem}.txt").read_text()
 
 
+V2, W2 = "[[0.6,0],[0,0.8]]", "[[0,0.28],[0.96,0]]"
+IV2, MIW2 = "[[0,0.6],[-0.8,0]]", "[[0.28,0],[0,-0.96]]"
+U3, MU3 = "[[0.48,0],[0,0.6],[0.64,0]]", "[[-0.48,0],[0,-0.6],[-0.64,0]]"
+X3 = "[[0,0],[0.8,0],[0,-0.6]]"
+# e^{-i} (iv), e^{i} v and e^{-i} w
+PHASED_IV2 = "[[0.5048825908847379,0.3241813835208838],[-0.4322418446945118,0.6731767878463173]]"
+PHASED_V2 = "[[0.3241813835208838,0.5048825908847379],[-0.6731767878463173,0.4322418446945118]]"
+PHASED_W2 = "[[0.23561187574621104,0.15128464564307914],[0.5186902136334142,-0.8078121454155807]]"
+
+
+def _cycle(*factors, n=2):
+    return f'{{"kind":"cycle","N":{n},"factors":[{",".join(factors)}]}}'
+
+
+def _rotation(num, den):
+    return f'{{"kind":"chain","rotation":{{"num":{num},"den":{den}}}}}'
+
+
+DECISION_PARAMS = {
+    # v w (iv) (-iw) = (v w)^2: per-factor phases with unit product
+    "cycle_p2_n2": _cycle(V2, W2, IV2, MIW2),
+    # v w (iv) w = i (v w)^2: the root carries a square root of i
+    "cycle_p2_n2_phase": _cycle(V2, W2, IV2, W2),
+    "cycle_p3_n2": _cycle(W2, W2, MIW2),
+    "cycle_p2_n3": _cycle(U3, X3, MU3, X3, n=3),
+    "cycle_p3_n3": _cycle(U3, MU3, U3, n=3),
+    "chain_explicit": '{"kind":"chain","preperiod":[[[0,0.6],[0.8,0]]],'
+                      f'"period":[{V2},{W2},{IV2},{MIW2}]}}',
+    "rotation_1_2": _rotation(1, 2),
+    "rotation_3_8": _rotation(3, 8),
+}
+EQUIVALENT_PAIRS = {
+    # (v, w, iv) against (e^{-i} iv, e^{i} v, w): a cyclic rotation
+    "cycle_rotated": (_cycle(V2, W2, IV2), _cycle(PHASED_IV2, PHASED_V2, W2)),
+    # (v, w) against (v, e^{-i} w): equal only up to a global phase, so inequivalent
+    "cycle_rescaled": (_cycle(V2, W2), _cycle(V2, PHASED_W2)),
+    "rotation_mixed": (_rotation(1, 4), '{"kind":"chain","period":[[[1,0],[0,0]],[[0,0],[1,0]]]}'),
+    "rotation_pair": (_rotation(1, 8), _rotation(5, 8)),
+}
+
+
+@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
+@pytest.mark.parametrize("command", ["classify", "decompose"])
+@pytest.mark.parametrize("stem", sorted(DECISION_PARAMS))
+def test_decision_output_is_stable(capsys, command, stem, fmt, ext):
+    code, out, _ = run_cli(capsys, command, "--inline", DECISION_PARAMS[stem], "-f", fmt)
+    assert code == 0
+    assert out == (DATA / f"{command}_{stem}.{ext}").read_text()
+
+
+@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
+@pytest.mark.parametrize("stem", sorted(EQUIVALENT_PAIRS))
+def test_equivalent_output_is_stable(capsys, stem, fmt, ext):
+    a, b = EQUIVALENT_PAIRS[stem]
+    code, out, _ = run_cli(capsys, "equivalent", "--param", a, "--other", b, "-f", fmt)
+    assert code == 0
+    assert out == (DATA / f"equivalent_{stem}.{ext}").read_text()
+
+
+BIG_ROTATION = '{"kind":"chain","rotation":{"num":1,"den":100000007}}'
+BIG_ROTATION_ERROR = ("error: the period block of rotation 1/100000007 would generate "
+                      "100000007 factors, over the budget of 8388608\n")
+
+
+def _no_factors(*_):
+    raise AssertionError("chain factors were generated")
+
+
+def test_large_rotation_is_classified_in_closed_form(capsys, monkeypatch):
+    monkeypatch.setattr(cli.params, "chain_factors", _no_factors)
+    code, out, err = run_cli(capsys, "classify", "--inline", BIG_ROTATION)
+    assert code == 0
+    assert out.splitlines()[-1] == "period: 100000007"
+    assert err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("decompose", "--inline", BIG_ROTATION),
+    ("equivalent", "--param", BIG_ROTATION, "--other", CHAIN_E2),
+], ids=["decompose", "equivalent"])
+def test_large_rotation_block_is_refused_before_allocating(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli.params, "chain_factors", _no_factors)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == BIG_ROTATION_ERROR
+
+
 def test_diagnostics_budget_counts_entries(capsys):
     period = [[[1, 0]] + [[0, 0]] * 15]
     chain = json.dumps({"kind": "chain", "period": period})
@@ -401,7 +490,7 @@ def test_tolerance_env_override(monkeypatch):
     assert cli._tolerance() == 1e-9
 
 
-def run_python(*args):
+def run_python(*args, preexec_fn=None):
     # the child process imports gpcuntz from the same tree as this test run,
     # installed or not
     package_root = os.path.dirname(os.path.dirname(cli.__file__))
@@ -411,6 +500,7 @@ def run_python(*args):
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=preexec_fn,
     )
 
 
@@ -444,6 +534,22 @@ def test_scipy_sparse_is_loaded_only_to_build_a_rep(argv, loads_sparse):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
     assert proc.stderr.splitlines()[-1] == f"scipy.sparse loaded: {loads_sparse}"
+
+
+def _cap_address_space():
+    # the child's own limit, as `ulimit -v 2097152` sets it
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_large_rotation_under_a_memory_cap():
+    proc = run_python("-m", "gpcuntz.cli", "classify", "--inline", BIG_ROTATION,
+                      preexec_fn=_cap_address_space)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "period: 100000007"
+    proc = run_python("-m", "gpcuntz.cli", "decompose", "--inline", BIG_ROTATION,
+                      preexec_fn=_cap_address_space)
+    assert proc.returncode == 1
+    assert proc.stderr == BIG_ROTATION_ERROR
 
 
 def test_usage_error_exit_code():

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 import gpcuntz as g
 from helpers import (
+    brute_force_cycles_equivalent,
     brute_force_power,
     random_cycle,
     random_explicit_chain,
     random_nonperiodic_cycle,
     random_unit,
     reference_chain_factor,
+    reference_rotation_period,
+    reference_rotation_tail_equivalent,
 )
 
 E1 = g.basis_vector(2, 1)
@@ -135,6 +139,99 @@ def test_cycles_equivalent_is_equivalence_relation():
 
 
 # ----------------------------------------------------------------------
+# factor comparison up to phase, across the canonical pivot
+
+def _straddling(first):
+    """A unit vector (first, i sqrt(1 - first^2)) in C^2."""
+    return np.array([first, 1j * math.sqrt(1 - first**2)])
+
+
+# first components on either side of the 1e-8 pivot threshold of the
+# canonical form, 2e-12 apart
+PIVOT_A = _straddling(1e-8 - 1e-12)
+PIVOT_B = _straddling(1e-8 + 1e-12)
+PIVOT_E = np.array([1, 1j]) / math.sqrt(2)
+
+
+def test_phase_match_returns_the_overlap_phases():
+    rng = np.random.default_rng(3)
+    rows = np.stack([random_unit(rng, 3) for _ in range(4)])
+    phases = np.exp(2j * math.pi * rng.uniform(size=4))
+    found = g.params._phase_match(phases[:, None] * rows, rows, 1e-9)
+    assert np.max(np.abs(found - phases)) < 1e-12
+    assert g.params._phase_match(rows[::-1], rows, 1e-9) is None
+    assert g.params._phase_match(rows + 1e-8, rows, 1e-9) is None
+
+
+def test_decisions_do_not_jump_at_the_canonical_pivot():
+    a, b, e = PIVOT_A, PIVOT_B, PIVOT_E
+    assert g.cycles_equivalent(g.cycle([a, e]), g.cycle([b, e]))
+    assert g.chain_tail_equivalent(g.explicit_chain([a, e]), g.explicit_chain([b, e]))
+    z = g.cycle([a, b])
+    root, p = g.primitive_root(z)
+    assert p == 2
+    square = np.kron(g.full_tensor(root), g.full_tensor(root))
+    assert np.linalg.norm(square - g.full_tensor(z)) <= 1e-9
+    assert g.is_eventually_periodic(g.explicit_chain([a, b])).period == 1
+
+
+def _near_pivot_unit(rng, n):
+    """A random unit vector in C^n whose first component has modulus within
+    1e-12 of the 1e-8 pivot threshold."""
+    first = (1e-8 + rng.uniform(-1e-12, 1e-12)) * np.exp(2j * math.pi * rng.uniform())
+    return np.concatenate([[first], random_unit(rng, n - 1) * math.sqrt(1 - abs(first) ** 2)])
+
+
+def _unit_product_phases(rng, k):
+    phases = np.exp(2j * math.pi * rng.uniform(size=k))
+    phases[-1] /= np.prod(phases)
+    return phases
+
+
+def _perturbed(v, rng):
+    w = v.copy()
+    w[0] += rng.uniform(-1e-12, 1e-12)
+    return w / np.linalg.norm(w)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    d=st.integers(1, 2),
+    power=st.integers(1, 4),
+    shift=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_perturbations_across_the_pivot_never_flip_a_decision(n, d, power, shift, seed):
+    power = min(power, 4 // d)
+    k = d * power
+    rng = np.random.default_rng(seed)
+    # in C^2 two such vectors are 1e-8 apart up to phase, so only one is drawn
+    block = [_near_pivot_unit(rng, n)] + [
+        _near_pivot_unit(rng, n) if n > 2 else random_unit(rng, n) for _ in range(d - 1)
+    ]
+    z = g.cycle([c * block[i % d] for i, c in enumerate(_unit_product_phases(rng, k))])
+    near = g.cycle([_perturbed(f, rng) for f in z.factors])
+    shift %= k
+    turned = g.cycle([
+        c * f for c, f in zip(_unit_product_phases(rng, k), near.factors[shift:] + near.factors[:shift])
+    ])
+    scaled = g.scale_cycle(near, np.exp(0.5j))
+    other = g.explicit_chain([random_unit(rng, n) for _ in range(d)])
+    for w in (z, near):
+        root, p = g.primitive_root(w)
+        assert p == power == brute_force_power(w)[1]
+        tensor = reduce(np.kron, [g.full_tensor(root)] * p)
+        assert np.linalg.norm(tensor - g.full_tensor(w)) <= 1e-9
+        assert g.cycles_equivalent(w, turned) is True is brute_force_cycles_equivalent(w, turned)
+        assert g.cycles_equivalent(w, scaled) is False is brute_force_cycles_equivalent(w, scaled)
+        chain = g.explicit_chain(w.factors, [block[0]])
+        assert g.is_eventually_periodic(chain).period == d
+        assert g.chain_tail_equivalent(chain, g.explicit_chain(turned.factors))
+        assert not g.chain_tail_equivalent(chain, other)
+
+
+# ----------------------------------------------------------------------
 # chain periodicity
 
 def test_eventually_periodic_explicit():
@@ -173,6 +270,25 @@ def test_rational_rotation_period_is_exact():
         assert np.allclose(g.chain_factor(chain, m), g.chain_factor(chain, m + 5))
 
 
+@settings(max_examples=200, deadline=None)
+@given(b=st.integers(1, 200), a=st.integers(0, 199))
+def test_rotation_period_closed_form_matches_the_float_path(b, a):
+    theta = Fraction(a % b, b)
+    verdict = g.is_eventually_periodic(g.rotation_chain(theta))
+    assert verdict.eventually_periodic is True
+    assert verdict.period == reference_rotation_period(theta)
+
+
+def test_rotation_period_needs_no_factors(monkeypatch):
+    def no_factors(*_):
+        raise AssertionError("factors were generated for a closed form")
+
+    monkeypatch.setattr(g.params, "chain_factors", no_factors)
+    assert g.is_eventually_periodic(g.rotation_chain(Fraction(1, 100_000_007))).period == 100_000_007
+    assert g.is_eventually_periodic(g.rotation_chain(Fraction(3, 8))).period == 4
+    assert g.is_eventually_periodic(g.rotation_chain(Fraction(0))).period == 1
+
+
 # ----------------------------------------------------------------------
 # tail equivalence
 
@@ -188,6 +304,10 @@ def test_tail_inequivalent_different_tails():
 
 def test_tail_equivalent_half_rotation_vs_constant():
     assert g.chain_tail_equivalent(g.rotation_chain(Fraction(1, 2)), g.explicit_chain([E1]))
+    # periods 4 and 2: one offset per residue modulo their gcd
+    assert g.chain_tail_equivalent(g.rotation_chain(Fraction(1, 4)), g.explicit_chain([E1, E2]))
+    assert g.chain_tail_equivalent(g.explicit_chain([E2, E1]), g.rotation_chain(Fraction(3, 4)))
+    assert not g.chain_tail_equivalent(g.rotation_chain(Fraction(1, 3)), g.explicit_chain([E1, E2]))
 
 
 def test_tail_equivalent_needs_exact_tails():
@@ -203,6 +323,53 @@ def test_tail_equivalent_offset_blocks():
     assert g.chain_tail_equivalent(z, y)
     w = g.explicit_chain([E1, E1, E2])
     assert not g.chain_tail_equivalent(z, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    b=st.integers(1, 200),
+    a=st.integers(0, 199),
+    other=st.one_of(
+        # a shift by c/d, d <= 4: equivalent exactly for shifts 0 and 1/2
+        st.tuples(st.just("shift"), st.integers(0, 3), st.integers(1, 4)),
+        st.tuples(st.just("free"), st.integers(0, 11), st.integers(1, 12)),
+    ),
+)
+def test_rotation_tail_closed_form_matches_the_float_path(b, a, other):
+    kind, c, d = other
+    theta = Fraction(a % b, b)
+    other_theta = (theta + Fraction(c, d)) % 1 if kind == "shift" else Fraction(c % d, d)
+    found = g.chain_tail_equivalent(g.rotation_chain(theta), g.rotation_chain(other_theta))
+    assert found == reference_rotation_tail_equivalent(theta, other_theta)
+
+
+def test_rotation_tail_closed_form_examples(monkeypatch):
+    def no_factors(*_):
+        raise AssertionError("factors were generated for a closed form")
+
+    monkeypatch.setattr(g.params, "chain_factors", no_factors)
+    rot = g.rotation_chain
+    assert g.chain_tail_equivalent(rot(Fraction(1, 8)), rot(Fraction(5, 8)))
+    assert not g.chain_tail_equivalent(rot(Fraction(1, 8)), rot(Fraction(3, 8)))
+    big = Fraction(1, 100_000_007)
+    assert g.chain_tail_equivalent(rot(big), rot(big + Fraction(1, 2)))
+    assert not g.chain_tail_equivalent(rot(big), rot(2 * big))
+
+
+def test_rotation_block_over_the_factor_budget_is_refused(monkeypatch):
+    def no_factors(*_):
+        raise AssertionError("factors were generated for a refused block")
+
+    monkeypatch.setattr(g.params, "chain_factors", no_factors)
+    chain = g.rotation_chain(Fraction(1, 100_000_007))
+    message = ("the period block of rotation 1/100000007 would generate 100000007 factors, "
+               "over the budget of 8388608")
+    with pytest.raises(ValueError, match=message):
+        g.rotation_to_explicit(chain)
+    with pytest.raises(ValueError, match=message):
+        g.chain_tail_equivalent(chain, g.explicit_chain([E1]))
+    with pytest.raises(ValueError, match=message):
+        g.decompose_chain(chain)
 
 
 # ----------------------------------------------------------------------

@@ -401,6 +401,27 @@ def test_verify_random_chain():
     assert report.passed(1e-10), report.to_dict()
 
 
+def test_verify_takes_the_least_singular_value_from_the_gram_matrix(monkeypatch):
+    rng = np.random.default_rng(14)
+    reps = [
+        g.build_cycle_rep(random_nonperiodic_cycle(rng, 3, 2), 4),
+        g.build_chain_rep(g.gray_zone_chain(), 4, 2, 3),
+    ]
+    # the depth-2 basis family verify_gp checks, and its singular values
+    expected = [
+        np.linalg.svd(np.stack([v for _, v in g.enumerate_basis(rep, 2)], axis=1),
+                      compute_uv=False)[-1]
+        for rep in reps
+    ]
+
+    def no_svd(*_args, **_kwargs):
+        raise AssertionError("verify_gp took an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for rep, sigma in zip(reps, expected):
+        assert abs(g.verify_gp(rep).basis_min_singular - sigma) < 1e-12
+
+
 def test_verify_builds_each_cycle_factor_isometry_once(monkeypatch):
     rng = np.random.default_rng(14)
     z = random_nonperiodic_cycle(rng, 2, 3)
