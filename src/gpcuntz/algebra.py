@@ -24,6 +24,7 @@ All values are immutable after construction and every operation is pure.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import dataclass
 
@@ -53,13 +54,27 @@ def _as_word(letters, n: int) -> Word:
 
 
 def _pruned(terms) -> dict:
-    """Terms with complex coefficients above PRUNE_TOL; keys are kept as given."""
+    """Terms with complex coefficients not within PRUNE_TOL of 0; keys are
+    kept as given, and so is NaN, for `check_finite` to see."""
     out = {}
     for key, c in terms.items():
         c = complex(c)
-        if abs(c) > PRUNE_TOL:
+        if not abs(c) <= PRUNE_TOL:
             out[key] = c
     return out
+
+
+def check_finite(terms) -> None:
+    """Raise ValueError if a coefficient is infinite or NaN.
+
+    A sum is finite only when every summand is, so one sum clears the
+    common case; the terms are scanned only to find the culprit.
+    """
+    if cmath.isfinite(sum(terms.values())):
+        return
+    for (j, k), c in terms.items():
+        if not cmath.isfinite(c):
+            raise ValueError(f"coefficient {c} of the word J={j}, K={k} is not finite")
 
 
 def _unimodular(c, what: str) -> complex:
@@ -82,7 +97,8 @@ class AlgebraElement:
 
     `terms` maps (J, K) pairs of letter tuples to nonzero complex
     coefficients.  Use `AlgebraElement.from_terms` (or the module-level
-    constructors) so pruning and letter validation happen uniformly.
+    constructors) so pruning, letter validation and the finiteness check
+    happen uniformly.
     """
 
     n: int
@@ -94,9 +110,9 @@ class AlgebraElement:
 
     @classmethod
     def from_terms(cls, n: int, terms) -> "AlgebraElement":
-        return cls(
-            n, {(_as_word(j, n), _as_word(k, n)): c for (j, k), c in _pruned(terms).items()}
-        )
+        out = {(_as_word(j, n), _as_word(k, n)): c for (j, k), c in _pruned(terms).items()}
+        check_finite(out)
+        return cls(n, out)
 
     @classmethod
     def _from_words(cls, n: int, terms) -> "AlgebraElement":

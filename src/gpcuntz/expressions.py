@@ -15,7 +15,11 @@ arguments of sqrt/exp must evaluate to scalars, so constants such as
 `(1/sqrt(2))(s1+s2)` or `exp(i pi 2/3) s1` are exact at parse time.
 
 `format_element` prints terms in the canonical order (|J|, J, |K|, K)
-with shortest round-tripping float literals; parse(format(a)) == a.
+with shortest round-tripping float literals; parse(format(a)) == a.  It
+renders each distinct word once per call and joins the terms once, so
+its cost is close to that of the float reprs.  Neither side accepts a
+coefficient that is infinite or NaN: `parse` raises ExprSyntaxError when
+its result holds one, and `format_element` raises ValueError.
 """
 
 from __future__ import annotations
@@ -24,7 +28,15 @@ import cmath
 import math
 import re
 
-from .algebra import PRUNE_TOL, AlgebraElement, identity, multiply, word_element
+from .algebra import (
+    PRUNE_TOL,
+    AlgebraElement,
+    check_finite,
+    identity,
+    multiply,
+    term_sort_key,
+    word_element,
+)
 
 
 class ExprSyntaxError(ValueError):
@@ -94,7 +106,7 @@ class _Parser:
     def _materialize(self, pair) -> AlgebraElement:
         coeff, elem = pair
         if elem is None:
-            return AlgebraElement.from_terms(self.n, {((), ()): coeff})
+            return AlgebraElement._from_words(self.n, {((), ()): coeff})
         return elem * coeff
 
     def _sum(self, summands):
@@ -126,7 +138,7 @@ class _Parser:
             for key, c in piece.items():
                 terms[key] = terms.get(key, 0.0) + c
             for key in piece:
-                if not abs(terms[key]) > PRUNE_TOL:
+                if abs(terms[key]) <= PRUNE_TOL:
                     del terms[key]
             changed = piece if step else list(terms)
         return (1.0, AlgebraElement(self.n, terms))
@@ -155,7 +167,13 @@ class _Parser:
         tok = self._peek()
         if tok is not None:
             raise ExprSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-        return self._materialize(out)
+        elem = self._materialize(out)
+        # an overflow anywhere leaves an inf or NaN coefficient in the result
+        try:
+            check_finite(elem.terms)
+        except ValueError as exc:
+            raise ExprSyntaxError(str(exc), 0) from None
+        return elem
 
     def expr(self):
         negate = False
@@ -208,7 +226,10 @@ class _Parser:
         tok = self._next()
         kind, text, pos = tok
         if kind == "number":
-            return (float(text), None)
+            value = float(text)
+            if value == math.inf:
+                raise ExprSyntaxError(f"number {text} is out of range", pos)
+            return (value, None)
         if kind == "gen":
             idx = int(text[1:])
             if not 1 <= idx <= self.n:
@@ -229,7 +250,10 @@ class _Parser:
                 self._expect(")")
                 value = self._scalar_of(inner, pos)
                 func = cmath.sqrt if text == "sqrt" else cmath.exp
-                return (func(value), None)
+                try:
+                    return (func(value), None)
+                except OverflowError:
+                    raise ExprSyntaxError(f"{text} overflows", pos) from None
             raise ExprSyntaxError(f"unknown symbol {text!r}", pos)
         if text == "(":
             inner = self.expr()
@@ -246,43 +270,51 @@ def parse(text: str, n: int) -> AlgebraElement:
 # ----------------------------------------------------------------------
 # printing
 
-def _num(x: float) -> str:
-    return repr(float(x))
-
-
-def _scalar_text(c: complex) -> str:
-    """Render a complex scalar whose leading nonzero part is positive."""
-    if c.imag == 0:
-        return _num(c.real)
-    if c.real == 0:
-        if c.imag == 1:
-            return "i"
-        return _num(c.imag) + "i"
-    sign = "+" if c.imag > 0 else "-"
-    return f"({_num(c.real)}{sign}{_num(abs(c.imag))}i)"
-
-
 def format_element(a: AlgebraElement) -> str:
-    """Canonical text form; deterministic, and parse(format(a)) == a."""
-    if not a.terms:
+    """Canonical text form; deterministic, and parse(format(a)) == a.
+
+    Each distinct word J and K is rendered once, each term becomes one
+    piece with its scalar written inline, and the pieces are joined once,
+    so a call costs little beyond the reprs of its coefficients.  A
+    non-finite coefficient has no text that parses back: ValueError.
+    """
+    terms = a.terms
+    if not terms:
         return "0"
-    rendered = []
-    for (j, k), c in a.sorted_terms():
-        negative = c.real < 0 or (c.real == 0 and c.imag < 0)
-        if negative:
-            c = -c
-        word = " ".join(
-            [f"s{x}" for x in j] + [f"s{x}*" for x in reversed(k)]
-        )
-        if not word:
-            body = "I" if c == 1 else _scalar_text(c)
-        elif c == 1:
-            body = word
+    check_finite(terms)
+    left_text: dict = {}
+    right_text: dict = {}
+    pieces = []
+    append = pieces.append
+    # word texts carry their leading space: " s1 s3", " s2* s1*"
+    for key in sorted(terms, key=term_sort_key):
+        j, k = key
+        left = left_text.get(j)
+        if left is None:
+            left = left_text[j] = "".join([f" s{x}" for x in j])
+        right = right_text.get(k)
+        if right is None:
+            right = right_text[k] = "".join([f" s{x}*" for x in reversed(k)])
+        c = terms[key]
+        real, imag = c.real, c.imag
+        # the sign is pulled out so that the leading nonzero part is positive
+        if real < 0 or (real == 0 and imag < 0):
+            sign = " - "
+            real, imag = -real, -imag
         else:
-            body = f"{_scalar_text(c)} {word}"
-        rendered.append((negative, body))
-    negative, body = rendered[0]
-    out = ("-" if negative else "") + body
-    for negative, body in rendered[1:]:
-        out += (" - " if negative else " + ") + body
-    return out
+            sign = " + "
+        if imag == 0:
+            if real == 1:
+                append(sign + ((left + right)[1:] or "I"))
+            else:
+                append(f"{sign}{real!r}{left}{right}")
+        elif real == 0:
+            scalar = "i" if imag == 1 else f"{imag!r}i"
+            append(f"{sign}{scalar}{left}{right}")
+        elif imag > 0:
+            append(f"{sign}({real!r}+{imag!r}i){left}{right}")
+        else:
+            append(f"{sign}({real!r}-{-imag!r}i){left}{right}")
+    first = pieces[0]
+    pieces[0] = ("-" if first[1] == "-" else "") + first[3:]
+    return "".join(pieces)

@@ -264,3 +264,41 @@ def reference_parse_sum(parser, summands):
         else:
             out = (1.0, parser._materialize(out) + parser._materialize(pair))
     return out
+
+
+def _reference_scalar_text(c: complex) -> str:
+    if c.imag == 0:
+        return repr(float(c.real))
+    if c.real == 0:
+        if c.imag == 1:
+            return "i"
+        return repr(float(c.imag)) + "i"
+    sign = "+" if c.imag > 0 else "-"
+    return f"({float(c.real)!r}{sign}{float(abs(c.imag))!r}i)"
+
+
+def reference_format_element(a) -> str:
+    """`format_element` term by term: terms sorted by `term_sort_key`, both
+    words of every term joined afresh, and the text grown piece by piece."""
+    if not a.terms:
+        return "0"
+    rendered = []
+    for (j, k), c in a.sorted_terms():
+        negative = c.real < 0 or (c.real == 0 and c.imag < 0)
+        if negative:
+            c = -c
+        word = " ".join(
+            [f"s{x}" for x in j] + [f"s{x}*" for x in reversed(k)]
+        )
+        if not word:
+            body = "I" if c == 1 else _reference_scalar_text(c)
+        elif c == 1:
+            body = word
+        else:
+            body = f"{_reference_scalar_text(c)} {word}"
+        rendered.append((negative, body))
+    negative, body = rendered[0]
+    out = ("-" if negative else "") + body
+    for negative, body in rendered[1:]:
+        out += (" - " if negative else " + ") + body
+    return out

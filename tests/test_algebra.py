@@ -1,6 +1,7 @@
 """Normal forms, structural maps and the anticommutation embedding."""
 
 import itertools
+import math
 from unittest import mock
 
 import numpy as np
@@ -85,6 +86,15 @@ def test_linear_combine():
     assert g.linear_combine([(1, s1), (0, s2)]) == s1
     assert g.linear_combine([(1, s1), (-1, s1)]).is_zero()
     assert g.linear_combine([(0.5, g.identity(2)), (0.5, g.identity(2))]) == g.identity(2)
+
+
+@pytest.mark.parametrize("coeff", [math.inf, -math.inf, math.nan, complex(1.0, math.inf),
+                                   complex(math.nan, 0.0), complex(0.0, math.nan)])
+def test_public_constructors_reject_non_finite_coefficients(coeff):
+    with pytest.raises(ValueError, match="is not finite"):
+        g.AlgebraElement.from_terms(2, {((1,), ()): 1.0, ((2,), (1,)): coeff})
+    with pytest.raises(ValueError, match="is not finite"):
+        g.word_element(2, (1,), (), coeff)
 
 
 @pytest.mark.parametrize("n", [2, 3])

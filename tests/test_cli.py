@@ -67,6 +67,30 @@ def test_normalize_json(capsys):
     assert json.loads(out) == {"normal_form": "s1 s1* + s2 s2*"}
 
 
+# 27 x 27 = 729 terms; units, i, exponent literals and all four scalar forms
+NORMALIZE_PRODUCT = ("(s1 - s2 + i s3)(s1 + (2-3i) s2 - 1e-5 s3)(s1 + 2i s2 - 1.25 s3)"
+                     "((s1 + i s2 - s3)(s1 - 0.75i s2 + 3e20 s3)(s1 + s2 - i s3))*")
+
+
+def test_normalize_output_is_stable(capsys):
+    code, out, _ = run_cli(capsys, "normalize", "-N", "3", "-f", "json", NORMALIZE_PRODUCT)
+    assert code == 0
+    assert out == (DATA / "normalize_product_n3.json").read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ("normalize", "-N", "2"),
+    ("state-eval", "--inline", CYCLE_E1),
+])
+@pytest.mark.parametrize("expression", ["1e308 s1 + 1e308 s1", "(1e308 1e308 - 1e308 1e308) s1 + s2"])
+def test_non_finite_coefficients_are_refused(argv, expression):
+    proc = run_module(*argv, expression)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
+
+
 def test_normalize_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "normalize", "-N", "2", "s9")
     assert code == 1

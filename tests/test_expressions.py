@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import pathlib
+import random
 
 import numpy as np
 import pytest
@@ -9,7 +11,15 @@ from hypothesis import given, strategies as st
 
 import gpcuntz as g
 from gpcuntz import expressions
-from helpers import assert_elements_close, random_element, random_unit, reference_parse_sum
+from helpers import (
+    assert_elements_close,
+    random_element,
+    random_unit,
+    reference_format_element,
+    reference_parse_sum,
+)
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 elements = st.dictionaries(
     st.tuples(
@@ -72,6 +82,34 @@ def test_parse_errors_carry_offsets():
         g.parse("1/0", 2)
 
 
+@pytest.mark.parametrize("text, position", [
+    ("1e308 s1 + 1e308 s1", 0),
+    ("(1e308 1e308 - 1e308 1e308) s1 + s2", 0),
+    ("exp(i 2) exp(709) exp(709)", 0),
+    ("s2 exp(1000) s1", 3),
+    ("s1 + 1e400 s2", 5),
+])
+def test_parse_refuses_non_finite_coefficients(text, position):
+    with pytest.raises(g.ExprSyntaxError) as err:
+        g.parse(text, 2)
+    assert err.value.position == position
+
+
+def test_format_refuses_non_finite_coefficients():
+    big = g.word_element(2, (1,), (), 1e200)
+    with pytest.raises(ValueError, match="is not finite"):
+        g.format_element(g.multiply(big, big) + g.generator(2, 2))
+    with pytest.raises(ValueError, match="is not finite"):
+        g.format_element(g.AlgebraElement(2, {((), ()): complex(1.0, math.nan)}))
+
+
+def test_format_prints_finite_coefficients_whose_sum_overflows():
+    big = 1.7976931348623157e308
+    a = g.AlgebraElement.from_terms(2, {((1,), ()): big, ((2,), ()): big})
+    assert g.format_element(a) == "1.7976931348623157e+308 s1 + 1.7976931348623157e+308 s2"
+    assert g.parse(g.format_element(a), 2) == a
+
+
 def test_format_trivia():
     assert g.format_element(g.zero(2)) == "0"
     assert g.format_element(g.identity(2)) == "I"
@@ -103,6 +141,55 @@ def test_format_deterministic():
     rng_terms = {((1,), (2,)): 1.25 - 3j, ((), ()): 0.5j, ((2, 2), ()): -1.0}
     a = g.AlgebraElement.from_terms(2, rng_terms)
     assert g.format_element(a) == g.format_element(g.AlgebraElement.from_terms(2, rng_terms))
+
+
+# parts of coefficients at the printer's edges: signed zeros, units, and
+# magnitudes whose shortest repr carries an exponent
+EDGE_PARTS = [0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 1e-300, -1e-300, 1e300, -1e300,
+              1.7976931348623157e308, -5e-324, 1e16, 1e-5]
+edge_parts = st.one_of(
+    st.sampled_from(EDGE_PARTS), st.floats(allow_nan=False, allow_infinity=False)
+)
+edge_coefficients = st.one_of(
+    st.sampled_from([1, -1, 1j, -1j, complex(-0.0, 2.0), complex(3.0, -0.0),
+                     complex(-0.0, -1.0), complex(1.0, -0.0), complex(-1.0, 0.0)]).map(complex),
+    edge_parts.map(complex),
+    edge_parts.map(lambda y: complex(0.0, y)),
+    st.builds(complex, edge_parts, edge_parts),
+)
+
+
+def _edge_elements(n):
+    words = st.lists(st.integers(1, n), max_size=4).map(tuple)
+    keys = st.one_of(st.just(((), ())), st.tuples(words, words))
+    # the printer is handed the coefficients as they are, tiny ones included
+    return st.dictionaries(keys, edge_coefficients, max_size=12).map(
+        lambda terms: g.AlgebraElement(n, terms)
+    )
+
+
+@given(st.integers(2, 4).flatmap(_edge_elements))
+def test_format_matches_the_term_by_term_printer(a):
+    assert g.format_element(a) == reference_format_element(a)
+
+
+def exact_unit(rng, n):
+    """A random unit vector normalized by correctly rounded operations only,
+    so its bits do not depend on the BLAS at hand."""
+    v = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+    norm = math.sqrt(sum(c.real * c.real + c.imag * c.imag for c in v))
+    return [c / norm for c in v]
+
+
+def test_format_of_a_6561_term_product_is_stable():
+    rng = random.Random(6561)
+    p = g.s_of([exact_unit(rng, 3) for _ in range(4)])
+    q = g.s_of([exact_unit(rng, 3) for _ in range(4)])
+    pq = g.multiply(p, q.adjoint())
+    assert len(pq.terms) == 6561
+    text = g.format_element(pq)
+    assert text == reference_format_element(pq)
+    assert text + "\n" == (DATA / "format_pq_n3.txt").read_text()
 
 
 def test_parse_roundtrips_a_2187_term_product():
