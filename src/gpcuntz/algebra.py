@@ -16,9 +16,8 @@ terms of one (|J|, |K|) block at once rather than term by term, as one
 sparse tensor acted on letter axis by letter axis, so a sparse G keeps
 it sparse at any length.
 
-Coefficients are double precision; anything below PRUNE_TOL is dropped.
-Unit norms, unimodular scalars and unitaries are accepted within UNIT_TOL
-throughout the package.
+Coefficients are double precision.  The table below is the package's one
+numeric policy; `_check_near` tests every unit, unimodular or unitary input.
 All values are immutable after construction and every operation is pure.
 """
 
@@ -30,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PRUNE_TOL = 1e-12
-# how far a unit vector's norm, a unimodular scalar's modulus or a unitary's
-# G G^H may stray from 1 (resp. I)
-UNIT_TOL = 1e-10
+PRUNE_TOL = 1e-12   # a coefficient, entry or imaginary residue at or below it is 0; NaN is not
+UNIT_TOL = 1e-10    # how far a unit or unimodular input may stray from 1 (G G^H from I)
+PIVOT_TOL = 1e-8    # least magnitude a component or Gram-Schmidt residual needs as a pivot
+DEFAULT_TOL = 1e-9  # the decision tolerance, which GPCUNTZ_TOL overrides
 # most terms expand_identity may generate before merging them, and most
 # entries unitary_action may hold
 EXPAND_BUDGET = 1 << 22
@@ -77,11 +76,18 @@ def check_finite(terms) -> None:
             raise ValueError(f"coefficient {c} of the word J={j}, K={k} is not finite")
 
 
+def _check_near(values, target, message: str) -> None:
+    """Raise ValueError(message) unless each |value - target| <= UNIT_TOL,
+    which NaN never is; a scalar skips the array reduction, which costs more."""
+    near = abs(values - target) <= UNIT_TOL
+    if not (near.all() if isinstance(near, np.ndarray) else near):
+        raise ValueError(message)
+
+
 def _unimodular(c, what: str) -> complex:
     """complex(c), refused unless |c| = 1 within UNIT_TOL."""
     c = complex(c)
-    if abs(abs(c) - 1.0) > UNIT_TOL:
-        raise ValueError(f"{what} must be unimodular")
+    _check_near(abs(c), 1.0, f"{what} must be unimodular")
     return c
 
 
@@ -325,8 +331,7 @@ def _check_unitary(g, n: int):
     g = np.asarray(g, dtype=complex)
     if g.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got {g.shape}")
-    if np.max(np.abs(g @ g.conj().T - np.eye(n))) > UNIT_TOL:
-        raise ValueError(f"matrix is not unitary within {UNIT_TOL}")
+    _check_near(g @ g.conj().T, np.eye(n), f"matrix is not unitary within {UNIT_TOL}")
     return g
 
 
@@ -407,10 +412,10 @@ def _act_on_block(g, la, lb, word_letters, coeffs):
     head and new letter, in sorted order), so words of any length fit in
     int64.  Acting on an axis extends each entry by the entries of one
     column of G above PRUNE_TOL; entries that meet are summed and those at
-    or below PRUNE_TOL dropped, as `multiply` drops them.  No step holds
-    more entries than the sum over terms of |u_J| |u_K|, an image counted
-    by the entries above PRUNE_TOL in the columns its letters pick, and a
-    monomial G keeps one entry per term.
+    or below PRUNE_TOL dropped, as `multiply` drops them (NaN is kept).  No
+    step holds more entries than the sum over terms of |u_J| |u_K|, an
+    image counted by the entries above PRUNE_TOL in the columns its letters
+    pick, and a monomial G keeps one entry per term.
     """
     n = g.shape[0]
     col_of, col_rows = np.nonzero(np.abs(g.T) > PRUNE_TOL)
@@ -438,7 +443,7 @@ def _act_on_block(g, la, lb, word_letters, coeffs):
         del x, entry, at
         pairs, suffix, vals = _merge(keys, vals, heads * n, count[axis + 1])
         del keys
-        keep = np.abs(vals) > PRUNE_TOL
+        keep = ~(np.abs(vals) <= PRUNE_TOL)
         if not keep.all():
             pairs, suffix, vals = pairs[keep], suffix[keep], vals[keep]
         # pairs come sorted, so each run of equal pairs is one new head
@@ -557,10 +562,10 @@ def s_of(vectors, n: int | None = None) -> AlgebraElement:
         n = arr.shape[1]
     elif arr.shape[1] != n:
         raise RankMismatchError(f"vectors live in C^{arr.shape[1]}, expected C^{n}")
+    _check_near(np.linalg.norm(arr, axis=1), 1.0,
+                f"factors must be unit vectors within {UNIT_TOL}")
     out = identity(n)
     for row in arr:
-        if abs(np.linalg.norm(row) - 1.0) > UNIT_TOL:
-            raise ValueError(f"factors must be unit vectors within {UNIT_TOL}")
         factor = AlgebraElement._from_words(
             n, {((i,), ()): row[i - 1] for i in range(1, n + 1)}
         )

@@ -3,10 +3,10 @@
 Subcommands: normalize, state-eval, classify, equivalent, decompose,
 rep-build, verify, diagnostics, car-check.  Parameters come from a JSON
 file (--param) or an inline JSON string (--inline); expressions use the
-grammar of `gpcuntz.expressions`.  The environment variable GPCUNTZ_TOL
-overrides the default tolerance 1e-9.  Exit codes: 0 success, 1 domain
-error, 2 usage error.  Floats print with shortest round-trip literals
-(up to 17 significant digits).
+grammar of `gpcuntz.expressions`.  The environment variable GPCUNTZ_TOL, a
+finite positive number, overrides the default tolerance 1e-9.  Exit codes:
+0 success, 1 domain error, 2 usage error.  Floats print with shortest
+round-trip literals (up to 17 significant digits).
 """
 
 from __future__ import annotations
@@ -25,7 +25,10 @@ from .classify import classify, decompose_chain, decompose_cycle, equivalent
 
 def _tolerance() -> float:
     raw = os.environ.get("GPCUNTZ_TOL")
-    return float(raw) if raw else params.DEFAULT_TOL
+    tol = _number_in(raw, "GPCUNTZ_TOL") if raw else algebra.DEFAULT_TOL
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"GPCUNTZ_TOL must be a finite positive number, got {raw!r}")
+    return tol
 
 
 # ----------------------------------------------------------------------
@@ -250,9 +253,8 @@ def _cmd_rep_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    param = _param_from_args(args)
-    rep = _build_rep(args, param)
     tol = _tolerance()
+    rep = _build_rep(args, _param_from_args(args))
     report = reps.verify_gp(rep)
     payload = report.to_dict()
     payload["passed"] = report.passed(tol)
@@ -274,11 +276,11 @@ def _diag_chain(args):
         )
     if args.rotation:
         num, _, den = args.rotation.partition("/")
-        return params.rotation_chain(Fraction(int(num), int(den or "1")))
+        return param_from_json({"kind": "chain", "rotation": {"num": num, "den": den or "1"}})
     if args.theta is not None:
-        return params.rotation_chain(float(args.theta))
+        return param_from_json({"kind": "chain", "theta": args.theta})
     if args.gray_zone:
-        return params.gray_zone_chain()
+        return param_from_json({"kind": "chain", "gray_zone": True})
     chain = _param_from_args(args)
     if not isinstance(chain, params.ChainParam):
         raise ValueError("diagnostics needs a chain parameter")

@@ -7,9 +7,9 @@ compare factors by overlap phase: `_phase_match` returns the phases c_i
 of <b_i|a_i> when every |a_i - c_i b_i| is below the tolerance, with no
 component singled out (cycle equivalence also needs their product to be
 1), and rational rotations are decided in closed form.  The canonical
-form -- each factor rotated until its first component above 1e-8 is real
-positive, the removed phases collected into one global phase -- is for
-presentation only: canonicalize_cycle, roots and decomposition bases.
+form -- each factor rotated until its first component above PIVOT_TOL is
+real positive, the removed phases collected into one global phase -- is
+for presentation only: canonicalize_cycle, roots and decomposition bases.
 
 Chains come in four kinds:
 
@@ -33,14 +33,13 @@ from functools import reduce
 
 import numpy as np
 
-from .algebra import UNIT_TOL, RankMismatchError, _unimodular
+from .algebra import DEFAULT_TOL, PIVOT_TOL, UNIT_TOL, RankMismatchError, _check_near, _unimodular
 
-DEFAULT_TOL = 1e-9
 # most overlap summands, and most chain factors in C^2, one diagnostics
 # request may generate; factors are charged by their entries, so a chain in
 # C^N may generate 2 / N as many
 DIAGNOSTICS_BUDGET = 1 << 23
-_FIRST_COMPONENT_TOL = 1e-8
+_NOT_UNIT = f"vector must have unit norm within {UNIT_TOL}"
 
 
 class UndecidableError(ValueError):
@@ -54,8 +53,7 @@ def unit_vector(components) -> np.ndarray:
     v = np.asarray(components, dtype=complex)
     if v.ndim != 1 or v.size < 2:
         raise ValueError("expected a vector in C^N with N >= 2")
-    if abs(np.linalg.norm(v) - 1.0) > UNIT_TOL:
-        raise ValueError(f"vector must have unit norm within {UNIT_TOL}")
+    _check_near(np.linalg.norm(v), 1.0, _NOT_UNIT)
     v = v.copy()
     v.flags.writeable = False
     return v
@@ -74,8 +72,8 @@ def complex_pairs(values) -> list:
 
 
 def _phase_split(v: np.ndarray):
-    """(phase-normalized copy, removed phase); first significant entry real > 0."""
-    idx = int(np.argmax(np.abs(v) > _FIRST_COMPONENT_TOL))
+    """(phase-normalized copy, removed phase); first entry above PIVOT_TOL real > 0."""
+    idx = int(np.argmax(np.abs(v) > PIVOT_TOL))
     a = v[idx]
     phase = a / abs(a)
     return v / phase, phase
@@ -308,8 +306,7 @@ def chain_factors(chain: ChainParam, start: int, count: int) -> np.ndarray:
         rows = rows.reshape(count, chain.n)
     else:
         raise ValueError(f"unknown chain kind {chain.kind!r}")
-    if np.any(np.abs(np.linalg.norm(rows, axis=1) - 1.0) > UNIT_TOL):
-        raise ValueError(f"vector must have unit norm within {UNIT_TOL}")
+    _check_near(np.linalg.norm(rows, axis=1), 1.0, _NOT_UNIT)
     rows.flags.writeable = False
     return rows
 

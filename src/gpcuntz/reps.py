@@ -42,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import UNIT_TOL, AlgebraElement, RankMismatchError, _unimodular
+from .algebra import (PIVOT_TOL, PRUNE_TOL, AlgebraElement, RankMismatchError, _check_near,
+                      _unimodular)
 from .params import (
     ChainParam,
     CycleParam,
@@ -59,8 +60,6 @@ REP_BUDGET = 1 << 20
 # most entries, count x dim, the dense basis stack of verify_gp may hold
 # per REP_BUDGET basis vectors (128 MiB of complex entries at the default)
 _BASIS_STACK_SHARE = 8
-# complete_unitary skips a Gram-Schmidt candidate whose residual norm is below this
-_RESIDUAL_TOL = 1e-8
 
 
 class TruncationOverflowError(RuntimeError):
@@ -71,11 +70,10 @@ def complete_unitary(z) -> np.ndarray:
     """Deterministic unitary with first column z.
 
     Modified Gram-Schmidt over the sequence (z, e_1, ..., e_N), skipping
-    candidates whose residual norm falls below _RESIDUAL_TOL.
+    candidates whose residual norm falls below PIVOT_TOL.
     """
     z = np.asarray(z, dtype=complex)
-    if abs(np.linalg.norm(z) - 1.0) > UNIT_TOL:
-        raise ValueError("column seed must be a unit vector")
+    _check_near(np.linalg.norm(z), 1.0, "column seed must be a unit vector")
     n = z.size
     cols = [z]
     for i in range(n):
@@ -86,7 +84,7 @@ def complete_unitary(z) -> np.ndarray:
         for c in cols:
             v = v - c * (np.conj(c) @ v)
         norm = np.linalg.norm(v)
-        if norm >= _RESIDUAL_TOL:
+        if norm >= PIVOT_TOL:
             cols.append(v / norm)
     return np.stack(cols, axis=1)
 
@@ -312,19 +310,16 @@ def element_matrix(rep: TruncatedRep, a: AlgebraElement):
     return out
 
 
-_SUPPORT_TOL = 1e-12
-
-
 def _apply_generator(rep: TruncatedRep, letter: int, vec: np.ndarray, adjoint: bool):
     if adjoint:
         # adjoints annihilate every layer that no step targets: the top
         # window layer of a chain, none of a cycle
-        if np.any(np.abs(vec[~rep.sum_interior]) > _SUPPORT_TOL):
+        if not np.all(np.abs(vec[~rep.sum_interior]) <= PRUNE_TOL):
             raise TruncationOverflowError(
                 "support reached the top window layer; enlarge d_plus"
             )
         return rep.gen_adjoint(letter) @ vec
-    if np.any(np.abs(vec[~rep.interior]) > _SUPPORT_TOL):
+    if not np.all(np.abs(vec[~rep.interior]) <= PRUNE_TOL):
         raise TruncationOverflowError(
             "support escaped the exact interior; enlarge the depth"
         )

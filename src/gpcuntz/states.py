@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraElement, RankMismatchError, car_generator, multiply
+from .algebra import PRUNE_TOL, AlgebraElement, RankMismatchError, car_generator, multiply
 from .params import (
     ChainParam,
     CycleParam,
@@ -138,6 +138,6 @@ def fock_annihilation_residual(n: int) -> float:
     vacuum = GPState(explicit_chain([basis_vector(2, 1)]))
     a = car_generator(n)
     value = vacuum.evaluate(multiply(a.adjoint(), a))
-    if abs(value.imag) > 1e-12:
+    if not abs(value.imag) <= PRUNE_TOL:
         raise AssertionError("residual unexpectedly non-real")
     return float(value.real)

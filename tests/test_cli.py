@@ -514,6 +514,45 @@ def test_tolerance_env_override(monkeypatch):
     assert cli._tolerance() == 1e-9
 
 
+@pytest.mark.parametrize("raw", ["nan", "0", "-1", "inf", "-inf", "1e-9x"])
+def test_tolerance_env_must_be_finite_and_positive(capsys, monkeypatch, raw):
+    monkeypatch.setenv("GPCUNTZ_TOL", raw)
+    code, out, err = run_cli(capsys, "classify", "--inline", CYCLE_E1E1)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: GPCUNTZ_TOL must be a ")
+
+
+def test_verify_checks_the_tolerance_before_building(capsys, monkeypatch):
+    monkeypatch.setenv("GPCUNTZ_TOL", "0")
+
+    def no_build(*_):
+        raise AssertionError("the rep was built")
+
+    monkeypatch.setattr(cli.reps, "build_cycle_rep", no_build)
+    code, _, err = run_cli(capsys, "verify", "--inline", CYCLE_E1, "--depth", "3")
+    assert code == 1
+    assert err == "error: GPCUNTZ_TOL must be a finite positive number, got '0'\n"
+
+
+def test_nan_parameter_is_refused():
+    proc = run_module("classify", "--inline", '{"kind":"cycle","factors":[[NaN,0]]}')
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: vector must have unit norm within 1e-10\n"
+
+
+def test_diagnostics_rotation_is_decoded_by_the_schema(capsys):
+    code, out, err = run_cli(capsys, "diagnostics", "--rotation", "1/0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: chain 'rotation' den must be nonzero\n"
+    code, out, err = run_cli(capsys, "diagnostics", "--rotation", "one/3")
+    assert code == 1
+    assert err == "error: chain 'rotation' num must be an integer, got 'one'\n"
+
+
 def run_python(*args, preexec_fn=None):
     # the child process imports gpcuntz from the same tree as this test run,
     # installed or not
