@@ -22,7 +22,7 @@ from .params import (
     ChainParam,
     CycleParam,
     UndecidableError,
-    canonicalize_cycle,
+    _phase_split,
     chain_tail_equivalent,
     complex_pairs,
     cycles_equivalent,
@@ -61,7 +61,7 @@ class ClassificationReport:
         if self.period is not None:
             out["period"] = self.period
         if self.root is not None:
-            out["root_factors"] = [complex_pairs(f) for f in self.root.factors]
+            out["root_factors"] = complex_pairs(self.root.rows)
         return out
 
 
@@ -126,17 +126,7 @@ def decompose_cycle(z: CycleParam, tol: float = DEFAULT_TOL) -> list:
     root, power = primitive_root(z, tol)
     if power == 1:
         return [z]
-    components = [
-        scale_cycle(root, cmath.exp(2j * math.pi * j / power)) for j in range(power)
-    ]
-    for i in range(len(components)):
-        for j in range(i + 1, len(components)):
-            if cycles_equivalent(components[i], components[j], tol):
-                raise RuntimeError(
-                    "decomposition produced equivalent components; "
-                    "this contradicts multiplicity-freeness"
-                )
-    return components
+    return [scale_cycle(root, cmath.exp(2j * math.pi * j / power)) for j in range(power)]
 
 
 @dataclass(frozen=True)
@@ -160,7 +150,7 @@ class DirectIntegralDescriptor:
         return {
             "measure": self.measure,
             "uniqueness": self.uniqueness,
-            "base_factors": [complex_pairs(f) for f in self.base.factors],
+            "base_factors": complex_pairs(self.base.rows),
         }
 
 
@@ -178,13 +168,8 @@ def decompose_chain(z: ChainParam, tol: float = DEFAULT_TOL) -> DirectIntegralDe
         )
     if z.kind == "rotation":
         z = rotation_to_explicit(z)
-    block = CycleParam(tuple(z.period))
-    canon = canonicalize_cycle(block)
-    stripped = CycleParam(canon.factors)
-    root, _power = primitive_root(stripped, tol)
-    root_canon = canonicalize_cycle(root)
-    base = CycleParam(root_canon.factors)
-    return DirectIntegralDescriptor(base)
+    root = primitive_root(CycleParam(_phase_split(z.period)[0]), tol)[0]
+    return DirectIntegralDescriptor(CycleParam(_phase_split(root.rows)[0]))
 
 
 @dataclass(frozen=True)
@@ -193,7 +178,7 @@ class BranchingReport:
 
     component_count: int | None      # None marks countably infinite
     infinite: bool
-    generator_words: tuple = ()      # factor suffixes generating each piece
+    generator_words: tuple = ()      # factor suffixes (row stacks) generating each piece
 
     def to_dict(self):
         out = {
@@ -201,9 +186,7 @@ class BranchingReport:
             "infinite": self.infinite,
         }
         if self.generator_words:
-            out["generators"] = [
-                [complex_pairs(f) for f in word] for word in self.generator_words
-            ]
+            out["generators"] = [complex_pairs(word) for word in self.generator_words]
         return out
 
 
@@ -216,7 +199,7 @@ def branching_u1(param) -> BranchingReport:
     """
     if isinstance(param, CycleParam):
         k = param.k
-        words = tuple(tuple(param.factors[i:]) for i in range(k))
+        words = tuple(param.rows[i:] for i in range(k))
         return BranchingReport(k, False, words)
     if isinstance(param, ChainParam):
         return BranchingReport(None, True)
@@ -248,9 +231,8 @@ def numeric_cycle_eigencheck(v: CycleParam, p: int, depth: int | None = None,
         depth = max(2, needed)
     if depth < needed:
         raise ValueError(f"insufficient depth: need >= {needed}, have {depth}")
-    big = CycleParam(v.factors * p)
-    rep = build_cycle_rep(big, depth)
-    a = cycle_isometry(rep, v.factors)
+    rep = build_cycle_rep(CycleParam(np.tile(v.rows, (p, 1))), depth)
+    a = cycle_isometry(rep, v.rows)
     orbit = []
     w = rep.omega
     for _ in range(p):

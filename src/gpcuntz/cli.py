@@ -36,10 +36,15 @@ def _tolerance() -> float:
 
 def _number_in(entry, field: str, kind=float):
     try:
-        return kind(entry)
-    except (TypeError, ValueError):
+        value = kind(entry)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    # int() truncates 1.5 and overflows on inf: an integer field takes a float
+    # only when int() keeps it exactly
+    if value is None or kind is int and isinstance(entry, float) and value != entry:
         what = "an integer" if kind is int else "a number"
-        raise ValueError(f"{field} must be {what}, got {entry!r}") from None
+        raise ValueError(f"{field} must be {what}, got {entry!r}")
+    return value
 
 
 def _complex_in(entry, field: str) -> complex:
@@ -113,14 +118,9 @@ def param_from_json(obj):
 def param_to_json(p) -> dict:
     vec = params.complex_pairs
     if isinstance(p, params.CycleParam):
-        return {"kind": "cycle", "N": p.n, "factors": [vec(f) for f in p.factors]}
+        return {"kind": "cycle", "N": p.n, "factors": vec(p.rows)}
     if p.kind == "explicit":
-        return {
-            "kind": "chain",
-            "N": p.n,
-            "preperiod": [vec(f) for f in p.preperiod],
-            "period": [vec(f) for f in p.period],
-        }
+        return {"kind": "chain", "N": p.n, "preperiod": vec(p.preperiod), "period": vec(p.period)}
     if p.kind == "rotation":
         if isinstance(p.theta, Fraction):
             return {
@@ -130,7 +130,7 @@ def param_to_json(p) -> dict:
         return {"kind": "chain", "theta": p.theta}
     if p.kind == "gray_zone":
         return {"kind": "chain", "gray_zone": True}
-    return {"kind": "chain", "prefix": [vec(f) for f in p.prefix]}
+    return {"kind": "chain", "prefix": vec(p.prefix)}
 
 
 def _load_param(source: str):

@@ -50,13 +50,7 @@ class UndecidableError(ValueError):
 # vectors
 
 def unit_vector(components) -> np.ndarray:
-    v = np.asarray(components, dtype=complex)
-    if v.ndim != 1 or v.size < 2:
-        raise ValueError("expected a vector in C^N with N >= 2")
-    _check_near(np.linalg.norm(v), 1.0, _NOT_UNIT)
-    v = v.copy()
-    v.flags.writeable = False
-    return v
+    return _unit_rows([components], "vector")[0]
 
 
 def basis_vector(n: int, i: int) -> np.ndarray:
@@ -71,85 +65,104 @@ def complex_pairs(values) -> list:
     return np.stack([values.real, values.imag], axis=-1).tolist()
 
 
-def _phase_split(v: np.ndarray):
-    """(phase-normalized copy, removed phase); first entry above PIVOT_TOL real > 0."""
-    idx = int(np.argmax(np.abs(v) > PIVOT_TOL))
-    a = v[idx]
-    phase = a / abs(a)
-    return v / phase, phase
+def _phase_split(rows: np.ndarray):
+    """(phase-normalized copy, removed phases) of a (count, N) stack: each row
+    divided by the phase of its first entry above PIVOT_TOL in modulus."""
+    pivots = rows[np.arange(len(rows)), np.argmax(np.abs(rows) > PIVOT_TOL, axis=1)]
+    # hypot, not np.abs: the array abs may differ from the scalar one in the
+    # last bit, and the canonical rows are printed
+    phases = pivots / np.hypot(pivots.real, pivots.imag)
+    return rows / phases[:, None], phases
+
+
+def _unit_rows(vectors, owner: str) -> np.ndarray:
+    """Nonempty vectors as one read-only (count, N) array, checked once: N >= 2,
+    one N for all (else a RankMismatchError naming `owner`), unit rows."""
+    try:
+        rows = np.array(vectors, dtype=complex, order="C")
+    except ValueError:  # ragged
+        rows = None
+    if rows is None or rows.ndim != 2 or rows.shape[1] < 2:
+        if any(np.ndim(v) != 1 or np.size(v) < 2 for v in vectors):
+            raise ValueError("expected a vector in C^N with N >= 2")
+        raise RankMismatchError(f"{owner} factors must share one ambient dimension")
+    # norms of the real view: a complex product of an infinite entry warns
+    _check_near(np.linalg.norm(rows.view(float), axis=1), 1.0, _NOT_UNIT)
+    rows.flags.writeable = False
+    return rows
 
 
 # ----------------------------------------------------------------------
 # cycles
 
-@dataclass(frozen=True, eq=False)
-class CycleParam:
-    """Factor list of a finite tensor of unit vectors."""
-
-    factors: tuple
+class _FactorStack:
+    """A read-only (k, N) array `rows` of unit vectors, built from a sequence
+    of them or such an array; `factors` is the tuple of its row views."""
 
     def __post_init__(self):
-        if not self.factors:
+        if not len(self.rows):
             raise ValueError("a cycle needs at least one factor")
+        object.__setattr__(self, "rows", _unit_rows(self.rows, "cycle"))
+
+    @property
+    def factors(self) -> tuple:
+        return tuple(self.rows)
 
     @property
     def k(self) -> int:
-        return len(self.factors)
+        return self.rows.shape[0]
 
     @property
     def n(self) -> int:
-        return int(self.factors[0].size)
+        return self.rows.shape[1]
+
+
+@dataclass(frozen=True, eq=False)
+class CycleParam(_FactorStack):
+    """Factor stack of a finite tensor z^(1) x ... x z^(k) of unit vectors."""
+
+    rows: np.ndarray
 
 
 def cycle(vectors) -> CycleParam:
-    factors = tuple(unit_vector(v) for v in vectors)
-    if not factors:
-        raise ValueError("a cycle needs at least one factor")
-    sizes = {f.size for f in factors}
-    if len(sizes) != 1:
-        raise RankMismatchError("cycle factors must share one ambient dimension")
-    return CycleParam(factors)
+    return CycleParam(vectors)
 
 
 def scale_cycle(z: CycleParam, c) -> CycleParam:
     """The tensor c*z, realized by scaling the first factor."""
     c = _unimodular(c, "cycle scaling")
-    return CycleParam((unit_vector(z.factors[0] * c),) + z.factors[1:])
+    return CycleParam(np.vstack((z.rows[0] * c, z.rows[1:])))
 
 
 @dataclass(frozen=True, eq=False)
-class CanonicalCycle:
-    factors: tuple
+class CanonicalCycle(_FactorStack):
+    rows: np.ndarray
     global_phase: complex
 
 
 def canonicalize_cycle(z: CycleParam) -> CanonicalCycle:
-    normalized = []
-    phase = 1.0 + 0.0j
-    for f in z.factors:
-        nf, ph = _phase_split(f)
-        normalized.append(nf)
-        phase *= ph
-    return CanonicalCycle(tuple(normalized), complex(phase))
+    rows, phases = _phase_split(z.rows)
+    return CanonicalCycle(rows, complex(np.prod(phases)))
 
 
 def full_tensor(z) -> np.ndarray:
     """Flattened tensor product of the factors (times the stored phase)."""
     if isinstance(z, CanonicalCycle):
-        return z.global_phase * reduce(np.kron, z.factors)
-    return reduce(np.kron, z.factors)
+        return z.global_phase * reduce(np.kron, z.rows)
+    return reduce(np.kron, z.rows)
 
 
 def _divisors(k: int):
-    return [d for d in range(1, k + 1) if k % d == 0]
+    low = [d for d in range(1, math.isqrt(k) + 1) if k % d == 0]
+    return sorted({*low, *(k // d for d in low)})
 
 
 def _phase_match(a: np.ndarray, b: np.ndarray, tol: float):
     """The phases c_i of <b_i|a_i> if |a_i - c_i b_i| < tol for every row, else
     None: the decision layer's one factor comparison, with no pivot."""
-    overlap = np.sum(np.conj(b) * a, axis=1)
+    overlap = np.sum(np.conj(b) * a, axis=-1)
     phases = np.divide(overlap, np.abs(overlap), out=np.ones_like(overlap), where=overlap != 0)
-    return phases if np.all(np.linalg.norm(a - phases[:, None] * b, axis=1) < tol) else None
+    return phases if np.all(np.linalg.norm(a - phases[..., None] * b, axis=-1) < tol) else None
 
 
 def _block_period(rows: np.ndarray, tol: float):
@@ -157,7 +170,10 @@ def _block_period(rows: np.ndarray, tol: float):
     and those phases (None for d = len(rows))."""
     k = len(rows)
     for d in _divisors(k)[:-1]:
-        phases = _phase_match(rows, np.tile(rows[:d], (k // d, 1)), tol)
+        # the second block alone rules out most d at a fraction of the cost
+        if _phase_match(rows[d : 2 * d], rows[:d], tol) is None:
+            continue
+        phases = _phase_match(rows.reshape(k // d, d, -1), rows[:d], tol)
         if phases is not None:
             return d, phases
     return k, None
@@ -172,18 +188,17 @@ def primitive_root(z: CycleParam, tol: float = DEFAULT_TOL):
     canonical pivot jumped between blocks, the matched phase joins it.
     """
     canon = canonicalize_cycle(z)
-    rows = np.stack(canon.factors)
+    rows = canon.rows
     d, phases = _block_period(rows, tol)
     p = len(rows) // d
     if p == 1:
         return z, 1
     phase = canon.global_phase
-    jumped = np.linalg.norm(rows - np.tile(rows[:d], (p, 1)), axis=1) >= tol
+    jumped = np.linalg.norm(rows.reshape(p, d, -1) - rows[:d], axis=-1) >= tol
     if jumped.any():
         phase *= complex(np.prod(phases[jumped]))
     root_phase = cmath.exp(cmath.log(phase) / p)
-    head = (unit_vector(canon.factors[0] * root_phase),) + canon.factors[1:d]
-    return CycleParam(head), p
+    return CycleParam(np.vstack((rows[0] * root_phase, rows[1:d]))), p
 
 
 def cycles_equivalent(z: CycleParam, y: CycleParam, tol: float = DEFAULT_TOL) -> bool:
@@ -193,8 +208,7 @@ def cycles_equivalent(z: CycleParam, y: CycleParam, tol: float = DEFAULT_TOL) ->
         raise RankMismatchError(f"rank mismatch: {z.n} vs {y.n}")
     if z.k != y.k:
         return False
-    zs, ys = np.stack(z.factors), np.stack(y.factors)
-    matches = (_phase_match(np.roll(zs, -r, axis=0), ys, tol) for r in range(z.k))
+    matches = (_phase_match(np.roll(z.rows, -r, axis=0), y.rows, tol) for r in range(z.k))
     return any(c is not None and abs(np.prod(c) - 1.0) <= tol for c in matches)
 
 
@@ -203,23 +217,29 @@ def cycles_equivalent(z: CycleParam, y: CycleParam, tol: float = DEFAULT_TOL) ->
 
 @dataclass(frozen=True, eq=False)
 class ChainParam:
+    """`preperiod`, `period`, `prefix`: read-only (count, N) stacks, (0, N) if unused."""
+
     kind: str
     n: int
-    preperiod: tuple = ()
-    period: tuple = ()
+    preperiod: np.ndarray = None
+    period: np.ndarray = None
     theta: object = None
-    prefix: tuple = ()
+    prefix: np.ndarray = None
+
+    def __post_init__(self):
+        for name in ("preperiod", "period", "prefix"):
+            if getattr(self, name) is None:
+                empty = np.empty((0, self.n), dtype=complex)
+                empty.flags.writeable = False
+                object.__setattr__(self, name, empty)
 
 
 def explicit_chain(period, preperiod=()) -> ChainParam:
-    period = tuple(unit_vector(v) for v in period)
-    preperiod = tuple(unit_vector(v) for v in preperiod)
-    if not period:
+    if not len(period):
         raise ValueError("period block must be nonempty")
-    sizes = {f.size for f in period + preperiod}
-    if len(sizes) != 1:
-        raise RankMismatchError("chain factors must share one ambient dimension")
-    return ChainParam("explicit", period[0].size, preperiod=preperiod, period=period)
+    pre = len(preperiod)
+    rows = _unit_rows([*preperiod, *period] if pre else period, "chain")
+    return ChainParam("explicit", rows.shape[1], preperiod=rows[:pre], period=rows[pre:])
 
 
 def rotation_chain(theta) -> ChainParam:
@@ -235,13 +255,10 @@ def rotation_chain(theta) -> ChainParam:
 
 
 def prefix_chain(vectors) -> ChainParam:
-    prefix = tuple(unit_vector(v) for v in vectors)
-    if not prefix:
+    if not len(vectors):
         raise ValueError("prefix must be nonempty")
-    sizes = {f.size for f in prefix}
-    if len(sizes) != 1:
-        raise RankMismatchError("chain factors must share one ambient dimension")
-    return ChainParam("prefix", prefix[0].size, prefix=prefix)
+    prefix = _unit_rows(vectors, "chain")
+    return ChainParam("prefix", prefix.shape[1], prefix=prefix)
 
 
 def gray_zone_chain() -> ChainParam:
@@ -269,7 +286,7 @@ def chain_factors(chain: ChainParam, start: int, count: int) -> np.ndarray:
         raise ValueError("factor indices must stay below 2^62")
     idx = np.arange(start, start + count, dtype=np.int64)
     if chain.kind == "explicit":
-        table = np.stack(chain.preperiod + chain.period)
+        table = np.concatenate((chain.preperiod, chain.period))
         pre = len(chain.preperiod)
         pos = idx - 1
         rows = table[np.where(pos < pre, pos, pre + (pos - pre) % len(chain.period))]
@@ -302,8 +319,7 @@ def chain_factors(chain: ChainParam, start: int, count: int) -> np.ndarray:
             raise UndecidableError(
                 f"prefix chain holds only {len(chain.prefix)} factors"
             )
-        rows = np.array(chain.prefix[start - 1 : start - 1 + count], dtype=complex)
-        rows = rows.reshape(count, chain.n)
+        rows = chain.prefix[start - 1 : start - 1 + count]
     else:
         raise ValueError(f"unknown chain kind {chain.kind!r}")
     _check_near(np.linalg.norm(rows, axis=1), 1.0, _NOT_UNIT)
@@ -323,7 +339,7 @@ def param_factor(param, m: int) -> np.ndarray:
     index 1, the factors its truncations step through below layer 1.
     """
     if isinstance(param, CycleParam):
-        return param.factors[(m - 1) % param.k]
+        return param.rows[(m - 1) % param.k]
     if m < 1:
         return basis_vector(param.n, 1)
     return chain_factors(param, m, 1)[0]
@@ -361,7 +377,7 @@ def is_eventually_periodic(chain: ChainParam, tol: float = DEFAULT_TOL) -> Perio
     # period of the period block up to phases; a rotation by a/b has
     # z^(m+p) = +-z^(m) exactly when 2 p a / b is an integer
     if chain.kind == "explicit":
-        return PeriodicityVerdict(True, _block_period(np.stack(chain.period), tol)[0])
+        return PeriodicityVerdict(True, _block_period(chain.period, tol)[0])
     if chain.kind == "rotation":
         if isinstance(chain.theta, Fraction):
             b = chain.theta.denominator
@@ -394,9 +410,9 @@ def chain_tail_equivalent(z: ChainParam, y: ChainParam, tol: float = DEFAULT_TOL
 
     def tail_block(c: ChainParam):
         if c.kind == "explicit":
-            return np.stack(c.period)
+            return c.period
         if isinstance(c.theta, Fraction):
-            return np.stack(rotation_to_explicit(c).period)
+            return rotation_to_explicit(c).period
         raise UndecidableError(
             f"chain kind {c.kind!r} has no exact periodic tail; "
             "use asymptotic diagnostics instead"

@@ -359,7 +359,7 @@ def _cycle_isos(rep: TruncatedRep) -> list:
     """s(z^(i)), i = 1..k, for the parameter the cycle truncation realizes."""
     if rep.kind not in ("cycle", "fiber"):
         raise ValueError("anchor vectors of this form require a cycle truncation")
-    return [vector_isometry(rep, f) for f in rep.effective_param().factors]
+    return [vector_isometry(rep, f) for f in rep.effective_param().rows]
 
 
 def _anchor_vectors(rep: TruncatedRep, isos: list) -> list:
@@ -477,7 +477,7 @@ def _branch_words(rep: TruncatedRep, factor, vec, letters: int):
 
 def _enumerate_cycle(rep: TruncatedRep, max_depth: int, anchors: list | None = None):
     """`anchors`, when given, are the cycle_anchor_vectors of `rep`."""
-    factors = rep.effective_param().factors
+    factors = rep.effective_param().rows
     k = len(factors)
     if rep.depth < max_depth + k:
         raise ValueError(
@@ -597,7 +597,7 @@ def verify_gp(rep: TruncatedRep, param=None,
     if own_param:
         param = rep.effective_param()
     cyclic = rep.kind in ("cycle", "fiber")
-    k = len(param.factors) if cyclic else 0
+    k = param.k if cyclic else 0
     d = basis_depth if basis_depth is not None else min(2, rep.depth - k)
     # a cycle family holds k N^d vectors at depth d, a chain family
     # N^(d-1) per anchor layer; the basis check stacks them densely
@@ -635,7 +635,7 @@ def verify_gp(rep: TruncatedRep, param=None,
         # family and basis checks alike
         isos = _cycle_isos(rep)
         anchors = _anchor_vectors(rep, isos)
-        iso_mat = _product(isos) if own_param else cycle_isometry(rep, param.factors)
+        iso_mat = _product(isos) if own_param else cycle_isometry(rep, param.rows)
         eigen = float(np.linalg.norm(iso_mat @ rep.omega - rep.omega))
         family = _gram(anchors)[1]
         # the basis check below sets the memory peak and needs only the anchors
@@ -682,7 +682,7 @@ def power_vanish(rep: TruncatedRep, z: CycleParam, v: np.ndarray, m_max: int) ->
     Components orthogonal to the fixed vector of a nonperiodic cycle
     contract to zero; the fixed vector itself keeps norm one.
     """
-    mat = cycle_isometry(rep, z.factors).conjugate().transpose().tocsc()
+    mat = cycle_isometry(rep, z.rows).conjugate().transpose().tocsc()
     v = np.asarray(v, dtype=complex)
     norms = [float(np.linalg.norm(v))]
     w = v

@@ -90,14 +90,24 @@ def brute_force_cycles_equivalent(z, y, tol=1e-9):
     )
 
 
-def _reference_canonical_block(rows):
-    """Each row divided by the phase of its first entry above 1e-8 in
-    modulus, as the float decision path compared factors."""
+def reference_phase_split(rows):
+    """(canonical rows, global phase) by the per-factor loop: each row
+    divided by the phase of its first entry above PIVOT_TOL in modulus,
+    taken with the scalar abs, and the phases multiplied up one at a time
+    from 1."""
     out = []
+    phase = 1.0 + 0.0j
     for v in rows:
-        a = v[int(np.argmax(np.abs(v) > 1e-8))]
-        out.append(v / (a / abs(a)))
-    return out
+        a = v[int(np.argmax(np.abs(v) > g.algebra.PIVOT_TOL))]
+        removed = a / abs(a)
+        out.append(v / removed)
+        phase *= removed
+    return out, complex(phase)
+
+
+def _reference_canonical_block(rows):
+    """The canonical rows, as the float decision path compared factors."""
+    return reference_phase_split(rows)[0]
 
 
 def _reference_rotation_block(theta):

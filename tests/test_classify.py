@@ -6,9 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gpcuntz as g
-from helpers import random_nonperiodic_cycle, random_unit
+from helpers import (
+    brute_force_cycles_equivalent,
+    brute_force_power,
+    random_nonperiodic_cycle,
+    random_unit,
+)
 
 E1 = g.basis_vector(2, 1)
 E2 = g.basis_vector(2, 2)
@@ -114,6 +120,27 @@ def test_decompose_components_classify_irreducible():
         assert len(comps) == p
         for c in comps:
             assert g.classify(c).verdict == "yes"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    k=st.integers(1, 3),
+    p=st.integers(2, 4),
+    angle=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_decomposition_is_multiplicity_free_by_the_tensor_oracle(n, k, p, angle, seed):
+    # the paper's multiplicity-freeness, checked on full tensors: the p
+    # components are irreducible and pairwise inequivalent
+    y = random_nonperiodic_cycle(np.random.default_rng(seed), n, k)
+    z = g.scale_cycle(g.CycleParam(y.factors * p), cmath.exp(2j * math.pi * angle))
+    comps = g.decompose_cycle(z)
+    assert len(comps) == p
+    for i, comp in enumerate(comps):
+        assert brute_force_power(comp) == (k, 1)
+        for other in comps[i + 1:]:
+            assert not brute_force_cycles_equivalent(comp, other)
 
 
 # ----------------------------------------------------------------------

@@ -553,6 +553,33 @@ def test_diagnostics_rotation_is_decoded_by_the_schema(capsys):
     assert err == "error: chain 'rotation' num must be an integer, got 'one'\n"
 
 
+@pytest.mark.parametrize("param, message", [
+    ('{"kind":"chain","rotation":{"num":1.5,"den":3}}',
+     "chain 'rotation' num must be an integer, got 1.5"),
+    ('{"kind":"chain","rotation":{"num":1,"den":1e400}}',
+     "chain 'rotation' den must be an integer, got inf"),
+    ('{"kind":"chain","rotation":{"num":NaN,"den":3}}',
+     "chain 'rotation' num must be an integer, got nan"),
+    ('{"kind":"cycle","N":2.5,"factors":[[1,0]]}', "cycle 'N' must be an integer, got 2.5"),
+    ('{"kind":"cycle","N":-1e400,"factors":[[1,0]]}', "cycle 'N' must be an integer, got -inf"),
+], ids=["fraction", "overflow", "nan", "cycle-N-fraction", "cycle-N-overflow"])
+def test_integer_fields_refuse_non_integral_numbers(capsys, param, message):
+    code, out, err = run_cli(capsys, "classify", "--inline", param)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_integer_fields_accept_integral_floats(capsys):
+    _, third, _ = run_cli(capsys, "classify", "--inline", ROTATION_THIRD)
+    code, out, _ = run_cli(capsys, "classify", "--inline",
+                           '{"kind":"chain","rotation":{"num":1.0,"den":3e0}}')
+    assert code == 0 and out == third
+    code, out, _ = run_cli(capsys, "classify", "--inline",
+                           '{"kind":"cycle","N":2.0,"factors":[[[1,0],[0,0]]]}')
+    assert code == 0 and out.startswith("verdict: yes")
+
+
 def run_python(*args, preexec_fn=None):
     # the child process imports gpcuntz from the same tree as this test run,
     # installed or not

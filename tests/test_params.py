@@ -17,6 +17,7 @@ from helpers import (
     random_nonperiodic_cycle,
     random_unit,
     reference_chain_factor,
+    reference_phase_split,
     reference_rotation_period,
     reference_rotation_tail_equivalent,
 )
@@ -52,6 +53,125 @@ def test_canonical_reconstruction():
         z = random_cycle(rng, 3, 3)
         canon = g.canonicalize_cycle(z)
         assert abs(np.vdot(g.full_tensor(canon), g.full_tensor(z)) - 1.0) < 1e-12
+
+
+def _row(rng, n, layout):
+    """A unit vector in C^n laid out to meet one branch of the pivot rule."""
+    v = random_unit(rng, n)
+    if layout == "lead-zeros":
+        # the pivot sits past the first entry
+        v[: int(rng.integers(1, n))] = 0.0
+    elif layout == "near-pivot":
+        # a first entry on, just inside or just outside the pivot threshold;
+        # the row stays a unit vector within UNIT_TOL without renormalising
+        v[0] = 0.0
+        v /= np.linalg.norm(v)
+        scale = rng.choice([1.0, 1.0 - 1e-12, 1.0 + 1e-12, 0.5, 2.0])
+        v[0] = scale * g.algebra.PIVOT_TOL * rng.choice([1, -1, 1j, -1j, np.exp(0.3j)])
+        return v
+    elif layout == "real":
+        v = rng.normal(size=n) + 0j
+        v.imag = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        v[rng.random(n) < 0.3] = 0.0
+        if not v.any():
+            v[-1] = -1.0
+    return v / np.linalg.norm(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    layouts=st.lists(st.sampled_from(["random", "lead-zeros", "near-pivot", "real"]),
+                     min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_wise_canonical_form_is_the_per_factor_loop_bit_for_bit(n, layouts, seed):
+    rng = np.random.default_rng(seed)
+    z = g.cycle([_row(rng, n, layout) for layout in layouts])
+    canon = g.canonicalize_cycle(z)
+    rows, phase = reference_phase_split(z.factors)
+    assert canon.rows.tobytes() == np.stack(rows).tobytes()
+    assert np.array([canon.global_phase]).tobytes() == np.array([phase]).tobytes()
+
+
+# ----------------------------------------------------------------------
+# factor stacks
+
+def test_factor_stacks_are_read_only():
+    z = g.cycle([E1, 1j * E2])
+    chain = g.explicit_chain([E2], [E1])
+    stacks = [z.rows, g.canonicalize_cycle(z).rows, chain.preperiod, chain.period,
+              chain.prefix, g.prefix_chain([E1, E2]).prefix,
+              g.rotation_to_explicit(g.rotation_chain(Fraction(1, 3))).period,
+              g.gray_zone_chain().period]
+    for rows in stacks:
+        assert rows.dtype == complex and rows.ndim == 2 and rows.shape[1] == 2
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rows[...] = 0.0
+    assert [len(rows) for rows in stacks] == [2, 2, 1, 1, 0, 2, 3, 0]
+    assert not any(f.flags.writeable for f in z.factors)
+
+
+def test_cycle_from_a_sequence_or_an_array_holds_the_same_rows():
+    rng = np.random.default_rng(31)
+    vectors = [random_unit(rng, 3) for _ in range(4)]
+    array = np.array(vectors)
+    from_tuple, from_array = g.CycleParam(tuple(vectors)), g.CycleParam(array)
+    assert from_tuple.rows.tobytes() == from_array.rows.tobytes() == array.tobytes()
+    assert (from_array.k, from_array.n) == (4, 3)
+    array[0] = 0.0
+    assert from_array.rows.tobytes() == from_tuple.rows.tobytes()
+
+
+def test_factors_keep_tuple_meaning():
+    z = g.cycle([E1, E2, 1j * E1])
+    assert isinstance(z.factors, tuple) and len(z.factors) == 3
+    twice = g.CycleParam(z.factors * 2)
+    assert np.array_equal(twice.rows, np.tile(z.rows, (2, 1)))
+    turned = g.cycle(z.factors[1:] + z.factors[:1])
+    assert np.array_equal(turned.rows, np.roll(z.rows, -1, axis=0))
+
+
+NOT_A_VECTOR = "expected a vector in C^N with N >= 2"
+OFF_UNIT = "vector must have unit norm within 1e-10"
+
+
+@pytest.mark.parametrize("build, kind, empty", [
+    (g.cycle, "cycle", "a cycle needs at least one factor"),
+    (g.CycleParam, "cycle", "a cycle needs at least one factor"),
+    (g.explicit_chain, "chain", "period block must be nonempty"),
+    (g.prefix_chain, "chain", "prefix must be nonempty"),
+])
+@pytest.mark.parametrize("vectors, fault", [
+    ([[1, 0], 5], "not a vector"),
+    ([[1, 0], [[1, 0]]], "not a vector"),
+    ([[1, 0], [1]], "N < 2"),
+    ([[1]], "N < 2"),
+    ([[1, 0], [2, 0]], "off the unit"),
+    ([[1, 0], [1, 0, 0]], "rank mismatch"),
+    ([], "empty"),
+], ids=lambda value: value if isinstance(value, str) else None)
+def test_each_single_fault_keeps_its_message(build, kind, empty, vectors, fault):
+    error, message = {
+        "not a vector": (ValueError, NOT_A_VECTOR),
+        "N < 2": (ValueError, NOT_A_VECTOR),
+        "off the unit": (ValueError, OFF_UNIT),
+        "rank mismatch": (g.RankMismatchError, f"{kind} factors must share one ambient dimension"),
+        "empty": (ValueError, empty),
+    }[fault]
+    with pytest.raises(error) as info:
+        build(vectors)
+    assert str(info.value) == message
+
+
+def test_explicit_chain_checks_preperiod_and_period_together():
+    with pytest.raises(g.RankMismatchError) as info:
+        g.explicit_chain([E1], [[1, 0, 0]])
+    assert str(info.value) == "chain factors must share one ambient dimension"
+    with pytest.raises(ValueError) as info:
+        g.explicit_chain([E1], [[0, 2]])
+    assert str(info.value) == OFF_UNIT
 
 
 # ----------------------------------------------------------------------
