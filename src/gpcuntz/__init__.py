@@ -76,7 +76,6 @@ from .reps import (
     complete_unitary,
     cycle_anchor_vectors,
     cycle_isometry,
-    element_matrix,
     enumerate_basis,
     export_coo,
     export_json,

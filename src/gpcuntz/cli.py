@@ -12,6 +12,7 @@ round-trip literals (up to 17 significant digits).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -150,6 +151,8 @@ def _param_from_args(args):
 
 
 def _emit(args, payload: dict, text_lines):
+    """Print the payload as JSON or the text lines; `text_lines` may be lazy,
+    and is not consumed in JSON mode."""
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -206,20 +209,17 @@ def _cmd_equivalent(args) -> int:
 
 def _cmd_decompose(args) -> int:
     param = _param_from_args(args)
+    # each dict is built once and serves the payload and the text lines
     if isinstance(param, params.CycleParam):
-        components = decompose_cycle(param, _tolerance())
-        payload = {"components": [param_to_json(c) for c in components]}
-        lines = [f"components: {len(components)}"]
-        for c in components:
-            lines.append(json.dumps(param_to_json(c), sort_keys=True))
+        dicts = [param_to_json(c) for c in decompose_cycle(param, _tolerance())]
+        payload = {"components": dicts}
+        head = [f"components: {len(dicts)}"]
     else:
         descriptor = decompose_chain(param, _tolerance())
         payload = {"direct_integral": descriptor.to_dict()}
-        lines = [
-            f"measure: {descriptor.measure}",
-            f"base length: {descriptor.base.k}",
-            json.dumps(descriptor.to_dict(), sort_keys=True),
-        ]
+        dicts = [payload["direct_integral"]]
+        head = [f"measure: {descriptor.measure}", f"base length: {descriptor.base.k}"]
+    lines = itertools.chain(head, (json.dumps(d, sort_keys=True) for d in dicts))
     _emit(args, payload, lines)
     return 0
 
@@ -310,6 +310,14 @@ def _cmd_diagnostics(args) -> int:
 def _cmd_car_check(args) -> int:
     if args.n_max < 1:
         raise ValueError("--n-max must be >= 1")
+    # generators 1..n_max hold 2^n_max - 1 terms; past the budget's bit length
+    # the power is named, not built
+    budget = algebra.EXPAND_BUDGET
+    if args.n_max >= budget.bit_length() or 2**args.n_max - 1 > budget:
+        raise ValueError(
+            f"car-check would hold 2^{args.n_max} - 1 generator terms, "
+            f"over the budget of {budget}"
+        )
     gens = {n: algebra.car_generator(n) for n in range(1, args.n_max + 1)}
     worst = 0.0
     lines = []
@@ -436,6 +444,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        # str(MemoryError()) is empty, so the line is fixed
+        print("error: out of memory: the request does not fit in the memory available",
+              file=sys.stderr)
         return 1
 
 

@@ -332,19 +332,6 @@ def chain_factor(chain: ChainParam, m: int) -> np.ndarray:
     return chain_factors(chain, m, 1)[0]
 
 
-def param_factor(param, m: int) -> np.ndarray:
-    """The m-th factor of a cycle or chain parameter for any integer m.
-
-    Cycle factors repeat with period k; a chain continues with e_1 below
-    index 1, the factors its truncations step through below layer 1.
-    """
-    if isinstance(param, CycleParam):
-        return param.rows[(m - 1) % param.k]
-    if m < 1:
-        return basis_vector(param.n, 1)
-    return chain_factors(param, m, 1)[0]
-
-
 def rotation_to_explicit(chain: ChainParam) -> ChainParam:
     """Exact period block of a rational rotation chain."""
     if chain.kind != "rotation" or not isinstance(chain.theta, Fraction):

@@ -21,6 +21,14 @@ step source (`interior`) and sum_i S_i S_i* = I on every step target
 (`sum_interior`); all contracts are stated there.  The distinguished
 vector sits at (1, 1) for cycles and (0, 1) for chains.
 
+A truncation carries, from construction, the read-only factor rows it
+realizes (`factor_rows`): the k rows of the cycle, or of c*v for a fiber
+twisted by c, and the chain factors 1..D+ from one `chain_factors` call.
+Every isometry, anchor, basis vector and residual is formed from these
+rows; nothing goes back to the parameter.  `verify_gp(rep)` takes no
+options: its eigen residual comes from the same factor isometries as its
+anchor and basis checks, and its basis depth is min(2, D - k).
+
 The builders refuse, before allocating, more than REP_BUDGET basis vectors
 at rank 2 (2 REP_BUDGET / N at rank N), and `verify_gp` refuses, before it
 enumerates, a basis check whose dense stack of count x dim entries would
@@ -47,8 +55,9 @@ from .algebra import (PIVOT_TOL, PRUNE_TOL, AlgebraElement, RankMismatchError, _
 from .params import (
     ChainParam,
     CycleParam,
+    basis_vector,
+    chain_factors,
     complex_pairs,
-    param_factor,
     scale_cycle,
 )
 
@@ -105,7 +114,7 @@ class TruncatedRep:
     interior: np.ndarray      # columns on which S_i* S_j = delta_ij is exact
     sum_interior: np.ndarray  # columns on which sum_i S_i S_i* = I is exact
     param: object
-    fiber_phase: complex = 1.0
+    factor_rows: np.ndarray   # read-only rows of the factors realized (see module doc)
     window: tuple | None = None   # (d_minus, d_plus) for chains
 
     @property
@@ -124,12 +133,6 @@ class TruncatedRep:
 
     def gen_adjoint(self, i: int):
         return self.gens[i - 1].conjugate().transpose().tocsc()
-
-    def effective_param(self):
-        """Parameter the representation realizes (fiber phase folded in)."""
-        if self.kind == "fiber":
-            return scale_cycle(self.param, self.fiber_phase)
-        return self.param
 
 
 def _check_size(n: int, depth: int, layer_count: int) -> None:
@@ -208,22 +211,22 @@ def _layered_rep(param, depth, layers, steps, omega_layer, kind, **fields) -> Tr
     )
 
 
-def _cycle_rep(z: CycleParam, depth: int, wrap_scale, kind: str, **fields) -> TruncatedRep:
-    """Layer t steps to t - 1 through factor t - 1; layer 1 wraps onto
-    layer k through the last factor, scaled by `wrap_scale`."""
+def _cycle_rep(z: CycleParam, depth: int, wrap_scale, kind: str, factor_rows) -> TruncatedRep:
+    """Layer t steps to t - 1 through factor t - 1 of `z`; layer 1 wraps
+    onto layer k through the last factor, scaled by `wrap_scale`."""
     _check_size(z.n, depth, z.k)
     steps = [
-        (t, (t - 2) % z.k + 1, complete_unitary(param_factor(z, t - 1)),
-         wrap_scale if t == 1 else 1.0)
+        (t, (t - 2) % z.k + 1, complete_unitary(z.rows[t - 2]), wrap_scale if t == 1 else 1.0)
         for t in range(1, z.k + 1)
     ]
-    return _layered_rep(z, depth, tuple(range(1, z.k + 1)), steps, 1, kind, **fields)
+    return _layered_rep(z, depth, tuple(range(1, z.k + 1)), steps, 1, kind,
+                        factor_rows=factor_rows)
 
 
 def build_cycle_rep(z: CycleParam, depth: int) -> TruncatedRep:
     """Truncation of the cycle representation; the distinguished vector
     e_(1,1) is fixed by the product isometry of the factors."""
-    return _cycle_rep(z, depth, 1.0, "cycle")
+    return _cycle_rep(z, depth, 1.0, "cycle", z.rows)
 
 
 def build_fiber_rep(v: CycleParam, c, depth: int) -> TruncatedRep:
@@ -234,7 +237,7 @@ def build_fiber_rep(v: CycleParam, c, depth: int) -> TruncatedRep:
     build_cycle_rep(v, depth).
     """
     c = _unimodular(c, "fiber phase")
-    return _cycle_rep(v, depth, np.conj(c), "fiber", fiber_phase=c)
+    return _cycle_rep(v, depth, np.conj(c), "fiber", scale_cycle(v, c).rows)
 
 
 def build_chain_rep(
@@ -257,9 +260,17 @@ def build_chain_rep(
         raise ValueError("window extents must be >= 1")
     _check_size(z.n, depth, d_minus + d_plus + 1)
     layers = tuple(range(-d_minus, d_plus + 1))
+    rows = chain_factors(z, 1, d_plus)
     # the bottom layer has no step: stepping down would leave the window
-    steps = [(t, t - 1, complete_unitary(param_factor(z, t)), None) for t in layers[1:]]
-    return _layered_rep(z, depth, layers, steps, 0, "chain", window=(d_minus, d_plus))
+    steps = [(t, t - 1, complete_unitary(_chain_factor(rows, t)), None) for t in layers[1:]]
+    return _layered_rep(z, depth, layers, steps, 0, "chain", factor_rows=rows,
+                        window=(d_minus, d_plus))
+
+
+def _chain_factor(rows: np.ndarray, m: int) -> np.ndarray:
+    """Factor m of a chain truncation's `factor_rows`: row m - 1, and e_1
+    for every m < 1, the factor its steps take below layer 1."""
+    return rows[m - 1] if m >= 1 else basis_vector(rows.shape[1], 1)
 
 
 # ----------------------------------------------------------------------
@@ -286,28 +297,6 @@ def _product(mats):
 def cycle_isometry(rep: TruncatedRep, factors):
     """Matrix of s(z^(1)) ... s(z^(k))."""
     return _product([vector_isometry(rep, f) for f in factors])
-
-
-def word_matrix(rep: TruncatedRep, word):
-    import scipy.sparse as sp
-
-    out = sp.identity(rep.dim, dtype=complex, format="csc")
-    for letter in word:
-        out = out @ rep.gens[letter - 1]
-    return out
-
-
-def element_matrix(rep: TruncatedRep, a: AlgebraElement):
-    """Matrix of a normal-form element (adjoint words via conjugate transpose)."""
-    if a.n != rep.n:
-        raise RankMismatchError(f"rank mismatch: {a.n} vs {rep.n}")
-    import scipy.sparse as sp
-
-    out = sp.csc_array((rep.dim, rep.dim), dtype=complex)
-    for (j, k), c in a.terms.items():
-        m = word_matrix(rep, j) @ word_matrix(rep, k).conjugate().transpose()
-        out = out + c * m.tocsc()
-    return out
 
 
 def _apply_generator(rep: TruncatedRep, letter: int, vec: np.ndarray, adjoint: bool):
@@ -356,10 +345,10 @@ def vacuum_expectation(rep: TruncatedRep, a: AlgebraElement) -> complex:
 # distinguished families and basis enumeration
 
 def _cycle_isos(rep: TruncatedRep) -> list:
-    """s(z^(i)), i = 1..k, for the parameter the cycle truncation realizes."""
+    """s(z^(i)), i = 1..k, for the factors the cycle truncation realizes."""
     if rep.kind not in ("cycle", "fiber"):
         raise ValueError("anchor vectors of this form require a cycle truncation")
-    return [vector_isometry(rep, f) for f in rep.effective_param().rows]
+    return [vector_isometry(rep, f) for f in rep.factor_rows]
 
 
 def _anchor_vectors(rep: TruncatedRep, isos: list) -> list:
@@ -380,7 +369,7 @@ def _chain_iso(rep: TruncatedRep, m: int, isos: dict):
     """s(z_m), built once per m into `isos`; every m < 1 steps through e_1."""
     key = max(m, 0)
     if key not in isos:
-        isos[key] = vector_isometry(rep, param_factor(rep.param, m))
+        isos[key] = vector_isometry(rep, _chain_factor(rep.factor_rows, m))
     return isos[key]
 
 
@@ -433,27 +422,19 @@ class BasisLabel:
     branch: int = 0
     prefix: tuple = ()
 
-    def to_jsonable(self):
-        return {
-            "depth": self.depth,
-            "anchor": self.anchor,
-            "branch": self.branch,
-            "prefix": list(self.prefix),
-        }
 
-
-def enumerate_basis(rep: TruncatedRep, max_depth: int, anchors=None):
+def enumerate_basis(rep: TruncatedRep, max_depth: int):
     """Orthonormal family labels and vectors up to the given depth.
 
     Cycle truncations enumerate the full graded family (k N^d vectors at
-    depth d); chain truncations enumerate over the given anchor layers
-    (N^(d-1) vectors per anchor at depth d >= 1).
+    depth d); chain truncations enumerate over the anchor layers of -1..1
+    that the window allows (N^(d-1) vectors per anchor at depth d >= 1).
     """
     if max_depth < 0:
         raise ValueError("depth must be nonnegative")
     if rep.kind in ("cycle", "fiber"):
         return _enumerate_cycle(rep, max_depth)
-    return _enumerate_chain(rep, max_depth, anchors)
+    return _enumerate_chain(rep, max_depth)
 
 
 def _branch_words(rep: TruncatedRep, factor, vec, letters: int):
@@ -477,7 +458,7 @@ def _branch_words(rep: TruncatedRep, factor, vec, letters: int):
 
 def _enumerate_cycle(rep: TruncatedRep, max_depth: int, anchors: list | None = None):
     """`anchors`, when given, are the cycle_anchor_vectors of `rep`."""
-    factors = rep.effective_param().rows
+    factors = rep.factor_rows
     k = len(factors)
     if rep.depth < max_depth + k:
         raise ValueError(
@@ -494,29 +475,24 @@ def _enumerate_cycle(rep: TruncatedRep, max_depth: int, anchors: list | None = N
     return out
 
 
-def _chain_anchors(rep: TruncatedRep, max_depth: int, anchors=None) -> list:
-    """The anchor layers a chain enumeration to `max_depth` uses (by
-    default those of -1..1 the window allows), checked against the window
-    and the truncation depth."""
-    d_minus, d_plus = rep.window
-    if anchors is None:
-        lo = max(-d_minus + 1, -1)
-        hi = min(1, d_plus - max(max_depth, 1) + 1)
-        anchors = range(lo, hi + 1)
-    anchors = list(anchors)
-    for t in anchors:
-        if t < -d_minus + 1 or t + max(max_depth, 1) - 1 > d_plus:
-            raise ValueError(
-                f"anchor {t} with depth {max_depth} leaves the window "
-                f"[-{d_minus}, {d_plus}]"
-            )
+def _chain_anchors(rep: TruncatedRep, max_depth: int) -> range:
+    """The anchor layers of -1..1 a chain enumeration to `max_depth` can
+    use: t above the bottom layer with t + max(max_depth, 1) - 1 in the
+    window."""
     if max_depth > rep.depth:
         raise ValueError("depth of the enumeration exceeds the truncation depth")
+    d_minus, d_plus = rep.window
+    anchors = range(max(-d_minus + 1, -1), min(1, d_plus - max(max_depth, 1) + 1) + 1)
+    if not anchors:
+        raise ValueError(
+            f"no anchor layer of -1..1 fits depth {max_depth} in the window "
+            f"[-{d_minus}, {d_plus}]"
+        )
     return anchors
 
 
-def _enumerate_chain(rep: TruncatedRep, max_depth: int, anchors):
-    anchors = _chain_anchors(rep, max_depth, anchors)
+def _enumerate_chain(rep: TruncatedRep, max_depth: int):
+    anchors = _chain_anchors(rep, max_depth)
     e_cache = _chain_vectors(rep, min(anchors), max(anchors) + max(max_depth, 1) - 1)
     out = []
     for t in anchors:
@@ -524,7 +500,8 @@ def _enumerate_chain(rep: TruncatedRep, max_depth: int, anchors):
         # depth d branches off E_(t+d-1) and carries d - 2 letters on top
         for depth in range(2, max_depth + 1):
             top = t + depth - 1
-            words = _branch_words(rep, param_factor(rep.param, top), e_cache[top], depth - 2)
+            words = _branch_words(rep, _chain_factor(rep.factor_rows, top), e_cache[top],
+                                  depth - 2)
             out += [(BasisLabel(depth, t, j, word), v) for j, word, v in words]
     return out
 
@@ -581,24 +558,20 @@ def _gram(vectors):
     return gram, float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
 
 
-def verify_gp(rep: TruncatedRep, param=None,
-              basis_depth: int | None = None) -> VerificationReport:
+def verify_gp(rep: TruncatedRep) -> VerificationReport:
     """Check the defining relations and the parameter contract.
 
     Reports the largest residual of: generator isometry and range
     completeness on the interior, the fixed-vector equation (cycles) or
     the backward family and step relations (chains), orthonormality of
-    the anchored family, and a spanning check of the enumerated basis
-    against the matching graded interior.
+    the anchored family, and a spanning check of the enumerated basis to
+    depth min(2, D - k) against the matching graded interior.
     """
     import scipy.sparse as sp
 
-    own_param = param is None
-    if own_param:
-        param = rep.effective_param()
     cyclic = rep.kind in ("cycle", "fiber")
-    k = param.k if cyclic else 0
-    d = basis_depth if basis_depth is not None else min(2, rep.depth - k)
+    k = len(rep.factor_rows) if cyclic else 0
+    d = min(2, rep.depth - k)
     # a cycle family holds k N^d vectors at depth d, a chain family
     # N^(d-1) per anchor layer; the basis check stacks them densely
     expected = None
@@ -635,7 +608,7 @@ def verify_gp(rep: TruncatedRep, param=None,
         # family and basis checks alike
         isos = _cycle_isos(rep)
         anchors = _anchor_vectors(rep, isos)
-        iso_mat = _product(isos) if own_param else cycle_isometry(rep, param.rows)
+        iso_mat = _product(isos)
         eigen = float(np.linalg.norm(iso_mat @ rep.omega - rep.omega))
         family = _gram(anchors)[1]
         # the basis check below sets the memory peak and needs only the anchors

@@ -25,7 +25,6 @@ from .params import (
     basis_vector,
     chain_factors,
     explicit_chain,
-    param_factor,
 )
 
 
@@ -45,8 +44,11 @@ class GPState:
         return self.param.n
 
     def factor(self, m: int) -> np.ndarray:
-        if self.is_cycle or m < 1:
-            return param_factor(self.param, m)
+        """Factor m: the cycle's rows repeat with period k; a chain's start at 1."""
+        if self.is_cycle:
+            return self.param.rows[(m - 1) % self.param.k]
+        if m < 1:
+            raise ValueError("chain factor index starts at 1")
         if m > len(self._chain_rows):
             count = max(m, 2 * len(self._chain_rows))
             if self.param.kind == "prefix":

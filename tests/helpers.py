@@ -215,7 +215,7 @@ def reference_chain_vector(rep, t):
     vec = rep.omega
     if t >= 0:
         for m in range(1, t + 1):
-            iso = g.reps.vector_isometry(rep, g.params.param_factor(rep.param, m))
+            iso = g.reps.vector_isometry(rep, reference_chain_factor(rep.param, m))
             vec = iso.conjugate().transpose() @ vec
     else:
         for _ in range(-t):

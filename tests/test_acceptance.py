@@ -237,7 +237,8 @@ def test_criterion_10_fiber_representations():
         for _ in range(5):
             c = np.exp(2j * np.pi * rng.random())
             rep = g.build_fiber_rep(y, c, 4)
-            report = g.verify_gp(rep, param=g.scale_cycle(y, c))
+            assert np.array_equal(rep.factor_rows, g.scale_cycle(y, c).rows)
+            report = g.verify_gp(rep)
             worst = max(worst, report.max_residual())
             assert report.basis_count == report.basis_count_expected
     ok = worst < 1e-10

@@ -289,5 +289,6 @@ def test_fiber_family_verifies_against_scaled_parameter():
     for _ in range(5):
         c = np.exp(2j * np.pi * rng.random())
         rep = g.build_fiber_rep(y, c, 4)
-        report = g.verify_gp(rep, param=g.scale_cycle(y, c))
+        assert np.array_equal(rep.factor_rows, g.scale_cycle(y, c).rows)
+        report = g.verify_gp(rep)
         assert report.passed(1e-10), report.to_dict()

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from gpcuntz import cli
+from gpcuntz import DirectIntegralDescriptor, cli
 
 CYCLE_E1 = '{"kind":"cycle","N":2,"factors":[[[1,0],[0,0]]]}'
 CYCLE_E1E1 = '{"kind":"cycle","N":2,"factors":[[[1,0],[0,0]],[[1,0],[0,0]]]}'
@@ -262,6 +262,40 @@ def test_car_check_output_is_stable(capsys, fmt, golden):
     assert out == (DATA / golden).read_text()
 
 
+@pytest.mark.parametrize("n_max", ["23", "40", str(10**9)])
+def test_car_check_over_budget_is_refused_before_generating(capsys, monkeypatch, n_max):
+    def no_generators(_):
+        raise AssertionError("a CAR generator was built for a refused request")
+
+    monkeypatch.setattr(cli.algebra, "car_generator", no_generators)
+    code, out, err = run_cli(capsys, "car-check", "--n-max", n_max)
+    assert code == 1
+    assert out == ""
+    # generators 1..22 hold 2^22 - 1 terms, the last count within the budget
+    assert err == (f"error: car-check would hold 2^{n_max} - 1 generator terms, "
+                   "over the budget of 4194304\n")
+
+
+def test_car_check_budget_charges_every_generator(capsys, monkeypatch):
+    monkeypatch.setattr(cli.algebra, "EXPAND_BUDGET", 14)
+    code, _, _ = run_cli(capsys, "car-check", "--n-max", "3")
+    assert code == 0
+    code, _, err = run_cli(capsys, "car-check", "--n-max", "4")
+    assert code == 1
+    assert err == "error: car-check would hold 2^4 - 1 generator terms, over the budget of 14\n"
+
+
+def test_memory_error_prints_one_error_line(capsys, monkeypatch):
+    def exhausted(_args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_normalize", exhausted)
+    code, out, err = run_cli(capsys, "normalize", "-N", "2", "s1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: out of memory: the request does not fit in the memory available\n"
+
+
 GRAY_TARGET = "[[0.7071067811865476,0],[0.7071067811865476,0]]"
 
 
@@ -327,6 +361,28 @@ GOLDEN_FIBER = '{"kind":"cycle","N":3,"factors":[[[0.6,0],[0,0.8],[0,0]],[[0,0],
 ])
 def test_rep_build_output_is_stable(capsys, argv, stem, fmt, ext):
     code, out, _ = run_cli(capsys, "rep-build", *argv, "-f", fmt)
+    assert code == 0
+    assert out == (DATA / f"{stem}.{ext}").read_text()
+
+
+VERIFY_FIBER = ('{"kind":"cycle","N":2,"factors":[[[0.6,0],[0,0.8]],[[0,0.28],[0.96,0]],'
+                '[[0.8,0],[0.36,0.48]]]}')
+VERIFY_N3 = ('{"kind":"cycle","N":3,"factors":[[[0.6,0],[0,0.48],[0.64,0]],'
+             '[[0.48,0],[0.36,0.48],[0,0.64]]]}')
+
+
+@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
+@pytest.mark.parametrize("argv, stem", [
+    (("--inline", VERIFY_FIBER, "--depth", "6", "--fiber", "exp(i pi 2/3)"),
+     "verify_cycle_fiber"),
+    (("--inline", VERIFY_N3, "--depth", "4"), "verify_cycle_n3"),
+    (("--inline", '{"kind":"chain","rotation":{"num":2,"den":7}}', "--depth", "4",
+      "--window", "3", "5"), "verify_rotation_2_7"),
+])
+def test_verify_output_is_stable(capsys, argv, stem, fmt, ext):
+    # the residuals sit in the last bits, so any change to how the
+    # isometries, anchors or basis vectors are formed shows here
+    code, out, _ = run_cli(capsys, "verify", *argv, "-f", fmt)
     assert code == 0
     assert out == (DATA / f"{stem}.{ext}").read_text()
 
@@ -482,6 +538,31 @@ def test_large_rotation_block_is_refused_before_allocating(capsys, monkeypatch, 
     assert code == 1
     assert out == ""
     assert err == BIG_ROTATION_ERROR
+
+
+@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
+@pytest.mark.parametrize("stem", ["rotation_3_8", "cycle_p2_n2"])
+def test_decompose_serializes_each_dict_once(capsys, monkeypatch, stem, fmt, ext):
+    calls = {"to_dict": 0, "param_to_json": 0, "dumps": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(DirectIntegralDescriptor, "to_dict",
+                        counted("to_dict", DirectIntegralDescriptor.to_dict))
+    monkeypatch.setattr(cli, "param_to_json", counted("param_to_json", cli.param_to_json))
+    monkeypatch.setattr(cli.json, "dumps", counted("dumps", cli.json.dumps))
+    code, out, _ = run_cli(capsys, "decompose", "--inline", DECISION_PARAMS[stem], "-f", fmt)
+    assert code == 0
+    assert out == (DATA / f"decompose_{stem}.{ext}").read_text()
+    dicts = calls["to_dict"] + calls["param_to_json"]
+    # one dict per component (two for the cycle) or one for the direct integral
+    assert dicts == (1 if "rotation" in stem else 2)
+    # one dumps of the payload, or one per printed dict
+    assert calls["dumps"] == (1 if fmt == "json" else dicts)
 
 
 def test_diagnostics_budget_counts_entries(capsys):
@@ -640,6 +721,15 @@ def test_large_rotation_under_a_memory_cap():
                       preexec_fn=_cap_address_space)
     assert proc.returncode == 1
     assert proc.stderr == BIG_ROTATION_ERROR
+
+
+def test_car_check_over_budget_under_a_memory_cap():
+    proc = run_python("-m", "gpcuntz.cli", "car-check", "--n-max", "40",
+                      preexec_fn=_cap_address_space)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: car-check would hold 2^40 - 1 generator terms, "
+                           "over the budget of 4194304\n")
 
 
 def test_usage_error_exit_code():

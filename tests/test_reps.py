@@ -147,6 +147,40 @@ def test_chain_rejects_prefix_kind():
         g.build_chain_rep(g.prefix_chain([E1]), 3)
 
 
+def test_truncations_carry_the_factor_rows_they_realize():
+    rng = np.random.default_rng(4)
+    z = g.cycle([random_unit(rng, 3) for _ in range(2)])
+    c = np.exp(0.7j)
+    chain = g.rotation_chain(Fraction(2, 7))
+    cases = [
+        (g.build_cycle_rep(z, 3), z.rows),
+        (g.build_fiber_rep(z, c, 3), g.scale_cycle(z, c).rows),
+        (g.build_chain_rep(chain, 3, 2, 5), g.chain_factors(chain, 1, 5)),
+    ]
+    for rep, rows in cases:
+        assert rep.factor_rows.tobytes() == rows.tobytes()
+        assert not rep.factor_rows.flags.writeable
+
+
+def test_chain_factors_are_generated_once_per_truncation(monkeypatch):
+    calls = []
+    generate = g.params.chain_factors
+
+    def counted(chain, start, count):
+        calls.append((start, count))
+        return generate(chain, start, count)
+
+    monkeypatch.setattr(g.params, "chain_factors", counted)
+    monkeypatch.setattr(g.reps, "chain_factors", counted)
+    rep = g.build_chain_rep(g.gray_zone_chain(), 4, 2, 3)
+    assert calls == [(1, 3)]
+    g.verify_gp(rep)
+    g.enumerate_basis(rep, 2)
+    for t in range(-2, 4):
+        g.chain_vector(rep, t)
+    assert calls == [(1, 3)]
+
+
 # ----------------------------------------------------------------------
 # fiber representations
 
@@ -240,7 +274,7 @@ def test_enumerate_chain_basis():
     rng = np.random.default_rng(9)
     chain = g.explicit_chain([random_unit(rng, 2) for _ in range(2)])
     rep = g.build_chain_rep(chain, 4)
-    fam = g.enumerate_basis(rep, 3, anchors=range(-1, 2))
+    fam = g.enumerate_basis(rep, 3)
     assert len(fam) == 3 * 2 ** 2
     mat = np.stack([v for _, v in fam], axis=1)
     gram = mat.conj().T @ mat
@@ -253,6 +287,18 @@ def test_enumerate_chain_basis_depth_zero_anchors():
     assert [label for label, _ in fam] == [g.BasisLabel(1, t) for t in (-1, 0, 1)]
     for label, vec in fam:
         assert np.array_equal(vec, g.chain_vector(rep, label.anchor))
+
+
+def test_enumerate_chain_basis_needs_an_anchor_layer():
+    rep = g.build_chain_rep(g.explicit_chain([[1, 0]]), 4, 1, 1)
+    # depth 3 from any anchor of -1..1 would climb past layer 1
+    with pytest.raises(ValueError, match=r"no anchor layer of -1\.\.1 fits depth 3 "
+                                         r"in the window \[-1, 1\]"):
+        g.enumerate_basis(rep, 3)
+    with pytest.raises(ValueError, match="exceeds the truncation depth"):
+        g.enumerate_basis(rep, 5)
+    labels = [label for label, _ in g.enumerate_basis(rep, 1)]
+    assert labels == [g.BasisLabel(1, 0), g.BasisLabel(1, 1)]
 
 
 def _seed_word_vector(rep, base, word):
@@ -279,7 +325,7 @@ def test_enumerate_basis_matches_word_oracle_on_cycles():
         (g.build_fiber_rep(g.cycle([random_unit(rng, 3)]), np.exp(0.9j), 3), 2),
     )
     for rep, max_depth in cases:
-        factors = rep.effective_param().factors
+        factors = rep.factor_rows
         k, n = len(factors), rep.n
         anchors = g.reps.cycle_anchor_vectors(rep)
         expected = [g.BasisLabel(0, a) for a in range(1, k + 1)]
@@ -337,6 +383,13 @@ def test_apply_identity_and_relations():
     assert np.allclose(g.apply_element(rep, g.identity(2), v), v)
     out = g.apply_element(rep, g.parse("s1* s1", 2), v)
     assert np.linalg.norm(out - v) < 1e-12
+    # a linear combination against the dense generator matrices
+    s1, s2 = (m.toarray() for m in rep.gens)
+    w = np.zeros(rep.dim, dtype=complex)
+    w[rep.index(1, 2)] = 1.0
+    dense = 0.5 * s1 @ s2.conj().T @ w - 1j * s2 @ w + w
+    out = g.apply_element(rep, g.parse("0.5 s1 s2* - i s2 + I", 2), w)
+    assert np.linalg.norm(out - dense) < 1e-12
 
 
 def test_apply_fixed_vector():
@@ -345,20 +398,6 @@ def test_apply_fixed_vector():
     rep = g.build_cycle_rep(z, 4)
     elem = g.s_of([np.asarray(f) for f in z.factors])
     assert np.linalg.norm(g.apply_element(rep, elem, rep.omega) - rep.omega) < 1e-12
-
-
-def test_element_matrix_matches_vector_application():
-    rng = np.random.default_rng(21)
-    z = g.cycle([random_unit(rng, 2) for _ in range(2)])
-    rep = g.build_cycle_rep(z, 4)
-    elem = g.parse("0.5 s1 s2* - i s2 + I", 2)
-    mat = g.element_matrix(rep, elem)
-    v = np.zeros(rep.dim, dtype=complex)
-    v[rep.index(1, 2)] = 1.0
-    assert np.linalg.norm(mat @ v - g.apply_element(rep, elem, v)) < 1e-12
-    iso = g.element_matrix(rep, g.s_of([np.asarray(f) for f in z.factors]))
-    diff = abs(iso - g.cycle_isometry(rep, z.factors))
-    assert diff.max() < 1e-12
 
 
 def test_apply_detects_overflow():
@@ -436,7 +475,7 @@ def test_verify_builds_each_cycle_factor_isometry_once(monkeypatch):
 
     monkeypatch.setattr(g.reps, "vector_isometry", counted)
     assert g.verify_gp(rep).to_dict() == expected
-    for f in rep.effective_param().factors:
+    for f in rep.factor_rows:
         assert sum(np.array_equal(v, f) for v in built) == 1
 
 
@@ -662,9 +701,9 @@ def test_verify_basis_check_is_charged_before_enumerating(monkeypatch):
                                          "over the budget of 504"):
         g.verify_gp(rep)
     with pytest.raises(ValueError, match="stack 6 vectors of dimension 96"):
-        g.verify_gp(chain, basis_depth=2)
-    # no basis check, nothing to charge
-    assert g.verify_gp(rep, basis_depth=0).basis_count is None
+        g.verify_gp(chain)
+    # depth k leaves no room for a basis check, so there is nothing to charge
+    assert g.verify_gp(g.build_cycle_rep(z, 2)).basis_count is None
 
 
 def test_rep_budget_refuses_before_allocating(monkeypatch):

@@ -71,6 +71,16 @@ def test_chain_state_factors_match_reference(chain):
     assert g.state_eval_word(chain, word, word) == np.conj(expected) * expected
 
 
+def test_chain_state_factors_start_at_one():
+    state = g.GPState(g.rotation_chain(Fraction(1, 3)))
+    assert np.array_equal(state.factor(1), reference_chain_factor(state.param, 1))
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="chain factor index starts at 1"):
+            state.factor(m)
+    cyc = g.GPState(g.cycle([E1, E2]))
+    assert np.array_equal(cyc.factor(0), E2) and np.array_equal(cyc.factor(3), E1)
+
+
 def test_prefix_chain_state_reads_only_what_it_needs():
     chain = g.prefix_chain([E1, E2])
     assert g.state_eval_word(chain, (1, 2), (1, 2)) == 1.0
