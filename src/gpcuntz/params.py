@@ -26,6 +26,7 @@ Chains come in four kinds:
 from __future__ import annotations
 
 import cmath
+import gc
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,10 +60,27 @@ def basis_vector(n: int, i: int) -> np.ndarray:
     return unit_vector(v)
 
 
+def _nested_list(array: np.ndarray) -> list:
+    """`array.tolist()` with the cyclic garbage collector paused.
+
+    A nested list allocates one small container per row, and 10^5 of them
+    set off repeated collections that each traverse every live object;
+    none of them can be garbage.  The collector's previous state is
+    restored however the build ends.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return array.tolist()
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def complex_pairs(values) -> list:
     """[[re, im], ...] floats of a complex vector: the JSON form of vectors."""
     values = np.asarray(values, dtype=complex)
-    return np.stack([values.real, values.imag], axis=-1).tolist()
+    return _nested_list(np.stack([values.real, values.imag], axis=-1))
 
 
 def _phase_split(rows: np.ndarray):

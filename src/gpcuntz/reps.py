@@ -33,10 +33,13 @@ The builders refuse, before allocating, more than REP_BUDGET basis vectors
 at rank 2 (2 REP_BUDGET / N at rank N), and `verify_gp` refuses, before it
 enumerates, a basis check whose dense stack of count x dim entries would
 exceed 8 REP_BUDGET.  The chain family E_t is pushed
-from Omega through the window once.  The exports are built from whole
-arrays: label columns by repeat and tile, and the `repr` text of an entry
-once per distinct bit pattern of its value, which a step table keeps to
-k N^2 per generator; the text is byte-stable and keeps every -0.0.
+from Omega through the window once.  The exports cost about the bytes
+they emit.  `export_coo` turns every index into text once and the `repr`
+text of an entry once per distinct bit pattern of its value, which a step
+table keeps to k N^2 per generator; every line is gathered from these
+tables by index and the output is one join, byte-stable with every -0.0
+kept.  `export_json` builds its nested lists with the cyclic garbage
+collector paused (`params._nested_list`).
 
 scipy.sparse is loaded only when a truncation is built or checked, inside
 the functions that call it, so importing this module (and with it the
@@ -55,6 +58,7 @@ from .algebra import (PIVOT_TOL, PRUNE_TOL, AlgebraElement, RankMismatchError, _
 from .params import (
     ChainParam,
     CycleParam,
+    _nested_list,
     basis_vector,
     chain_factors,
     complex_pairs,
@@ -587,19 +591,21 @@ def verify_gp(rep: TruncatedRep) -> VerificationReport:
                 f"{expected * rep.dim} entries, over the budget of {limit}"
             )
     ident = sp.identity(rep.dim, dtype=complex, format="csc")
+    adjoints = [rep.gen_adjoint(i) for i in range(1, rep.n + 1)]
     iso = 0.0
-    for i in range(1, rep.n + 1):
-        si_h = rep.gen_adjoint(i)
-        for j in range(1, rep.n + 1):
-            res = si_h @ rep.gens[j - 1]
+    for i, si_h in enumerate(adjoints):
+        for j, sj in enumerate(rep.gens):
+            res = si_h @ sj
             if i == j:
                 res = res - ident
             iso = max(iso, _max_abs(res[:, rep.interior]))
     total = None
-    for i in range(1, rep.n + 1):
-        piece = rep.gens[i - 1] @ rep.gen_adjoint(i)
+    for si, si_h in zip(rep.gens, adjoints):
+        piece = si @ si_h
         total = piece if total is None else total + piece
     comp = _max_abs((total - ident)[:, rep.sum_interior])
+    # the adjoints are not needed by the basis check, which sets the memory peak
+    del adjoints
 
     eigen = None
     step = None
@@ -676,8 +682,15 @@ def _sorted_coo(mat):
     return coo.row[order], coo.col[order], coo.data[order]
 
 
-def _value_texts(values: np.ndarray) -> list:
-    """`re im` shortest round-trip text of every complex value.
+def _index_texts(dim: int):
+    """`i` and ` i` text of every index 0..dim, as two object arrays."""
+    plain = np.array(list(map(str, range(dim + 1))), dtype=object)
+    return plain, " " + plain
+
+
+def _value_texts(values: np.ndarray) -> np.ndarray:
+    """` re im` and a line end, in shortest round-trip text, for every
+    complex value.
 
     repr runs once per distinct bit pattern, and a step table gives a
     generator at most k N^2 of them.  The values are compared as raw
@@ -686,8 +699,8 @@ def _value_texts(values: np.ndarray) -> list:
     bits = np.ascontiguousarray(values, dtype=complex).view("V16")
     distinct, inverse = np.unique(bits, return_inverse=True)
     pairs = distinct.view(np.float64).reshape(-1, 2).tolist()
-    texts = np.asarray([f"{re!r} {im!r}" for re, im in pairs], dtype=object)
-    return texts[inverse.ravel()].tolist()
+    texts = np.array([f" {re!r} {im!r}\n" for re, im in pairs], dtype=object)
+    return texts[inverse.ravel()]
 
 
 def _label_columns(rep: TruncatedRep):
@@ -697,22 +710,32 @@ def _label_columns(rep: TruncatedRep):
     return layers, ms
 
 
+def _add_lines(pieces: list, header: str, *columns) -> None:
+    """Append a header line, then one line per row of the text columns."""
+    pieces.append(header)
+    pieces += np.stack(columns, axis=1).ravel().tolist()
+
+
 def export_coo(rep: TruncatedRep) -> str:
     """Coordinate-list text: `row col re im` per line, grouped by generator,
-    with the basis labels and the distinguished vector appended."""
-    lines = []
+    with the basis labels and the distinguished vector appended.
+
+    Every line is gathered by index from tables of texts made once, and
+    the whole output is one join over them.
+    """
+    plain, spaced = _index_texts(rep.dim)
+    pieces = []
     for gi, mat in enumerate(rep.gens, start=1):
-        lines.append(f"# S{gi}")
         rows, cols, values = _sorted_coo(mat)
-        lines += map("{} {} {}".format, rows.tolist(), cols.tolist(), _value_texts(values))
-    lines.append("# labels: index layer m")
-    layers, ms = _label_columns(rep)
-    lines += map("{} {} {}".format, range(rep.dim), layers.tolist(), ms.tolist())
-    lines.append("# omega: index re im")
+        _add_lines(pieces, f"# S{gi}\n", plain[rows], spaced[cols], _value_texts(values))
+    layers = np.array([f" {t}" for t in rep.layers], dtype=object)
+    _add_lines(pieces, "# labels: index layer m\n", plain[:rep.dim],
+               np.repeat(layers, rep.block), np.tile(spaced[1:rep.block + 1], len(rep.layers)),
+               np.full(rep.dim, "\n", dtype=object))
     support = np.flatnonzero(rep.omega)
-    values = complex_pairs(rep.omega[support])
-    lines += [f"{idx} {re!r} {im!r}" for idx, (re, im) in zip(support.tolist(), values)]
-    return "\n".join(lines) + "\n"
+    _add_lines(pieces, "# omega: index re im\n", plain[support],
+               _value_texts(rep.omega[support]))
+    return "".join(pieces)
 
 
 def _generator_json(mat) -> dict:
@@ -729,6 +752,6 @@ def export_json(rep: TruncatedRep) -> dict:
         "layers": [int(t) for t in rep.layers],
         "generators": [_generator_json(mat) for mat in rep.gens],
         "omega": complex_pairs(rep.omega),
-        "labels": np.stack(_label_columns(rep), axis=1).tolist(),
+        "labels": _nested_list(np.stack(_label_columns(rep), axis=1)),
         "interior": rep.interior.tolist(),
     }

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: schemas, formats, exit codes."""
 
+import gc
 import json
 import math
 import os
@@ -291,6 +292,30 @@ def test_memory_error_prints_one_error_line(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "_cmd_normalize", exhausted)
     code, out, err = run_cli(capsys, "normalize", "-N", "2", "s1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: out of memory: the request does not fit in the memory available\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_rep_build_out_of_memory_in_a_json_list_prints_one_error_line(
+        capsys, monkeypatch, enabled):
+    class Exhausted:
+        def tolist(self):
+            raise MemoryError
+
+    nested_list = cli.params._nested_list
+    # the real helper, with a tolist that runs out of memory
+    monkeypatch.setattr(cli.params, "_nested_list", lambda _array: nested_list(Exhausted()))
+    monkeypatch.setattr(cli.reps, "_nested_list", cli.params._nested_list)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        code, out, err = run_cli(capsys, "rep-build", "--inline", CYCLE_E1, "--depth", "3",
+                                 "-f", "json")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
     assert code == 1
     assert out == ""
     assert err == "error: out of memory: the request does not fit in the memory available\n"

@@ -1,11 +1,13 @@
 """Truncated representations: construction, relations, bases, exports."""
 
+import gc
 import itertools
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gpcuntz as g
 from helpers import (
@@ -479,6 +481,21 @@ def test_verify_builds_each_cycle_factor_isometry_once(monkeypatch):
         assert sum(np.array_equal(v, f) for v in built) == 1
 
 
+def test_verify_builds_each_adjoint_once(monkeypatch):
+    rep = g.build_chain_rep(g.gray_zone_chain(), 4, 2, 3)
+    expected = g.verify_gp(rep).to_dict()
+    built = []
+    gen_adjoint = g.TruncatedRep.gen_adjoint
+
+    def counted(self, i):
+        built.append(i)
+        return gen_adjoint(self, i)
+
+    monkeypatch.setattr(g.TruncatedRep, "gen_adjoint", counted)
+    assert g.verify_gp(rep).to_dict() == expected
+    assert sorted(built) == [1, 2]
+
+
 def test_verify_flags_corruption():
     rep = g.build_cycle_rep(g.cycle([E1, E2]), 4)
     bad = rep.gens[0].tolil()
@@ -661,6 +678,90 @@ def test_export_coo_keeps_the_sign_of_zero():
     assert {("0.8", "0.0"), ("0.8", "-0.0")} <= values
     chain = g.export_coo(g.build_chain_rep(g.gray_zone_chain(), 3, 2, 3))
     assert "0 8 1.0 -0.0\n" in chain
+
+
+def _real_unit(rng, n):
+    """A signed (0.6, 0.8) or a signed basis vector on random coordinates.
+    The entries repeat across factors, so one generator holds the same
+    real part beside both signs of a zero imaginary part."""
+    v = np.zeros(n)
+    if rng.random() < 0.25:
+        v[rng.integers(n)] = rng.choice([-1.0, 1.0])
+    else:
+        v[rng.choice(n, 2, replace=False)] = rng.choice([-1.0, 1.0], 2) * [0.6, 0.8]
+    return v
+
+
+@st.composite
+def _drawn_reps(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    family = draw(st.sampled_from(["cycle", "fiber", "rotation", "gray zone", "explicit"]))
+    depth = draw(st.integers(2, 5))
+    if family in ("cycle", "fiber"):
+        n = draw(st.integers(2, 4))
+        unit = _real_unit if draw(st.booleans()) else random_unit
+        z = g.cycle([unit(rng, n) for _ in range(draw(st.integers(1, 3)))])
+        if family == "cycle":
+            return g.build_cycle_rep(z, depth)
+        phase = draw(st.sampled_from([1, -1, 1j, -1j, None]))
+        if phase is None:
+            phase = np.exp(2j * np.pi * rng.random())
+        return g.build_fiber_rep(z, phase, depth)
+    if family == "rotation":
+        den = draw(st.integers(1, 12))
+        chain = g.rotation_chain(Fraction(draw(st.integers(0, den - 1)), den))
+    elif family == "gray zone":
+        chain = g.gray_zone_chain()
+    else:
+        n = draw(st.integers(2, 3))
+        unit = _real_unit if draw(st.booleans()) else random_unit
+        chain = g.explicit_chain([unit(rng, n) for _ in range(draw(st.integers(1, 3)))],
+                                 [unit(rng, n) for _ in range(draw(st.integers(0, 2)))])
+    return g.build_chain_rep(chain, depth, draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rep=_drawn_reps())
+def test_exports_match_per_entry_reference_on_drawn_reps(rep):
+    assert g.export_coo(rep) == reference_export_coo(rep)
+    assert (json.dumps(g.export_json(rep), sort_keys=True)
+            == json.dumps(reference_export_json(rep), sort_keys=True))
+
+
+class _ExhaustedArray:
+    def tolist(self):
+        raise MemoryError
+
+
+@pytest.fixture(params=[True, False], ids=["collector on", "collector off"])
+def collector(request):
+    """Run the test with the cyclic garbage collector on, then off."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def test_json_lists_leave_the_collector_as_they_found_it(collector):
+    rep = g.build_fiber_rep(g.cycle([REAL_A, REAL_B]), 1j, 4)
+    g.params.complex_pairs(rep.omega)
+    assert gc.isenabled() is collector
+    g.export_json(rep)
+    assert gc.isenabled() is collector
+
+
+def test_json_lists_restore_the_collector_when_the_list_build_raises(monkeypatch, collector):
+    nested_list = g.params._nested_list
+    # the real helper, with a tolist that runs out of memory
+    monkeypatch.setattr(g.params, "_nested_list", lambda _array: nested_list(_ExhaustedArray()))
+    monkeypatch.setattr(g.reps, "_nested_list", g.params._nested_list)
+    rep = g.build_cycle_rep(g.cycle([E1, E2]), 3)
+    with pytest.raises(MemoryError):
+        g.params.complex_pairs(rep.omega)
+    assert gc.isenabled() is collector
+    with pytest.raises(MemoryError):
+        g.export_json(rep)
+    assert gc.isenabled() is collector
 
 
 @pytest.mark.parametrize("window", [(1, 1), (2, 5), (4, 2), (3, 3)])
