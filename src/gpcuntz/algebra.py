@@ -11,7 +11,11 @@ in which J and K do not both end in the letter N; two elements are equal
 modulo both relations exactly when their difference has zero Leavitt
 form.  `expand_identity` pushes all terms to a common sandwich depth
 instead; it serves `normalize --expand` and is the independent oracle
-the tests compare `leavitt_form` against.  `unitary_action` acts on the
+the tests compare `leavitt_form` against.  It walks the forest in which
+(JL, KL) lies below (J, K) and values each subtree with no term below its
+root by one sum, skipping the subtrees that cancel, so its cost follows
+what survives; its budget is still charged on the full N^d expansion.
+`unitary_action` acts on the
 terms of one (|J|, |K|) block at once rather than term by term, as one
 sparse tensor acted on letter axis by letter axis, so a sparse G keeps
 it sparse at any length.
@@ -255,7 +259,21 @@ def expand_identity(a: AlgebraElement, depth: int) -> AlgebraElement:
     every term reaches (max over terms of min(|J|, |K|)) + depth.  Two
     elements agree modulo the range relation at depth d exactly when
     expand_identity(a - b, d) is zero.  An expansion that would generate
-    more than EXPAND_BUDGET terms raises ValueError before generating any.
+    more than EXPAND_BUDGET terms raises ValueError before generating any;
+    the budget is charged on that full count, the sum over terms of N^d,
+    however much of it cancels.
+
+    The words form a forest in which (JL, KL) lies below (J, K), and an
+    output word sums exactly the terms on its one path up, found by
+    stripping common last letters.  The walk descends from each term with
+    no term above it, only into nodes with a term below them.  Below any
+    other node every output word sums the same terms, so one sum, taken
+    from 0.0 in term order as a term-by-term loop would take it, values
+    the whole subtree: a sum at or below PRUNE_TOL skips it (NaN is kept),
+    and the words of any other are written out.  The cost follows the
+    input and the output, not the N^d terms a cancelling expansion would
+    generate, and the result is bit-identical to that loop's, in its key
+    order: by first contributing term, then by tail.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -275,13 +293,53 @@ def expand_identity(a: AlgebraElement, depth: int) -> AlgebraElement:
         raise ValueError(
             f"expand_identity would generate {count} terms, over the budget of {EXPAND_BUDGET}"
         )
-    out: dict = {}
+    index = {key: i for i, key in enumerate(a.terms)}
+    coeffs = list(a.terms.values())
+    # `inner` holds the nodes with a term strictly below them, `nested` the
+    # terms with a term strictly above them.  A term r levels above a term
+    # of tail d has tail d + r, so no climb goes past the largest tail, and
+    # each stops at the first term it meets, which climbs on by itself.
+    top = max(tails)
+    inner, nested = set(), set()
+    for i, ((j, k), d) in enumerate(zip(a.terms, tails)):
+        for r in range(1, min(len(j), len(k), top - d) + 1):
+            if j[-r] != k[-r]:
+                break
+            up = (j[:-r], k[:-r])
+            inner.add(up)
+            if up in index:
+                nested.add(i)
+                break
     alphabet = range(1, a.n + 1)
-    for ((j, k), c), d in zip(a.terms.items(), tails):
-        for tail in itertools.product(alphabet, repeat=d):
-            key = (j + tail, k + tail)
-            out[key] = out.get(key, 0.0) + c
-    return AlgebraElement._from_words(a.n, out)
+    blocks = []
+
+    def walk(j, k, rem, chain):
+        i = index.get((j, k))
+        if i is not None:
+            chain = sorted(chain + [i])
+        if (j, k) in inner:
+            for x in alphabet:
+                walk(j + (x,), k + (x,), rem - 1, chain)
+            return
+        # every leaf below sums the same terms, in term order as the loop does
+        s = 0.0
+        for t in chain:
+            s = s + coeffs[t]
+        s = complex(s)
+        if not abs(s) <= PRUNE_TOL:
+            blocks.append((chain[0], j, k, rem, s))
+
+    for i, ((j, k), d) in enumerate(zip(a.terms, tails)):
+        if i not in nested:
+            walk(j, k, d, [])
+    # a leaf's key is first inserted by its first term, in the order of its
+    # tail from there: the depth-first order, which a stable sort keeps
+    blocks.sort(key=lambda block: block[0])
+    out: dict = {}
+    for _, j, k, rem, s in blocks:
+        for tail in itertools.product(alphabet, repeat=rem):
+            out[j + tail, k + tail] = s
+    return AlgebraElement(a.n, out)
 
 
 def leavitt_form(a: AlgebraElement) -> AlgebraElement:

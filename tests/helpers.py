@@ -1,5 +1,6 @@
 """Shared constructors and oracles for the test suite."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -221,6 +222,55 @@ def reference_chain_vector(rep, t):
         for _ in range(-t):
             vec = rep.gens[0] @ vec
     return np.asarray(vec).ravel()
+
+
+def reference_expand_identity(a, depth):
+    """`expand_identity` by the loop it replaced: every one of the N^d tails
+    of every term is generated and added into one dict, and the sums are
+    pruned at the end."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    if not a.terms:
+        return a
+    target = max(min(len(j), len(k)) for (j, k) in a.terms) + depth
+    tails = [target - min(len(j), len(k)) for (j, k) in a.terms]
+    out: dict = {}
+    alphabet = range(1, a.n + 1)
+    for ((j, k), c), d in zip(a.terms.items(), tails):
+        for tail in itertools.product(alphabet, repeat=d):
+            key = (j + tail, k + tail)
+            out[key] = out.get(key, 0.0) + c
+    return g.AlgebraElement._from_words(a.n, out)
+
+
+def _reduced_word(j1, k1, j2, k2):
+    """(J, K) of s_J1 s_K1* s_J2 s_K2*, or None when it vanishes.
+
+    The letters go on a stack, +x for s_x and -x for s_x*, in the order
+    J1, K1*, J2, K2*; an s_y arriving on top of an s_x* reduces the pair to
+    delta_xy, so what is left is s_J followed by s_K*.
+    """
+    stack = []
+    for letter in (*j1, *(-x for x in reversed(k1)), *j2, *(-x for x in reversed(k2))):
+        if letter > 0 and stack and stack[-1] < 0:
+            if stack.pop() != -letter:
+                return None
+        else:
+            stack.append(letter)
+    return tuple(x for x in stack if x > 0), tuple(-x for x in reversed(stack) if x < 0)
+
+
+def reference_multiply(a, b):
+    """`multiply` with every pair of words reduced letter by letter on a
+    stack instead of by comparing prefixes; the pairs are taken in the same
+    order and summed into one dict from 0.0, so the sums are the same."""
+    out = {}
+    for (j1, k1), c1 in a.terms.items():
+        for (j2, k2), c2 in b.terms.items():
+            key = _reduced_word(j1, k1, j2, k2)
+            if key is not None:
+                out[key] = out.get(key, 0.0) + c1 * c2
+    return g.AlgebraElement.from_terms(a.n, out)
 
 
 def reference_unitary_action(u, a):

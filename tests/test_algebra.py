@@ -1,15 +1,23 @@
 """Normal forms, structural maps and the anticommutation embedding."""
 
+import cmath
 import itertools
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import gpcuntz as g
-from helpers import assert_elements_close, random_element, random_unitary, reference_unitary_action
+from helpers import (
+    assert_elements_close,
+    random_element,
+    random_unitary,
+    reference_expand_identity,
+    reference_multiply,
+    reference_unitary_action,
+)
 
 words2 = st.lists(st.integers(1, 2), max_size=6).map(tuple)
 small_elements = st.dictionaries(
@@ -49,6 +57,42 @@ def test_multiply_orthogonal_words_vanish():
 def test_multiply_rank_mismatch():
     with pytest.raises(g.RankMismatchError):
         g.multiply(g.generator(2, 1), g.generator(3, 1))
+
+
+def assert_bit_identical(x, y):
+    """Same rank, same keys in the same order, and coefficients equal to
+    the last bit, NaN included."""
+    assert x.n == y.n
+    assert list(x.terms) == list(y.terms)
+    bits = [(c.real.hex(), c.imag.hex()) for c in x.terms.values()]
+    assert bits == [(c.real.hex(), c.imag.hex()) for c in y.terms.values()]
+
+
+@st.composite
+def sparse_pairs(draw):
+    """Two elements at N = 2..4 with words up to length 6; about half of the
+    right factor's left words extend or cut a right word of the left
+    factor, so many pairs reduce instead of vanishing."""
+    n = draw(st.integers(2, 4))
+    word = st.lists(st.integers(1, n), max_size=6).map(tuple)
+    coeff = st.complex_numbers(min_magnitude=0.1, max_magnitude=4,
+                               allow_nan=False, allow_infinity=False)
+    a = draw(st.dictionaries(st.tuples(word, word), coeff, min_size=1, max_size=8))
+    b = {}
+    for _ in range(draw(st.integers(1, 8))):
+        j2, k2 = draw(word), draw(word)
+        if draw(st.booleans()):
+            k1 = draw(st.sampled_from(sorted(key[1] for key in a)))
+            j2 = (k1 + j2)[:6] if draw(st.booleans()) else k1[: len(j2)]
+        b[(j2, k2)] = draw(coeff)
+    return g.AlgebraElement.from_terms(n, a), g.AlgebraElement.from_terms(n, b)
+
+
+@given(sparse_pairs())
+def test_multiply_matches_stack_reduction(pair):
+    a, b = pair
+    assert_bit_identical(g.multiply(a, b), reference_multiply(a, b))
+    assert_bit_identical(g.multiply(b, a), reference_multiply(b, a))
 
 
 @given(words2, words2)
@@ -142,6 +186,28 @@ def test_expand_identity_negative_depth():
         g.expand_identity(g.identity(2), -1)
 
 
+def test_expand_identity_sums_in_term_order():
+    # the one output word (1 1, 1 1) sums all three terms; in term order
+    # (0.1 + 0.2) + 0.3 rounds up, in path order (0.2 + 0.3) + 0.1 does not
+    a = g.AlgebraElement.from_terms(
+        2, {((1, 1), (1, 1)): 0.1, ((), ()): 0.2, ((1,), (1,)): 0.3}
+    )
+    out = g.expand_identity(a, 0)
+    assert out.terms[(1, 1), (1, 1)] == (0.1 + 0.2) + 0.3 != (0.2 + 0.3) + 0.1
+    assert list(out.terms) == [((1, 1), (1, 1)), ((1, 2), (1, 2)), ((2, 1), (2, 1)), ((2, 2), (2, 2))]
+    assert_bit_identical(out, reference_expand_identity(a, 0))
+
+
+def test_expand_identity_keeps_nan_from_cancelling_infinities():
+    inf = float("inf")
+    a = g.AlgebraElement(2, {((), ()): inf, ((1,), (1,)): -inf})
+    out = g.expand_identity(a, 0)
+    assert list(out.terms) == [((1,), (1,)), ((2,), (2,))]
+    assert cmath.isnan(out.terms[(1,), (1,)])
+    assert out.terms[(2,), (2,)] == inf
+    assert_bit_identical(out, reference_expand_identity(a, 0))
+
+
 def test_expand_identity_budget():
     with pytest.raises(ValueError, match="16777216 terms"):
         g.expand_identity(g.generator(4, 1), 12)
@@ -170,6 +236,57 @@ def rewritten_through_range(a, rng):
         for tail in itertools.product(range(1, a.n + 1), repeat=levels):
             terms[(j + tail, k + tail)] = terms.get((j + tail, k + tail), 0.0) + c
     return g.AlgebraElement.from_terms(a.n, terms)
+
+
+@st.composite
+def expansion_cases(draw):
+    """(element, depth) at N = 2..4 with words up to length 4 and depth
+    0..3: a sparse element, or its difference with a partner rewritten
+    through the range relation (most of whose expansion cancels), or that
+    difference nudged off zero.  Sometimes terms are added along one path
+    down in shuffled order, so that term order and path order differ, and
+    sometimes a term and a word below it carry opposite infinities, set
+    past `from_terms`, which refuses them."""
+    n = draw(st.integers(2, 4))
+    word = st.lists(st.integers(1, n), max_size=4).map(tuple)
+    coeff = st.complex_numbers(min_magnitude=0.1, max_magnitude=4,
+                               allow_nan=False, allow_infinity=False)
+    a = g.AlgebraElement.from_terms(
+        n, draw(st.dictionaries(st.tuples(word, word), coeff, min_size=1, max_size=4))
+    )
+    kind = draw(st.sampled_from(["plain", "cancelling", "nudged"]))
+    if kind != "plain":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        a = a - rewritten_through_range(a, rng)
+        if kind == "nudged":
+            a = a + g.word_element(n, draw(word), draw(word), 1e-3)
+    if draw(st.booleans()) and a.terms:
+        j, k = draw(st.sampled_from(list(a.terms)))
+        tail = tuple(draw(st.lists(st.integers(1, n), min_size=1, max_size=3)))
+        path = [(j + tail[:i], k + tail[:i]) for i in range(1, len(tail) + 1)]
+        a = a + g.AlgebraElement.from_terms(
+            n, {key: draw(coeff) for key in draw(st.permutations(path))}
+        )
+    if draw(st.booleans()) and a.terms:
+        terms = dict(a.terms)
+        j, k = draw(st.sampled_from(list(terms)))
+        tail = tuple(draw(st.lists(st.integers(1, n), min_size=1, max_size=2)))
+        terms[(j, k)] = complex(float("inf"), draw(st.sampled_from([0.0, 1.0])))
+        terms[(j + tail, k + tail)] = complex(-float("inf"), 0.0)
+        a = g.AlgebraElement(n, terms)
+    depth = draw(st.integers(0, 3))
+    if a.terms:
+        # the reference loop pays for every generated term; keep it quick
+        top = max(min(len(j), len(k)) for j, k in a.terms) + depth
+        assume(sum(n ** (top - min(len(j), len(k))) for j, k in a.terms) <= 1 << 14)
+    return a, depth
+
+
+@settings(deadline=None)
+@given(expansion_cases())
+def test_expand_identity_matches_reference_loop(case):
+    a, depth = case
+    assert_bit_identical(g.expand_identity(a, depth), reference_expand_identity(a, depth))
 
 
 @given(seeded_elements, st.integers(0, 2))
