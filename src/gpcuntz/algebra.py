@@ -5,7 +5,8 @@ s_1 s_1* + ... + s_N s_N* = I.  Every product of generators and adjoints
 reduces to a word s_J s_K* for multi-indices J, K over {1, ..., N} (the
 empty index stands for I on its side), so elements are stored as finite
 complex combinations of such words.  The first relation is applied as a
-rewrite on every product.  The range relation is decided by
+rewrite on every product; `multiply` indexes its right factor by left word
+and visits only the pairs of terms that reduce.  The range relation is decided by
 `leavitt_form`, which rewrites an element onto the basis of words s_J s_K*
 in which J and K do not both end in the letter N; two elements are equal
 modulo both relations exactly when their difference has zero Leavitt
@@ -28,6 +29,8 @@ All values are immutable after construction and every operation is pure.
 from __future__ import annotations
 
 import cmath
+import contextlib
+import gc
 import itertools
 from dataclasses import dataclass
 
@@ -93,6 +96,24 @@ def _unimodular(c, what: str) -> complex:
     c = complex(c)
     _check_near(abs(c), 1.0, f"{what} must be unimodular")
     return c
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector for the block.
+
+    Building millions of small containers (key tuples, nested lists) sets
+    off repeated collections that each traverse every live object, and
+    none of them can be garbage.  The collector's previous state is
+    restored however the block ends.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def term_sort_key(key):
@@ -214,23 +235,62 @@ def word_element(n: int, left, right=(), coeff=1.0) -> AlgebraElement:
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Normal form of the product a*b.
 
-    Each cross term s_J s_K* s_L s_M* reduces by cancelling the overlap
-    of K against L: when K is a prefix of L the leftover letters of L
-    migrate into J; when L is a prefix of K the leftover letters of K
-    migrate into M; otherwise the term vanishes.
+    Each cross term s_J1 s_K1* s_J2 s_K2* reduces by cancelling the
+    overlap of K1 against J2: when K1 is a prefix of J2 the leftover
+    letters of J2 migrate into J1; when J2 is a proper prefix of K1 the
+    leftover letters of K1 migrate into K2; otherwise the term vanishes.
+
+    Only the pairs that reduce are visited.  The terms of b are indexed
+    once by J2 within each length of J2 and, for each length |K1| that a
+    needs, by J2[:|K1|] over the terms with |J2| >= |K1|.  A term of a then
+    probes K1[:L] for each length L < |K1| present in b and takes the one
+    bucket keyed by K1, so the cost is sum |J2| to index, sum |K1| probes
+    and the matches; an empty K1 matches every term of b.  The matches are
+    visited in b's term order (positions are sorted only when two or more
+    buckets contributed), so keys are inserted and summed in the order of
+    the loop over all pairs, and the result is bit-identical to it.
     """
     if a.n != b.n:
         raise RankMismatchError(f"rank mismatch: {a.n} vs {b.n}")
+    items = list(b.terms.items())
+    # b's positions by J2 (so within each length of J2), in b's term order
+    by_word: dict = {}
+    for pos, ((j2, _), _) in enumerate(items):
+        by_word.setdefault(j2, []).append(pos)
+    lengths = sorted({len(j2) for j2 in by_word})
+    # per |K1|, the positions of the terms with |J2| >= |K1| by J2[:|K1|];
+    # when no J2 is longer than K1, that is J2 itself
+    heads_by_len: dict = {}
     out: dict = {}
     for (j1, k1), c1 in a.terms.items():
-        for (j2, k2), c2 in b.terms.items():
-            if len(k1) <= len(j2):
-                if j2[: len(k1)] != k1:
-                    continue
-                key = (j1 + j2[len(k1):], k2)
+        m = len(k1)
+        heads = heads_by_len.get(m)
+        if heads is None:
+            if lengths and m < lengths[-1]:
+                heads = {}
+                for pos, ((j2, _), _) in enumerate(items):
+                    if len(j2) >= m:
+                        heads.setdefault(j2[:m], []).append(pos)
             else:
-                if k1[: len(j2)] != j2:
-                    continue
+                heads = by_word
+            heads_by_len[m] = heads
+        found = []
+        for length in lengths:
+            if length >= m:
+                break
+            bucket = by_word.get(k1[:length])
+            if bucket:
+                found.append(bucket)
+        bucket = heads.get(k1)
+        if bucket:
+            found.append(bucket)
+        if not found:
+            continue
+        for pos in found[0] if len(found) == 1 else sorted(itertools.chain(*found)):
+            (j2, k2), c2 = items[pos]
+            if m <= len(j2):
+                key = (j1 + j2[m:], k2)
+            else:
                 key = (j1, k2 + k1[len(j2):])
             out[key] = out.get(key, 0.0) + c1 * c2
     return AlgebraElement._from_words(a.n, out)
@@ -273,7 +333,8 @@ def expand_identity(a: AlgebraElement, depth: int) -> AlgebraElement:
     and the words of any other are written out.  The cost follows the
     input and the output, not the N^d terms a cancelling expansion would
     generate, and the result is bit-identical to that loop's, in its key
-    order: by first contributing term, then by tail.
+    order: by first contributing term, then by tail.  The words are written
+    out with the cyclic garbage collector paused.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -336,9 +397,10 @@ def expand_identity(a: AlgebraElement, depth: int) -> AlgebraElement:
     # tail from there: the depth-first order, which a stable sort keeps
     blocks.sort(key=lambda block: block[0])
     out: dict = {}
-    for _, j, k, rem, s in blocks:
-        for tail in itertools.product(alphabet, repeat=rem):
-            out[j + tail, k + tail] = s
+    with _collector_paused():
+        for _, j, k, rem, s in blocks:
+            for tail in itertools.product(alphabet, repeat=rem):
+                out[j + tail, k + tail] = s
     return AlgebraElement(a.n, out)
 
 

@@ -319,13 +319,14 @@ def _cmd_car_check(args) -> int:
             f"over the budget of {budget}"
         )
     gens = {n: algebra.car_generator(n) for n in range(1, args.n_max + 1)}
+    adjoints = {n: gen.adjoint() for n, gen in gens.items()}
     worst = 0.0
     lines = []
     payload = {"pairs": [], "fock": []}
     for n in range(1, args.n_max + 1):
         for m in range(1, args.n_max + 1):
-            a, b = gens[n], gens[m]
-            mixed = algebra.multiply(a, b.adjoint()) + algebra.multiply(b.adjoint(), a)
+            a, b, b_star = gens[n], gens[m], adjoints[m]
+            mixed = algebra.multiply(a, b_star) + algebra.multiply(b_star, a)
             if n == m:
                 mixed = mixed - algebra.identity(2)
             r1 = algebra.leavitt_form(mixed).sup_norm()

@@ -26,7 +26,6 @@ Chains come in four kinds:
 from __future__ import annotations
 
 import cmath
-import gc
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +33,15 @@ from functools import reduce
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, PIVOT_TOL, UNIT_TOL, RankMismatchError, _check_near, _unimodular
+from .algebra import (
+    DEFAULT_TOL,
+    PIVOT_TOL,
+    UNIT_TOL,
+    RankMismatchError,
+    _check_near,
+    _collector_paused,
+    _unimodular,
+)
 
 # most overlap summands, and most chain factors in C^2, one diagnostics
 # request may generate; factors are charged by their entries, so a chain in
@@ -61,20 +68,10 @@ def basis_vector(n: int, i: int) -> np.ndarray:
 
 
 def _nested_list(array: np.ndarray) -> list:
-    """`array.tolist()` with the cyclic garbage collector paused.
-
-    A nested list allocates one small container per row, and 10^5 of them
-    set off repeated collections that each traverse every live object;
-    none of them can be garbage.  The collector's previous state is
-    restored however the build ends.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    """`array.tolist()` with the cyclic garbage collector paused: a nested
+    list allocates one small container per row."""
+    with _collector_paused():
         return array.tolist()
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def complex_pairs(values) -> list:

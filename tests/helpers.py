@@ -260,6 +260,25 @@ def _reduced_word(j1, k1, j2, k2):
     return tuple(x for x in stack if x > 0), tuple(-x for x in reversed(stack) if x < 0)
 
 
+def reference_pairwise_multiply(a, b):
+    """`multiply` by the loop it replaced: every term of b is tried against
+    every term of a by comparing the prefixes of K1 and J2, and the pairs
+    that reduce are summed into one dict from 0.0 in that order."""
+    out: dict = {}
+    for (j1, k1), c1 in a.terms.items():
+        for (j2, k2), c2 in b.terms.items():
+            if len(k1) <= len(j2):
+                if j2[: len(k1)] != k1:
+                    continue
+                key = (j1 + j2[len(k1):], k2)
+            else:
+                if k1[: len(j2)] != j2:
+                    continue
+                key = (j1, k2 + k1[len(j2):])
+            out[key] = out.get(key, 0.0) + c1 * c2
+    return g.AlgebraElement._from_words(a.n, out)
+
+
 def reference_multiply(a, b):
     """`multiply` with every pair of words reduced letter by letter on a
     stack instead of by comparing prefixes; the pairs are taken in the same

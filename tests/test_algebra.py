@@ -1,6 +1,7 @@
 """Normal forms, structural maps and the anticommutation embedding."""
 
 import cmath
+import gc
 import itertools
 import math
 from unittest import mock
@@ -16,6 +17,7 @@ from helpers import (
     random_unitary,
     reference_expand_identity,
     reference_multiply,
+    reference_pairwise_multiply,
     reference_unitary_action,
 )
 
@@ -93,6 +95,67 @@ def test_multiply_matches_stack_reduction(pair):
     a, b = pair
     assert_bit_identical(g.multiply(a, b), reference_multiply(a, b))
     assert_bit_identical(g.multiply(b, a), reference_multiply(b, a))
+
+
+@given(sparse_pairs())
+def test_multiply_matches_pairwise_loop(pair):
+    a, b = pair
+    assert_bit_identical(g.multiply(a, b), reference_pairwise_multiply(a, b))
+    assert_bit_identical(g.multiply(b, a), reference_pairwise_multiply(b, a))
+
+
+def assert_multiply_matches_references(a, b):
+    for x, y in ((a, b), (b, a)):
+        assert_bit_identical(g.multiply(x, y), reference_multiply(x, y))
+        assert_bit_identical(g.multiply(x, y), reference_pairwise_multiply(x, y))
+
+
+def test_multiply_empty_right_and_left_words():
+    # an empty K1 meets every term of b, an empty J2 every term of a: all
+    # nine pairs reduce
+    a = g.AlgebraElement.from_terms(2, {((1,), ()): 0.5, ((2, 1), (1,)): 2j, ((), ()): 1.5})
+    b = g.AlgebraElement.from_terms(2, {((), (2,)): -1.0, ((1,), ()): 3.0, ((), ()): 0.25j})
+    assert_multiply_matches_references(a, b)
+
+
+def test_multiply_left_words_shorter_and_longer_than_the_right_word():
+    j2s = [(1, 2, 1, 2, 2), (), (2,), (1, 2), (1,), (1, 2, 1), (1, 2, 2), (1, 2, 1, 1), (1, 1, 2, 1)]
+    b = g.AlgebraElement.from_terms(
+        2, {(j2, (i % 2 + 1,) * (i % 3)): complex(i + 1, -i) for i, j2 in enumerate(j2s)}
+    )
+    a = g.AlgebraElement.from_terms(
+        2, {((2,), (1, 2, 1)): 0.7, ((), (1, 2)): -1.3j, ((1,), (1, 2, 1, 1, 2, 2)): 0.9}
+    )
+    assert_multiply_matches_references(a, b)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_multiply_key_reached_from_two_buckets(reverse):
+    # b holds (K1, X) and (P, Y) with P = (1,) a proper prefix of K1 = (1, 2)
+    # and X = Y + K1[len(P):], so both reach ((2,), X) from the second term
+    # of a, whose first term already put 0.3 there; the sum is 0.6 only
+    # when 0.2 is added before 0.1, in b's term order
+    x = (2, 1, 2)
+    a = g.AlgebraElement.from_terms(2, {((2,), ()): 0.3, ((2,), (1, 2)): 1.0})
+    pair = [(((1, 2), x), 0.2), (((1,), (2, 1)), 0.1)]
+    b = g.AlgebraElement.from_terms(2, dict(pair[::-1] if reverse else pair) | {((), x): 1.0})
+    assert (0.3 + 0.2) + 0.1 != (0.3 + 0.1) + 0.2
+    assert_multiply_matches_references(a, b)
+    expected = (0.3 + 0.1) + 0.2 if reverse else (0.3 + 0.2) + 0.1
+    assert g.multiply(a, b).terms[(2,), x] == expected
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_multiply_two_proper_prefix_buckets(order):
+    # J2 = () and J2 = (1,) are both proper prefixes of K1 = (1, 2, 1); with
+    # (1, 2) as well, three shorter buckets meet one term of a, and b's term
+    # order decides the order of the keys
+    terms = [(((1, 2), (1,)), 1.5), (((), (1,)), -0.5j), (((1,), (2,)), 2.0)]
+    b = g.AlgebraElement.from_terms(2, dict(terms[i] for i in order))
+    a = g.AlgebraElement.from_terms(2, {((2,), (1, 2, 1)): 1.0, ((1,), (1, 2)): 0.5})
+    assert_multiply_matches_references(a, b)
+    first = [key for key in g.multiply(a, b).terms if key[0] == (2,)]
+    assert first == [((2,), terms[i][0][1] + (1, 2, 1)[len(terms[i][0][0]):]) for i in order]
 
 
 @given(words2, words2)
@@ -206,6 +269,24 @@ def test_expand_identity_keeps_nan_from_cancelling_infinities():
     assert cmath.isnan(out.terms[(1,), (1,)])
     assert out.terms[(2,), (2,)] == inf
     assert_bit_identical(out, reference_expand_identity(a, 0))
+
+
+def test_expand_identity_leaves_the_collector_as_it_found_it(collector):
+    out = g.expand_identity(g.identity(2) - g.word_element(2, (1,), (2,)), 3)
+    assert gc.isenabled() is collector
+    assert len(out.terms) == 24
+
+
+def test_expand_identity_restores_the_collector_when_the_output_loop_raises(
+        monkeypatch, collector):
+    def exhausted(*_args, **_kwargs):
+        assert not gc.isenabled()
+        raise MemoryError
+
+    monkeypatch.setattr(g.algebra.itertools, "product", exhausted)
+    with pytest.raises(MemoryError):
+        g.expand_identity(g.identity(2), 3)
+    assert gc.isenabled() is collector
 
 
 def test_expand_identity_budget():

@@ -256,6 +256,21 @@ def test_car_check_reaches_n_max_8(capsys):
     assert payload["max_residual"] == 0.0
 
 
+def test_car_check_builds_each_adjoint_once(capsys, monkeypatch):
+    calls = []
+    adjoint = cli.algebra.AlgebraElement.adjoint
+
+    def counted(self):
+        calls.append(len(self.terms))
+        return adjoint(self)
+
+    monkeypatch.setattr(cli.algebra.AlgebraElement, "adjoint", counted)
+    code, _, _ = run_cli(capsys, "car-check", "--n-max", "4")
+    assert code == 0
+    # once per generator for the pairs, and once in each Fock residual
+    assert calls == [1, 2, 4, 8] * 2
+
+
 @pytest.mark.parametrize("fmt, golden", [("text", "car_check_n4.txt"), ("json", "car_check_n4.json")])
 def test_car_check_output_is_stable(capsys, fmt, golden):
     code, out, _ = run_cli(capsys, "car-check", "--n-max", "4", "-f", fmt)

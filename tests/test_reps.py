@@ -733,15 +733,6 @@ class _ExhaustedArray:
         raise MemoryError
 
 
-@pytest.fixture(params=[True, False], ids=["collector on", "collector off"])
-def collector(request):
-    """Run the test with the cyclic garbage collector on, then off."""
-    was = gc.isenabled()
-    (gc.enable if request.param else gc.disable)()
-    yield request.param
-    (gc.enable if was else gc.disable)()
-
-
 def test_json_lists_leave_the_collector_as_they_found_it(collector):
     rep = g.build_fiber_rep(g.cycle([REAL_A, REAL_B]), 1j, 4)
     g.params.complex_pairs(rep.omega)
