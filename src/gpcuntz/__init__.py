@@ -33,7 +33,6 @@ from .classify import (
     decompose_cycle,
     equivalent,
     numeric_cycle_eigencheck,
-    restriction_generators,
 )
 from .expressions import ExprSyntaxError, format_element, parse
 from .params import (

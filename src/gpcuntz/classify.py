@@ -5,8 +5,8 @@ irreducible exactly when it has no proper tensor-power root; a chain is
 reducible whenever it is eventually periodic (then it disintegrates over
 the circle into the scaled-cycle family of its tail block), irreducible
 for irrational rotation chains (an analytic input, never computed from a
-float), and undecided in the gray zone between asymptotic and eventual
-periodicity.
+float), and undecided in the gray zone.  `classify` reads the periodicity
+verdict, never the chain kind; `decompose_chain` reads the one tail block.
 """
 
 from __future__ import annotations
@@ -22,16 +22,17 @@ from .params import (
     ChainParam,
     CycleParam,
     UndecidableError,
+    _has_exact_tail,
     _phase_split,
+    _tail_block,
     chain_tail_equivalent,
     complex_pairs,
     cycles_equivalent,
     is_eventually_periodic,
     primitive_root,
-    rotation_to_explicit,
     scale_cycle,
 )
-from .reps import build_cycle_rep, build_fiber_rep, cycle_anchor_vectors, cycle_isometry
+from .reps import build_cycle_rep, build_fiber_rep, cycle_isometry
 
 
 @dataclass(frozen=True)
@@ -92,16 +93,16 @@ def classify(param, tol: float = DEFAULT_TOL) -> ClassificationReport:
             "unknown",
             "finite prefix data cannot decide periodicity; run diagnostics",
         )
-    if param.kind == "gray_zone":
+    if verdict.analytic_assumption:
         return ClassificationReport(
-            "gray_zone",
-            "asymptotically periodic without an eventual period; "
-            "decomposability is undecided in this regime",
+            "yes",
+            "irrational rotation chain is not asymptotically periodic",
+            analytic_assumption=True,
         )
     return ClassificationReport(
-        "yes",
-        "irrational rotation chain is not asymptotically periodic",
-        analytic_assumption=True,
+        "gray_zone",
+        "asymptotically periodic without an eventual period; "
+        "decomposability is undecided in this regime",
     )
 
 
@@ -111,11 +112,9 @@ def equivalent(a, b, tol: float = DEFAULT_TOL) -> bool:
     Cycles against chains are never equivalent (their circle-invariant
     restrictions branch finitely resp. infinitely).
     """
-    a_cycle = isinstance(a, CycleParam)
-    b_cycle = isinstance(b, CycleParam)
-    if a_cycle != b_cycle:
+    if isinstance(a, CycleParam) != isinstance(b, CycleParam):
         return False
-    if a_cycle:
+    if isinstance(a, CycleParam):
         return cycles_equivalent(a, b, tol)
     return chain_tail_equivalent(a, b, tol)
 
@@ -161,14 +160,9 @@ def decompose_chain(z: ChainParam, tol: float = DEFAULT_TOL) -> DirectIntegralDe
     sweep out in the circle integral anyway), reduced to its shortest
     cyclic block, and returned as the base cycle.
     """
-    verdict = is_eventually_periodic(z, tol)
-    if not verdict.eventually_periodic:
-        raise UndecidableError(
-            "direct-integral decomposition needs an eventually periodic chain"
-        )
-    if z.kind == "rotation":
-        z = rotation_to_explicit(z)
-    root = primitive_root(CycleParam(_phase_split(z.period)[0]), tol)[0]
+    if not _has_exact_tail(z):
+        raise UndecidableError("direct-integral decomposition needs an eventually periodic chain")
+    root = primitive_root(CycleParam(_phase_split(_tail_block(z))[0]), tol)[0]
     return DirectIntegralDescriptor(CycleParam(_phase_split(root.rows)[0]))
 
 
@@ -204,11 +198,6 @@ def branching_u1(param) -> BranchingReport:
     if isinstance(param, ChainParam):
         return BranchingReport(None, True)
     raise TypeError("expected a cycle or chain parameter")
-
-
-def restriction_generators(rep) -> list:
-    """Vectors generating the gauge-restriction components of a cycle rep."""
-    return cycle_anchor_vectors(rep)
 
 
 def numeric_cycle_eigencheck(v: CycleParam, p: int, depth: int | None = None,

@@ -5,11 +5,11 @@ a chain parameter is an infinite sequence of unit vectors.  Tensor
 equality only sees factors up to phases with unit product, so decisions
 compare factors by overlap phase: `_phase_match` returns the phases c_i
 of <b_i|a_i> when every |a_i - c_i b_i| is below the tolerance, with no
-component singled out (cycle equivalence also needs their product to be
-1), and rational rotations are decided in closed form.  The canonical
-form -- each factor rotated until its first component above PIVOT_TOL is
-real positive, the removed phases collected into one global phase -- is
-for presentation only: canonicalize_cycle, roots and decomposition bases.
+component singled out; `_offset_matches` is the one loop over cyclic
+offsets, `_tail_block` the one route to a chain's exact period rows.
+Rational rotations are decided in closed form.  The canonical form (each
+factor turned until its first component above PIVOT_TOL is real positive,
+the removed phases kept as one global phase) only presents roots and bases.
 
 Chains come in four kinds:
 
@@ -202,18 +202,25 @@ def primitive_root(z: CycleParam, tol: float = DEFAULT_TOL):
     differ by the components of the power decomposition); where the
     canonical pivot jumped between blocks, the matched phase joins it.
     """
-    canon = canonicalize_cycle(z)
-    rows = canon.rows
+    rows, pivots = _phase_split(z.rows)
     d, phases = _block_period(rows, tol)
     p = len(rows) // d
     if p == 1:
         return z, 1
-    phase = canon.global_phase
+    phase = complex(np.prod(pivots))
     jumped = np.linalg.norm(rows.reshape(p, d, -1) - rows[:d], axis=-1) >= tol
     if jumped.any():
         phase *= complex(np.prod(phases[jumped]))
     root_phase = cmath.exp(cmath.log(phase) / p)
     return CycleParam(np.vstack((rows[0] * root_phase, rows[1:d]))), p
+
+
+def _offset_matches(a: np.ndarray, b: np.ndarray, tol: float):
+    """The one loop over cyclic offsets: _phase_match of a and b tiled once to
+    lcm length, a rotated by each offset below the gcd (the rest repeat pairs)."""
+    span, offsets = math.lcm(len(a), len(b)), math.gcd(len(a), len(b))
+    a, b = np.tile(a, (span // len(a), 1)), np.tile(b, (span // len(b), 1))
+    return (_phase_match(np.roll(a, -r, axis=0), b, tol) for r in range(offsets))
 
 
 def cycles_equivalent(z: CycleParam, y: CycleParam, tol: float = DEFAULT_TOL) -> bool:
@@ -223,8 +230,8 @@ def cycles_equivalent(z: CycleParam, y: CycleParam, tol: float = DEFAULT_TOL) ->
         raise RankMismatchError(f"rank mismatch: {z.n} vs {y.n}")
     if z.k != y.k:
         return False
-    matches = (_phase_match(np.roll(z.rows, -r, axis=0), y.rows, tol) for r in range(z.k))
-    return any(c is not None and abs(np.prod(c) - 1.0) <= tol for c in matches)
+    return any(c is not None and abs(np.prod(c) - 1.0) <= tol
+               for c in _offset_matches(z.rows, y.rows, tol))
 
 
 # ----------------------------------------------------------------------
@@ -347,13 +354,25 @@ def chain_factor(chain: ChainParam, m: int) -> np.ndarray:
     return chain_factors(chain, m, 1)[0]
 
 
+def _has_exact_tail(chain: ChainParam) -> bool:
+    """Explicit and rational rotation chains: the chains with a tail block."""
+    return chain.kind == "explicit" or isinstance(chain.theta, Fraction)
+
+
+def _tail_block(chain: ChainParam) -> np.ndarray:
+    """Exact period block of an explicit or rational rotation chain, within budget."""
+    if chain.kind == "explicit":
+        return chain.period
+    b = chain.theta.denominator
+    _check_factor_budget(chain, b, f"the period block of rotation {chain.theta}")
+    return chain_factors(chain, 1, b)
+
+
 def rotation_to_explicit(chain: ChainParam) -> ChainParam:
     """Exact period block of a rational rotation chain."""
     if chain.kind != "rotation" or not isinstance(chain.theta, Fraction):
         raise ValueError("only rational rotation chains have an exact period")
-    b = chain.theta.denominator
-    _check_factor_budget(chain, b, f"the period block of rotation {chain.theta}")
-    return explicit_chain(chain_factors(chain, 1, b))
+    return explicit_chain(_tail_block(chain))
 
 
 # ----------------------------------------------------------------------
@@ -409,25 +428,16 @@ def chain_tail_equivalent(z: ChainParam, y: ChainParam, tol: float = DEFAULT_TOL
     gcd of the periods compare the same pairs).  Rational rotations agree
     so exactly when 2 (theta - theta') is an integer.
     """
-
-    def tail_block(c: ChainParam):
-        if c.kind == "explicit":
-            return c.period
-        if isinstance(c.theta, Fraction):
-            return rotation_to_explicit(c).period
-        raise UndecidableError(
-            f"chain kind {c.kind!r} has no exact periodic tail; "
-            "use asymptotic diagnostics instead"
-        )
-
     if z.n != y.n:
         raise RankMismatchError(f"rank mismatch: {z.n} vs {y.n}")
     if isinstance(z.theta, Fraction) and isinstance(y.theta, Fraction):
         return (2 * (z.theta - y.theta)).denominator == 1
-    bz, by = tail_block(z), tail_block(y)
-    m = np.arange(math.lcm(len(bz), len(by)))
-    return any(_phase_match(bz[(m + r) % len(bz)], by[m % len(by)], tol) is not None
-               for r in range(math.gcd(len(bz), len(by))))
+    # both sides are refused before either block is built
+    for c in (z, y):
+        if not _has_exact_tail(c):
+            raise UndecidableError(f"chain kind {c.kind!r} has no exact periodic tail; "
+                                   "use asymptotic diagnostics instead")
+    return any(c is not None for c in _offset_matches(_tail_block(z), _tail_block(y), tol))
 
 
 # ----------------------------------------------------------------------

@@ -495,9 +495,11 @@ def _chain_anchors(rep: TruncatedRep, max_depth: int) -> range:
     return anchors
 
 
-def _enumerate_chain(rep: TruncatedRep, max_depth: int):
+def _enumerate_chain(rep: TruncatedRep, max_depth: int, e_cache: dict | None = None):
+    """`e_cache`, when given, is a _chain_vectors dict of `rep` over the layers read."""
     anchors = _chain_anchors(rep, max_depth)
-    e_cache = _chain_vectors(rep, min(anchors), max(anchors) + max(max_depth, 1) - 1)
+    if e_cache is None:
+        e_cache = _chain_vectors(rep, min(anchors), max(anchors) + max(max_depth, 1) - 1)
     out = []
     for t in anchors:
         out.append((BasisLabel(1, t), e_cache[t]))
@@ -634,7 +636,7 @@ def verify_gp(rep: TruncatedRep) -> VerificationReport:
 
     basis_gram = basis_count = min_sing = None
     if d >= 1:
-        fam = _enumerate_cycle(rep, d, anchors) if cyclic else enumerate_basis(rep, d)
+        fam = _enumerate_cycle(rep, d, anchors) if cyclic else _enumerate_chain(rep, d, vectors)
         gram, basis_gram = _gram([vec for _, vec in fam])
         basis_count = len(fam)
         # the singular values of the stacked family are the square roots of

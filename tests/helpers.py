@@ -1,5 +1,6 @@
 """Shared constructors and oracles for the test suite."""
 
+import cmath
 import itertools
 import math
 from fractions import Fraction
@@ -141,6 +142,91 @@ def reference_rotation_tail_equivalent(theta, other, tol=1e-9):
         )
         for offset in range(span)
     )
+
+
+def reference_roll_matches(a, b, tol=g.algebra.DEFAULT_TOL):
+    """The matched phases (or None) of two blocks of one length at every
+    offset, by the loop that rolled `a` once per offset."""
+    return [g.params._phase_match(np.roll(a, -r, axis=0), b, tol) for r in range(len(a))]
+
+
+def reference_gather_matches(a, b, tol=g.algebra.DEFAULT_TOL):
+    """The matched phases (or None) at each offset below the gcd of the
+    block lengths, by the per-offset gather of both blocks over their lcm."""
+    m = np.arange(math.lcm(len(a), len(b)))
+    return [g.params._phase_match(a[(m + r) % len(a)], b[m % len(b)], tol)
+            for r in range(math.gcd(len(a), len(b)))]
+
+
+def reference_cycles_equivalent(z, y, tol=g.algebra.DEFAULT_TOL):
+    """Cycle equivalence by the per-offset roll: some rotation of z matches
+    y factorwise with phases whose product is 1."""
+    if z.n != y.n:
+        raise g.RankMismatchError(f"rank mismatch: {z.n} vs {y.n}")
+    if z.k != y.k:
+        return False
+    return any(c is not None and abs(np.prod(c) - 1.0) <= tol
+               for c in reference_roll_matches(z.rows, y.rows, tol))
+
+
+def reference_rotation_to_explicit(chain):
+    """The explicit chain of a rational rotation's first b factors."""
+    return g.explicit_chain(g.chain_factors(chain, 1, chain.theta.denominator))
+
+
+def reference_chain_tail_equivalent(z, y, tol=g.algebra.DEFAULT_TOL):
+    """Tail equivalence by the per-chain tail closure and the gather over
+    gcd offsets; rational rotation pairs in closed form."""
+
+    def tail_block(c):
+        if c.kind == "explicit":
+            return c.period
+        if isinstance(c.theta, Fraction):
+            return reference_rotation_to_explicit(c).period
+        raise g.UndecidableError(
+            f"chain kind {c.kind!r} has no exact periodic tail; "
+            "use asymptotic diagnostics instead"
+        )
+
+    if z.n != y.n:
+        raise g.RankMismatchError(f"rank mismatch: {z.n} vs {y.n}")
+    if isinstance(z.theta, Fraction) and isinstance(y.theta, Fraction):
+        return (2 * (z.theta - y.theta)).denominator == 1
+    matches = reference_gather_matches(tail_block(z), tail_block(y), tol)
+    return any(c is not None for c in matches)
+
+
+def reference_primitive_root(z, tol=g.algebra.DEFAULT_TOL):
+    """(root, p) through canonicalize_cycle: the canonical rows and global
+    phase of a CanonicalCycle, its block period, and the p-th root of the
+    global phase times the phases matched where the pivot jumped."""
+    canon = g.canonicalize_cycle(z)
+    rows = canon.rows
+    d, phases = g.params._block_period(rows, tol)
+    p = len(rows) // d
+    if p == 1:
+        return z, 1
+    phase = canon.global_phase
+    jumped = np.linalg.norm(rows.reshape(p, d, -1) - rows[:d], axis=-1) >= tol
+    if jumped.any():
+        phase *= complex(np.prod(phases[jumped]))
+    root_phase = cmath.exp(cmath.log(phase) / p)
+    return g.CycleParam(np.vstack((rows[0] * root_phase, rows[1:d]))), p
+
+
+def reference_decompose_chain_base(z, tol=g.algebra.DEFAULT_TOL):
+    """Base rows of the direct integral by is_eventually_periodic, then the
+    rotation's explicit chain, then the root of the phase-split period."""
+    verdict = g.is_eventually_periodic(z, tol)
+    if not verdict.eventually_periodic:
+        raise g.UndecidableError(
+            "direct-integral decomposition needs an eventually periodic chain"
+        )
+    if z.kind == "rotation":
+        z = reference_rotation_to_explicit(z)
+    split = g.params._phase_split
+    root = reference_primitive_root(g.CycleParam(split(z.period)[0]), tol)[0]
+    return g.CycleParam(split(root.rows)[0]).rows
 
 
 def reference_chain_factor(chain, m):

@@ -219,7 +219,7 @@ def test_criterion_09_branching():
         report = g.branching_u1(z)
         counts_ok = counts_ok and report.component_count == k and not report.infinite
         rep = g.build_cycle_rep(z, k + 2)
-        vectors = g.restriction_generators(rep)
+        vectors = g.cycle_anchor_vectors(rep)
         mat = np.stack(vectors, axis=1)
         gram = mat.conj().T @ mat
         worst = max(worst, float(np.max(np.abs(gram - np.eye(k)))))

@@ -14,6 +14,7 @@ from helpers import (
     brute_force_power,
     random_nonperiodic_cycle,
     random_unit,
+    reference_decompose_chain_base,
 )
 
 E1 = g.basis_vector(2, 1)
@@ -203,6 +204,36 @@ def test_decompose_chain_requires_eventual_period():
         g.decompose_chain(g.rotation_chain(math.sqrt(2) - 1))
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    d=st.integers(1, 3),
+    p=st.integers(1, 4),
+    pre=st.integers(0, 2),
+    b=st.integers(1, 40),
+    a=st.integers(0, 39),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_direct_integral_base_matches_the_periodicity_route(n, d, p, pre, b, a, seed):
+    rng = np.random.default_rng(seed)
+    block = np.array([random_unit(rng, n) for _ in range(d)])
+    period = np.tile(block, (p, 1)) * np.exp(2j * math.pi * rng.uniform(size=d * p))[:, None]
+    preperiod = [random_unit(rng, n) for _ in range(pre)]
+    for chain in (g.explicit_chain(period, preperiod), g.rotation_chain(Fraction(a % b, b))):
+        base = g.decompose_chain(chain).base.rows
+        assert base.tobytes() == reference_decompose_chain_base(chain).tobytes()
+
+
+@pytest.mark.parametrize("chain", [g.rotation_chain(math.sqrt(2) - 1), g.gray_zone_chain(),
+                                   g.prefix_chain([E1, E2])], ids=["float", "gray", "prefix"])
+def test_direct_integral_refusal_matches_the_periodicity_route(chain):
+    with pytest.raises(g.UndecidableError) as found:
+        g.decompose_chain(chain)
+    with pytest.raises(g.UndecidableError) as expected:
+        reference_decompose_chain_base(chain)
+    assert str(found.value) == str(expected.value)
+
+
 def test_descriptor_materializes_fibers():
     rng = np.random.default_rng(7)
     y = random_nonperiodic_cycle(rng, 2, 2)
@@ -230,7 +261,7 @@ def test_branching_generators_orthonormal():
     for k in (1, 2, 3):
         z = random_nonperiodic_cycle(rng, 2, k)
         rep = g.build_cycle_rep(z, k + 2)
-        vectors = g.restriction_generators(rep)
+        vectors = g.cycle_anchor_vectors(rep)
         mat = np.stack(vectors, axis=1)
         gram = mat.conj().T @ mat
         assert np.max(np.abs(gram - np.eye(k))) < 1e-9

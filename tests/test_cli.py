@@ -568,16 +568,26 @@ def test_large_rotation_is_classified_in_closed_form(capsys, monkeypatch):
     assert err == ""
 
 
-@pytest.mark.parametrize("argv", [
-    ("decompose", "--inline", BIG_ROTATION),
-    ("equivalent", "--param", BIG_ROTATION, "--other", CHAIN_E2),
-], ids=["decompose", "equivalent"])
-def test_large_rotation_block_is_refused_before_allocating(capsys, monkeypatch, argv):
+BUDGET_ROTATION = '{"kind":"chain","rotation":{"num":1,"den":8388593}}'
+FLOAT_ROTATION = '{"kind":"chain","theta":0.1}'
+NO_EXACT_TAIL_ERROR = ("error: chain kind 'rotation' has no exact periodic tail; "
+                       "use asymptotic diagnostics instead\n")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("decompose", "--inline", BIG_ROTATION), BIG_ROTATION_ERROR),
+    (("equivalent", "--param", BIG_ROTATION, "--other", CHAIN_E2), BIG_ROTATION_ERROR),
+    # a rational block within the budget is not built when the other side
+    # has no exact tail, in either order
+    (("equivalent", "--param", BUDGET_ROTATION, "--other", FLOAT_ROTATION), NO_EXACT_TAIL_ERROR),
+    (("equivalent", "--param", FLOAT_ROTATION, "--other", BUDGET_ROTATION), NO_EXACT_TAIL_ERROR),
+], ids=["decompose", "equivalent", "equivalent-undecidable-other", "equivalent-undecidable-first"])
+def test_large_rotation_block_is_refused_before_allocating(capsys, monkeypatch, argv, error):
     monkeypatch.setattr(cli.params, "chain_factors", _no_factors)
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert err == BIG_ROTATION_ERROR
+    assert err == error
 
 
 @pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])

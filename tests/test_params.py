@@ -1,5 +1,6 @@
 """Cycle/chain parameters: canonical forms, periodicity, equivalence, diagnostics."""
 
+import cmath
 import math
 from fractions import Fraction
 from functools import reduce
@@ -17,9 +18,15 @@ from helpers import (
     random_nonperiodic_cycle,
     random_unit,
     reference_chain_factor,
+    reference_chain_tail_equivalent,
+    reference_cycles_equivalent,
+    reference_gather_matches,
     reference_phase_split,
+    reference_primitive_root,
+    reference_roll_matches,
     reference_rotation_period,
     reference_rotation_tail_equivalent,
+    reference_rotation_to_explicit,
 )
 
 E1 = g.basis_vector(2, 1)
@@ -490,6 +497,168 @@ def test_rotation_block_over_the_factor_budget_is_refused(monkeypatch):
         g.chain_tail_equivalent(chain, g.explicit_chain([E1]))
     with pytest.raises(ValueError, match=message):
         g.decompose_chain(chain)
+
+
+# ----------------------------------------------------------------------
+# offset matcher and roots against the per-offset loops they replaced
+
+TOL = g.algebra.DEFAULT_TOL
+# distances and phase-product defects as multiples of the tolerance: just
+# inside, just outside, well inside and well outside
+TOL_SCALES = [1.0 - 1e-6, 1.0 + 1e-6, 0.5, 2.0]
+
+
+def _assert_same_matches(found, expected):
+    found = list(found)
+    assert len(found) == len(expected)
+    for c, e in zip(found, expected):
+        assert (c is None) == (e is None)
+        if c is not None:
+            assert c.tobytes() == e.tobytes()
+
+
+def _moved(rng, v, distance):
+    """A unit vector at `distance` from v whose overlap with v is real
+    positive: v turned toward a random orthogonal direction."""
+    u = random_unit(rng, len(v))
+    u -= np.vdot(v, u) * v
+    phi = 2.0 * math.asin(distance / 2.0)
+    return math.cos(phi) * v + math.sin(phi) * u / np.linalg.norm(u)
+
+
+def _pair_rows(rng, n, d, p, case, shift, scale):
+    """Rows of a p-th power z of a random d-block (random phases on every
+    row) and rows y compared against it: an independent power (`random`), z
+    rotated by `shift` with unit-product phases (`rotated`), the same with
+    phase product exp(i e) at |exp(i e) - 1| = scale tol (`product`), or
+    with one row moved scale tol away (`moved`)."""
+    k = d * p
+    block = np.array([random_unit(rng, n) for _ in range(d)])
+    z = np.tile(block, (p, 1)) * np.exp(2j * math.pi * rng.uniform(size=k))[:, None]
+    if case == "random":
+        other = np.array([random_unit(rng, n) for _ in range(d)])
+        return z, np.tile(other, (p, 1))
+    phases = _unit_product_phases(rng, k)
+    if case == "product":
+        phases[-1] *= np.exp(2j * math.asin(scale * TOL / 2.0))
+    y = np.roll(z, -shift, axis=0) * phases[:, None]
+    if case == "moved":
+        i = int(rng.integers(k))
+        y[i] = _moved(rng, y[i], scale * TOL)
+    return z, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    d=st.integers(1, 3),
+    p=st.integers(1, 4),
+    q=st.integers(1, 3),
+    case=st.sampled_from(["random", "rotated", "product", "moved"]),
+    shift=st.integers(0, 11),
+    scale=st.sampled_from(TOL_SCALES),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_offset_matcher_matches_the_roll_and_gather_loops(n, d, p, q, case, shift, scale, seed):
+    rng = np.random.default_rng(seed)
+    zr, yr = _pair_rows(rng, n, d, p, case, shift % (d * p), scale)
+    z, y = g.cycle(zr), g.cycle(yr)
+    _assert_same_matches(g.params._offset_matches(z.rows, y.rows, TOL),
+                         reference_roll_matches(z.rows, y.rows))
+    for a, b in ((z, y), (y, z)):
+        found = g.cycles_equivalent(a, b)
+        assert found == reference_cycles_equivalent(a, b)
+        if case != "random":
+            # every matching offset has the phase product of the rotation
+            assert found is (case == "rotated" or scale < 1.0)
+    # chain blocks of lengths d p and d q: y's first block, repeated q times
+    za = g.explicit_chain(z.rows, [random_unit(rng, n)])
+    yb = g.explicit_chain(np.tile(y.rows[:d], (q, 1)))
+    _assert_same_matches(g.params._offset_matches(za.period, yb.period, TOL),
+                         reference_gather_matches(za.period, yb.period))
+    for a, b in ((za, yb), (yb, za)):
+        found = g.chain_tail_equivalent(a, b)
+        assert found == reference_chain_tail_equivalent(a, b)
+        if case in ("rotated", "product"):
+            assert found is True
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    b=st.integers(1, 12),
+    a=st.integers(0, 11),
+    q=st.integers(1, 3),
+    case=st.sampled_from(["random", "rotated", "moved"]),
+    shift=st.integers(0, 11),
+    scale=st.sampled_from(TOL_SCALES),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rotation_against_explicit_matches_the_gather_loop(b, a, q, case, shift, scale, seed):
+    rng = np.random.default_rng(seed)
+    rot = g.rotation_chain(Fraction(a % b, b))
+    block = reference_rotation_to_explicit(rot).period
+    b = len(block)
+    if case == "random":
+        rows = np.array([random_unit(rng, 2) for _ in range(b)])
+    else:
+        rows = np.roll(block, -(shift % b), axis=0) * np.exp(2j * math.pi * rng.uniform(size=b))[:, None]
+        if case == "moved":
+            i = int(rng.integers(b))
+            rows[i] = _moved(rng, rows[i], scale * TOL)
+    ex = g.explicit_chain(np.tile(rows, (q, 1)))
+    assert g.params._tail_block(rot).tobytes() == block.tobytes()
+    _assert_same_matches(g.params._offset_matches(g.params._tail_block(rot), ex.period, TOL),
+                         reference_gather_matches(block, ex.period))
+    for x, w in ((rot, ex), (ex, rot)):
+        found = g.chain_tail_equivalent(x, w)
+        assert found == reference_chain_tail_equivalent(x, w)
+        if case != "random":
+            assert found is (case == "rotated" or scale < 1.0)
+
+
+@pytest.mark.parametrize("undecidable", [g.rotation_chain(0.1), g.gray_zone_chain(),
+                                         g.prefix_chain([E1, E2])])
+def test_tail_equivalence_refuses_either_side_before_building_a_block(monkeypatch, undecidable):
+    def no_factors(*_):
+        raise AssertionError("a tail block was built for an undecidable pair")
+
+    monkeypatch.setattr(g.params, "chain_factors", no_factors)
+    message = f"chain kind {undecidable.kind!r} has no exact periodic tail"
+    # a rotation block within the budget, one over it, and an explicit block
+    exact_chains = (g.rotation_chain(Fraction(1, 8388593)),
+                    g.rotation_chain(Fraction(1, 100_000_007)), g.explicit_chain([E1]))
+    for exact in exact_chains:
+        for pair in ((exact, undecidable), (undecidable, exact)):
+            with pytest.raises(g.UndecidableError, match=message):
+                g.chain_tail_equivalent(*pair)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    layouts=st.lists(st.sampled_from(["random", "lead-zeros", "near-pivot", "real"]),
+                     min_size=1, max_size=3),
+    p=st.integers(1, 4),
+    moved=st.booleans(),
+    scale=st.sampled_from(TOL_SCALES),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_roots_and_powers_match_the_canonical_cycle_route(n, layouts, p, moved, scale, seed):
+    rng = np.random.default_rng(seed)
+    block = np.array([_row(rng, n, layout) for layout in layouts])
+    rows = np.tile(block, (p, 1)) * np.exp(2j * math.pi * rng.uniform(size=len(block) * p))[:, None]
+    if moved:
+        i = int(rng.integers(len(rows)))
+        rows[i] = _moved(rng, rows[i], scale * TOL)
+    z = g.cycle(rows)
+    root, power = g.primitive_root(z)
+    expected_root, expected_power = reference_primitive_root(z)
+    assert power == expected_power
+    assert root.rows.tobytes() == expected_root.rows.tobytes()
+    expected = [z] if power == 1 else [
+        g.scale_cycle(expected_root, cmath.exp(2j * math.pi * j / power)) for j in range(power)
+    ]
+    assert [c.rows.tobytes() for c in g.decompose_cycle(z)] == [c.rows.tobytes() for c in expected]
 
 
 # ----------------------------------------------------------------------

@@ -788,6 +788,7 @@ def test_verify_basis_check_is_charged_before_enumerating(monkeypatch):
         raise AssertionError("the basis family was enumerated for a refused check")
 
     monkeypatch.setattr(g.reps, "_enumerate_cycle", no_family)
+    monkeypatch.setattr(g.reps, "_enumerate_chain", no_family)
     monkeypatch.setattr(g.reps, "enumerate_basis", no_family)
     with pytest.raises(ValueError, match="stack 8 vectors of dimension 64, 512 entries, "
                                          "over the budget of 504"):
@@ -796,6 +797,31 @@ def test_verify_basis_check_is_charged_before_enumerating(monkeypatch):
         g.verify_gp(chain)
     # depth k leaves no room for a basis check, so there is nothing to charge
     assert g.verify_gp(g.build_cycle_rep(z, 2)).basis_count is None
+
+
+@pytest.mark.parametrize("chain", [g.gray_zone_chain(), g.rotation_chain(Fraction(2, 7)),
+                                   g.explicit_chain([E1, E2], [E2])],
+                         ids=["gray", "rotation", "explicit"])
+def test_verify_reuses_the_chain_family(monkeypatch, chain):
+    rep = g.build_chain_rep(chain, 5, 2, 3)
+    d_minus, d_plus = rep.window
+    family = g.reps._chain_vectors(rep, -(d_minus - 1), d_plus)
+    for depth in (1, 2):
+        fresh = g.enumerate_basis(rep, depth)
+        reused = g.reps._enumerate_chain(rep, depth, family)
+        assert [label for label, _ in fresh] == [label for label, _ in reused]
+        assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(fresh, reused))
+    report = g.verify_gp(rep)
+    calls = []
+    walk = g.reps._chain_vectors
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return walk(*args)
+
+    monkeypatch.setattr(g.reps, "_chain_vectors", counted)
+    assert g.verify_gp(rep) == report
+    assert calls == [(-(d_minus - 1), d_plus)]
 
 
 def test_rep_budget_refuses_before_allocating(monkeypatch):
