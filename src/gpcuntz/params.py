@@ -359,13 +359,21 @@ def _has_exact_tail(chain: ChainParam) -> bool:
     return chain.kind == "explicit" or isinstance(chain.theta, Fraction)
 
 
+def _tail_length(chain: ChainParam) -> int:
+    """Length of the exact period block of an explicit or rational rotation
+    chain, a rotation's charged to the factor budget."""
+    if chain.kind == "explicit":
+        return len(chain.period)
+    b = chain.theta.denominator
+    _check_factor_budget(chain, b, f"the period block of rotation {chain.theta}")
+    return b
+
+
 def _tail_block(chain: ChainParam) -> np.ndarray:
     """Exact period block of an explicit or rational rotation chain, within budget."""
     if chain.kind == "explicit":
         return chain.period
-    b = chain.theta.denominator
-    _check_factor_budget(chain, b, f"the period block of rotation {chain.theta}")
-    return chain_factors(chain, 1, b)
+    return chain_factors(chain, 1, _tail_length(chain))
 
 
 def rotation_to_explicit(chain: ChainParam) -> ChainParam:
@@ -437,6 +445,9 @@ def chain_tail_equivalent(z: ChainParam, y: ChainParam, tol: float = DEFAULT_TOL
         if not _has_exact_tail(c):
             raise UndecidableError(f"chain kind {c.kind!r} has no exact periodic tail; "
                                    "use asymptotic diagnostics instead")
+    # the offset matcher tiles both blocks to the lcm of their lengths
+    span = math.lcm(_tail_length(z), _tail_length(y))
+    _check_factor_budget(z, span, "the tail blocks tiled to the lcm of their lengths")
     return any(c is not None for c in _offset_matches(_tail_block(z), _tail_block(y), tol))
 
 

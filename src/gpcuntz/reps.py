@@ -29,27 +29,33 @@ rows; nothing goes back to the parameter.  `verify_gp(rep)` takes no
 options: its eigen residual comes from the same factor isometries as its
 anchor and basis checks, and its basis depth is min(2, D - k).
 
+A truncation stores each generator as the read-only CSC arrays (`csc`:
+data, indices, indptr) written straight from its step table with numpy,
+in column order and ascending rows.  `gens` wraps these arrays, without a
+copy, as scipy csc_arrays on first use; only operator work (`verify_gp`,
+`vector_isometry`, `apply_element`, `cycle_isometry`, `power_vanish`)
+reads it, so only that work loads scipy.sparse.  Building and exporting a
+truncation, like importing this module, the package or its command line,
+never does.
+
 The builders refuse, before allocating, more than REP_BUDGET basis vectors
 at rank 2 (2 REP_BUDGET / N at rank N), and `verify_gp` refuses, before it
 enumerates, a basis check whose dense stack of count x dim entries would
 exceed 8 REP_BUDGET.  The chain family E_t is pushed
-from Omega through the window once.  The exports cost about the bytes
-they emit.  `export_coo` turns every index into text once and the `repr`
-text of an entry once per distinct bit pattern of its value, which a step
-table keeps to k N^2 per generator; every line is gathered from these
-tables by index and the output is one join, byte-stable with every -0.0
-kept.  `export_json` builds its nested lists with the cyclic garbage
-collector paused (`params._nested_list`).
-
-scipy.sparse is loaded only when a truncation is built or checked, inside
-the functions that call it, so importing this module (and with it the
-package and its command line) does not pay for it.
+from Omega through the window once.  The exports read the stored arrays
+and cost about the bytes they emit.  `export_coo` turns every index into
+text once and the `repr` text of an entry once per distinct bit pattern
+of its value, which a step table keeps to k N^2 per generator; every line
+is gathered from these tables by index and the output is one join,
+byte-stable with every -0.0 kept.  `export_json` builds its nested lists
+with the cyclic garbage collector paused (`params._nested_list`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -113,7 +119,7 @@ class TruncatedRep:
     kind: str                 # "cycle" | "chain" | "fiber"
     depth: int
     layers: tuple             # layer ids in basis order
-    gens: list                # csc matrices
+    csc: tuple                # read-only (data, indices, indptr) of each generator's CSC matrix
     omega: np.ndarray
     interior: np.ndarray      # columns on which S_i* S_j = delta_ij is exact
     sum_interior: np.ndarray  # columns on which sum_i S_i S_i* = I is exact
@@ -124,6 +130,15 @@ class TruncatedRep:
     @property
     def dim(self) -> int:
         return self.omega.size
+
+    @cached_property
+    def gens(self) -> list:
+        """S_1..S_N as scipy csc_arrays over the stored arrays, not copies;
+        the first use loads scipy.sparse."""
+        import scipy.sparse as sp
+
+        shape = (self.dim, self.dim)
+        return [sp.csc_array(arrays, shape=shape, copy=False) for arrays in self.csc]
 
     @property
     def block(self) -> int:
@@ -162,43 +177,33 @@ def _layered_rep(param, depth, layers, steps, omega_layer, kind, **fields) -> Tr
     """Truncation of depth `depth` on `layers` from a step table.
 
     `steps` holds one (source layer, target layer, completing unitary,
-    scale) row per step down.  Coefficients are formed entry by entry as
-    `scale * conj(u_ij)`, since numpy's array complex multiply can differ
-    from the scalar one in the last bit.  Chain steps pass scale None and
-    keep `conj(u_ij)` as it is: a factor 1.0 would turn their -0.0
-    imaginary parts into 0.0.
+    scale) row per step down, and no two rows share a source, so each
+    column of a generator is written by at most one step: rows N(m-1) + j
+    of the target layer in ascending j, exact zeros skipped.  Coefficients
+    are formed entry by entry as `scale * conj(u_ij)`, since numpy's array
+    complex multiply can differ from the scalar one in the last bit.
+    Chain steps pass scale None and keep `conj(u_ij)` as it is: a factor
+    1.0 would turn their -0.0 imaginary parts into 0.0.
     """
-    import scipy.sparse as sp
-
     n = param.n
     blk = n ** depth
     inner = n ** (depth - 1)
     dim = len(layers) * blk
-    ms = np.arange(inner)
-    entries = [([], [], []) for _ in range(n)]
     interior = np.zeros(dim, dtype=bool)
     sum_interior = np.zeros(dim, dtype=bool)
+    # per generator, (first column, first row, kept j, their coefficients) per step
+    spans = [[] for _ in range(n)]
     for source, target, u, scale in steps:
         col_base = layers.index(source) * blk
         row_base = layers.index(target) * blk
         interior[col_base : col_base + inner] = True
         sum_interior[row_base : row_base + blk] = True
         for i in range(n):
-            rows, cols, vals = entries[i]
-            for j in range(n):
-                coeff = np.conj(u[i, j]) if scale is None else scale * np.conj(u[i, j])
-                if abs(coeff) == 0.0:
-                    continue
-                rows.append(row_base + n * ms + j)
-                cols.append(col_base + ms)
-                vals.append(np.full(inner, coeff, dtype=complex))
-    gens = [
-        sp.csc_array(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(dim, dim),
-        )
-        for rows, cols, vals in entries
-    ]
+            coeffs = [np.conj(u[i, j]) if scale is None else scale * np.conj(u[i, j])
+                      for j in range(n)]
+            js = [j for j in range(n) if abs(coeffs[j]) != 0.0]
+            spans[i].append((col_base, row_base, js, [coeffs[j] for j in js]))
+    csc = tuple(_csc_arrays(n, dim, inner, gen_spans) for gen_spans in spans)
     omega = np.zeros(dim, dtype=complex)
     omega[layers.index(omega_layer) * blk] = 1.0
     return TruncatedRep(
@@ -206,13 +211,37 @@ def _layered_rep(param, depth, layers, steps, omega_layer, kind, **fields) -> Tr
         kind=kind,
         depth=depth,
         layers=layers,
-        gens=gens,
+        csc=csc,
         omega=omega,
         interior=interior,
         sum_interior=sum_interior,
         param=param,
         **fields,
     )
+
+
+def _csc_arrays(n: int, dim: int, inner: int, spans: list) -> tuple:
+    """Read-only (data, indices, indptr) of one generator: every step span
+    fills its `inner` contiguous columns with rows row_base + N m + j."""
+    # REP_BUDGET keeps every index and count far below 2^31, and scipy
+    # wraps int32 arrays as they are
+    idx = np.int32
+    counts = np.zeros(dim, dtype=idx)
+    for col_base, _, js, _ in spans:
+        counts[col_base : col_base + inner] = len(js)
+    indptr = np.zeros(dim + 1, dtype=idx)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=idx)
+    data = np.empty(indptr[-1], dtype=complex)
+    ms = np.arange(inner, dtype=idx)
+    for col_base, row_base, js, coeffs in spans:
+        block = slice(indptr[col_base], indptr[col_base] + inner * len(js))
+        rows = row_base + n * ms[:, None] + np.array(js, dtype=idx)
+        indices[block].reshape(inner, len(js))[:] = rows
+        data[block].reshape(inner, len(js))[:] = np.array(coeffs, dtype=complex)
+    for array in (data, indices, indptr):
+        array.flags.writeable = False
+    return data, indices, indptr
 
 
 def _cycle_rep(z: CycleParam, depth: int, wrap_scale, kind: str, factor_rows) -> TruncatedRep:
@@ -676,12 +705,12 @@ def power_vanish(rep: TruncatedRep, z: CycleParam, v: np.ndarray, m_max: int) ->
 # ----------------------------------------------------------------------
 # export
 
-def _sorted_coo(mat):
-    """Rows, cols and complex values of a generator, ordered by column and
-    then row."""
-    coo = mat.tocoo()
-    order = np.lexsort((coo.row, coo.col))
-    return coo.row[order], coo.col[order], coo.data[order]
+def _generator_entries(rep: TruncatedRep):
+    """Rows, columns and values of every generator, ordered by column and
+    then row: its stored CSC arrays, with the columns spelled out."""
+    for data, indices, indptr in rep.csc:
+        cols = np.repeat(np.arange(rep.dim, dtype=indptr.dtype), np.diff(indptr))
+        yield indices, cols, data
 
 
 def _index_texts(dim: int):
@@ -695,14 +724,20 @@ def _value_texts(values: np.ndarray) -> np.ndarray:
     complex value.
 
     repr runs once per distinct bit pattern, and a step table gives a
-    generator at most k N^2 of them.  The values are compared as raw
-    16-byte records, not as numbers, so -0.0 stays apart from 0.0.
+    generator at most k N^2 of them.  The values are grouped by a lexsort
+    of their two raw 64-bit halves, not compared as numbers, so -0.0 stays
+    apart from 0.0.
     """
-    bits = np.ascontiguousarray(values, dtype=complex).view("V16")
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    pairs = distinct.view(np.float64).reshape(-1, 2).tolist()
+    halves = np.ascontiguousarray(values, dtype=complex).view(np.uint64).reshape(-1, 2).T.copy()
+    order = np.lexsort(halves[::-1])
+    re_bits, im_bits = halves[:, order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (re_bits[1:] != re_bits[:-1]) | (im_bits[1:] != im_bits[:-1])
+    pairs = np.stack((re_bits[first], im_bits[first]), axis=1).view(np.float64).tolist()
     texts = np.array([f" {re!r} {im!r}\n" for re, im in pairs], dtype=object)
-    return texts[inverse.ravel()]
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    return texts[group]
 
 
 def _label_columns(rep: TruncatedRep):
@@ -727,8 +762,7 @@ def export_coo(rep: TruncatedRep) -> str:
     """
     plain, spaced = _index_texts(rep.dim)
     pieces = []
-    for gi, mat in enumerate(rep.gens, start=1):
-        rows, cols, values = _sorted_coo(mat)
+    for gi, (rows, cols, values) in enumerate(_generator_entries(rep), start=1):
         _add_lines(pieces, f"# S{gi}\n", plain[rows], spaced[cols], _value_texts(values))
     layers = np.array([f" {t}" for t in rep.layers], dtype=object)
     _add_lines(pieces, "# labels: index layer m\n", plain[:rep.dim],
@@ -740,11 +774,6 @@ def export_coo(rep: TruncatedRep) -> str:
     return "".join(pieces)
 
 
-def _generator_json(mat) -> dict:
-    rows, cols, values = _sorted_coo(mat)
-    return {"rows": rows.tolist(), "cols": cols.tolist(), "values": complex_pairs(values)}
-
-
 def export_json(rep: TruncatedRep) -> dict:
     return {
         "rank": rep.n,
@@ -752,7 +781,10 @@ def export_json(rep: TruncatedRep) -> dict:
         "depth": rep.depth,
         "dim": rep.dim,
         "layers": [int(t) for t in rep.layers],
-        "generators": [_generator_json(mat) for mat in rep.gens],
+        "generators": [
+            {"rows": rows.tolist(), "cols": cols.tolist(), "values": complex_pairs(values)}
+            for rows, cols, values in _generator_entries(rep)
+        ],
         "omega": complex_pairs(rep.omega),
         "labels": _nested_list(np.stack(_label_columns(rep), axis=1)),
         "interior": rep.interior.tolist(),

@@ -297,6 +297,47 @@ def reference_export_json(rep) -> dict:
     }
 
 
+def reference_layered_gens(n, depth, layers, steps) -> list:
+    """The generators of `reps._layered_rep` for a step table by the route
+    it replaced: per-step COO triplets that scipy sorts into CSC."""
+    import scipy.sparse as sp
+
+    blk = n ** depth
+    inner = n ** (depth - 1)
+    dim = len(layers) * blk
+    ms = np.arange(inner)
+    entries = [([], [], []) for _ in range(n)]
+    for source, target, u, scale in steps:
+        col_base = layers.index(source) * blk
+        row_base = layers.index(target) * blk
+        for i in range(n):
+            rows, cols, vals = entries[i]
+            for j in range(n):
+                coeff = np.conj(u[i, j]) if scale is None else scale * np.conj(u[i, j])
+                if abs(coeff) == 0.0:
+                    continue
+                rows.append(row_base + n * ms + j)
+                cols.append(col_base + ms)
+                vals.append(np.full(inner, coeff, dtype=complex))
+    return [
+        sp.csc_array(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(dim, dim),
+        )
+        for rows, cols, vals in entries
+    ]
+
+
+def reference_value_texts(values) -> np.ndarray:
+    """`reps._value_texts` by the grouping it replaced: `np.unique` over the
+    values as raw 16-byte records."""
+    bits = np.ascontiguousarray(values, dtype=complex).view("V16")
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    pairs = distinct.view(np.float64).reshape(-1, 2).tolist()
+    texts = np.array([f" {re!r} {im!r}\n" for re, im in pairs], dtype=object)
+    return texts[inverse.ravel()]
+
+
 def reference_chain_vector(rep, t):
     """E_t walked from Omega alone, building s(z_m) afresh at every step."""
     vec = rep.omega

@@ -405,6 +405,21 @@ def test_rep_build_output_is_stable(capsys, argv, stem, fmt, ext):
     assert out == (DATA / f"{stem}.{ext}").read_text()
 
 
+@pytest.mark.parametrize("fmt, ext", [("matrix-coo", "txt"), ("json", "json")])
+@pytest.mark.parametrize("argv, stem", [
+    (("--inline", GOLDEN_CYCLE, "--depth", "3"), "rep_build_cycle"),
+    (("--inline", GOLDEN_FIBER, "--depth", "2", "--fiber", "exp(i pi 2/3)"), "rep_build_fiber"),
+    (("--inline", '{"kind":"chain","gray_zone":true}', "--depth", "3", "--window", "2", "3"),
+     "rep_build_chain"),
+])
+def test_rep_build_needs_no_scipy_sparse(capsys, monkeypatch, argv, stem, fmt, ext):
+    # from here on, importing scipy.sparse raises ImportError
+    monkeypatch.setitem(sys.modules, "scipy.sparse", None)
+    code, out, err = run_cli(capsys, "rep-build", *argv, "-f", fmt)
+    assert (code, err) == (0, "")
+    assert out == (DATA / f"{stem}.{ext}").read_text()
+
+
 VERIFY_FIBER = ('{"kind":"cycle","N":2,"factors":[[[0.6,0],[0,0.8]],[[0,0.28],[0.96,0]],'
                 '[[0.8,0],[0.36,0.48]]]}')
 VERIFY_N3 = ('{"kind":"cycle","N":3,"factors":[[[0.6,0],[0,0.48],[0.64,0]],'
@@ -572,6 +587,9 @@ BUDGET_ROTATION = '{"kind":"chain","rotation":{"num":1,"den":8388593}}'
 FLOAT_ROTATION = '{"kind":"chain","theta":0.1}'
 NO_EXACT_TAIL_ERROR = ("error: chain kind 'rotation' has no exact periodic tail; "
                        "use asymptotic diagnostics instead\n")
+THREE_PERIODIC = '{"kind":"chain","period":[[[1,0],[0,0]],[[0,0],[1,0]],[[0.6,0],[0.8,0]]]}'
+LCM_ERROR = ("error: the tail blocks tiled to the lcm of their lengths would generate "
+             "25165779 factors, over the budget of 8388608\n")
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -581,7 +599,10 @@ NO_EXACT_TAIL_ERROR = ("error: chain kind 'rotation' has no exact periodic tail;
     # has no exact tail, in either order
     (("equivalent", "--param", BUDGET_ROTATION, "--other", FLOAT_ROTATION), NO_EXACT_TAIL_ERROR),
     (("equivalent", "--param", FLOAT_ROTATION, "--other", BUDGET_ROTATION), NO_EXACT_TAIL_ERROR),
-], ids=["decompose", "equivalent", "equivalent-undecidable-other", "equivalent-undecidable-first"])
+    # each block is within the budget, but not both tiled to lcm(8388593, 3)
+    (("equivalent", "--param", BUDGET_ROTATION, "--other", THREE_PERIODIC), LCM_ERROR),
+], ids=["decompose", "equivalent", "equivalent-undecidable-other", "equivalent-undecidable-first",
+        "equivalent-lcm"])
 def test_large_rotation_block_is_refused_before_allocating(capsys, monkeypatch, argv, error):
     monkeypatch.setattr(cli.params, "chain_factors", _no_factors)
     code, out, err = run_cli(capsys, *argv)
@@ -748,9 +769,12 @@ sys.exit(code)
     (("decompose", "--inline", ROTATION_THIRD), False),
     (("diagnostics", "--rotation", "1/3", "--M", "10", "--target", GRAY_TARGET), False),
     (("car-check", "--n-max", "2"), False),
-    (("rep-build", "--inline", CYCLE_E1, "--depth", "2"), True),
-], ids=lambda value: value[0] if isinstance(value, tuple) else None)
-def test_scipy_sparse_is_loaded_only_to_build_a_rep(argv, loads_sparse):
+    (("rep-build", "--inline", CYCLE_E1, "--depth", "2", "-f", "json"), False),
+    (("rep-build", "--inline", CYCLE_E1, "--depth", "2", "-f", "matrix-coo"), False),
+    (("verify", "--inline", CYCLE_E1, "--depth", "2"), True),
+], ids=lambda value: (value[0] + ("-" + value[-1] if value[-2] == "-f" else "")
+                      if isinstance(value, tuple) else None))
+def test_scipy_sparse_is_loaded_only_to_check_a_rep(argv, loads_sparse):
     proc = run_python("-c", SPARSE_PROBE, *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout

@@ -16,6 +16,8 @@ from helpers import (
     reference_chain_vector,
     reference_export_coo,
     reference_export_json,
+    reference_layered_gens,
+    reference_value_texts,
 )
 
 E1 = g.basis_vector(2, 1)
@@ -726,6 +728,74 @@ def test_exports_match_per_entry_reference_on_drawn_reps(rep):
     assert g.export_coo(rep) == reference_export_coo(rep)
     assert (json.dumps(g.export_json(rep), sort_keys=True)
             == json.dumps(reference_export_json(rep), sort_keys=True))
+
+
+def _build_recording_steps(draw_rep):
+    """A drawn rep and the (N, depth, layers, steps) its builder passed to
+    `_layered_rep`."""
+    tables = []
+    layered_rep = g.reps._layered_rep
+
+    def recorded(param, depth, layers, steps, *args, **kwargs):
+        tables.append((param.n, depth, layers, steps))
+        return layered_rep(param, depth, layers, steps, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(g.reps, "_layered_rep", recorded)
+        rep = draw_rep()
+    (table,) = tables
+    return rep, table
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_stored_csc_arrays_match_the_coo_route(data):
+    rep, table = _build_recording_steps(lambda: data.draw(_drawn_reps()))
+    reference = reference_layered_gens(*table)
+    assert len(rep.csc) == len(reference) == rep.n
+    for (values, indices, indptr), mat in zip(rep.csc, reference):
+        assert mat.shape == (rep.dim, rep.dim)
+        assert values.dtype == complex and values.tobytes() == mat.data.tobytes()
+        # the COO route keeps int64 indices; the stored ones are int32
+        for mine, theirs in ((indices, mat.indices), (indptr, mat.indptr)):
+            assert mine.dtype == np.int32 and np.array_equal(mine, theirs)
+        for array in (values, indices, indptr):
+            assert not array.flags.writeable
+
+
+def test_gens_wrap_the_stored_arrays():
+    rep = _export_reps()["gray zone window 2 3"]
+    assert "gens" not in rep.__dict__
+    for (values, indices, indptr), mat in zip(rep.csc, rep.gens):
+        assert np.shares_memory(mat.data, values)
+        assert np.shares_memory(mat.indices, indices)
+        assert np.shares_memory(mat.indptr, indptr)
+    assert rep.gens is rep.gens
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_verify_reports_match_the_coo_route(data):
+    rep, table = _build_recording_steps(lambda: data.draw(_drawn_reps()))
+    mine = repr(g.verify_gp(rep))
+    # the same truncation with the matrices the COO route builds
+    rep.__dict__["gens"] = reference_layered_gens(*table)
+    assert mine == repr(g.verify_gp(rep))
+
+
+_EDGE_FLOATS = [0.0, -0.0, 0.8, -0.8, float("nan"), float("inf")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pool=st.lists(st.tuples(st.sampled_from(_EDGE_FLOATS) | st.floats(),
+                            st.sampled_from(_EDGE_FLOATS) | st.floats()),
+                  min_size=1, max_size=8),
+    picks=st.lists(st.integers(0, 7), max_size=60),
+)
+def test_value_texts_match_the_unique_grouping(pool, picks):
+    values = np.array([complex(*pool[i % len(pool)]) for i in picks], dtype=complex)
+    assert g.reps._value_texts(values).tolist() == reference_value_texts(values).tolist()
 
 
 class _ExhaustedArray:
