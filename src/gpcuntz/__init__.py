@@ -74,13 +74,11 @@ from .reps import (
     chain_vector,
     complete_unitary,
     cycle_anchor_vectors,
-    cycle_isometry,
     enumerate_basis,
     export_coo,
     export_json,
     power_vanish,
     vacuum_expectation,
-    vector_isometry,
     verify_gp,
 )
 from .states import (

@@ -32,7 +32,7 @@ from .params import (
     primitive_root,
     scale_cycle,
 )
-from .reps import build_cycle_rep, build_fiber_rep, cycle_isometry
+from .reps import _apply_isometry, build_cycle_rep, build_fiber_rep
 
 
 @dataclass(frozen=True)
@@ -221,14 +221,20 @@ def numeric_cycle_eigencheck(v: CycleParam, p: int, depth: int | None = None,
     if depth < needed:
         raise ValueError(f"insufficient depth: need >= {needed}, have {depth}")
     rep = build_cycle_rep(CycleParam(np.tile(v.rows, (p, 1))), depth)
-    a = cycle_isometry(rep, v.rows)
+
+    def apply(x):
+        # pi(s(v)) = s(v^(1)) ... s(v^(k)), one factor at a time
+        for f in v.rows[::-1]:
+            x = _apply_isometry(rep, f, x)
+        return x
+
     orbit = []
     w = rep.omega
     for _ in range(p):
-        w = a @ w
-        orbit.append(np.asarray(w).ravel())
+        w = apply(w)
+        orbit.append(w)
     q_mat, _ = np.linalg.qr(np.stack(orbit, axis=1))
-    compressed = q_mat.conj().T @ (a @ q_mat)
+    compressed = q_mat.conj().T @ apply(q_mat)
     eigenvalues = np.linalg.eigvals(compressed)
     # sort by phase angle, keeping values just below the positive axis at 0
     # instead of letting rounding noise wrap them to 2 pi

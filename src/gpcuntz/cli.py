@@ -362,6 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--param", help="parameter JSON file (or inline if it starts with '{')")
         p.add_argument("--inline", help="inline parameter JSON")
 
+    def add_truncation(p):
+        p.add_argument("--depth", "-D", type=int, default=4)
+        p.add_argument("--window", type=int, nargs=2, metavar=("DMINUS", "DPLUS"))
+        p.add_argument("--fiber", help="unimodular scalar expression for a fiber twist")
+
     p = sub.add_parser("normalize", help="parse an expression and print its normal form")
     p.add_argument("-N", "--rank", type=int, required=True)
     p.add_argument("expression")
@@ -394,17 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rep-build", help="build and export a truncated representation")
     add_param(p)
-    p.add_argument("--depth", "-D", type=int, default=4)
-    p.add_argument("--window", type=int, nargs=2, metavar=("DMINUS", "DPLUS"))
-    p.add_argument("--fiber", help="unimodular scalar expression for a fiber twist")
+    add_truncation(p)
     add_format(p, choices=("json", "matrix-coo"))
     p.set_defaults(func=_cmd_rep_build)
 
     p = sub.add_parser("verify", help="check the defining relations on a truncation")
     add_param(p)
-    p.add_argument("--depth", "-D", type=int, default=4)
-    p.add_argument("--window", type=int, nargs=2, metavar=("DMINUS", "DPLUS"))
-    p.add_argument("--fiber")
+    add_truncation(p)
     add_format(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -24,25 +24,29 @@ vector sits at (1, 1) for cycles and (0, 1) for chains.
 A truncation carries, from construction, the read-only factor rows it
 realizes (`factor_rows`): the k rows of the cycle, or of c*v for a fiber
 twisted by c, and the chain factors 1..D+ from one `chain_factors` call.
-Every isometry, anchor, basis vector and residual is formed from these
-rows; nothing goes back to the parameter.  `verify_gp(rep)` takes no
-options: its eigen residual comes from the same factor isometries as its
-anchor and basis checks, and its basis depth is min(2, D - k).
+Every anchor, basis vector and residual is formed from these rows;
+nothing goes back to the parameter.  No operator s(v) = sum_i v_i S_i is
+ever assembled: one routine applies s(v) or s(v)* to a vector from the N
+generators, the adjoint through each generator's transposed view, and
+every product of factors is applied one factor at a time.  `verify_gp(rep)`
+takes no options: its eigen residual is |anchor_1 - Omega|, where anchor_1
+is the same pi(s(z^(1)) ... s(z^(k))) Omega its family and basis checks
+use, and its basis depth is min(2, D - k).
 
 A truncation stores each generator as the read-only CSC arrays (`csc`:
 data, indices, indptr) written straight from its step table with numpy,
 in column order and ascending rows.  `gens` wraps these arrays, without a
 copy, as scipy csc_arrays on first use; only operator work (`verify_gp`,
-`vector_isometry`, `apply_element`, `cycle_isometry`, `power_vanish`)
-reads it, so only that work loads scipy.sparse.  Building and exporting a
-truncation, like importing this module, the package or its command line,
-never does.
+`apply_element`, the anchor and chain walks, `enumerate_basis`,
+`power_vanish` and `classify.numeric_cycle_eigencheck`) reads it, so only
+that work loads scipy.sparse.  Building and exporting a truncation, like
+importing this module, the package or its command line, never does.
 
 The builders refuse, before allocating, more than REP_BUDGET basis vectors
 at rank 2 (2 REP_BUDGET / N at rank N), and `verify_gp` refuses, before it
 enumerates, a basis check whose dense stack of count x dim entries would
-exceed 8 REP_BUDGET.  The chain family E_t is pushed
-from Omega through the window once.  The exports read the stored arrays
+exceed 8 REP_BUDGET.  The chain family E_t is pushed from Omega through
+the window once per walk.  The exports read the stored arrays
 and cost about the bytes they emit.  `export_coo` turns every index into
 text once and the `repr` text of an entry once per distinct bit pattern
 of its value, which a step table keeps to k N^2 per generator; every line
@@ -149,9 +153,6 @@ class TruncatedRep:
 
     def label_of(self, idx: int):
         return (self.layers[idx // self.block], idx % self.block + 1)
-
-    def gen_adjoint(self, i: int):
-        return self.gens[i - 1].conjugate().transpose().tocsc()
 
 
 def _check_size(n: int, depth: int, layer_count: int) -> None:
@@ -307,29 +308,23 @@ def _chain_factor(rows: np.ndarray, m: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# matrices of algebra elements
+# operators applied to vectors
 
-def vector_isometry(rep: TruncatedRep, v):
-    """Matrix of s(v) = sum_i v_i S_i."""
-    v = np.asarray(v, dtype=complex)
-    if v.size != rep.n:
-        raise RankMismatchError(f"vector lives in C^{v.size}, rep has rank {rep.n}")
-    out = v[0] * rep.gens[0]
-    for i in range(1, rep.n):
-        out = out + v[i] * rep.gens[i]
-    return out.tocsc()
+def _apply_isometry(rep: TruncatedRep, v, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """s(v) x = sum_i v_i S_i x, or s(v)* x = conj(sum_i v_i S_i^T conj(x)),
+    from the stored generators; S_i^T is the transposed view of S_i, not a
+    copy.  `x` is a vector or a stack of column vectors."""
+    if adjoint:
+        return np.conj(sum(vi * (gen.T @ np.conj(x)) for vi, gen in zip(v, rep.gens)))
+    return sum(vi * (gen @ x) for vi, gen in zip(v, rep.gens))
 
 
-def _product(mats):
-    out = None
-    for m in mats:
-        out = m if out is None else out @ m
-    return out
-
-
-def cycle_isometry(rep: TruncatedRep, factors):
-    """Matrix of s(z^(1)) ... s(z^(k))."""
-    return _product([vector_isometry(rep, f) for f in factors])
+def _as_vector(rep: TruncatedRep, vec) -> np.ndarray:
+    vec = np.asarray(vec, dtype=complex)
+    if vec.shape != (rep.dim,):
+        raise ValueError(f"vector of shape {vec.shape} does not fit a truncation "
+                         f"of dimension {rep.dim}")
+    return vec
 
 
 def _apply_generator(rep: TruncatedRep, letter: int, vec: np.ndarray, adjoint: bool):
@@ -340,7 +335,7 @@ def _apply_generator(rep: TruncatedRep, letter: int, vec: np.ndarray, adjoint: b
             raise TruncationOverflowError(
                 "support reached the top window layer; enlarge d_plus"
             )
-        return rep.gen_adjoint(letter) @ vec
+        return np.conj(rep.gens[letter - 1].T @ np.conj(vec))
     if not np.all(np.abs(vec[~rep.interior]) <= PRUNE_TOL):
         raise TruncationOverflowError(
             "support escaped the exact interior; enlarge the depth"
@@ -357,7 +352,7 @@ def apply_element(rep: TruncatedRep, a: AlgebraElement, vec: np.ndarray) -> np.n
     """
     if a.n != rep.n:
         raise RankMismatchError(f"rank mismatch: {a.n} vs {rep.n}")
-    vec = np.asarray(vec, dtype=complex)
+    vec = _as_vector(rep, vec)
     out = np.zeros(rep.dim, dtype=complex)
     for (j, k), c in a.terms.items():
         w = vec
@@ -377,41 +372,24 @@ def vacuum_expectation(rep: TruncatedRep, a: AlgebraElement) -> complex:
 # ----------------------------------------------------------------------
 # distinguished families and basis enumeration
 
-def _cycle_isos(rep: TruncatedRep) -> list:
-    """s(z^(i)), i = 1..k, for the factors the cycle truncation realizes."""
-    if rep.kind not in ("cycle", "fiber"):
-        raise ValueError("anchor vectors of this form require a cycle truncation")
-    return [vector_isometry(rep, f) for f in rep.factor_rows]
-
-
-def _anchor_vectors(rep: TruncatedRep, isos: list) -> list:
-    out = [None] * len(isos)
-    vec = rep.omega
-    for i in range(len(isos), 0, -1):
-        vec = isos[i - 1] @ vec
-        out[i - 1] = vec
-    return out
-
-
 def cycle_anchor_vectors(rep: TruncatedRep) -> list:
     """The k vectors pi(s(z^(i)) ... s(z^(k))) Omega, i = 1..k."""
-    return _anchor_vectors(rep, _cycle_isos(rep))
+    if rep.kind not in ("cycle", "fiber"):
+        raise ValueError("anchor vectors of this form require a cycle truncation")
+    out = []
+    vec = rep.omega
+    for f in rep.factor_rows[::-1]:
+        vec = _apply_isometry(rep, f, vec)
+        out.append(vec)
+    return out[::-1]
 
 
-def _chain_iso(rep: TruncatedRep, m: int, isos: dict):
-    """s(z_m), built once per m into `isos`; every m < 1 steps through e_1."""
-    key = max(m, 0)
-    if key not in isos:
-        isos[key] = vector_isometry(rep, _chain_factor(rep.factor_rows, m))
-    return isos[key]
-
-
-def _chain_vectors(rep: TruncatedRep, lo: int, hi: int, isos: dict | None = None) -> dict:
+def _chain_vectors(rep: TruncatedRep, lo: int, hi: int) -> dict:
     """{t: E_t} for lo <= t <= hi, and for every t between them and 0.
 
-    Omega is pushed through the window once: E_t = s(z_t)* E_(t-1) for
-    t > 0 and E_t = S_1 E_(t+1) for t < 0, so each vector comes from the
-    same sparse operations, in the same order, as a walk from Omega alone.
+    Each call walks from Omega once: E_t = s(z_t)* E_(t-1) for t > 0 and
+    E_t = S_1 E_(t+1) for t < 0, so each vector comes from the same
+    operations, in the same order, as a walk from Omega to it alone.
     """
     if rep.kind != "chain":
         raise ValueError("chain vectors require a chain truncation")
@@ -421,18 +399,16 @@ def _chain_vectors(rep: TruncatedRep, lo: int, hi: int, isos: dict | None = None
             raise TruncationOverflowError(
                 f"layer {t} outside the window [-{d_minus}, {d_plus}]"
             )
-    if isos is None:
-        isos = {}
     out = {0: rep.omega}
     vec = rep.omega
     for m in range(1, hi + 1):
-        vec = _chain_iso(rep, m, isos).conjugate().transpose() @ vec
+        vec = _apply_isometry(rep, rep.factor_rows[m - 1], vec, adjoint=True)
         out[m] = vec
     vec = rep.omega
     for t in range(-1, lo - 1, -1):
         vec = _apply_generator(rep, 1, vec, adjoint=False)
         out[t] = vec
-    return {t: np.asarray(v).ravel() for t, v in out.items()}
+    return out
 
 
 def chain_vector(rep: TruncatedRep, t: int) -> np.ndarray:
@@ -481,7 +457,7 @@ def _branch_words(rep: TruncatedRep, factor, vec, letters: int):
     u = complete_unitary(factor)
     out = []
     for j in range(2, rep.n + 1):
-        level = [((), vector_isometry(rep, u[:, j - 1]) @ vec)]
+        level = [((), _apply_isometry(rep, u[:, j - 1], vec))]
         for _ in range(letters):
             level = [((a,) + word, rep.gens[a - 1] @ v)
                      for a in range(1, rep.n + 1) for word, v in level]
@@ -489,16 +465,14 @@ def _branch_words(rep: TruncatedRep, factor, vec, letters: int):
     return out
 
 
-def _enumerate_cycle(rep: TruncatedRep, max_depth: int, anchors: list | None = None):
-    """`anchors`, when given, are the cycle_anchor_vectors of `rep`."""
+def _enumerate_cycle(rep: TruncatedRep, max_depth: int):
     factors = rep.factor_rows
     k = len(factors)
     if rep.depth < max_depth + k:
         raise ValueError(
             f"insufficient depth: need >= {max_depth + k}, have {rep.depth}"
         )
-    if anchors is None:
-        anchors = cycle_anchor_vectors(rep)
+    anchors = cycle_anchor_vectors(rep)
     out = [(BasisLabel(0, i + 1), anchors[i]) for i in range(k)]
     for a in range(1, k + 1):
         # depth d branches off the next anchor and carries d - 1 letters
@@ -524,18 +498,16 @@ def _chain_anchors(rep: TruncatedRep, max_depth: int) -> range:
     return anchors
 
 
-def _enumerate_chain(rep: TruncatedRep, max_depth: int, e_cache: dict | None = None):
-    """`e_cache`, when given, is a _chain_vectors dict of `rep` over the layers read."""
+def _enumerate_chain(rep: TruncatedRep, max_depth: int):
     anchors = _chain_anchors(rep, max_depth)
-    if e_cache is None:
-        e_cache = _chain_vectors(rep, min(anchors), max(anchors) + max(max_depth, 1) - 1)
+    family = _chain_vectors(rep, min(anchors), max(anchors) + max(max_depth, 1) - 1)
     out = []
     for t in anchors:
-        out.append((BasisLabel(1, t), e_cache[t]))
+        out.append((BasisLabel(1, t), family[t]))
         # depth d branches off E_(t+d-1) and carries d - 2 letters on top
         for depth in range(2, max_depth + 1):
             top = t + depth - 1
-            words = _branch_words(rep, _chain_factor(rep.factor_rows, top), e_cache[top],
+            words = _branch_words(rep, _chain_factor(rep.factor_rows, top), family[top],
                                   depth - 2)
             out += [(BasisLabel(depth, t, j, word), v) for j, word, v in words]
     return out
@@ -622,7 +594,7 @@ def verify_gp(rep: TruncatedRep) -> VerificationReport:
                 f"{expected * rep.dim} entries, over the budget of {limit}"
             )
     ident = sp.identity(rep.dim, dtype=complex, format="csc")
-    adjoints = [rep.gen_adjoint(i) for i in range(1, rep.n + 1)]
+    adjoints = [gen.conjugate().transpose().tocsc() for gen in rep.gens]
     iso = 0.0
     for i, si_h in enumerate(adjoints):
         for j, sj in enumerate(rep.gens):
@@ -635,37 +607,29 @@ def verify_gp(rep: TruncatedRep) -> VerificationReport:
         piece = si @ si_h
         total = piece if total is None else total + piece
     comp = _max_abs((total - ident)[:, rep.sum_interior])
-    # the adjoints are not needed by the basis check, which sets the memory peak
-    del adjoints
+    # the walks below set the memory peak and need neither matrix
+    del adjoints, total
 
     eigen = None
     step = None
     if cyclic:
-        # the factor isometries and anchors are built once, for the eigen,
-        # family and basis checks alike
-        isos = _cycle_isos(rep)
-        anchors = _anchor_vectors(rep, isos)
-        iso_mat = _product(isos)
-        eigen = float(np.linalg.norm(iso_mat @ rep.omega - rep.omega))
+        anchors = cycle_anchor_vectors(rep)
+        # anchors[0] is pi(s(z^(1)) ... s(z^(k))) Omega
+        eigen = float(np.linalg.norm(anchors[0] - rep.omega))
         family = _gram(anchors)[1]
-        # the basis check below sets the memory peak and needs only the anchors
-        del isos, iso_mat
     else:
         d_minus, d_plus = rep.window
         ts = range(-(d_minus - 1), d_plus + 1)
-        isos = {}
-        vectors = _chain_vectors(rep, ts[0], ts[-1], isos)
+        vectors = _chain_vectors(rep, ts[0], ts[-1])
         family = _gram([vectors[t] for t in ts])[1]
         step = 0.0
         for t in range(-(d_minus - 2), d_plus + 1):
-            iso_mat = _chain_iso(rep, t, isos)
-            step = max(
-                step, float(np.linalg.norm(iso_mat @ vectors[t] - vectors[t - 1]))
-            )
+            pushed = _apply_isometry(rep, _chain_factor(rep.factor_rows, t), vectors[t])
+            step = max(step, float(np.linalg.norm(pushed - vectors[t - 1])))
 
     basis_gram = basis_count = min_sing = None
     if d >= 1:
-        fam = _enumerate_cycle(rep, d, anchors) if cyclic else _enumerate_chain(rep, d, vectors)
+        fam = enumerate_basis(rep, d)
         gram, basis_gram = _gram([vec for _, vec in fam])
         basis_count = len(fam)
         # the singular values of the stacked family are the square roots of
@@ -689,15 +653,17 @@ def verify_gp(rep: TruncatedRep) -> VerificationReport:
 def power_vanish(rep: TruncatedRep, z: CycleParam, v: np.ndarray, m_max: int) -> np.ndarray:
     """Norms of repeated adjoint applications of the cycle isometry.
 
+    Each application is s(z^(k))* ... s(z^(1))*, one factor at a time.
     Components orthogonal to the fixed vector of a nonperiodic cycle
     contract to zero; the fixed vector itself keeps norm one.
     """
-    mat = cycle_isometry(rep, z.rows).conjugate().transpose().tocsc()
-    v = np.asarray(v, dtype=complex)
-    norms = [float(np.linalg.norm(v))]
-    w = v
+    if z.n != rep.n:
+        raise RankMismatchError(f"vector lives in C^{z.n}, rep has rank {rep.n}")
+    w = _as_vector(rep, v)
+    norms = [float(np.linalg.norm(w))]
     for _ in range(m_max):
-        w = mat @ w
+        for f in z.rows:
+            w = _apply_isometry(rep, f, w, adjoint=True)
         norms.append(float(np.linalg.norm(w)))
     return np.asarray(norms)
 

@@ -339,16 +339,109 @@ def reference_value_texts(values) -> np.ndarray:
 
 
 def reference_chain_vector(rep, t):
-    """E_t walked from Omega alone, building s(z_m) afresh at every step."""
+    """E_t walked from Omega alone, one `reps._apply_isometry` step per
+    layer, with each factor from `reference_chain_factor`."""
     vec = rep.omega
     if t >= 0:
         for m in range(1, t + 1):
-            iso = g.reps.vector_isometry(rep, reference_chain_factor(rep.param, m))
-            vec = iso.conjugate().transpose() @ vec
+            factor = reference_chain_factor(rep.param, m)
+            vec = g.reps._apply_isometry(rep, factor, vec, adjoint=True)
     else:
         for _ in range(-t):
             vec = rep.gens[0] @ vec
-    return np.asarray(vec).ravel()
+    return vec
+
+
+def reference_vector_isometry(rep, v):
+    """Matrix of s(v) = sum_i v_i S_i, assembled by scipy.sparse."""
+    v = np.asarray(v, dtype=complex)
+    if v.size != rep.n:
+        raise g.RankMismatchError(f"vector lives in C^{v.size}, rep has rank {rep.n}")
+    out = v[0] * rep.gens[0]
+    for i in range(1, rep.n):
+        out = out + v[i] * rep.gens[i]
+    return out.tocsc()
+
+
+def _reference_product(mats):
+    out = None
+    for m in mats:
+        out = m if out is None else out @ m
+    return out
+
+
+def reference_cycle_isometry(rep, factors):
+    """Matrix of s(z^(1)) ... s(z^(k)), assembled by scipy.sparse."""
+    return _reference_product([reference_vector_isometry(rep, f) for f in factors])
+
+
+def reference_gen_adjoint(rep, i):
+    """S_i* as a fresh CSC matrix."""
+    return rep.gens[i - 1].conjugate().transpose().tocsc()
+
+
+def reference_apply_element(rep, a, vec):
+    """`apply_element` with every adjoint letter multiplied by a fresh CSC
+    copy of S_i*."""
+    if a.n != rep.n:
+        raise g.RankMismatchError(f"rank mismatch: {a.n} vs {rep.n}")
+
+    def apply_generator(letter, vec, adjoint):
+        if adjoint:
+            if not np.all(np.abs(vec[~rep.sum_interior]) <= g.algebra.PRUNE_TOL):
+                raise g.TruncationOverflowError(
+                    "support reached the top window layer; enlarge d_plus"
+                )
+            return reference_gen_adjoint(rep, letter) @ vec
+        if not np.all(np.abs(vec[~rep.interior]) <= g.algebra.PRUNE_TOL):
+            raise g.TruncationOverflowError(
+                "support escaped the exact interior; enlarge the depth"
+            )
+        return rep.gens[letter - 1] @ vec
+
+    vec = np.asarray(vec, dtype=complex)
+    out = np.zeros(rep.dim, dtype=complex)
+    for (j, k), c in a.terms.items():
+        w = vec
+        for letter in k:
+            w = apply_generator(letter, w, adjoint=True)
+        for letter in reversed(j):
+            w = apply_generator(letter, w, adjoint=False)
+        out += c * w
+    return out
+
+
+def reference_power_vanish(rep, z, v, m_max):
+    """`power_vanish` with the adjoint of the assembled cycle isometry."""
+    mat = reference_cycle_isometry(rep, z.rows).conjugate().transpose().tocsc()
+    v = np.asarray(v, dtype=complex)
+    norms = [float(np.linalg.norm(v))]
+    w = v
+    for _ in range(m_max):
+        w = mat @ w
+        norms.append(float(np.linalg.norm(w)))
+    return np.asarray(norms)
+
+
+def reference_numeric_cycle_eigencheck(v, p, depth=None):
+    """`numeric_cycle_eigencheck` of a nonperiodic `v` with the assembled
+    cycle isometry."""
+    needed = v.k * (p + 1)
+    if depth is None:
+        depth = max(2, needed)
+    rep = g.build_cycle_rep(g.CycleParam(np.tile(v.rows, (p, 1))), depth)
+    a = reference_cycle_isometry(rep, v.rows)
+    orbit = []
+    w = rep.omega
+    for _ in range(p):
+        w = a @ w
+        orbit.append(np.asarray(w).ravel())
+    q_mat, _ = np.linalg.qr(np.stack(orbit, axis=1))
+    compressed = q_mat.conj().T @ (a @ q_mat)
+    eigenvalues = np.linalg.eigvals(compressed)
+    angles = np.angle(eigenvalues)
+    angles = np.where(angles < -math.pi / (2 * p), angles + 2 * math.pi, angles)
+    return eigenvalues[np.argsort(angles)]
 
 
 def reference_expand_identity(a, depth):

@@ -7,17 +7,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import gpcuntz as g
 from helpers import (
+    random_element,
     random_nonperiodic_cycle,
     random_unit,
+    reference_apply_element,
     reference_chain_vector,
+    reference_cycle_isometry,
     reference_export_coo,
     reference_export_json,
     reference_layered_gens,
+    reference_numeric_cycle_eigencheck,
+    reference_power_vanish,
     reference_value_texts,
+    reference_vector_isometry,
 )
 
 E1 = g.basis_vector(2, 1)
@@ -82,7 +89,7 @@ def test_cycle_rep_eigenequation():
         k = int(rng.integers(1, 4))
         z = g.cycle([random_unit(rng, 2) for _ in range(k)])
         rep = g.build_cycle_rep(z, 5)
-        fixed = g.reps.cycle_isometry(rep, z.factors) @ rep.omega
+        fixed = reference_cycle_isometry(rep, z.factors) @ rep.omega
         assert np.linalg.norm(fixed - rep.omega) < 1e-12
         assert abs(np.vdot(rep.omega, fixed) - 1.0) < 1e-12
 
@@ -124,7 +131,7 @@ def test_chain_step_relation():
         e_t = g.reps.chain_vector(rep, t)
         e_prev = g.reps.chain_vector(rep, t - 1)
         factor = g.chain_factor(chain, t) if t >= 1 else E1
-        step = g.reps.vector_isometry(rep, factor) @ e_t
+        step = reference_vector_isometry(rep, factor) @ e_t
         assert np.linalg.norm(step - e_prev) < 1e-12
 
 
@@ -206,13 +213,13 @@ def test_fiber_eigenequation():
     c = np.exp(1.1j)
     rep = g.build_fiber_rep(z, c, 4)
     scaled = g.scale_cycle(z, c)
-    fixed = g.reps.cycle_isometry(rep, scaled.factors) @ rep.omega
+    fixed = reference_cycle_isometry(rep, scaled.factors) @ rep.omega
     assert np.linalg.norm(fixed - rep.omega) < 1e-12
 
 
 def test_fiber_minus_one_flips_fixed_vector():
     rep = g.build_fiber_rep(g.cycle([E1]), -1.0, 3)
-    out = g.reps.vector_isometry(rep, E1) @ rep.omega
+    out = reference_vector_isometry(rep, E1) @ rep.omega
     assert np.linalg.norm(out + rep.omega) < 1e-12
 
 
@@ -343,7 +350,7 @@ def test_enumerate_basis_matches_word_oracle_on_cycles():
         def branch_base(label):
             u = g.complete_unitary(factors[label.anchor - 1])
             column = u[:, label.branch - 1]
-            return g.reps.vector_isometry(rep, column) @ anchors[label.anchor % k]
+            return g.reps._apply_isometry(rep, column, anchors[label.anchor % k])
 
         fam = g.enumerate_basis(rep, max_depth)
         _assert_matches_word_oracle(rep, fam, expected, branch_base)
@@ -366,7 +373,7 @@ def test_enumerate_basis_matches_word_oracle_on_chain():
         top = label.anchor + label.depth - 1
         factor = g.chain_factor(chain, top) if top >= 1 else E1
         column = g.complete_unitary(factor)[:, label.branch - 1]
-        return g.reps.vector_isometry(rep, column) @ g.reps.chain_vector(rep, top)
+        return g.reps._apply_isometry(rep, column, g.reps.chain_vector(rep, top))
 
     fam = g.enumerate_basis(rep, max_depth)
     _assert_matches_word_oracle(rep, fam, expected, branch_base)
@@ -418,6 +425,13 @@ def test_apply_detects_chain_ceiling():
         g.apply_element(rep, climb, rep.omega)
 
 
+def test_apply_refuses_a_vector_of_another_length():
+    rep = g.build_cycle_rep(g.cycle([E1]), 5)
+    with pytest.raises(ValueError, match=r"vector of shape \(3,\) does not fit a truncation "
+                                         r"of dimension 32"):
+        g.apply_element(rep, g.parse("s1* + s2", 2), np.ones(3))
+
+
 # ----------------------------------------------------------------------
 # verification
 
@@ -465,37 +479,142 @@ def test_verify_takes_the_least_singular_value_from_the_gram_matrix(monkeypatch)
         assert abs(g.verify_gp(rep).basis_min_singular - sigma) < 1e-12
 
 
-def test_verify_builds_each_cycle_factor_isometry_once(monkeypatch):
-    rng = np.random.default_rng(14)
-    z = random_nonperiodic_cycle(rng, 2, 3)
-    rep = g.build_fiber_rep(z, np.exp(0.4j), 5)
-    expected = g.verify_gp(rep).to_dict()
-    built = []
-    vector_isometry = g.reps.vector_isometry
-
-    def counted(rep, v):
-        built.append(np.asarray(v, dtype=complex))
-        return vector_isometry(rep, v)
-
-    monkeypatch.setattr(g.reps, "vector_isometry", counted)
-    assert g.verify_gp(rep).to_dict() == expected
-    for f in rep.factor_rows:
-        assert sum(np.array_equal(v, f) for v in built) == 1
+def _unit_with_zeros(rng, n):
+    """e_1, a signed basis vector or a signed (0.6, 0.8) pair: exact zeros,
+    so the generators' sparsity patterns differ."""
+    return g.basis_vector(n, 1) if rng.random() < 0.3 else _real_unit(rng, n)
 
 
-def test_verify_builds_each_adjoint_once(monkeypatch):
-    rep = g.build_chain_rep(g.gray_zone_chain(), 4, 2, 3)
-    expected = g.verify_gp(rep).to_dict()
-    built = []
-    gen_adjoint = g.TruncatedRep.gen_adjoint
+@st.composite
+def _operator_cases(draw):
+    """(rep, v, x): a cycle, fiber or chain truncation at N = 2 or 3, a
+    vector of C^N and a random vector of the truncation."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.sampled_from([2, 3]))
+    family = draw(st.sampled_from(["cycle", "fiber", "rotation", "explicit"]))
+    unit = random_unit if draw(st.booleans()) else _unit_with_zeros
+    depth = draw(st.integers(2, 4))
+    if family == "rotation":
+        n = 2
+        # numerator 0 makes every factor e_1 exactly
+        den = draw(st.integers(1, 8))
+        chain = g.rotation_chain(Fraction(draw(st.integers(0, den - 1)), den))
+        rep = g.build_chain_rep(chain, depth, draw(st.integers(2, 4)), draw(st.integers(2, 4)))
+    elif family == "explicit":
+        chain = g.explicit_chain([unit(rng, n) for _ in range(draw(st.integers(1, 3)))],
+                                 [unit(rng, n) for _ in range(draw(st.integers(0, 2)))])
+        rep = g.build_chain_rep(chain, depth, draw(st.integers(2, 4)), draw(st.integers(2, 4)))
+    else:
+        z = g.cycle([unit(rng, n) for _ in range(draw(st.integers(1, 3)))])
+        rep = (g.build_cycle_rep(z, depth) if family == "cycle"
+               else g.build_fiber_rep(z, np.exp(2j * np.pi * rng.random()), depth))
+    v = rep.factor_rows[0] if draw(st.booleans()) else unit(rng, n)
+    x = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
+    return rep, v, x
 
-    def counted(self, i):
-        built.append(i)
-        return gen_adjoint(self, i)
 
-    monkeypatch.setattr(g.TruncatedRep, "gen_adjoint", counted)
-    assert g.verify_gp(rep).to_dict() == expected
-    assert sorted(built) == [1, 2]
+@settings(max_examples=150, deadline=None)
+@given(case=_operator_cases())
+def test_isometry_routine_matches_the_assembled_matrix(case):
+    rep, v, x = case
+    mat = reference_vector_isometry(rep, v)
+    bound = 1e-14 * np.linalg.norm(x)
+    assert np.linalg.norm(g.reps._apply_isometry(rep, v, x) - mat @ x) <= bound
+    adjoint = g.reps._apply_isometry(rep, v, x, adjoint=True)
+    assert np.linalg.norm(adjoint - mat.conjugate().transpose() @ x) <= bound
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_operator_cases(), seed=st.integers(0, 2 ** 32 - 1))
+def test_apply_element_matches_the_adjoint_copy_route(case, seed):
+    rep, _, x = case
+    rng = np.random.default_rng(seed)
+    element = random_element(rng, rep.n, max_word=2, n_terms=4)
+    # a vector with room for two letters either way: m <= N^(D-2), and on a
+    # chain two layers clear of either end of the window
+    keep = np.arange(rep.dim) % rep.block < rep.n ** (rep.depth - 2)
+    if rep.window is not None:
+        layers = np.repeat(rep.layers, rep.block)
+        keep &= (layers >= 2 - rep.window[0]) & (layers <= rep.window[1] - 2)
+    vec = np.where(keep, x, 0.0)
+    expected = reference_apply_element(rep, element, vec)
+    assert g.apply_element(rep, element, vec).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_operator_cases(), k=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_power_vanish_matches_the_assembled_product(case, k, seed):
+    rep, _, x = case
+    rng = np.random.default_rng(seed)
+    own = g.CycleParam(rep.factor_rows) if rep.kind != "chain" else None
+    z = own if own is not None and rng.random() < 0.5 else g.cycle(
+        [_unit_with_zeros(rng, rep.n) if rng.random() < 0.5 else random_unit(rng, rep.n)
+         for _ in range(k)])
+    x = x / np.linalg.norm(x)
+    mine = g.power_vanish(rep, z, x, 3)
+    assert np.max(np.abs(mine - reference_power_vanish(rep, z, x, 3))) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([2, 3]), k=st.integers(1, 2),
+       p=st.integers(1, 3), zeros=st.booleans())
+def test_eigencheck_matches_the_assembled_product(seed, n, k, p, zeros):
+    rng = np.random.default_rng(seed)
+    if zeros:
+        v = g.cycle([g.basis_vector(n, 1)] + [_real_unit(rng, n) for _ in range(k - 1)])
+        if g.primitive_root(v)[1] != 1:
+            v = g.cycle([g.basis_vector(n, 1)])
+    else:
+        v = random_nonperiodic_cycle(rng, n, k)
+    mine = g.numeric_cycle_eigencheck(v, p)
+    assert np.max(np.abs(mine - reference_numeric_cycle_eigencheck(v, p))) < 1e-9
+
+
+class _Unassemblable(sp.csc_array):
+    """A generator that refuses scalar multiplication and sparse addition."""
+
+    def _refuse(self, *_args):
+        raise AssertionError("an operator was assembled from a generator")
+
+    __mul__ = __rmul__ = __add__ = __radd__ = __sub__ = __rsub__ = multiply = _refuse
+
+
+def _operator_outputs(rep, z, element):
+    """Every vector the anchor or chain walk, `enumerate_basis`,
+    `apply_element` and `power_vanish` return for `rep`, as bytes."""
+    if rep.kind == "chain":
+        d_minus, d_plus = rep.window
+        walked = list(g.reps._chain_vectors(rep, -d_minus, d_plus).values())
+    else:
+        walked = g.cycle_anchor_vectors(rep)
+    basis = [vec for depth in (1, 2) for _, vec in g.enumerate_basis(rep, depth)]
+    # the first two are Omega and E_1 on a chain, clear of its top layer
+    applied = [g.apply_element(rep, element, vec) for vec in walked[:2]]
+    norms = [g.power_vanish(rep, z, vec, 3) for vec in walked]
+    return [vec.tobytes() for vec in walked + basis + applied + norms]
+
+
+@pytest.mark.parametrize("rep, z, element", [
+    (g.build_fiber_rep(g.cycle([[0.6, 0.8j], [0.28j, 0.96], [0.8, 0.36 + 0.48j]]),
+                       np.exp(0.4j), 5),
+     g.cycle([[0.6, 0.8j], [0.28j, 0.96], [0.8, 0.36 + 0.48j]]), g.parse("s1* + 0.5 s2 s1*", 2)),
+    (g.build_cycle_rep(g.cycle([g.basis_vector(3, 1), [0.6, 0.0, 0.8j]]), 4),
+     g.cycle([[0.6, 0.0, 0.8j]]), g.parse("s3* s1 - i s2*", 3)),
+    (g.build_chain_rep(g.gray_zone_chain(), 4, 2, 3), g.cycle([E2]), g.parse("s1* + s2 s2*", 2)),
+    (g.build_chain_rep(g.rotation_chain(Fraction(2, 7)), 5, 2, 3), g.cycle([E1]),
+     g.parse("s1* s2 + s2*", 2)),
+    (g.build_chain_rep(g.explicit_chain([E1, E2], [E2]), 5, 2, 3), g.cycle([E1, E2]),
+     g.parse("s2* - s1 s1*", 2)),
+], ids=["fiber", "cycle N=3", "gray", "rotation", "explicit"])
+def test_operator_walks_assemble_nothing(rep, z, element):
+    expected = _operator_outputs(rep, z, element)
+    shape = (rep.dim, rep.dim)
+    rep.__dict__["gens"] = [_Unassemblable(arrays, shape=shape, copy=False) for arrays in rep.csc]
+    with pytest.raises(AssertionError, match="assembled"):
+        0.5 * rep.gens[0]
+    with pytest.raises(AssertionError, match="assembled"):
+        rep.gens[0] + rep.gens[1]
+    assert _operator_outputs(rep, z, element) == expected
 
 
 def test_verify_flags_corruption():
@@ -525,6 +644,15 @@ def test_power_vanish_orthogonal_direction():
     assert norms[1] < 1e-12
 
 
+def test_power_vanish_refuses_a_cycle_or_vector_that_does_not_fit():
+    rep = g.build_cycle_rep(g.cycle([E1]), 5)
+    with pytest.raises(g.RankMismatchError, match="vector lives in C\\^3, rep has rank 2"):
+        g.power_vanish(rep, g.cycle([g.basis_vector(3, 1)]), rep.omega, 2)
+    with pytest.raises(ValueError, match=r"vector of shape \(3,\) does not fit a truncation "
+                                         r"of dimension 32"):
+        g.power_vanish(rep, g.cycle([E1]), np.ones(3), 2)
+
+
 def test_power_vanish_rate_matches_overlap():
     rng = np.random.default_rng(14)
     z = random_nonperiodic_cycle(rng, 2, 2)
@@ -544,7 +672,7 @@ def test_fixed_subspace_is_one_dimensional():
     for _ in range(5):
         z = random_nonperiodic_cycle(rng, 2, 2)
         rep = g.build_cycle_rep(z, 5)
-        mat = g.reps.cycle_isometry(rep, z.factors).toarray()
+        mat = reference_cycle_isometry(rep, z.factors).toarray()
         shifted = (mat - np.eye(rep.dim))[:, rep.interior]
         sing = np.linalg.svd(shifted, compute_uv=False)
         assert sing[-1] < 1e-10
@@ -566,19 +694,18 @@ def test_inequivalent_fixed_vectors_are_orthogonal():
         return np.linalg.svd(shifted, compute_uv=False)
 
     # s(z) has a fixed vector in its own block and none in the other block
-    own = singular_spectrum(g.reps.cycle_isometry(rep_z, z.factors).toarray(), rep_z.interior)
-    other = singular_spectrum(g.reps.cycle_isometry(rep_y, z.factors).toarray(), rep_y.interior)
+    own = singular_spectrum(reference_cycle_isometry(rep_z, z.factors).toarray(), rep_z.interior)
+    other = singular_spectrum(reference_cycle_isometry(rep_y, z.factors).toarray(),
+                           rep_y.interior)
     assert own[-1] < 1e-10
     assert other[-1] > 1e-3
 
     # literal direct-sum form: the near-fixed directions of the two product
     # isometries are orthogonal
-    import scipy.sparse as sp
-
     def fixed_direction(param):
         big = sp.block_diag(
-            [g.reps.cycle_isometry(rep_z, param.factors),
-             g.reps.cycle_isometry(rep_y, param.factors)]
+            [reference_cycle_isometry(rep_z, param.factors),
+             reference_cycle_isometry(rep_y, param.factors)]
         ).toarray()
         interior = np.concatenate([rep_z.interior, rep_y.interior])
         shifted = (big - np.eye(big.shape[0]))[:, interior]
@@ -831,11 +958,8 @@ def test_chain_vectors_match_walk_from_omega(window):
     chain = g.explicit_chain([random_unit(rng, 2) for _ in range(3)], [random_unit(rng, 2)])
     rep = g.build_chain_rep(chain, 4, *window)
     d_minus, d_plus = window
-    isos = {}
-    family = g.reps._chain_vectors(rep, -d_minus, d_plus, isos)
+    family = g.reps._chain_vectors(rep, -d_minus, d_plus)
     assert sorted(family) == list(range(-d_minus, d_plus + 1))
-    # s(z_m) is built once per m >= 1
-    assert sorted(isos) == list(range(1, d_plus + 1))
     for t in range(-d_minus, d_plus + 1):
         expected = reference_chain_vector(rep, t).tobytes()
         assert family[t].tobytes() == expected
@@ -867,31 +991,6 @@ def test_verify_basis_check_is_charged_before_enumerating(monkeypatch):
         g.verify_gp(chain)
     # depth k leaves no room for a basis check, so there is nothing to charge
     assert g.verify_gp(g.build_cycle_rep(z, 2)).basis_count is None
-
-
-@pytest.mark.parametrize("chain", [g.gray_zone_chain(), g.rotation_chain(Fraction(2, 7)),
-                                   g.explicit_chain([E1, E2], [E2])],
-                         ids=["gray", "rotation", "explicit"])
-def test_verify_reuses_the_chain_family(monkeypatch, chain):
-    rep = g.build_chain_rep(chain, 5, 2, 3)
-    d_minus, d_plus = rep.window
-    family = g.reps._chain_vectors(rep, -(d_minus - 1), d_plus)
-    for depth in (1, 2):
-        fresh = g.enumerate_basis(rep, depth)
-        reused = g.reps._enumerate_chain(rep, depth, family)
-        assert [label for label, _ in fresh] == [label for label, _ in reused]
-        assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(fresh, reused))
-    report = g.verify_gp(rep)
-    calls = []
-    walk = g.reps._chain_vectors
-
-    def counted(*args):
-        calls.append(args[1:3])
-        return walk(*args)
-
-    monkeypatch.setattr(g.reps, "_chain_vectors", counted)
-    assert g.verify_gp(rep) == report
-    assert calls == [(-(d_minus - 1), d_plus)]
 
 
 def test_rep_budget_refuses_before_allocating(monkeypatch):
