@@ -32,6 +32,7 @@ import cmath
 import contextlib
 import gc
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,9 +250,24 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     visited in b's term order (positions are sorted only when two or more
     buckets contributed), so keys are inserted and summed in the order of
     the loop over all pairs, and the result is bit-identical to it.
+
+    A product with at least as many pairs of terms as the collector's
+    three thresholds multiplied runs with the cyclic garbage collector
+    paused: its new key tuples would set off passes over the older
+    generations, which hold the growing output, and none of them can find
+    garbage.  Smaller products allocate too little to reach those passes,
+    and pausing would only move their young passes to the end.
     """
     if a.n != b.n:
         raise RankMismatchError(f"rank mismatch: {a.n} vs {b.n}")
+    if len(a.terms) * len(b.terms) < math.prod(gc.get_threshold()):
+        return _matched_product(a, b)
+    with _collector_paused():
+        return _matched_product(a, b)
+
+
+def _matched_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """`multiply` of two elements of the same rank."""
     items = list(b.terms.items())
     # b's positions by J2 (so within each length of J2), in b's term order
     by_word: dict = {}

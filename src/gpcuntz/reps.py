@@ -27,26 +27,33 @@ twisted by c, and the chain factors 1..D+ from one `chain_factors` call.
 Every anchor, basis vector and residual is formed from these rows;
 nothing goes back to the parameter.  No operator s(v) = sum_i v_i S_i is
 ever assembled: one routine applies s(v) or s(v)* to a vector from the N
-generators, the adjoint through each generator's transposed view, and
-every product of factors is applied one factor at a time.  `verify_gp(rep)`
-takes no options: its eigen residual is |anchor_1 - Omega|, where anchor_1
-is the same pi(s(z^(1)) ... s(z^(k))) Omega its family and basis checks
-use, and its basis depth is min(2, D - k).
+generators, and every product of factors is applied one factor at a time.
+`verify_gp(rep)` takes no options: its eigen residual is |anchor_1 - Omega|,
+where anchor_1 is the same pi(s(z^(1)) ... s(z^(k))) Omega its family and
+basis checks use, and its basis depth is min(2, D - k).
 
-A truncation stores each generator as the read-only CSC arrays (`csc`:
-data, indices, indptr) written straight from its step table with numpy,
-in column order and ascending rows.  `gens` wraps these arrays, without a
-copy, as scipy csc_arrays on first use; only operator work (`verify_gp`,
-`apply_element`, the anchor and chain walks, `enumerate_basis`,
-`power_vanish` and `classify.numeric_cycle_eigencheck`) reads it, so only
-that work loads scipy.sparse.  Building and exporting a truncation, like
-importing this module, the package or its command line, never does.
+A truncation stores its step table (`step_sources`, `step_targets`,
+`step_coeffs`), read-only, and everything else is read from it.  A
+generator acts on a vector through slices of the table: S_i x writes
+c_ij x_(source, m) into row N(m-1) + j of the step target, and S_i^T x sums
+those rows back.  Each target is reached by one step, so the relation
+residuals of `verify_gp` come from the N x N coefficient blocks alone, in
+O(steps N^3).  Products are written out in float64 as (ar br - ai bi,
+ar bi + ai br), since numpy's array complex multiply can round otherwise,
+and summed in scipy's order, so every residual, and every vector from a
+finite one, carries the bits of the sparse products it replaced.  The CSC
+arrays of each generator (`csc`: data, indices, indptr, in column order
+and ascending rows) are written from the table with numpy on first use,
+for the exports; `gens` wraps them, without a copy, as scipy csc_arrays,
+and only that loads scipy.sparse.  Nothing in this module, the package or
+its command line reads `gens`.
 
 The builders refuse, before allocating, more than REP_BUDGET basis vectors
 at rank 2 (2 REP_BUDGET / N at rank N), and `verify_gp` refuses, before it
 enumerates, a basis check whose dense stack of count x dim entries would
 exceed 8 REP_BUDGET.  The chain family E_t is pushed from Omega through
-the window once per walk.  The exports read the stored arrays
+the window once per walk, and `verify_gp` writes each E_t straight into
+the stack its family check takes.  The exports read the stored arrays
 and cost about the bytes they emit.  `export_coo` turns every index into
 text once and the `repr` text of an entry once per distinct bit pattern
 of its value, which a step table keeps to k N^2 per generator; every line
@@ -117,13 +124,18 @@ def complete_unitary(z) -> np.ndarray:
 
 @dataclass(eq=False)
 class TruncatedRep:
-    """Sparse matrices S_1..S_N on the truncated graded basis."""
+    """Generators S_1..S_N on the truncated graded basis, given by a step table."""
 
     n: int
     kind: str                 # "cycle" | "chain" | "fiber"
     depth: int
     layers: tuple             # layer ids in basis order
-    csc: tuple                # read-only (data, indices, indptr) of each generator's CSC matrix
+    # the step table, read-only: step s steps layer position step_sources[s]
+    # down to step_targets[s] with S_i e_(source, m) =
+    # sum_j step_coeffs[s, i, j] e_(target, N(m-1) + j)
+    step_sources: np.ndarray
+    step_targets: np.ndarray
+    step_coeffs: np.ndarray
     omega: np.ndarray
     interior: np.ndarray      # columns on which S_i* S_j = delta_ij is exact
     sum_interior: np.ndarray  # columns on which sum_i S_i S_i* = I is exact
@@ -136,9 +148,15 @@ class TruncatedRep:
         return self.omega.size
 
     @cached_property
+    def csc(self) -> tuple:
+        """Read-only (data, indices, indptr) of each generator's CSC matrix,
+        written from the step table."""
+        return tuple(_csc_arrays(self, i) for i in range(self.n))
+
+    @cached_property
     def gens(self) -> list:
-        """S_1..S_N as scipy csc_arrays over the stored arrays, not copies;
-        the first use loads scipy.sparse."""
+        """S_1..S_N as scipy csc_arrays over `csc`, not copies; the first
+        use loads scipy.sparse."""
         import scipy.sparse as sp
 
         shape = (self.dim, self.dim)
@@ -147,6 +165,17 @@ class TruncatedRep:
     @property
     def block(self) -> int:
         return self.n ** self.depth
+
+    @cached_property
+    def _step_runs(self) -> list:
+        """(steps, sources, targets) slices of the maximal runs of steps whose
+        source and target layer positions both ascend by one: one run for a
+        chain, two for a cycle of more than one factor."""
+        src, tgt = self.step_sources.tolist(), self.step_targets.tolist()
+        starts = [s for s in range(len(src))
+                  if s == 0 or (src[s], tgt[s]) != (src[s - 1] + 1, tgt[s - 1] + 1)]
+        return [(slice(a, b), slice(src[a], src[a] + b - a), slice(tgt[a], tgt[a] + b - a))
+                for a, b in zip(starts, starts[1:] + [len(src)])]
 
     def index(self, layer, m: int) -> int:
         return self.layers.index(layer) * self.block + (m - 1)
@@ -178,71 +207,75 @@ def _layered_rep(param, depth, layers, steps, omega_layer, kind, **fields) -> Tr
     """Truncation of depth `depth` on `layers` from a step table.
 
     `steps` holds one (source layer, target layer, completing unitary,
-    scale) row per step down, and no two rows share a source, so each
-    column of a generator is written by at most one step: rows N(m-1) + j
-    of the target layer in ascending j, exact zeros skipped.  Coefficients
-    are formed entry by entry as `scale * conj(u_ij)`, since numpy's array
-    complex multiply can differ from the scalar one in the last bit.
-    Chain steps pass scale None and keep `conj(u_ij)` as it is: a factor
-    1.0 would turn their -0.0 imaginary parts into 0.0.
+    scale) row per step down.  No two rows share a source or a target, so
+    each column of a generator is written by at most one step and each row
+    by at most one.  Coefficients are formed entry by entry as
+    `scale * conj(u_ij)`, since numpy's array complex multiply can differ
+    from the scalar one in the last bit.  Chain steps pass scale None and
+    keep `conj(u_ij)` as it is: a factor 1.0 would turn their -0.0
+    imaginary parts into 0.0.
     """
     n = param.n
-    blk = n ** depth
-    inner = n ** (depth - 1)
-    dim = len(layers) * blk
-    interior = np.zeros(dim, dtype=bool)
-    sum_interior = np.zeros(dim, dtype=bool)
-    # per generator, (first column, first row, kept j, their coefficients) per step
-    spans = [[] for _ in range(n)]
-    for source, target, u, scale in steps:
-        col_base = layers.index(source) * blk
-        row_base = layers.index(target) * blk
-        interior[col_base : col_base + inner] = True
-        sum_interior[row_base : row_base + blk] = True
-        for i in range(n):
-            coeffs = [np.conj(u[i, j]) if scale is None else scale * np.conj(u[i, j])
-                      for j in range(n)]
-            js = [j for j in range(n) if abs(coeffs[j]) != 0.0]
-            spans[i].append((col_base, row_base, js, [coeffs[j] for j in js]))
-    csc = tuple(_csc_arrays(n, dim, inner, gen_spans) for gen_spans in spans)
-    omega = np.zeros(dim, dtype=complex)
-    omega[layers.index(omega_layer) * blk] = 1.0
+    sources = _read_only(np.array([layers.index(row[0]) for row in steps], dtype=np.intp))
+    targets = _read_only(np.array([layers.index(row[1]) for row in steps], dtype=np.intp))
+    assert len(set(sources.tolist())) == len(steps) == len(set(targets.tolist())), \
+        "every step needs its own source and target layer"
+    coeffs = _read_only(np.array(
+        [[[np.conj(u[i, j]) if scale is None else scale * np.conj(u[i, j]) for j in range(n)]
+          for i in range(n)] for _, _, u, scale in steps],
+        dtype=complex,
+    ).reshape(len(steps), n, n))
+    blocks = (len(layers), n ** depth)
+    interior = np.zeros(blocks, dtype=bool)
+    interior[sources, : n ** (depth - 1)] = True
+    sum_interior = np.zeros(blocks, dtype=bool)
+    sum_interior[targets] = True
+    omega = np.zeros(blocks, dtype=complex)
+    omega[layers.index(omega_layer), 0] = 1.0
     return TruncatedRep(
         n=n,
         kind=kind,
         depth=depth,
         layers=layers,
-        csc=csc,
-        omega=omega,
-        interior=interior,
-        sum_interior=sum_interior,
+        step_sources=sources,
+        step_targets=targets,
+        step_coeffs=coeffs,
+        omega=omega.ravel(),
+        interior=interior.ravel(),
+        sum_interior=sum_interior.ravel(),
         param=param,
         **fields,
     )
 
 
-def _csc_arrays(n: int, dim: int, inner: int, spans: list) -> tuple:
-    """Read-only (data, indices, indptr) of one generator: every step span
-    fills its `inner` contiguous columns with rows row_base + N m + j."""
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _csc_arrays(rep: TruncatedRep, i: int) -> tuple:
+    """Read-only (data, indices, indptr) of S_(i+1): every step fills the
+    first N^(D-1) columns of its source with rows N m + j of its target in
+    ascending j, exact zeros skipped."""
     # REP_BUDGET keeps every index and count far below 2^31, and scipy
     # wraps int32 arrays as they are
     idx = np.int32
-    counts = np.zeros(dim, dtype=idx)
-    for col_base, _, js, _ in spans:
-        counts[col_base : col_base + inner] = len(js)
-    indptr = np.zeros(dim + 1, dtype=idx)
+    blk = rep.block
+    inner = blk // rep.n
+    kept = [np.flatnonzero(row) for row in rep.step_coeffs[:, i]]
+    counts = np.zeros((len(rep.layers), blk), dtype=idx)
+    counts[rep.step_sources, :inner] = [[len(js)] for js in kept]
+    indptr = np.zeros(rep.dim + 1, dtype=idx)
     np.cumsum(counts, out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=idx)
     data = np.empty(indptr[-1], dtype=complex)
     ms = np.arange(inner, dtype=idx)
-    for col_base, row_base, js, coeffs in spans:
-        block = slice(indptr[col_base], indptr[col_base] + inner * len(js))
-        rows = row_base + n * ms[:, None] + np.array(js, dtype=idx)
-        indices[block].reshape(inner, len(js))[:] = rows
-        data[block].reshape(inner, len(js))[:] = np.array(coeffs, dtype=complex)
-    for array in (data, indices, indptr):
-        array.flags.writeable = False
-    return data, indices, indptr
+    for source, target, js, coeffs in zip(rep.step_sources, rep.step_targets, kept,
+                                          rep.step_coeffs[:, i]):
+        block = slice(indptr[source * blk], indptr[source * blk] + inner * len(js))
+        indices[block].reshape(inner, len(js))[:] = target * blk + rep.n * ms[:, None] + js
+        data[block].reshape(inner, len(js))[:] = coeffs[js]
+    return tuple(map(_read_only, (data, indices, indptr)))
 
 
 def _cycle_rep(z: CycleParam, depth: int, wrap_scale, kind: str, factor_rows) -> TruncatedRep:
@@ -310,13 +343,52 @@ def _chain_factor(rows: np.ndarray, m: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 # operators applied to vectors
 
+def _apply_gen(rep: TruncatedRep, i: int, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """S_(i+1) x, or S_(i+1)^T x, of a vector or a stack of column vectors,
+    read from the step table through slices.
+
+    S x fills rows N m + j of each step target with c_ij x_(source, m), and
+    S^T x sums those rows back into column m of the step source in
+    ascending j, from zero.  Each complex product is written out as
+    (ar br - ai bi, ar bi + ai br) in float64, so for finite x every entry
+    carries the bits of scipy's CSC product with `gens[i]`.
+    """
+    if x.ndim == 2:
+        return np.stack([_apply_gen(rep, i, col, transpose) for col in x.T], axis=1)
+    n, count = rep.n, len(rep.layers)
+    inner = rep.block // n
+    out = np.zeros(x.size, dtype=complex)
+    if transpose:
+        rows, cols = x.reshape(count, inner, n), out.reshape(count, n * inner)
+    else:
+        rows, cols = out.reshape(count, inner, n), x.reshape(count, n * inner)
+    for steps, sources, targets in rep._step_runs:
+        c = rep.step_coeffs[steps, i]
+        src, tgt = cols[sources, :inner], rows[targets]
+        if transpose:
+            # the columns of `out` start at zero and take the sums in place
+            for j in range(n):
+                cr, ci = c.real[:, j, None], c.imag[:, j, None]
+                yr, yi = tgt.real[:, :, j], tgt.imag[:, :, j]
+                src.real += cr * yr - ci * yi
+                src.imag += cr * yi + ci * yr
+            continue
+        xr, xi = src.real, src.imag
+        for j in range(n):
+            cr, ci = c.real[:, j, None], c.imag[:, j, None]
+            # scipy adds each product to a zero, which turns -0.0 into 0.0
+            np.add(cr * xr - ci * xi, 0.0, out=tgt.real[:, :, j])
+            np.add(cr * xi + ci * xr, 0.0, out=tgt.imag[:, :, j])
+    return out
+
+
 def _apply_isometry(rep: TruncatedRep, v, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """s(v) x = sum_i v_i S_i x, or s(v)* x = conj(sum_i v_i S_i^T conj(x)),
-    from the stored generators; S_i^T is the transposed view of S_i, not a
-    copy.  `x` is a vector or a stack of column vectors."""
+    from the step table.  `x` is a vector or a stack of column vectors."""
     if adjoint:
-        return np.conj(sum(vi * (gen.T @ np.conj(x)) for vi, gen in zip(v, rep.gens)))
-    return sum(vi * (gen @ x) for vi, gen in zip(v, rep.gens))
+        y = np.conj(x)
+        return np.conj(sum(vi * _apply_gen(rep, i, y, transpose=True) for i, vi in enumerate(v)))
+    return sum(vi * _apply_gen(rep, i, x) for i, vi in enumerate(v))
 
 
 def _as_vector(rep: TruncatedRep, vec) -> np.ndarray:
@@ -335,12 +407,12 @@ def _apply_generator(rep: TruncatedRep, letter: int, vec: np.ndarray, adjoint: b
             raise TruncationOverflowError(
                 "support reached the top window layer; enlarge d_plus"
             )
-        return np.conj(rep.gens[letter - 1].T @ np.conj(vec))
+        return np.conj(_apply_gen(rep, letter - 1, np.conj(vec), transpose=True))
     if not np.all(np.abs(vec[~rep.interior]) <= PRUNE_TOL):
         raise TruncationOverflowError(
             "support escaped the exact interior; enlarge the depth"
         )
-    return rep.gens[letter - 1] @ vec
+    return _apply_gen(rep, letter - 1, vec)
 
 
 def apply_element(rep: TruncatedRep, a: AlgebraElement, vec: np.ndarray) -> np.ndarray:
@@ -384,8 +456,8 @@ def cycle_anchor_vectors(rep: TruncatedRep) -> list:
     return out[::-1]
 
 
-def _chain_vectors(rep: TruncatedRep, lo: int, hi: int) -> dict:
-    """{t: E_t} for lo <= t <= hi, and for every t between them and 0.
+def _chain_walk(rep: TruncatedRep, lo: int, hi: int):
+    """(t, E_t) for lo <= t <= hi, and for every t between them and 0.
 
     Each call walks from Omega once: E_t = s(z_t)* E_(t-1) for t > 0 and
     E_t = S_1 E_(t+1) for t < 0, so each vector comes from the same
@@ -399,16 +471,20 @@ def _chain_vectors(rep: TruncatedRep, lo: int, hi: int) -> dict:
             raise TruncationOverflowError(
                 f"layer {t} outside the window [-{d_minus}, {d_plus}]"
             )
-    out = {0: rep.omega}
+    yield 0, rep.omega
     vec = rep.omega
     for m in range(1, hi + 1):
         vec = _apply_isometry(rep, rep.factor_rows[m - 1], vec, adjoint=True)
-        out[m] = vec
+        yield m, vec
     vec = rep.omega
     for t in range(-1, lo - 1, -1):
         vec = _apply_generator(rep, 1, vec, adjoint=False)
-        out[t] = vec
-    return out
+        yield t, vec
+
+
+def _chain_vectors(rep: TruncatedRep, lo: int, hi: int) -> dict:
+    """{t: E_t} of `_chain_walk`."""
+    return dict(_chain_walk(rep, lo, hi))
 
 
 def chain_vector(rep: TruncatedRep, t: int) -> np.ndarray:
@@ -459,7 +535,7 @@ def _branch_words(rep: TruncatedRep, factor, vec, letters: int):
     for j in range(2, rep.n + 1):
         level = [((), _apply_isometry(rep, u[:, j - 1], vec))]
         for _ in range(letters):
-            level = [((a,) + word, rep.gens[a - 1] @ v)
+            level = [((a,) + word, _apply_gen(rep, a - 1, v))
                      for a in range(1, rep.n + 1) for word, v in level]
         out += [(j, word, v) for word, v in level]
     return out
@@ -516,11 +592,44 @@ def _enumerate_chain(rep: TruncatedRep, max_depth: int):
 # ----------------------------------------------------------------------
 # verification
 
-def _max_abs(mat) -> float:
-    mat = mat.tocoo()
-    if mat.nnz == 0:
-        return 0.0
-    return float(np.max(np.abs(mat.data)))
+def _relation_residuals(rep: TruncatedRep) -> tuple:
+    """The largest |S_i* S_j - delta_ij| on the interior columns and the
+    largest |sum_i S_i S_i* - I| on the step targets, from the step table.
+
+    A step's target rows are reached from its source alone, so with C its
+    coefficients, S_i* S_j on each of the step's interior columns is
+    sum_l conj(C_il) C_jl, and sum_i S_i S_i* on its target block is the
+    N x N block sum_i C_il' conj(C_il) repeated down the diagonal.  The
+    sums run in ascending l and ascending i from zero, with each product
+    written out in float64 as `_apply_gen` writes it: the order and
+    rounding of scipy's sparse products over the generators.  O(steps N^3).
+    """
+    c = rep.step_coeffs
+    cr, ci = c.real, c.imag
+    eye = np.eye(rep.n)
+    # [s, i, j]: conj(C_il) C_jl summed over l
+    iso_re, iso_im = np.zeros(c.shape), np.zeros(c.shape)
+    for l in range(rep.n):
+        ar, ai = cr[:, None, :, l], ci[:, None, :, l]
+        br, bi = cr[:, :, None, l], -ci[:, :, None, l]
+        iso_re += ar * br - ai * bi
+        iso_im += ar * bi + ai * br
+    # [s, l', l]: C_il' conj(C_il) summed over i
+    comp_re, comp_im = np.zeros(c.shape), np.zeros(c.shape)
+    for i in range(rep.n):
+        ar, ai = cr[:, i, None, :], -ci[:, i, None, :]
+        br, bi = cr[:, i, :, None], ci[:, i, :, None]
+        comp_re += ar * br - ai * bi
+        comp_im += ar * bi + ai * br
+    return _max_abs(iso_re - eye, iso_im), _max_abs(comp_re - eye, comp_im)
+
+
+def _max_abs(re: np.ndarray, im: np.ndarray) -> float:
+    """Largest modulus of re + i im, taken as complex moduli; 0.0 if empty."""
+    values = np.empty(re.size, dtype=complex)
+    values.real = re.ravel()
+    values.imag = im.ravel()
+    return float(np.max(np.abs(values), initial=0.0))
 
 
 @dataclass
@@ -558,9 +667,8 @@ class VerificationReport:
         return {k: v for k, v in self.__dict__.items()}
 
 
-def _gram(vectors):
-    """Gram matrix of the stacked vectors and its largest deviation from I."""
-    mat = np.stack(vectors, axis=1)
+def _gram(mat: np.ndarray):
+    """Gram matrix of the columns of `mat` and its largest deviation from I."""
     gram = mat.conj().T @ mat
     return gram, float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
 
@@ -574,8 +682,6 @@ def verify_gp(rep: TruncatedRep) -> VerificationReport:
     the anchored family, and a spanning check of the enumerated basis to
     depth min(2, D - k) against the matching graded interior.
     """
-    import scipy.sparse as sp
-
     cyclic = rep.kind in ("cycle", "fiber")
     k = len(rep.factor_rows) if cyclic else 0
     d = min(2, rep.depth - k)
@@ -593,22 +699,7 @@ def verify_gp(rep: TruncatedRep) -> VerificationReport:
                 f"the basis check would stack {expected} vectors of dimension {rep.dim}, "
                 f"{expected * rep.dim} entries, over the budget of {limit}"
             )
-    ident = sp.identity(rep.dim, dtype=complex, format="csc")
-    adjoints = [gen.conjugate().transpose().tocsc() for gen in rep.gens]
-    iso = 0.0
-    for i, si_h in enumerate(adjoints):
-        for j, sj in enumerate(rep.gens):
-            res = si_h @ sj
-            if i == j:
-                res = res - ident
-            iso = max(iso, _max_abs(res[:, rep.interior]))
-    total = None
-    for si, si_h in zip(rep.gens, adjoints):
-        piece = si @ si_h
-        total = piece if total is None else total + piece
-    comp = _max_abs((total - ident)[:, rep.sum_interior])
-    # the walks below set the memory peak and need neither matrix
-    del adjoints, total
+    iso, comp = _relation_residuals(rep)
 
     eigen = None
     step = None
@@ -616,21 +707,32 @@ def verify_gp(rep: TruncatedRep) -> VerificationReport:
         anchors = cycle_anchor_vectors(rep)
         # anchors[0] is pi(s(z^(1)) ... s(z^(k))) Omega
         eigen = float(np.linalg.norm(anchors[0] - rep.omega))
-        family = _gram(anchors)[1]
+        family = _gram(np.stack(anchors, axis=1))[1]
     else:
         d_minus, d_plus = rep.window
-        ts = range(-(d_minus - 1), d_plus + 1)
-        vectors = _chain_vectors(rep, ts[0], ts[-1])
-        family = _gram([vectors[t] for t in ts])[1]
+        lo = -(d_minus - 1)
+        # each E_t goes straight into its column: the family check holds
+        # only this stack and its conjugate
+        mat = np.empty((rep.dim, d_plus - lo + 1), dtype=complex)
         step = 0.0
-        for t in range(-(d_minus - 2), d_plus + 1):
-            pushed = _apply_isometry(rep, _chain_factor(rep.factor_rows, t), vectors[t])
-            step = max(step, float(np.linalg.norm(pushed - vectors[t - 1])))
+        # the latest vector of the walk up from Omega and of the walk down
+        latest = {True: rep.omega, False: rep.omega}
+        for t, vec in _chain_walk(rep, lo, d_plus):
+            mat[:, t - lo] = vec
+            if t == 0:
+                continue
+            # s(z_u) E_u = E_(u-1) for the step the walk just took
+            u, upper, lower = (t, vec, latest[True]) if t > 0 else (t + 1, latest[False], vec)
+            pushed = _apply_isometry(rep, _chain_factor(rep.factor_rows, u), upper)
+            step = max(step, float(np.linalg.norm(pushed - lower)))
+            latest[t > 0] = vec
+        family = _gram(mat)[1]
+        del mat
 
     basis_gram = basis_count = min_sing = None
     if d >= 1:
         fam = enumerate_basis(rep, d)
-        gram, basis_gram = _gram([vec for _, vec in fam])
+        gram, basis_gram = _gram(np.stack([vec for _, vec in fam], axis=1))
         basis_count = len(fam)
         # the singular values of the stacked family are the square roots of
         # the eigenvalues of its Gram matrix

@@ -328,6 +328,35 @@ def reference_layered_gens(n, depth, layers, steps) -> list:
     ]
 
 
+def reference_relation_residuals(rep):
+    """`verify_gp`'s isometry and completeness residuals by the route the
+    step-table formulas replaced: sparse products of `rep.gens` with their
+    conjugate-transposed CSC copies, restricted to the interior columns."""
+    import scipy.sparse as sp
+
+    def max_abs(mat):
+        mat = mat.tocoo()
+        if mat.nnz == 0:
+            return 0.0
+        return float(np.max(np.abs(mat.data)))
+
+    ident = sp.identity(rep.dim, dtype=complex, format="csc")
+    adjoints = [gen.conjugate().transpose().tocsc() for gen in rep.gens]
+    iso = 0.0
+    for i, si_h in enumerate(adjoints):
+        for j, sj in enumerate(rep.gens):
+            res = si_h @ sj
+            if i == j:
+                res = res - ident
+            iso = max(iso, max_abs(res[:, rep.interior]))
+    total = None
+    for si, si_h in zip(rep.gens, adjoints):
+        piece = si @ si_h
+        total = piece if total is None else total + piece
+    comp = max_abs((total - ident)[:, rep.sum_interior])
+    return iso, comp
+
+
 def reference_value_texts(values) -> np.ndarray:
     """`reps._value_texts` by the grouping it replaced: `np.unique` over the
     values as raw 16-byte records."""

@@ -289,6 +289,63 @@ def test_expand_identity_restores_the_collector_when_the_output_loop_raises(
     assert gc.isenabled() is collector
 
 
+@pytest.fixture
+def low_thresholds():
+    """Collector thresholds under which a product of a few hundred pairs
+    of terms counts as large."""
+    old = gc.get_threshold()
+    gc.set_threshold(10, 2, 2)
+    yield
+    gc.set_threshold(*old)
+
+
+def test_large_multiply_pauses_the_collector(low_thresholds, collector):
+    a = g.s_of([[0.6, 0.48, 0.64], [0.48j, 0.6, -0.64]])
+    b = a.adjoint()
+    assert len(a.terms) * len(b.terms) >= math.prod(gc.get_threshold())
+    passes = []
+
+    def count(phase, _info):
+        passes.append(phase)
+
+    gc.callbacks.append(count)
+    try:
+        out = g.multiply(a, b)
+    finally:
+        gc.callbacks.remove(count)
+    # at most the one pass that runs as the collector comes back on
+    assert passes.count("start") <= collector
+    assert gc.isenabled() is collector
+    assert_bit_identical(out, reference_pairwise_multiply(a, b))
+
+
+def test_multiply_restores_the_collector_when_the_output_loop_raises(
+        monkeypatch, low_thresholds, collector):
+    def exhausted(*_args, **_kwargs):
+        assert not gc.isenabled()
+        raise MemoryError
+
+    # K1 = (1, 2) matches the buckets of J2 = (1,) and J2[:2] = (1, 2), which
+    # a sorted chain merges; the other terms of b only make the product large
+    a = g.AlgebraElement.from_terms(2, {((), (1, 2)): 1.0})
+    fill = {((2, 2, 2), (1,) * i): 1.0 for i in range(math.prod(gc.get_threshold()))}
+    b = g.AlgebraElement.from_terms(2, {((1,), ()): 1.0, ((1, 2), ()): 1.0, **fill})
+    monkeypatch.setattr(g.algebra.itertools, "chain", exhausted)
+    with pytest.raises(MemoryError):
+        g.multiply(a, b)
+    assert gc.isenabled() is collector
+
+
+def test_small_multiply_leaves_the_collector_running(monkeypatch):
+    def refused():
+        raise AssertionError("a small product paused the collector")
+
+    monkeypatch.setattr(g.algebra, "_collector_paused", refused)
+    a = g.s_of([[0.6, 0.48, 0.64], [0.48j, 0.6, -0.64]])
+    assert len(a.terms) ** 2 < math.prod(gc.get_threshold())
+    assert_bit_identical(g.multiply(a, a.adjoint()), reference_pairwise_multiply(a, a.adjoint()))
+
+
 def test_expand_identity_budget():
     with pytest.raises(ValueError, match="16777216 terms"):
         g.expand_identity(g.generator(4, 1), 12)

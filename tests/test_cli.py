@@ -391,6 +391,20 @@ def test_diagnostics_target_shares_one_factor_pass(capsys, monkeypatch):
 GOLDEN_CYCLE = '{"kind":"cycle","N":2,"factors":[[[0.6,0],[0,0.8]],[[0,0],[1,0]]]}'
 GOLDEN_FIBER = '{"kind":"cycle","N":3,"factors":[[[0.6,0],[0,0.8],[0,0]],[[0,0],[0,0],[1,0]]]}'
 
+VERIFY_FIBER = ('{"kind":"cycle","N":2,"factors":[[[0.6,0],[0,0.8]],[[0,0.28],[0.96,0]],'
+                '[[0.8,0],[0.36,0.48]]]}')
+VERIFY_N3 = ('{"kind":"cycle","N":3,"factors":[[[0.6,0],[0,0.48],[0.64,0]],'
+             '[[0.48,0],[0.36,0.48],[0,0.64]]]}')
+VERIFY_GOLDENS = [
+    (("--inline", VERIFY_FIBER, "--depth", "6", "--fiber", "exp(i pi 2/3)"),
+     "verify_cycle_fiber"),
+    (("--inline", VERIFY_N3, "--depth", "4"), "verify_cycle_n3"),
+    (("--inline", '{"kind":"chain","rotation":{"num":2,"den":7}}', "--depth", "4",
+      "--window", "3", "5"), "verify_rotation_2_7"),
+    (("--inline", '{"kind":"chain","gray_zone":true}', "--depth", "4", "--window", "3", "5"),
+     "verify_gray_zone"),
+]
+
 
 @pytest.mark.parametrize("fmt, ext", [("matrix-coo", "txt"), ("json", "json")])
 @pytest.mark.parametrize("argv, stem", [
@@ -420,25 +434,23 @@ def test_rep_build_needs_no_scipy_sparse(capsys, monkeypatch, argv, stem, fmt, e
     assert out == (DATA / f"{stem}.{ext}").read_text()
 
 
-VERIFY_FIBER = ('{"kind":"cycle","N":2,"factors":[[[0.6,0],[0,0.8]],[[0,0.28],[0.96,0]],'
-                '[[0.8,0],[0.36,0.48]]]}')
-VERIFY_N3 = ('{"kind":"cycle","N":3,"factors":[[[0.6,0],[0,0.48],[0.64,0]],'
-             '[[0.48,0],[0.36,0.48],[0,0.64]]]}')
-
-
 @pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
-@pytest.mark.parametrize("argv, stem", [
-    (("--inline", VERIFY_FIBER, "--depth", "6", "--fiber", "exp(i pi 2/3)"),
-     "verify_cycle_fiber"),
-    (("--inline", VERIFY_N3, "--depth", "4"), "verify_cycle_n3"),
-    (("--inline", '{"kind":"chain","rotation":{"num":2,"den":7}}', "--depth", "4",
-      "--window", "3", "5"), "verify_rotation_2_7"),
-])
+@pytest.mark.parametrize("argv, stem", VERIFY_GOLDENS)
 def test_verify_output_is_stable(capsys, argv, stem, fmt, ext):
     # the residuals sit in the last bits, so any change to how the
     # isometries, anchors or basis vectors are formed shows here
     code, out, _ = run_cli(capsys, "verify", *argv, "-f", fmt)
     assert code == 0
+    assert out == (DATA / f"{stem}.{ext}").read_text()
+
+
+@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
+@pytest.mark.parametrize("argv, stem", VERIFY_GOLDENS)
+def test_verify_needs_no_scipy_sparse(capsys, monkeypatch, argv, stem, fmt, ext):
+    # from here on, importing scipy.sparse raises ImportError
+    monkeypatch.setitem(sys.modules, "scipy.sparse", None)
+    code, out, err = run_cli(capsys, "verify", *argv, "-f", fmt)
+    assert (code, err) == (0, "")
     assert out == (DATA / f"{stem}.{ext}").read_text()
 
 
@@ -771,7 +783,7 @@ sys.exit(code)
     (("car-check", "--n-max", "2"), False),
     (("rep-build", "--inline", CYCLE_E1, "--depth", "2", "-f", "json"), False),
     (("rep-build", "--inline", CYCLE_E1, "--depth", "2", "-f", "matrix-coo"), False),
-    (("verify", "--inline", CYCLE_E1, "--depth", "2"), True),
+    (("verify", "--inline", CYCLE_E1, "--depth", "2"), False),
 ], ids=lambda value: (value[0] + ("-" + value[-1] if value[-2] == "-f" else "")
                       if isinstance(value, tuple) else None))
 def test_scipy_sparse_is_loaded_only_to_check_a_rep(argv, loads_sparse):

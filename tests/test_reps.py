@@ -1,5 +1,6 @@
 """Truncated representations: construction, relations, bases, exports."""
 
+import dataclasses
 import gc
 import itertools
 import json
@@ -23,6 +24,7 @@ from helpers import (
     reference_layered_gens,
     reference_numeric_cycle_eigencheck,
     reference_power_vanish,
+    reference_relation_residuals,
     reference_value_texts,
     reference_vector_isometry,
 )
@@ -570,13 +572,16 @@ def test_eigencheck_matches_the_assembled_product(seed, n, k, p, zeros):
     assert np.max(np.abs(mine - reference_numeric_cycle_eigencheck(v, p))) < 1e-9
 
 
-class _Unassemblable(sp.csc_array):
-    """A generator that refuses scalar multiplication and sparse addition."""
+class _Untouchable:
+    """Stands in for `rep.gens` or `rep.csc`: any use of it fails."""
+
+    def __init__(self, name):
+        self.name = name
 
     def _refuse(self, *_args):
-        raise AssertionError("an operator was assembled from a generator")
+        raise AssertionError(f"an operator read rep.{self.name}")
 
-    __mul__ = __rmul__ = __add__ = __radd__ = __sub__ = __rsub__ = multiply = _refuse
+    __getitem__ = __iter__ = __len__ = _refuse
 
 
 def _operator_outputs(rep, z, element):
@@ -608,20 +613,22 @@ def _operator_outputs(rep, z, element):
 ], ids=["fiber", "cycle N=3", "gray", "rotation", "explicit"])
 def test_operator_walks_assemble_nothing(rep, z, element):
     expected = _operator_outputs(rep, z, element)
-    shape = (rep.dim, rep.dim)
-    rep.__dict__["gens"] = [_Unassemblable(arrays, shape=shape, copy=False) for arrays in rep.csc]
-    with pytest.raises(AssertionError, match="assembled"):
-        0.5 * rep.gens[0]
-    with pytest.raises(AssertionError, match="assembled"):
-        rep.gens[0] + rep.gens[1]
+    # a fresh copy, with neither the generators nor their arrays built
+    rep = dataclasses.replace(rep)
+    for name in ("gens", "csc"):
+        rep.__dict__[name] = _Untouchable(name)
+        with pytest.raises(AssertionError, match=f"read rep.{name}"):
+            getattr(rep, name)[0]
     assert _operator_outputs(rep, z, element) == expected
+    g.verify_gp(rep)
 
 
 def test_verify_flags_corruption():
     rep = g.build_cycle_rep(g.cycle([E1, E2]), 4)
-    bad = rep.gens[0].tolil()
-    bad[0, 0] = bad[0, 0] + 0.25
-    rep.gens[0] = bad.tocsc()
+    # one coefficient of the first step, as S_1 reads it from the table
+    coeffs = rep.step_coeffs.copy()
+    coeffs[0, 0, 0] += 0.25
+    rep = dataclasses.replace(rep, step_coeffs=coeffs)
     report = g.verify_gp(rep)
     assert not report.passed(1e-9)
     assert report.max_residual() > 0.1
@@ -904,10 +911,54 @@ def test_gens_wrap_the_stored_arrays():
 @given(data=st.data())
 def test_verify_reports_match_the_coo_route(data):
     rep, table = _build_recording_steps(lambda: data.draw(_drawn_reps()))
-    mine = repr(g.verify_gp(rep))
-    # the same truncation with the matrices the COO route builds
+    report = g.verify_gp(rep)
+    # the sparse products of the matrices the COO route builds
     rep.__dict__["gens"] = reference_layered_gens(*table)
-    assert mine == repr(g.verify_gp(rep))
+    expected = reference_relation_residuals(rep)
+    assert repr((report.isometry_residual, report.completeness_residual)) == repr(expected)
+
+
+@st.composite
+def _perturbed_reps(draw):
+    """A drawn rep whose step table has some coefficients moved: by a
+    small or large complex amount, to an exact zero of either sign, or
+    onto a nonzero from a zero."""
+    rep = draw(_drawn_reps())
+    coeffs = rep.step_coeffs.copy()
+    flat = coeffs.reshape(-1)
+    for pos in draw(st.lists(st.integers(0, flat.size - 1), max_size=4)):
+        how = draw(st.sampled_from(["small", "large", "zero", "negative zero", "fill"]))
+        if how == "small":
+            flat[pos] += complex(*draw(st.tuples(*[st.floats(-1e-9, 1e-9)] * 2)))
+        elif how == "large":
+            flat[pos] += complex(*draw(st.tuples(*[st.floats(-2.0, 2.0)] * 2)))
+        elif how == "zero":
+            flat[pos] = 0.0
+        elif how == "negative zero":
+            flat[pos] = complex(-0.0, -0.0)
+        elif flat[pos] == 0:
+            flat[pos] = complex(*draw(st.tuples(*[st.floats(-1.0, 1.0)] * 2)))
+    return dataclasses.replace(rep, step_coeffs=coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rep=_perturbed_reps(), seed=st.integers(0, 2 ** 32 - 1))
+def test_step_table_matches_the_sparse_products(rep, seed):
+    # the generators are written from the same (perturbed) step table
+    expected = reference_relation_residuals(rep)
+    assert repr(g.reps._relation_residuals(rep)) == repr(expected)
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(rep.dim, 3)) + 1j * rng.normal(size=(rep.dim, 3))
+    # exact zeros of both signs in either part
+    signed_zeros = stack[:, 2].copy()
+    for part, zero in ((signed_zeros.real, -0.0), (signed_zeros.imag, 0.0),
+                       (signed_zeros.imag, -0.0)):
+        part[rng.random(rep.dim) < 0.3] = zero
+    for x in (stack[:, 0].copy(), stack, np.asfortranarray(stack), stack[:, 1], signed_zeros):
+        for i, gen in enumerate(rep.gens):
+            assert g.reps._apply_gen(rep, i, x).tobytes() == (gen @ x).tobytes()
+            assert (g.reps._apply_gen(rep, i, x, transpose=True).tobytes()
+                    == (gen.T @ x).tobytes())
 
 
 _EDGE_FLOATS = [0.0, -0.0, 0.8, -0.8, float("nan"), float("inf")]
