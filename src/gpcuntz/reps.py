@@ -35,9 +35,17 @@ basis checks use, and its basis depth is min(2, D - k).
 A truncation stores its step table (`step_sources`, `step_targets`,
 `step_coeffs`), read-only, and everything else is read from it.  A
 generator acts on a vector through slices of the table: S_i x writes
-c_ij x_(source, m) into row N(m-1) + j of the step target, and S_i^T x sums
-those rows back.  Each target is reached by one step, so the relation
-residuals of `verify_gp` come from the N x N coefficient blocks alone, in
+c_ij x_(source, m) into row N(m-1) + j of the step target, and S_i^T x
+sums those rows back.  One scan of the vector gives each layer block's
+extent, one past its last nonzero entry, and the slices are cut to it:
+the vectors reached from Omega fill block prefixes, since S_i maps m to
+N(m-1) + j, so an application costs about their support, not the
+dimension, and the rows past the cut hold the +0.0 a sweep over the whole
+vector writes there.  s(v) and s(v)* run the N generators over the cut
+slices and add v_i times each block in the order of Python's `sum` over
+whole applications; the support guard of `apply_element` reads the same
+extents.  Each target is reached by one step, so the relation residuals
+of `verify_gp` come from the N x N coefficient blocks alone, in
 O(steps N^3).  Products are written out in float64 as (ar br - ai bi,
 ar bi + ai br), since numpy's array complex multiply can round otherwise,
 and summed in scipy's order, so every residual, and every vector from a
@@ -52,14 +60,15 @@ The builders refuse, before allocating, more than REP_BUDGET basis vectors
 at rank 2 (2 REP_BUDGET / N at rank N), and `verify_gp` refuses, before it
 enumerates, a basis check whose dense stack of count x dim entries would
 exceed 8 REP_BUDGET.  The chain family E_t is pushed from Omega through
-the window once per walk, and `verify_gp` writes each E_t straight into
-the stack its family check takes.  The exports read the stored arrays
-and cost about the bytes they emit.  `export_coo` turns every index into
-text once and the `repr` text of an entry once per distinct bit pattern
-of its value, which a step table keeps to k N^2 per generator; every line
-is gathered from these tables by index and the output is one join,
-byte-stable with every -0.0 kept.  `export_json` builds its nested lists
-with the cyclic garbage collector paused (`params._nested_list`).
+the window once per walk, and `verify_gp` writes the nonzero block
+prefixes of each E_t into the zeroed stack its family check takes.  The
+exports read the stored arrays and cost about the bytes they emit.
+`export_coo` turns every index into text once and the `repr` text of an
+entry once per distinct bit pattern of its value, which a step table
+keeps to k N^2 per generator; every line is gathered from these tables by
+index and the output is one join, byte-stable with every -0.0 kept.
+`export_json` builds its nested lists with the cyclic garbage collector
+paused (`params._nested_list`).
 """
 
 from __future__ import annotations
@@ -178,9 +187,15 @@ class TruncatedRep:
                 for a, b in zip(starts, starts[1:] + [len(src)])]
 
     def index(self, layer, m: int) -> int:
+        """Basis index of e_(layer, m), m = 1..N^D."""
+        if not 1 <= m <= self.block:
+            raise ValueError(f"m = {m} is outside 1..{self.block}")
         return self.layers.index(layer) * self.block + (m - 1)
 
     def label_of(self, idx: int):
+        """(layer, m) of basis index idx = 0..dim - 1."""
+        if not 0 <= idx < self.dim:
+            raise ValueError(f"index {idx} is outside 0..{self.dim - 1}")
         return (self.layers[idx // self.block], idx % self.block + 1)
 
 
@@ -343,52 +358,101 @@ def _chain_factor(rows: np.ndarray, m: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 # operators applied to vectors
 
-def _apply_gen(rep: TruncatedRep, i: int, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """S_(i+1) x, or S_(i+1)^T x, of a vector or a stack of column vectors,
-    read from the step table through slices.
+def _extents(rep: TruncatedRep, x: np.ndarray) -> np.ndarray:
+    """One past the last nonzero entry of each layer block of the vector x,
+    0 for a block of zeros, from one scan of its float64 view; NaN counts
+    as nonzero."""
+    flags = np.ascontiguousarray(x).view(np.float64).reshape(len(rep.layers), -1) != 0
+    back = flags[:, ::-1].argmax(axis=1)
+    hit = flags[np.arange(len(flags)), flags.shape[1] - 1 - back]
+    return np.where(hit, (flags.shape[1] - back + 1) // 2, 0)
 
-    S x fills rows N m + j of each step target with c_ij x_(source, m), and
-    S^T x sums those rows back into column m of the step source in
-    ascending j, from zero.  Each complex product is written out as
-    (ar br - ai bi, ar bi + ai br) in float64, so for finite x every entry
-    carries the bits of scipy's CSC product with `gens[i]`.
+
+def _cut_runs(rep: TruncatedRep, x: np.ndarray, extents: np.ndarray, out: np.ndarray,
+              transpose: bool):
+    """(coefficients, input block, output block) of every step run, as
+    views of x and out cut to the columns m where x can be nonzero: up to
+    the largest source extent, capped at N^(D-1), going forward, and up to
+    the largest target extent over N transposed."""
+    n, count = rep.n, len(rep.layers)
+    inner = rep.block // n
+    if transpose:
+        ins, outs = x.reshape(count, inner, n), out.reshape(count, n * inner)
+    else:
+        ins, outs = x.reshape(count, n * inner), out.reshape(count, inner, n)
+    for steps, sources, targets in rep._step_runs:
+        if transpose:
+            hi = -(-int(extents[targets].max()) // n)
+            yield rep.step_coeffs[steps], ins[targets, :hi], outs[sources, :hi]
+        else:
+            hi = min(int(extents[sources].max()), inner)
+            yield rep.step_coeffs[steps], ins[sources, :hi], outs[targets, :hi]
+
+
+def _gen_block(c: np.ndarray, y: np.ndarray, out: np.ndarray, transpose: bool) -> np.ndarray:
+    """One generator on one cut step run, into `out`, with c its (steps, N)
+    coefficients: going forward, column m of y fills rows N m + j of out
+    with c_j y_m; transposed, the rows of y are summed back into the
+    columns of out, which start at zero, in ascending j.  Each complex
+    product is written out as (ar br - ai bi, ar bi + ai br) in float64."""
+    for j in range(c.shape[1]):
+        cr, ci = c.real[:, j, None], c.imag[:, j, None]
+        if transpose:
+            yr, yi = y.real[:, :, j], y.imag[:, :, j]
+            out.real += cr * yr - ci * yi
+            out.imag += cr * yi + ci * yr
+        else:
+            # scipy adds each product to a zero, which turns -0.0 into 0.0
+            np.add(cr * y.real - ci * y.imag, 0.0, out=out.real[:, :, j])
+            np.add(cr * y.imag + ci * y.real, 0.0, out=out.imag[:, :, j])
+    return out
+
+
+def _apply_gen(rep: TruncatedRep, i: int, x: np.ndarray, transpose: bool = False,
+               extents: np.ndarray | None = None) -> np.ndarray:
+    """S_(i+1) x, or S_(i+1)^T x, of a vector or a stack of column vectors,
+    read from the step table through slices cut to where x is nonzero;
+    `extents` are x's, if the caller has scanned it already.
+
+    For finite x every entry carries the bits of scipy's CSC product with
+    `gens[i]`.  Outside the cut, where every input is a zero, that product
+    is the +0.0 `out` starts with.
     """
     if x.ndim == 2:
         return np.stack([_apply_gen(rep, i, col, transpose) for col in x.T], axis=1)
-    n, count = rep.n, len(rep.layers)
-    inner = rep.block // n
+    if extents is None:
+        extents = _extents(rep, x)
     out = np.zeros(x.size, dtype=complex)
-    if transpose:
-        rows, cols = x.reshape(count, inner, n), out.reshape(count, n * inner)
-    else:
-        rows, cols = out.reshape(count, inner, n), x.reshape(count, n * inner)
-    for steps, sources, targets in rep._step_runs:
-        c = rep.step_coeffs[steps, i]
-        src, tgt = cols[sources, :inner], rows[targets]
-        if transpose:
-            # the columns of `out` start at zero and take the sums in place
-            for j in range(n):
-                cr, ci = c.real[:, j, None], c.imag[:, j, None]
-                yr, yi = tgt.real[:, :, j], tgt.imag[:, :, j]
-                src.real += cr * yr - ci * yi
-                src.imag += cr * yi + ci * yr
-            continue
-        xr, xi = src.real, src.imag
-        for j in range(n):
-            cr, ci = c.real[:, j, None], c.imag[:, j, None]
-            # scipy adds each product to a zero, which turns -0.0 into 0.0
-            np.add(cr * xr - ci * xi, 0.0, out=tgt.real[:, :, j])
-            np.add(cr * xi + ci * xr, 0.0, out=tgt.imag[:, :, j])
+    for c, y, block in _cut_runs(rep, x, extents, out, transpose):
+        _gen_block(c[:, i], y, block, transpose)
     return out
 
 
 def _apply_isometry(rep: TruncatedRep, v, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """s(v) x = sum_i v_i S_i x, or s(v)* x = conj(sum_i v_i S_i^T conj(x)),
-    from the step table.  `x` is a vector or a stack of column vectors."""
-    if adjoint:
-        y = np.conj(x)
-        return np.conj(sum(vi * _apply_gen(rep, i, y, transpose=True) for i, vi in enumerate(v)))
-    return sum(vi * _apply_gen(rep, i, x) for i, vi in enumerate(v))
+    from the step table.  `x` is a vector or a stack of column vectors.
+
+    Each cut step run adds numpy's v_i * block to +0.0 in ascending i, in
+    place, as Python's `sum` of the whole generator applications adds
+    them to 0, with only the gathered rows of x conjugated.  Outside the
+    cut that sum is +0.0, so s(v) x is 0j there and s(v)* x its
+    conjugate, (0.0, -0.0).
+    """
+    if x.ndim == 2:
+        return np.stack([_apply_isometry(rep, v, col, adjoint) for col in x.T], axis=1)
+    out = np.zeros(x.size, dtype=complex)
+    for c, y, block in _cut_runs(rep, x, _extents(rep, x), out, adjoint):
+        if adjoint:
+            y = np.conj(y)
+        term = np.empty(block.shape, dtype=complex)
+        for i, vi in enumerate(v):
+            if adjoint:
+                # a transposed block is a sum from zero
+                term[...] = 0.0
+            # not into `term`: numpy's complex multiply in place can round
+            # otherwise
+            block += vi * _gen_block(c[:, i], y, term, adjoint)
+    return np.conj(out, out=out) if adjoint else out
 
 
 def _as_vector(rep: TruncatedRep, vec) -> np.ndarray:
@@ -400,19 +464,27 @@ def _as_vector(rep: TruncatedRep, vec) -> np.ndarray:
 
 
 def _apply_generator(rep: TruncatedRep, letter: int, vec: np.ndarray, adjoint: bool):
+    # the exact part of each layer block is a prefix: the whole of every
+    # step target for adjoints, which annihilate every layer no step
+    # targets (the top window layer of a chain, none of a cycle), and the
+    # first N^(D-1) columns of every step source going forward; only the
+    # entries between it and the block's extent can be nonzero outside it
+    extents = _extents(rep, vec)
+    exact = np.zeros(len(rep.layers), dtype=np.intp)
     if adjoint:
-        # adjoints annihilate every layer that no step targets: the top
-        # window layer of a chain, none of a cycle
-        if not np.all(np.abs(vec[~rep.sum_interior]) <= PRUNE_TOL):
+        exact[rep.step_targets] = rep.block
+    else:
+        exact[rep.step_sources] = rep.block // rep.n
+    blocks = vec.reshape(len(rep.layers), rep.block)
+    for layer in np.flatnonzero(extents > exact):
+        if not np.all(np.abs(blocks[layer, exact[layer]:extents[layer]]) <= PRUNE_TOL):
             raise TruncationOverflowError(
-                "support reached the top window layer; enlarge d_plus"
+                "support reached the top window layer; enlarge d_plus" if adjoint
+                else "support escaped the exact interior; enlarge the depth"
             )
-        return np.conj(_apply_gen(rep, letter - 1, np.conj(vec), transpose=True))
-    if not np.all(np.abs(vec[~rep.interior]) <= PRUNE_TOL):
-        raise TruncationOverflowError(
-            "support escaped the exact interior; enlarge the depth"
-        )
-    return _apply_gen(rep, letter - 1, vec)
+    if adjoint:
+        return np.conj(_apply_gen(rep, letter - 1, np.conj(vec), True, extents))
+    return _apply_gen(rep, letter - 1, vec, False, extents)
 
 
 def apply_element(rep: TruncatedRep, a: AlgebraElement, vec: np.ndarray) -> np.ndarray:
@@ -711,14 +783,19 @@ def verify_gp(rep: TruncatedRep) -> VerificationReport:
     else:
         d_minus, d_plus = rep.window
         lo = -(d_minus - 1)
-        # each E_t goes straight into its column: the family check holds
-        # only this stack and its conjugate
-        mat = np.empty((rep.dim, d_plus - lo + 1), dtype=complex)
+        # the family check holds only this stack and its conjugate; each E_t
+        # writes just the nonzero prefixes of its layer blocks into its
+        # column, so the zeros elsewhere may differ from E_t's in sign only,
+        # and the Gram product's entries with them, which |gram - I| removes
+        mat = np.zeros((rep.dim, d_plus - lo + 1), dtype=complex)
+        blocks = mat.reshape(len(rep.layers), rep.block, -1)
         step = 0.0
         # the latest vector of the walk up from Omega and of the walk down
         latest = {True: rep.omega, False: rep.omega}
         for t, vec in _chain_walk(rep, lo, d_plus):
-            mat[:, t - lo] = vec
+            rows = vec.reshape(blocks.shape[:2])
+            for layer, end in enumerate(_extents(rep, vec).tolist()):
+                blocks[layer, :end, t - lo] = rows[layer, :end]
             if t == 0:
                 continue
             # s(z_u) E_u = E_(u-1) for the step the walk just took

@@ -367,6 +367,46 @@ def reference_value_texts(values) -> np.ndarray:
     return texts[inverse.ravel()]
 
 
+def reference_apply_gen(rep, i, x, transpose=False):
+    """`reps._apply_gen` by the full sweep it replaced: every step run's
+    slices of the whole layer blocks, whatever x holds there."""
+    if x.ndim == 2:
+        return np.stack([reference_apply_gen(rep, i, col, transpose) for col in x.T], axis=1)
+    n, count = rep.n, len(rep.layers)
+    inner = rep.block // n
+    out = np.zeros(x.size, dtype=complex)
+    if transpose:
+        rows, cols = x.reshape(count, inner, n), out.reshape(count, n * inner)
+    else:
+        rows, cols = out.reshape(count, inner, n), x.reshape(count, n * inner)
+    for steps, sources, targets in rep._step_runs:
+        c = rep.step_coeffs[steps, i]
+        src, tgt = cols[sources, :inner], rows[targets]
+        if transpose:
+            for j in range(n):
+                cr, ci = c.real[:, j, None], c.imag[:, j, None]
+                yr, yi = tgt.real[:, :, j], tgt.imag[:, :, j]
+                src.real += cr * yr - ci * yi
+                src.imag += cr * yi + ci * yr
+            continue
+        xr, xi = src.real, src.imag
+        for j in range(n):
+            cr, ci = c.real[:, j, None], c.imag[:, j, None]
+            np.add(cr * xr - ci * xi, 0.0, out=tgt.real[:, :, j])
+            np.add(cr * xi + ci * xr, 0.0, out=tgt.imag[:, :, j])
+    return out
+
+
+def reference_apply_isometry(rep, v, x, adjoint=False):
+    """`reps._apply_isometry` as the sum it replaced: N whole generator
+    applications, each scaled by v_i, summed by Python's `sum`."""
+    if adjoint:
+        y = np.conj(x)
+        return np.conj(sum(vi * reference_apply_gen(rep, i, y, transpose=True)
+                           for i, vi in enumerate(v)))
+    return sum(vi * reference_apply_gen(rep, i, x) for i, vi in enumerate(v))
+
+
 def reference_chain_vector(rep, t):
     """E_t walked from Omega alone, one `reps._apply_isometry` step per
     layer, with each factor from `reference_chain_factor`."""

@@ -17,6 +17,8 @@ from helpers import (
     random_nonperiodic_cycle,
     random_unit,
     reference_apply_element,
+    reference_apply_gen,
+    reference_apply_isometry,
     reference_chain_vector,
     reference_cycle_isometry,
     reference_export_coo,
@@ -99,6 +101,22 @@ def test_cycle_rep_eigenequation():
 def test_cycle_rep_depth_validation():
     with pytest.raises(ValueError):
         g.build_cycle_rep(g.cycle([E1]), 1)
+
+
+def test_basis_labels_refuse_what_is_outside_the_truncation():
+    rep = g.build_cycle_rep(g.cycle([E1, E2]), 3)
+    labels = [(layer, m) for layer in (1, 2) for m in range(1, 9)]
+    assert [rep.index(*label) for label in labels] == list(range(rep.dim))
+    assert [rep.label_of(idx) for idx in range(rep.dim)] == labels
+    # unchecked, these would name (1, 8), (2, 1) and (2, 8)
+    for m in (0, 9):
+        with pytest.raises(ValueError, match=f"m = {m} is outside 1..8"):
+            rep.index(2 if m == 0 else 1, m)
+    for idx in (-1, 16):
+        with pytest.raises(ValueError, match=f"index {idx} is outside 0..15"):
+            rep.label_of(idx)
+    with pytest.raises(ValueError):
+        rep.index(3, 1)
 
 
 # ----------------------------------------------------------------------
@@ -959,6 +977,63 @@ def test_step_table_matches_the_sparse_products(rep, seed):
             assert g.reps._apply_gen(rep, i, x).tobytes() == (gen @ x).tobytes()
             assert (g.reps._apply_gen(rep, i, x, transpose=True).tobytes()
                     == (gen.T @ x).tobytes())
+
+
+def _support_vector(rep, rng, shape):
+    """A vector of the given support shape, its values drawn from `rng`."""
+    count, blk = len(rep.layers), rep.block
+    x = np.zeros((count, blk), dtype=complex)
+    if shape == "one-hot":
+        x[rng.integers(count), rng.integers(blk)] = complex(*rng.normal(size=2))
+    elif shape == "block prefix":
+        # what a walk from Omega fills
+        for layer, end in enumerate(rng.integers(0, blk + 1, size=count)):
+            x[layer, :end] = rng.normal(size=end) + 1j * rng.normal(size=end)
+    elif shape == "strided":
+        # what a branch word fills: every N^a-th entry from an offset
+        stride = rep.n ** int(rng.integers(1, rep.depth))
+        rows, cols = rng.random(count) < 0.7, slice(int(rng.integers(stride)), None, stride)
+        shape = x[rows, cols].shape
+        x[rows, cols] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    elif shape == "dense":
+        x = rng.normal(size=x.shape) + 1j * rng.normal(size=x.shape)
+    return x.ravel()
+
+
+def _nan_blind_bytes(a):
+    """The bytes of a complex array with every NaN part made one NaN: numpy
+    takes the sign of a sum of two NaNs from different operands for arrays
+    of different lengths, so only where a NaN is repeats."""
+    parts = np.ascontiguousarray(a).view(np.float64).copy()
+    parts[np.isnan(parts)] = np.nan
+    return parts.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(rep=_drawn_reps(), seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.sampled_from(["zero", "one-hot", "block prefix", "strided", "dense"]),
+       edges=st.sampled_from(["none", "signed zeros", "nan and inf"]))
+def test_cut_kernels_match_the_full_sweep(rep, seed, shape, edges):
+    rng = np.random.default_rng(seed)
+    x = _support_vector(rep, rng, shape)
+    if edges == "signed zeros":
+        for part, zero in ((x.real, -0.0), (x.imag, 0.0), (x.imag, -0.0)):
+            part[rng.random(rep.dim) < 0.3] = zero
+    elif edges == "nan and inf":
+        for value in (np.nan, np.inf, -np.inf):
+            for part in (x.real, x.imag):
+                part[rng.integers(rep.dim)] = value
+    v = (_real_unit if rng.random() < 0.3 else random_unit)(rng, rep.n)
+    key = _nan_blind_bytes if edges == "nan and inf" else np.ndarray.tobytes
+    stack = np.stack([x, _support_vector(rep, rng, shape), x[::-1]], axis=1)
+    for y in (x, stack[:, 1], stack, np.asfortranarray(stack)):
+        for i in range(rep.n):
+            for transpose in (False, True):
+                assert (key(g.reps._apply_gen(rep, i, y, transpose))
+                        == key(reference_apply_gen(rep, i, y, transpose)))
+        for adjoint in (False, True):
+            assert (key(g.reps._apply_isometry(rep, v, y, adjoint))
+                    == key(reference_apply_isometry(rep, v, y, adjoint)))
 
 
 _EDGE_FLOATS = [0.0, -0.0, 0.8, -0.8, float("nan"), float("inf")]
