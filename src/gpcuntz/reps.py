@@ -33,19 +33,24 @@ where anchor_1 is the same pi(s(z^(1)) ... s(z^(k))) Omega its family and
 basis checks use, and its basis depth is min(2, D - k).
 
 A truncation stores its step table (`step_sources`, `step_targets`,
-`step_coeffs`), read-only, and everything else is read from it.  A
-generator acts on a vector through slices of the table: S_i x writes
+`step_coeffs`), read-only, and everything else is read from it.  Inside
+this module a vector is held as its layer block prefixes, {layer position:
+the entries of the block up to its extent, one past its last nonzero
+entry}, with the blocks of zeros left out: the vectors reached from Omega
+fill block prefixes, since S_i maps m to N(m-1) + j, so an application
+costs about their support, not the dimension.  A generator moves each
+held block through the step leaving its layer: S_i x writes
 c_ij x_(source, m) into row N(m-1) + j of the step target, and S_i^T x
-sums those rows back.  One scan of the vector gives each layer block's
-extent, one past its last nonzero entry, and the slices are cut to it:
-the vectors reached from Omega fill block prefixes, since S_i maps m to
-N(m-1) + j, so an application costs about their support, not the
-dimension, and the rows past the cut hold the +0.0 a sweep over the whole
-vector writes there.  s(v) and s(v)* run the N generators over the cut
-slices and add v_i times each block in the order of Python's `sum` over
-whole applications; the support guard of `apply_element` reads the same
-extents.  Each target is reached by one step, so the relation residuals
-of `verify_gp` come from the N x N coefficient blocks alone, in
+sums those rows back into the step source; each result is cut to its
+extent again.  s(v) and s(v)* run the N generators on a block at once and
+add v_i times each block in the order of Python's `sum` over whole
+applications; the support guard of `apply_element` reads the same
+prefixes.  The dense entry points (`cycle_anchor_vectors`, `chain_vector`,
+`enumerate_basis`, `apply_element`, `power_vanish`) cut a vector into
+prefixes with one scan and write results out over zeros: +0.0, or the
+(0.0, -0.0) an adjoint's conjugate leaves, as a sweep over the whole
+vector writes them.  Each target is reached by one step, so the relation
+residuals of `verify_gp` come from the N x N coefficient blocks alone, in
 O(steps N^3).  Products are written out in float64 as (ar br - ai bi,
 ar bi + ai br), since numpy's array complex multiply can round otherwise,
 and summed in scipy's order, so every residual, and every vector from a
@@ -56,13 +61,20 @@ for the exports; `gens` wraps them, without a copy, as scipy csc_arrays,
 and only that loads scipy.sparse.  Nothing in this module, the package or
 its command line reads `gens`.
 
+`verify_gp` holds every vector it forms as prefixes: the anchors, the
+chain family E_t, pushed from Omega through the window once and reused by
+the basis check, the branch words, and the differences its eigen and
+step residuals measure.  Its Gram checks stack only the union of their
+vectors' prefixes, and its norms run over a window of the dense layout
+aligned to 64 entries, which keeps the bits of numpy's norm of the whole
+vector; nothing it allocates or scans has the truncation's dimension.
 The builders refuse, before allocating, more than REP_BUDGET basis vectors
 at rank 2 (2 REP_BUDGET / N at rank N), and `verify_gp` refuses, before it
-enumerates, a basis check whose dense stack of count x dim entries would
-exceed 8 REP_BUDGET.  The chain family E_t is pushed from Omega through
-the window once per walk, and `verify_gp` writes the nonzero block
-prefixes of each E_t into the zeroed stack its family check takes.  The
-exports read the stored arrays and cost about the bytes they emit.
+enumerates, a basis check whose stack of count x rows entries would exceed
+8 REP_BUDGET, with the rows bounded from the prefixes of the vectors the
+family branches from.
+
+The exports read the stored arrays and cost about the bytes they emit.
 `export_coo` turns every index into text once and the `repr` text of an
 entry once per distinct bit pattern of its value, which a step table
 keeps to k N^2 per generator; every line is gathered from these tables by
@@ -96,9 +108,12 @@ from .params import (
 # every generator holds about one entry per basis vector, so rank N is
 # allowed 2 / N of it
 REP_BUDGET = 1 << 20
-# most entries, count x dim, the dense basis stack of verify_gp may hold
-# per REP_BUDGET basis vectors (128 MiB of complex entries at the default)
+# most entries, count x rows, the basis stack of verify_gp may hold per
+# REP_BUDGET basis vectors (128 MiB of complex entries at the default); its
+# rows are the union of the family's layer block prefixes
 _BASIS_STACK_SHARE = 8
+# the layer of the distinguished vector e_(layer, 1) of each kind
+_OMEGA_LAYER = {"cycle": 1, "fiber": 1, "chain": 0}
 
 
 class TruncationOverflowError(RuntimeError):
@@ -176,15 +191,16 @@ class TruncatedRep:
         return self.n ** self.depth
 
     @cached_property
-    def _step_runs(self) -> list:
-        """(steps, sources, targets) slices of the maximal runs of steps whose
-        source and target layer positions both ascend by one: one run for a
-        chain, two for a cycle of more than one factor."""
-        src, tgt = self.step_sources.tolist(), self.step_targets.tolist()
-        starts = [s for s in range(len(src))
-                  if s == 0 or (src[s], tgt[s]) != (src[s - 1] + 1, tgt[s - 1] + 1)]
-        return [(slice(a, b), slice(src[a], src[a] + b - a), slice(tgt[a], tgt[a] + b - a))
-                for a, b in zip(starts, starts[1:] + [len(src)])]
+    def _moves(self) -> tuple:
+        """Per layer position, (coefficients, target) of the step leaving
+        it, then per layer position (coefficients, source) of the step
+        entering it; None where there is no such step."""
+        down, up = [None] * len(self.layers), [None] * len(self.layers)
+        for c, source, target in zip(self.step_coeffs, self.step_sources.tolist(),
+                                     self.step_targets.tolist()):
+            down[source] = (c, target)
+            up[target] = (c, source)
+        return down, up
 
     def index(self, layer, m: int) -> int:
         """Basis index of e_(layer, m), m = 1..N^D."""
@@ -218,7 +234,7 @@ def _check_size(n: int, depth: int, layer_count: int) -> None:
     )
 
 
-def _layered_rep(param, depth, layers, steps, omega_layer, kind, **fields) -> TruncatedRep:
+def _layered_rep(param, depth, layers, steps, kind, **fields) -> TruncatedRep:
     """Truncation of depth `depth` on `layers` from a step table.
 
     `steps` holds one (source layer, target layer, completing unitary,
@@ -246,7 +262,7 @@ def _layered_rep(param, depth, layers, steps, omega_layer, kind, **fields) -> Tr
     sum_interior = np.zeros(blocks, dtype=bool)
     sum_interior[targets] = True
     omega = np.zeros(blocks, dtype=complex)
-    omega[layers.index(omega_layer), 0] = 1.0
+    omega[layers.index(_OMEGA_LAYER[kind]), 0] = 1.0
     return TruncatedRep(
         n=n,
         kind=kind,
@@ -301,7 +317,7 @@ def _cycle_rep(z: CycleParam, depth: int, wrap_scale, kind: str, factor_rows) ->
         (t, (t - 2) % z.k + 1, complete_unitary(z.rows[t - 2]), wrap_scale if t == 1 else 1.0)
         for t in range(1, z.k + 1)
     ]
-    return _layered_rep(z, depth, tuple(range(1, z.k + 1)), steps, 1, kind,
+    return _layered_rep(z, depth, tuple(range(1, z.k + 1)), steps, kind,
                         factor_rows=factor_rows)
 
 
@@ -345,7 +361,7 @@ def build_chain_rep(
     rows = chain_factors(z, 1, d_plus)
     # the bottom layer has no step: stepping down would leave the window
     steps = [(t, t - 1, complete_unitary(_chain_factor(rows, t)), None) for t in layers[1:]]
-    return _layered_rep(z, depth, layers, steps, 0, "chain", factor_rows=rows,
+    return _layered_rep(z, depth, layers, steps, "chain", factor_rows=rows,
                         window=(d_minus, d_plus))
 
 
@@ -356,7 +372,7 @@ def _chain_factor(rows: np.ndarray, m: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# operators applied to vectors
+# operators applied to vectors, held as {layer position: block prefix}
 
 def _extents(rep: TruncatedRep, x: np.ndarray) -> np.ndarray:
     """One past the last nonzero entry of each layer block of the vector x,
@@ -368,91 +384,199 @@ def _extents(rep: TruncatedRep, x: np.ndarray) -> np.ndarray:
     return np.where(hit, (flags.shape[1] - back + 1) // 2, 0)
 
 
-def _cut_runs(rep: TruncatedRep, x: np.ndarray, extents: np.ndarray, out: np.ndarray,
-              transpose: bool):
-    """(coefficients, input block, output block) of every step run, as
-    views of x and out cut to the columns m where x can be nonzero: up to
-    the largest source extent, capped at N^(D-1), going forward, and up to
-    the largest target extent over N transposed."""
-    n, count = rep.n, len(rep.layers)
-    inner = rep.block // n
-    if transpose:
-        ins, outs = x.reshape(count, inner, n), out.reshape(count, n * inner)
-    else:
-        ins, outs = x.reshape(count, n * inner), out.reshape(count, inner, n)
-    for steps, sources, targets in rep._step_runs:
-        if transpose:
-            hi = -(-int(extents[targets].max()) // n)
-            yield rep.step_coeffs[steps], ins[targets, :hi], outs[sources, :hi]
-        else:
-            hi = min(int(extents[sources].max()), inner)
-            yield rep.step_coeffs[steps], ins[sources, :hi], outs[targets, :hi]
+def _prefixes(rep: TruncatedRep, x: np.ndarray) -> dict:
+    """The dense vector x held as its nonzero layer block prefixes, as
+    views of x."""
+    x = np.ascontiguousarray(x, dtype=complex)
+    blocks = x.reshape(len(rep.layers), rep.block)
+    return {layer: blocks[layer, :end]
+            for layer, end in enumerate(_extents(rep, x).tolist()) if end}
 
 
-def _gen_block(c: np.ndarray, y: np.ndarray, out: np.ndarray, transpose: bool) -> np.ndarray:
-    """One generator on one cut step run, into `out`, with c its (steps, N)
-    coefficients: going forward, column m of y fills rows N m + j of out
-    with c_j y_m; transposed, the rows of y are summed back into the
-    columns of out, which start at zero, in ascending j.  Each complex
-    product is written out as (ar br - ai bi, ar bi + ai br) in float64."""
-    for j in range(c.shape[1]):
-        cr, ci = c.real[:, j, None], c.imag[:, j, None]
-        if transpose:
-            yr, yi = y.real[:, :, j], y.imag[:, :, j]
-            out.real += cr * yr - ci * yi
-            out.imag += cr * yi + ci * yr
-        else:
-            # scipy adds each product to a zero, which turns -0.0 into 0.0
-            np.add(cr * y.real - ci * y.imag, 0.0, out=out.real[:, :, j])
-            np.add(cr * y.imag + ci * y.real, 0.0, out=out.imag[:, :, j])
+def _dense(rep: TruncatedRep, held: dict, adjoint: bool = False) -> np.ndarray:
+    """The dense vector of `held`, its zeros those of a sweep over the whole
+    vector: +0.0, or (0.0, -0.0) after an adjoint's conjugation."""
+    out = np.zeros(rep.dim, dtype=complex)
+    if adjoint:
+        out.imag = -0.0
+    blocks = out.reshape(len(rep.layers), rep.block)
+    for layer, x in held.items():
+        blocks[layer, :x.size] = x
     return out
 
 
-def _apply_gen(rep: TruncatedRep, i: int, x: np.ndarray, transpose: bool = False,
-               extents: np.ndarray | None = None) -> np.ndarray:
-    """S_(i+1) x, or S_(i+1)^T x, of a vector or a stack of column vectors,
-    read from the step table through slices cut to where x is nonzero;
-    `extents` are x's, if the caller has scanned it already.
+def _trimmed(blocks: dict) -> dict:
+    """Each block cut to its extent, the blocks of zeros dropped."""
+    out = {}
+    for layer, x in blocks.items():
+        flags = x.view(np.float64) != 0
+        last = flags.size - 1 - int(flags[::-1].argmax())
+        if flags[last]:
+            out[layer] = x[:last // 2 + 1]
+    return out
 
-    For finite x every entry carries the bits of scipy's CSC product with
-    `gens[i]`.  Outside the cut, where every input is a zero, that product
-    is the +0.0 `out` starts with.
-    """
+
+def _padded(x: np.ndarray, size: int) -> np.ndarray:
+    if x.size == size:
+        return x
+    out = np.zeros(size, dtype=complex)
+    out[:x.size] = x
+    return out
+
+
+def _step_blocks(rep: TruncatedRep, held: dict, transpose: bool):
+    """(coefficients, input, destination layer) of every held block a step
+    moves: going forward, the first N^(D-1) entries of a step source's
+    prefix, bound for its target; transposed, a step target's prefix
+    padded with zeros to whole rows of N and shaped (rows, N), bound for
+    its source.  A block no step moves is annihilated."""
+    moves = rep._moves[transpose]
+    n = rep.n
+    for layer, x in held.items():
+        if moves[layer] is None:
+            continue
+        coeffs, dest = moves[layer]
+        if transpose:
+            yield coeffs, _padded(x, -(-x.size // n) * n).reshape(-1, n), dest
+        else:
+            yield coeffs, x[:rep.block // n], dest
+
+
+def _forward(c: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """c_j y_m + 0.0 at [..., m, j], for coefficients c of shape (..., N):
+    column m of a step source fills rows N m + j of its target.  Each
+    complex product is written out as (ar br - ai bi, ar bi + ai br) in
+    float64; scipy adds each product to a zero, which turns -0.0 into 0.0."""
+    cr, ci = c.real[..., None, :], c.imag[..., None, :]
+    yr, yi = y.real[:, None], y.imag[:, None]
+    out = np.empty(c.shape[:-1] + (y.size, c.shape[-1]), dtype=complex)
+    np.add(cr * yr - ci * yi, 0.0, out=out.real)
+    np.add(cr * yi + ci * yr, 0.0, out=out.imag)
+    return out
+
+
+def _backward(c: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_j c_j y[m, j] at [..., m], for coefficients c of shape (..., N):
+    the rows of a step target summed back into the columns of its source,
+    from zero in ascending j, each product written out as `_forward`
+    writes it."""
+    cr, ci = c.real[..., None, :], c.imag[..., None, :]
+    re, im = cr * y.real - ci * y.imag, cr * y.imag + ci * y.real
+    out = np.zeros(re.shape[:-1], dtype=complex)
+    for j in range(y.shape[1]):
+        out.real += re[..., j]
+        out.imag += im[..., j]
+    return out
+
+
+def _gen_held(rep: TruncatedRep, i: int, held: dict, transpose: bool = False) -> dict:
+    """S_(i+1) or S_(i+1)^T of a held vector."""
+    kernel = _backward if transpose else _forward
+    return _trimmed({dest: kernel(c[i], y).ravel()
+                     for c, y, dest in _step_blocks(rep, held, transpose)})
+
+
+def _iso_held(rep: TruncatedRep, v, held: dict, adjoint: bool = False) -> dict:
+    """s(v) x = sum_i v_i S_i x, or s(v)* x = conj(sum_i v_i S_i^T conj(x)),
+    of a held vector: the N generators run on each block at once, and
+    numpy's v_i * block is added to +0.0 in ascending i, in place, as
+    Python's `sum` of whole generator applications adds them to 0."""
+    out = {}
+    for c, y, dest in _step_blocks(rep, held, adjoint):
+        if adjoint:
+            terms = _backward(c, np.conj(y))
+        else:
+            terms = _forward(c, y).reshape(rep.n, -1)
+        block = np.zeros(terms.shape[1], dtype=complex)
+        for vi, term in zip(v, terms):
+            # not into `term`: numpy's complex multiply in place can round
+            # otherwise
+            block += vi * term
+        out[dest] = np.conj(block, out=block) if adjoint else block
+    return _trimmed(out)
+
+
+def _apply_gen(rep: TruncatedRep, i: int, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """S_(i+1) x, or S_(i+1)^T x, of a dense vector or a stack of column
+    vectors.  For finite x every entry carries the bits of scipy's CSC
+    product with `gens[i]`."""
     if x.ndim == 2:
         return np.stack([_apply_gen(rep, i, col, transpose) for col in x.T], axis=1)
-    if extents is None:
-        extents = _extents(rep, x)
-    out = np.zeros(x.size, dtype=complex)
-    for c, y, block in _cut_runs(rep, x, extents, out, transpose):
-        _gen_block(c[:, i], y, block, transpose)
-    return out
+    return _dense(rep, _gen_held(rep, i, _prefixes(rep, x), transpose))
 
 
 def _apply_isometry(rep: TruncatedRep, v, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """s(v) x = sum_i v_i S_i x, or s(v)* x = conj(sum_i v_i S_i^T conj(x)),
-    from the step table.  `x` is a vector or a stack of column vectors.
-
-    Each cut step run adds numpy's v_i * block to +0.0 in ascending i, in
-    place, as Python's `sum` of the whole generator applications adds
-    them to 0, with only the gathered rows of x conjugated.  Outside the
-    cut that sum is +0.0, so s(v) x is 0j there and s(v)* x its
-    conjugate, (0.0, -0.0).
-    """
+    """s(v) x or s(v)* x of a dense vector or a stack of column vectors;
+    outside the support s(v) x is 0j and s(v)* x its conjugate, (0.0, -0.0)."""
     if x.ndim == 2:
         return np.stack([_apply_isometry(rep, v, col, adjoint) for col in x.T], axis=1)
-    out = np.zeros(x.size, dtype=complex)
-    for c, y, block in _cut_runs(rep, x, _extents(rep, x), out, adjoint):
-        if adjoint:
-            y = np.conj(y)
-        term = np.empty(block.shape, dtype=complex)
-        for i, vi in enumerate(v):
-            if adjoint:
-                # a transposed block is a sum from zero
-                term[...] = 0.0
-            # not into `term`: numpy's complex multiply in place can round
-            # otherwise
-            block += vi * _gen_block(c[:, i], y, term, adjoint)
-    return np.conj(out, out=out) if adjoint else out
+    return _dense(rep, _iso_held(rep, v, _prefixes(rep, x), adjoint), adjoint)
+
+
+def _conj(held: dict) -> dict:
+    return {layer: np.conj(x) for layer, x in held.items()}
+
+
+def _letter_held(rep: TruncatedRep, letter: int, held: dict, adjoint: bool) -> dict:
+    """s_letter or s_letter* of a held vector, refusing support that would
+    cross the truncation boundary."""
+    # the exact part of each layer block is a prefix: the whole of every
+    # step target for adjoints, which annihilate every layer no step
+    # targets (the top window layer of a chain, none of a cycle), and the
+    # first N^(D-1) columns of every step source going forward; only the
+    # entries between it and the prefix's end can be nonzero outside it
+    moves = rep._moves[adjoint]
+    size = rep.block if adjoint else rep.block // rep.n
+    for layer, x in held.items():
+        exact = 0 if moves[layer] is None else size
+        if x.size > exact and not np.all(np.abs(x[exact:]) <= PRUNE_TOL):
+            raise TruncationOverflowError(
+                "support reached the top window layer; enlarge d_plus" if adjoint
+                else "support escaped the exact interior; enlarge the depth"
+            )
+    if adjoint:
+        return _conj(_gen_held(rep, letter - 1, _conj(held), True))
+    return _gen_held(rep, letter - 1, held)
+
+
+_EMPTY = np.zeros(0, dtype=complex)
+
+
+def _difference(a: dict, b: dict) -> dict:
+    """a - b of two held vectors, block by block."""
+    out = {}
+    for layer in sorted(a.keys() | b.keys()):
+        x, y = a.get(layer, _EMPTY), b.get(layer, _EMPTY)
+        size = max(x.size, y.size)
+        out[layer] = _padded(x, size) - _padded(y, size)
+    return out
+
+
+# the norm's window is aligned to this many entries of the dense layout
+_NORM_ALIGN = 64
+
+
+def _norm(rep: TruncatedRep, held: dict) -> float:
+    """np.linalg.norm of the dense vector of `held`.
+
+    The blocks are written into a window of the dense layout that starts
+    and ends on multiples of _NORM_ALIGN entries (or at the end of the
+    vector), so the strided BLAS dot numpy takes of its real and imaginary
+    parts meets every product at the same place in its unrolled groups as
+    in a one-thread sum of the whole vector, and the zeros outside the
+    window add nothing.  A BLAS that splits a long vector among threads
+    sums it in chunks, whose rounding this need not follow.
+    """
+    if not held:
+        return 0.0
+    first, last = min(held), max(held)
+    lo = first * rep.block // _NORM_ALIGN * _NORM_ALIGN
+    hi = min(-(-(last * rep.block + held[last].size) // _NORM_ALIGN) * _NORM_ALIGN, rep.dim)
+    window = np.zeros(hi - lo, dtype=complex)
+    for layer, x in held.items():
+        start = layer * rep.block - lo
+        window[start:start + x.size] = x
+    return float(np.linalg.norm(window))
 
 
 def _as_vector(rep: TruncatedRep, vec) -> np.ndarray:
@@ -461,30 +585,6 @@ def _as_vector(rep: TruncatedRep, vec) -> np.ndarray:
         raise ValueError(f"vector of shape {vec.shape} does not fit a truncation "
                          f"of dimension {rep.dim}")
     return vec
-
-
-def _apply_generator(rep: TruncatedRep, letter: int, vec: np.ndarray, adjoint: bool):
-    # the exact part of each layer block is a prefix: the whole of every
-    # step target for adjoints, which annihilate every layer no step
-    # targets (the top window layer of a chain, none of a cycle), and the
-    # first N^(D-1) columns of every step source going forward; only the
-    # entries between it and the block's extent can be nonzero outside it
-    extents = _extents(rep, vec)
-    exact = np.zeros(len(rep.layers), dtype=np.intp)
-    if adjoint:
-        exact[rep.step_targets] = rep.block
-    else:
-        exact[rep.step_sources] = rep.block // rep.n
-    blocks = vec.reshape(len(rep.layers), rep.block)
-    for layer in np.flatnonzero(extents > exact):
-        if not np.all(np.abs(blocks[layer, exact[layer]:extents[layer]]) <= PRUNE_TOL):
-            raise TruncationOverflowError(
-                "support reached the top window layer; enlarge d_plus" if adjoint
-                else "support escaped the exact interior; enlarge the depth"
-            )
-    if adjoint:
-        return np.conj(_apply_gen(rep, letter - 1, np.conj(vec), True, extents))
-    return _apply_gen(rep, letter - 1, vec, False, extents)
 
 
 def apply_element(rep: TruncatedRep, a: AlgebraElement, vec: np.ndarray) -> np.ndarray:
@@ -496,15 +596,18 @@ def apply_element(rep: TruncatedRep, a: AlgebraElement, vec: np.ndarray) -> np.n
     """
     if a.n != rep.n:
         raise RankMismatchError(f"rank mismatch: {a.n} vs {rep.n}")
-    vec = _as_vector(rep, vec)
+    start = _prefixes(rep, _as_vector(rep, vec))
     out = np.zeros(rep.dim, dtype=complex)
+    blocks = out.reshape(len(rep.layers), rep.block)
     for (j, k), c in a.terms.items():
-        w = vec
+        w = start
         for letter in k:                 # rightmost adjoint acts first
-            w = _apply_generator(rep, letter, w, adjoint=True)
+            w = _letter_held(rep, letter, w, adjoint=True)
         for letter in reversed(j):
-            w = _apply_generator(rep, letter, w, adjoint=False)
-        out += c * w
+            w = _letter_held(rep, letter, w, adjoint=False)
+        # c times the zeros past each prefix would add nothing to `out`
+        for layer, x in w.items():
+            blocks[layer, :x.size] += c * x
     return out
 
 
@@ -516,20 +619,30 @@ def vacuum_expectation(rep: TruncatedRep, a: AlgebraElement) -> complex:
 # ----------------------------------------------------------------------
 # distinguished families and basis enumeration
 
-def cycle_anchor_vectors(rep: TruncatedRep) -> list:
-    """The k vectors pi(s(z^(i)) ... s(z^(k))) Omega, i = 1..k."""
-    if rep.kind not in ("cycle", "fiber"):
-        raise ValueError("anchor vectors of this form require a cycle truncation")
+def _omega(rep: TruncatedRep) -> dict:
+    """Omega, held: the first entry of its layer block."""
+    return {rep.layers.index(_OMEGA_LAYER[rep.kind]): np.ones(1, dtype=complex)}
+
+
+def _anchors(rep: TruncatedRep) -> list:
+    """The held pi(s(z^(i)) ... s(z^(k))) Omega, i = 1..k."""
     out = []
-    vec = rep.omega
+    vec = _omega(rep)
     for f in rep.factor_rows[::-1]:
-        vec = _apply_isometry(rep, f, vec)
+        vec = _iso_held(rep, f, vec)
         out.append(vec)
     return out[::-1]
 
 
+def cycle_anchor_vectors(rep: TruncatedRep) -> list:
+    """The k vectors pi(s(z^(i)) ... s(z^(k))) Omega, i = 1..k."""
+    if rep.kind not in ("cycle", "fiber"):
+        raise ValueError("anchor vectors of this form require a cycle truncation")
+    return [_dense(rep, vec) for vec in _anchors(rep)]
+
+
 def _chain_walk(rep: TruncatedRep, lo: int, hi: int):
-    """(t, E_t) for lo <= t <= hi, and for every t between them and 0.
+    """(t, held E_t) for lo <= t <= hi, and for every t between them and 0.
 
     Each call walks from Omega once: E_t = s(z_t)* E_(t-1) for t > 0 and
     E_t = S_1 E_(t+1) for t < 0, so each vector comes from the same
@@ -543,25 +656,26 @@ def _chain_walk(rep: TruncatedRep, lo: int, hi: int):
             raise TruncationOverflowError(
                 f"layer {t} outside the window [-{d_minus}, {d_plus}]"
             )
-    yield 0, rep.omega
-    vec = rep.omega
+    omega = _omega(rep)
+    yield 0, omega
+    vec = omega
     for m in range(1, hi + 1):
-        vec = _apply_isometry(rep, rep.factor_rows[m - 1], vec, adjoint=True)
+        vec = _iso_held(rep, rep.factor_rows[m - 1], vec, adjoint=True)
         yield m, vec
-    vec = rep.omega
+    vec = omega
     for t in range(-1, lo - 1, -1):
-        vec = _apply_generator(rep, 1, vec, adjoint=False)
+        vec = _letter_held(rep, 1, vec, adjoint=False)
         yield t, vec
 
 
 def _chain_vectors(rep: TruncatedRep, lo: int, hi: int) -> dict:
-    """{t: E_t} of `_chain_walk`."""
-    return dict(_chain_walk(rep, lo, hi))
+    """{t: E_t} of `_chain_walk`, dense; E_t for t > 0 is an adjoint's."""
+    return {t: _dense(rep, vec, adjoint=t > 0) for t, vec in _chain_walk(rep, lo, hi)}
 
 
 def chain_vector(rep: TruncatedRep, t: int) -> np.ndarray:
     """E_t: Omega pushed |t| steps backward (t > 0) or forward along e_1."""
-    return _chain_vectors(rep, t, t)[t]
+    return _dense(rep, dict(_chain_walk(rep, t, t))[t], adjoint=t > 0)
 
 
 @dataclass(frozen=True)
@@ -589,14 +703,58 @@ def enumerate_basis(rep: TruncatedRep, max_depth: int):
     """
     if max_depth < 0:
         raise ValueError("depth must be nonnegative")
+    chain = rep.kind == "chain"
+    # a chain's anchored vectors are E_t, adjoints' for t > 0
+    return [(label, _dense(rep, vec, adjoint=chain and not label.branch and label.anchor > 0))
+            for label, vec in _enumerate(rep, _basis_plan(rep, max_depth))]
+
+
+def _basis_plan(rep: TruncatedRep, max_depth: int, family=None) -> list:
+    """The family of `enumerate_basis` to `max_depth`, in its order, as
+    (depth, anchor, factor, vector, letters): an anchored vector where
+    factor is None, and otherwise a branch, pi(s_word s(u e_j)) vector for
+    every completion column j = 2..N of the factor and every word of
+    `letters` letters.  `family` holds the held anchors of a cycle, or
+    {t: E_t} of a chain reaching the layers the branches start from."""
     if rep.kind in ("cycle", "fiber"):
-        return _enumerate_cycle(rep, max_depth)
-    return _enumerate_chain(rep, max_depth)
+        factors = rep.factor_rows
+        k = len(factors)
+        if rep.depth < max_depth + k:
+            raise ValueError(
+                f"insufficient depth: need >= {max_depth + k}, have {rep.depth}"
+            )
+        anchors = _anchors(rep) if family is None else family
+        # depth d branches off the next anchor and carries d - 1 letters
+        return ([(0, i + 1, None, anchors[i], 0) for i in range(k)]
+                + [(depth, a, factors[a - 1], anchors[a % k], depth - 1)
+                   for a in range(1, k + 1) for depth in range(1, max_depth + 1)])
+    anchors = _chain_anchors(rep, max_depth)
+    if family is None:
+        family = dict(_chain_walk(rep, min(anchors), max(anchors) + max(max_depth, 1) - 1))
+    plan = []
+    for t in anchors:
+        plan.append((1, t, None, family[t], 0))
+        # depth d branches off E_(t+d-1) and carries d - 2 letters on top
+        plan += [(depth, t, _chain_factor(rep.factor_rows, t + depth - 1),
+                  family[t + depth - 1], depth - 2) for depth in range(2, max_depth + 1)]
+    return plan
+
+
+def _enumerate(rep: TruncatedRep, plan: list) -> list:
+    """(label, held vector) of every vector of a basis plan, in order."""
+    out = []
+    for depth, anchor, factor, vec, letters in plan:
+        if factor is None:
+            out.append((BasisLabel(depth, anchor), vec))
+        else:
+            out += [(BasisLabel(depth, anchor, j, word), v)
+                    for j, word, v in _branch_words(rep, factor, vec, letters)]
+    return out
 
 
 def _branch_words(rep: TruncatedRep, factor, vec, letters: int):
     """(j, word, pi(s_word s(u e_j)) vec) for every completion column
-    j = 2..N of `factor` and every word of `letters` letters.
+    j = 2..N of `factor` and every word of `letters` letters, held.
 
     Each level puts one more leading letter on the words of the previous
     level, so the words come in itertools.product order and every vector
@@ -605,28 +763,11 @@ def _branch_words(rep: TruncatedRep, factor, vec, letters: int):
     u = complete_unitary(factor)
     out = []
     for j in range(2, rep.n + 1):
-        level = [((), _apply_isometry(rep, u[:, j - 1], vec))]
+        level = [((), _iso_held(rep, u[:, j - 1], vec))]
         for _ in range(letters):
-            level = [((a,) + word, _apply_gen(rep, a - 1, v))
+            level = [((a,) + word, _gen_held(rep, a - 1, v))
                      for a in range(1, rep.n + 1) for word, v in level]
         out += [(j, word, v) for word, v in level]
-    return out
-
-
-def _enumerate_cycle(rep: TruncatedRep, max_depth: int):
-    factors = rep.factor_rows
-    k = len(factors)
-    if rep.depth < max_depth + k:
-        raise ValueError(
-            f"insufficient depth: need >= {max_depth + k}, have {rep.depth}"
-        )
-    anchors = cycle_anchor_vectors(rep)
-    out = [(BasisLabel(0, i + 1), anchors[i]) for i in range(k)]
-    for a in range(1, k + 1):
-        # depth d branches off the next anchor and carries d - 1 letters
-        for depth in range(1, max_depth + 1):
-            words = _branch_words(rep, factors[a - 1], anchors[a % k], depth - 1)
-            out += [(BasisLabel(depth, a, j, word), v) for j, word, v in words]
     return out
 
 
@@ -646,21 +787,6 @@ def _chain_anchors(rep: TruncatedRep, max_depth: int) -> range:
     return anchors
 
 
-def _enumerate_chain(rep: TruncatedRep, max_depth: int):
-    anchors = _chain_anchors(rep, max_depth)
-    family = _chain_vectors(rep, min(anchors), max(anchors) + max(max_depth, 1) - 1)
-    out = []
-    for t in anchors:
-        out.append((BasisLabel(1, t), family[t]))
-        # depth d branches off E_(t+d-1) and carries d - 2 letters on top
-        for depth in range(2, max_depth + 1):
-            top = t + depth - 1
-            words = _branch_words(rep, _chain_factor(rep.factor_rows, top), family[top],
-                                  depth - 2)
-            out += [(BasisLabel(depth, t, j, word), v) for j, word, v in words]
-    return out
-
-
 # ----------------------------------------------------------------------
 # verification
 
@@ -673,7 +799,7 @@ def _relation_residuals(rep: TruncatedRep) -> tuple:
     sum_l conj(C_il) C_jl, and sum_i S_i S_i* on its target block is the
     N x N block sum_i C_il' conj(C_il) repeated down the diagonal.  The
     sums run in ascending l and ascending i from zero, with each product
-    written out in float64 as `_apply_gen` writes it: the order and
+    written out in float64 as `_forward` writes it: the order and
     rounding of scipy's sparse products over the generators.  O(steps N^3).
     """
     c = rep.step_coeffs
@@ -718,6 +844,7 @@ class VerificationReport:
     basis_min_singular: float | None = None
 
     def max_residual(self) -> float:
+        """The largest residual, NaN if any residual is NaN."""
         vals = [
             self.isometry_residual,
             self.completeness_residual,
@@ -728,7 +855,7 @@ class VerificationReport:
                 vals.append(extra)
         if self.basis_min_singular is not None:
             vals.append(abs(1.0 - self.basis_min_singular))
-        return max(vals)
+        return float(np.max(vals))
 
     def passed(self, tol: float) -> bool:
         if self.basis_count is not None and self.basis_count != self.basis_count_expected:
@@ -739,10 +866,51 @@ class VerificationReport:
         return {k: v for k, v in self.__dict__.items()}
 
 
-def _gram(mat: np.ndarray):
-    """Gram matrix of the columns of `mat` and its largest deviation from I."""
+def _union_rows(lengths) -> dict:
+    """{layer: longest prefix} over dicts of prefix lengths by layer."""
+    out = {}
+    for sizes in lengths:
+        for layer, size in sizes.items():
+            out[layer] = max(out.get(layer, 0), size)
+    return out
+
+
+def _compact_gram(vectors: list):
+    """Gram matrix of held vectors and its largest deviation from I.
+
+    The vectors are stacked on the union of their layer block prefixes
+    only, in basis order: the rows that are zero in every vector add
+    nothing to a Gram entry.
+    """
+    ends = _union_rows({layer: x.size for layer, x in vec.items()} for vec in vectors)
+    offsets, rows = {}, 0
+    for layer in sorted(ends):
+        offsets[layer] = rows
+        rows += ends[layer]
+    mat = np.zeros((rows, len(vectors)), dtype=complex)
+    for col, vec in enumerate(vectors):
+        for layer, x in vec.items():
+            mat[offsets[layer]:offsets[layer] + x.size, col] = x
     gram = mat.conj().T @ mat
-    return gram, float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+    return gram, float(np.max(np.abs(gram - np.eye(len(vectors)))))
+
+
+def _basis_rows(rep: TruncatedRep, plan: list) -> int:
+    """Rows of the stack of a basis plan's vectors, bounded before any is
+    formed: a forward step puts at most N entries of its target per entry
+    in the first N^(D-1) of its source, so a vector `letters` + 1 forward
+    steps from a held vector has at most N^(letters + 1) times its
+    prefixes, capped at N^(D-1) per step, on the layers those steps reach."""
+    moves = rep._moves[False]
+    inner = rep.block // rep.n
+    lengths = []
+    for _, _, factor, vec, letters in plan:
+        sizes = {layer: x.size for layer, x in vec.items()}
+        for _ in range(0 if factor is None else letters + 1):
+            sizes = {moves[layer][1]: rep.n * min(size, inner)
+                     for layer, size in sizes.items() if moves[layer] is not None}
+        lengths.append(sizes)
+    return sum(_union_rows(lengths).values())
 
 
 def verify_gp(rep: TruncatedRep) -> VerificationReport:
@@ -752,64 +920,59 @@ def verify_gp(rep: TruncatedRep) -> VerificationReport:
     completeness on the interior, the fixed-vector equation (cycles) or
     the backward family and step relations (chains), orthonormality of
     the anchored family, and a spanning check of the enumerated basis to
-    depth min(2, D - k) against the matching graded interior.
+    depth min(2, D - k) against the matching graded interior.  Every
+    vector is held as its layer block prefixes.
     """
     cyclic = rep.kind in ("cycle", "fiber")
     k = len(rep.factor_rows) if cyclic else 0
     d = min(2, rep.depth - k)
-    # a cycle family holds k N^d vectors at depth d, a chain family
-    # N^(d-1) per anchor layer; the basis check stacks them densely
-    expected = None
-    if d >= 1:
-        if cyclic:
-            expected = k * rep.n ** d
-        else:
-            expected = len(_chain_anchors(rep, d)) * rep.n ** (d - 1)
-        limit = _BASIS_STACK_SHARE * REP_BUDGET
-        if expected * rep.dim > limit:
-            raise ValueError(
-                f"the basis check would stack {expected} vectors of dimension {rep.dim}, "
-                f"{expected * rep.dim} entries, over the budget of {limit}"
-            )
     iso, comp = _relation_residuals(rep)
 
+    omega = _omega(rep)
     eigen = None
     step = None
     if cyclic:
-        anchors = cycle_anchor_vectors(rep)
-        # anchors[0] is pi(s(z^(1)) ... s(z^(k))) Omega
-        eigen = float(np.linalg.norm(anchors[0] - rep.omega))
-        family = _gram(np.stack(anchors, axis=1))[1]
+        family = _anchors(rep)
+        # family[0] is pi(s(z^(1)) ... s(z^(k))) Omega
+        eigen = _norm(rep, _difference(family[0], omega))
+        columns = family
     else:
         d_minus, d_plus = rep.window
-        lo = -(d_minus - 1)
-        # the family check holds only this stack and its conjugate; each E_t
-        # writes just the nonzero prefixes of its layer blocks into its
-        # column, so the zeros elsewhere may differ from E_t's in sign only,
-        # and the Gram product's entries with them, which |gram - I| removes
-        mat = np.zeros((rep.dim, d_plus - lo + 1), dtype=complex)
-        blocks = mat.reshape(len(rep.layers), rep.block, -1)
-        step = 0.0
+        family = {}
+        steps = []
         # the latest vector of the walk up from Omega and of the walk down
-        latest = {True: rep.omega, False: rep.omega}
-        for t, vec in _chain_walk(rep, lo, d_plus):
-            rows = vec.reshape(blocks.shape[:2])
-            for layer, end in enumerate(_extents(rep, vec).tolist()):
-                blocks[layer, :end, t - lo] = rows[layer, :end]
+        latest = {True: omega, False: omega}
+        for t, vec in _chain_walk(rep, -(d_minus - 1), d_plus):
+            family[t] = vec
             if t == 0:
                 continue
             # s(z_u) E_u = E_(u-1) for the step the walk just took
             u, upper, lower = (t, vec, latest[True]) if t > 0 else (t + 1, latest[False], vec)
-            pushed = _apply_isometry(rep, _chain_factor(rep.factor_rows, u), upper)
-            step = max(step, float(np.linalg.norm(pushed - lower)))
+            pushed = _iso_held(rep, _chain_factor(rep.factor_rows, u), upper)
+            steps.append(_norm(rep, _difference(pushed, lower)))
             latest[t > 0] = vec
-        family = _gram(mat)[1]
-        del mat
+        step = float(np.max(steps, initial=0.0))
+        columns = [family[t] for t in sorted(family)]
+    family_residual = _compact_gram(columns)[1]
 
-    basis_gram = basis_count = min_sing = None
+    expected = basis_gram = basis_count = min_sing = None
     if d >= 1:
-        fam = enumerate_basis(rep, d)
-        gram, basis_gram = _gram(np.stack([vec for _, vec in fam], axis=1))
+        # a cycle family holds k N^d vectors at depth d, a chain family
+        # N^(d-1) per anchor layer
+        if cyclic:
+            expected = k * rep.n ** d
+        else:
+            expected = len(_chain_anchors(rep, d)) * rep.n ** (d - 1)
+        plan = _basis_plan(rep, d, family)
+        rows = _basis_rows(rep, plan)
+        limit = _BASIS_STACK_SHARE * REP_BUDGET
+        if expected * rows > limit:
+            raise ValueError(
+                f"the basis check would stack {expected} vectors on {rows} rows, "
+                f"{expected * rows} entries, over the budget of {limit}"
+            )
+        fam = _enumerate(rep, plan)
+        gram, basis_gram = _compact_gram([vec for _, vec in fam])
         basis_count = len(fam)
         # the singular values of the stacked family are the square roots of
         # the eigenvalues of its Gram matrix
@@ -819,7 +982,7 @@ def verify_gp(rep: TruncatedRep) -> VerificationReport:
         kind=rep.kind,
         isometry_residual=iso,
         completeness_residual=comp,
-        family_residual=family,
+        family_residual=family_residual,
         eigen_residual=eigen,
         step_residual=step,
         basis_gram_residual=basis_gram,
@@ -838,12 +1001,12 @@ def power_vanish(rep: TruncatedRep, z: CycleParam, v: np.ndarray, m_max: int) ->
     """
     if z.n != rep.n:
         raise RankMismatchError(f"vector lives in C^{z.n}, rep has rank {rep.n}")
-    w = _as_vector(rep, v)
-    norms = [float(np.linalg.norm(w))]
+    w = _prefixes(rep, _as_vector(rep, v))
+    norms = [_norm(rep, w)]
     for _ in range(m_max):
         for f in z.rows:
-            w = _apply_isometry(rep, f, w, adjoint=True)
-        norms.append(float(np.linalg.norm(w)))
+            w = _iso_held(rep, f, w, adjoint=True)
+        norms.append(_norm(rep, w))
     return np.asarray(norms)
 
 

@@ -357,6 +357,14 @@ def reference_relation_residuals(rep):
     return iso, comp
 
 
+def reference_gram(mat):
+    """Gram matrix of the columns of the dense stack `mat` and its largest
+    deviation from I: `verify_gp`'s check before it stacked only the
+    union of its vectors' layer block prefixes."""
+    gram = mat.conj().T @ mat
+    return gram, float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+
+
 def reference_value_texts(values) -> np.ndarray:
     """`reps._value_texts` by the grouping it replaced: `np.unique` over the
     values as raw 16-byte records."""
@@ -368,8 +376,8 @@ def reference_value_texts(values) -> np.ndarray:
 
 
 def reference_apply_gen(rep, i, x, transpose=False):
-    """`reps._apply_gen` by the full sweep it replaced: every step run's
-    slices of the whole layer blocks, whatever x holds there."""
+    """`reps._apply_gen` by the full sweep it replaced: every step's slices
+    of the whole layer blocks, whatever x holds there."""
     if x.ndim == 2:
         return np.stack([reference_apply_gen(rep, i, col, transpose) for col in x.T], axis=1)
     n, count = rep.n, len(rep.layers)
@@ -379,21 +387,16 @@ def reference_apply_gen(rep, i, x, transpose=False):
         rows, cols = x.reshape(count, inner, n), out.reshape(count, n * inner)
     else:
         rows, cols = out.reshape(count, inner, n), x.reshape(count, n * inner)
-    for steps, sources, targets in rep._step_runs:
-        c = rep.step_coeffs[steps, i]
-        src, tgt = cols[sources, :inner], rows[targets]
+    for source, target, c in zip(rep.step_sources, rep.step_targets, rep.step_coeffs[:, i]):
+        src, tgt = cols[source, :inner], rows[target]
         if transpose:
             for j in range(n):
-                cr, ci = c.real[:, j, None], c.imag[:, j, None]
-                yr, yi = tgt.real[:, :, j], tgt.imag[:, :, j]
-                src.real += cr * yr - ci * yi
-                src.imag += cr * yi + ci * yr
+                src.real += c.real[j] * tgt.real[:, j] - c.imag[j] * tgt.imag[:, j]
+                src.imag += c.real[j] * tgt.imag[:, j] + c.imag[j] * tgt.real[:, j]
             continue
-        xr, xi = src.real, src.imag
         for j in range(n):
-            cr, ci = c.real[:, j, None], c.imag[:, j, None]
-            np.add(cr * xr - ci * xi, 0.0, out=tgt.real[:, :, j])
-            np.add(cr * xi + ci * xr, 0.0, out=tgt.imag[:, :, j])
+            np.add(c.real[j] * src.real - c.imag[j] * src.imag, 0.0, out=tgt.real[:, j])
+            np.add(c.real[j] * src.imag + c.imag[j] * src.real, 0.0, out=tgt.imag[:, j])
     return out
 
 

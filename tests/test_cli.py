@@ -468,13 +468,28 @@ def test_verify_refuses_an_oversized_basis_check_before_enumerating(capsys, monk
         raise AssertionError("the basis family was enumerated for a refused check")
 
     monkeypatch.setattr(cli.reps, "_branch_words", no_family)
-    e = [[[1, 0] if j == i else [0, 0] for j in range(16)] for i in range(2)]
-    cycle = json.dumps({"kind": "cycle", "factors": e})
+    # every entry 1/4: the anchors fill their first 16 and 256 entries, and
+    # the depth-2 family would fill the blocks of 65,536 and 4,096 rows
+    quarters = [[[0.25, 0]] * 16] * 2
+    cycle = json.dumps({"kind": "cycle", "factors": quarters})
     code, out, err = run_cli(capsys, "verify", "--inline", cycle, "--depth", "4")
     assert code == 1
     assert out == ""
-    assert err == ("error: the basis check would stack 512 vectors of dimension 131072, "
-                   "67108864 entries, over the budget of 8388608\n")
+    assert err == ("error: the basis check would stack 512 vectors on 69632 rows, "
+                   "35651584 entries, over the budget of 8388608\n")
+
+
+def test_verify_checks_a_one_hot_family_of_dimension_131072(capsys):
+    # 512 basis vectors of one nonzero entry each: their stack has 512 rows
+    e = [[[1, 0] if j == i else [0, 0] for j in range(16)] for i in range(2)]
+    cycle = json.dumps({"kind": "cycle", "factors": e})
+    code, out, err = run_cli(capsys, "verify", "--inline", cycle, "--depth", "4", "-f", "json")
+    assert code == 0
+    assert err == ""
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert report["basis_count"] == report["basis_count_expected"] == 512
+    assert report["basis_gram_residual"] == report["family_residual"] == 0.0
 
 
 @pytest.mark.parametrize("param, field", [

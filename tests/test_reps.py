@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from helpers import (
     reference_cycle_isometry,
     reference_export_coo,
     reference_export_json,
+    reference_gram,
     reference_layered_gens,
     reference_numeric_cycle_eigencheck,
     reference_power_vanish,
@@ -936,6 +938,154 @@ def test_verify_reports_match_the_coo_route(data):
     assert repr((report.isometry_residual, report.completeness_residual)) == repr(expected)
 
 
+def _rotation_unit(rng, n):
+    """(cos a, sin a) on two random coordinates of C^n."""
+    v = np.zeros(n)
+    i, j = rng.choice(n, 2, replace=False)
+    angle = 2 * np.pi * rng.random()
+    v[i], v[j] = np.cos(angle), np.sin(angle)
+    return v
+
+
+def _one_hot_unit(rng, n):
+    """A basis vector of C^n times a random phase."""
+    return g.basis_vector(n, int(rng.integers(1, n + 1))) * np.exp(2j * np.pi * rng.random())
+
+
+@st.composite
+def _gram_reps(draw):
+    """Cycle, fiber and chain truncations at N = 2..4 deep enough for a
+    basis check: cycles of one-hot, rotation or dense factors, whose
+    vectors carry roundoff in every entry a word can reach, and rotation,
+    gray-zone and explicit chains."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    family = draw(st.sampled_from(["one-hot", "rotation", "dense", "chain rotation",
+                                   "gray zone", "explicit"]))
+    if family in ("one-hot", "rotation", "dense"):
+        n, k = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+        unit = {"one-hot": _one_hot_unit, "rotation": _rotation_unit, "dense": random_unit}[family]
+        z = g.cycle([unit(rng, n) for _ in range(k)])
+        depth = draw(st.integers(max(k, 2), min(k + 2, 5)))
+        if draw(st.booleans()):
+            return g.build_cycle_rep(z, depth)
+        return g.build_fiber_rep(z, np.exp(2j * np.pi * rng.random()), depth)
+    if family == "chain rotation":
+        den = draw(st.integers(1, 12))
+        chain = g.rotation_chain(Fraction(draw(st.integers(0, den - 1)), den))
+    elif family == "gray zone":
+        chain = g.gray_zone_chain()
+    else:
+        n = draw(st.integers(2, 4))
+        chain = g.explicit_chain([random_unit(rng, n) for _ in range(draw(st.integers(1, 3)))],
+                                 [random_unit(rng, n) for _ in range(draw(st.integers(0, 2)))])
+    return g.build_chain_rep(chain, draw(st.integers(2, 4)), draw(st.integers(1, 4)),
+                             draw(st.integers(1, 4)))
+
+
+def _dense_checks(rep) -> dict:
+    """The family, eigen and step residuals and the basis Gram residual and
+    least singular value of `verify_gp`, each by the dense route: stacks of
+    whole vectors from the public entry points, `reference_gram` and
+    numpy's norm of whole differences."""
+    out = {}
+    if rep.kind == "chain":
+        d_minus, d_plus = rep.window
+        family = {t: g.chain_vector(rep, t) for t in range(-(d_minus - 1), d_plus + 1)}
+        # s(z_u) E_u = E_(u-1)
+        out["step_residual"] = max(
+            float(np.linalg.norm(g.reps._apply_isometry(
+                rep, g.reps._chain_factor(rep.factor_rows, u), family[u]) - family[u - 1]))
+            for u in range(-(d_minus - 1) + 1, d_plus + 1))
+        columns, k = [family[t] for t in sorted(family)], 0
+    else:
+        columns, k = g.cycle_anchor_vectors(rep), len(rep.factor_rows)
+        out["eigen_residual"] = float(np.linalg.norm(columns[0] - rep.omega))
+    out["family_residual"] = reference_gram(np.stack(columns, axis=1))[1]
+    d = min(2, rep.depth - k)
+    if d >= 1:
+        basis = np.stack([vec for _, vec in g.enumerate_basis(rep, d)], axis=1)
+        gram, out["basis_gram_residual"] = reference_gram(basis)
+        out["basis_min_singular"] = math.sqrt(max(float(np.linalg.eigvalsh(gram)[0]), 0.0))
+    return out
+
+
+# the compact Gram checks against the dense stacks: BLAS may block the
+# shorter inner dimension differently, so a Gram entry near 1 can move by
+# an ulp or so; the eigen and step residuals are norms of the same entries
+# in the same order and must keep every bit
+GRAM_SLACK = 4 * np.finfo(float).eps
+
+
+@settings(max_examples=150, deadline=None)
+@given(rep=_gram_reps())
+def test_compact_checks_match_the_dense_stacks(rep):
+    report = g.verify_gp(rep)
+    for name, expected in _dense_checks(rep).items():
+        got = getattr(report, name)
+        if name in ("eigen_residual", "step_residual"):
+            assert repr(got) == repr(expected), name
+        else:
+            assert abs(got - expected) <= GRAM_SLACK, (name, got, expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rep=_gram_reps())
+def test_verify_holds_the_vectors_of_the_dense_entry_points(rep):
+    stacks = []
+    compact_gram = g.reps._compact_gram
+
+    def recorded(vectors):
+        stacks.append(vectors)
+        return compact_gram(vectors)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(g.reps, "_compact_gram", recorded)
+        g.verify_gp(rep)
+    family, *basis = stacks
+    chain = rep.kind == "chain"
+    if chain:
+        d_minus, d_plus = rep.window
+        ts = range(-(d_minus - 1), d_plus + 1)
+        expected = [g.chain_vector(rep, t).tobytes() for t in ts]
+        # E_t for t > 0 comes from an adjoint
+        got = [g.reps._dense(rep, vec, adjoint=t > 0).tobytes() for t, vec in zip(ts, family)]
+        k = 0
+    else:
+        expected = [vec.tobytes() for vec in g.cycle_anchor_vectors(rep)]
+        got = [g.reps._dense(rep, vec).tobytes() for vec in family]
+        k = len(rep.factor_rows)
+    assert got == expected
+    d = min(2, rep.depth - k)
+    assert len(basis) == (d >= 1)
+    if basis:
+        fam = g.enumerate_basis(rep, d)
+        assert len(basis[0]) == len(fam)
+        # the rows the budget charges bound the rows stacked
+        rows = g.reps._union_rows({layer: x.size for layer, x in vec.items()}
+                                  for vec in basis[0])
+        assert sum(rows.values()) <= g.reps._basis_rows(rep, g.reps._basis_plan(rep, d))
+        for (label, vec), held in zip(fam, basis[0]):
+            adjoint = chain and label.branch == 0 and label.anchor > 0
+            assert g.reps._dense(rep, held, adjoint).tobytes() == vec.tobytes()
+    # every block is cut to its extent
+    for vec in family + [held for stack in basis for held in stack]:
+        for x in vec.values():
+            assert x.size and x.size <= rep.block and x[-1] != 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(rep=_drawn_reps(), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([1.0, 1e-16, 1e150]))
+def test_windowed_norm_matches_the_dense_norm(rep, seed, scale):
+    rng = np.random.default_rng(seed)
+    held = {}
+    for layer in range(len(rep.layers)):
+        if rng.random() < 0.5:
+            size = int(rng.integers(1, rep.block + 1))
+            held[layer] = scale * (rng.normal(size=size) + 1j * rng.normal(size=size))
+    assert g.reps._norm(rep, held) == float(np.linalg.norm(g.reps._dense(rep, held)))
+
+
 @st.composite
 def _perturbed_reps(draw):
     """A drawn rep whose step table has some coefficients moved: by a
@@ -1096,27 +1246,58 @@ def test_chain_vectors_match_walk_from_omega(window):
 
 
 def test_verify_basis_check_is_charged_before_enumerating(monkeypatch):
-    z = g.cycle([E1, E2])
-    rep = g.build_cycle_rep(z, 5)
-    # the depth-2 family: 2 * 2^2 vectors of dimension 64
-    assert g.verify_gp(rep).basis_count == 8
+    # the depth-2 families of 8 vectors: of one nonzero entry each on 8 rows,
+    # and filling 24 rows for real factors that complete to dense unitaries
+    one_hot = g.build_cycle_rep(g.cycle([E1, E2]), 5)
+    dense = g.build_cycle_rep(g.cycle([REAL_A, REAL_B]), 5)
     chain = g.build_chain_rep(g.gray_zone_chain(), 4, 2, 3)
-    assert chain.dim == 96
-    monkeypatch.setattr(g.reps, "REP_BUDGET", 63)
+    shallow = g.build_cycle_rep(g.cycle([E1, E2]), 2)
+    assert one_hot.dim == dense.dim == 64 and chain.dim == 96
+    monkeypatch.setattr(g.reps, "REP_BUDGET", 20)
+    assert g.verify_gp(one_hot).basis_count == 8
+    assert g.verify_gp(chain).basis_count == 6
 
     def no_family(*_):
         raise AssertionError("the basis family was enumerated for a refused check")
 
-    monkeypatch.setattr(g.reps, "_enumerate_cycle", no_family)
-    monkeypatch.setattr(g.reps, "_enumerate_chain", no_family)
+    monkeypatch.setattr(g.reps, "_branch_words", no_family)
     monkeypatch.setattr(g.reps, "enumerate_basis", no_family)
-    with pytest.raises(ValueError, match="stack 8 vectors of dimension 64, 512 entries, "
-                                         "over the budget of 504"):
-        g.verify_gp(rep)
-    with pytest.raises(ValueError, match="stack 6 vectors of dimension 96"):
+    with pytest.raises(ValueError, match="stack 8 vectors on 24 rows, 192 entries, "
+                                         "over the budget of 160"):
+        g.verify_gp(dense)
+    monkeypatch.setattr(g.reps, "REP_BUDGET", 4)
+    with pytest.raises(ValueError, match="stack 6 vectors on 6 rows, 36 entries, "
+                                         "over the budget of 32"):
         g.verify_gp(chain)
     # depth k leaves no room for a basis check, so there is nothing to charge
-    assert g.verify_gp(g.build_cycle_rep(z, 2)).basis_count is None
+    assert g.verify_gp(shallow).basis_count is None
+
+
+def test_a_nan_residual_fails_verification():
+    rep = g.build_cycle_rep(g.cycle([[0.6, 0.8], [1, 0]]), 2)
+    rows = rep.factor_rows.copy()
+    rows[0, 0] = np.nan
+    report = g.verify_gp(dataclasses.replace(rep, factor_rows=rows))
+    assert np.isnan(report.family_residual) and np.isnan(report.eigen_residual)
+    # the relation residuals, which come first, read the step table alone
+    assert report.isometry_residual == report.completeness_residual == 0.0
+    assert np.isnan(report.max_residual())
+    assert not report.passed(1e-9)
+
+
+@pytest.mark.parametrize("field", ["isometry_residual", "step_residual", "basis_min_singular"])
+def test_max_residual_keeps_a_nan_wherever_it_comes(field):
+    # the isometry residual comes first, the step residual in the middle and
+    # the least singular value last
+    report = g.VerificationReport(
+        kind="chain", isometry_residual=1e-16, completeness_residual=0.0,
+        family_residual=2e-16, step_residual=1e-16, basis_gram_residual=3e-16,
+        basis_count=6, basis_count_expected=6, basis_min_singular=1.0,
+    )
+    assert report.max_residual() == 3e-16 and report.passed(1e-9)
+    report = dataclasses.replace(report, **{field: float("nan")})
+    assert np.isnan(report.max_residual())
+    assert not report.passed(1e-9)
 
 
 def test_rep_budget_refuses_before_allocating(monkeypatch):
