@@ -17,9 +17,9 @@ dropped.  The kinds differ only in their tables:
   to t - 1 through factor t (e_1 below index 1).
 
 S_i* S_j = delta_ij holds exactly on the first N^(D-1) columns of every
-step source (`interior`) and sum_i S_i S_i* = I on every step target
-(`sum_interior`); all contracts are stated there.  The distinguished
-vector sits at (1, 1) for cycles and (0, 1) for chains.
+step source (`interior`) and sum_i S_i S_i* = I on every step target; all
+contracts are stated there.  The distinguished vector sits at (1, 1) for
+cycles and (0, 1) for chains.
 
 A truncation carries, from construction, the read-only factor rows it
 realizes (`factor_rows`): the k rows of the cycle, or of c*v for a fiber
@@ -33,33 +33,37 @@ where anchor_1 is the same pi(s(z^(1)) ... s(z^(k))) Omega its family and
 basis checks use, and its basis depth is min(2, D - k).
 
 A truncation stores its step table (`step_sources`, `step_targets`,
-`step_coeffs`), read-only, and everything else is read from it.  Inside
-this module a vector is held as its layer block prefixes, {layer position:
-the entries of the block up to its extent, one past its last nonzero
-entry}, with the blocks of zeros left out: the vectors reached from Omega
-fill block prefixes, since S_i maps m to N(m-1) + j, so an application
-costs about their support, not the dimension.  A generator moves each
-held block through the step leaving its layer: S_i x writes
-c_ij x_(source, m) into row N(m-1) + j of the step target, and S_i^T x
-sums those rows back into the step source; each result is cut to its
-extent again.  s(v) and s(v)* run the N generators on a block at once and
-add v_i times each block in the order of Python's `sum` over whole
-applications; the support guard of `apply_element` reads the same
-prefixes.  The dense entry points (`cycle_anchor_vectors`, `chain_vector`,
-`enumerate_basis`, `apply_element`, `power_vanish`) cut a vector into
-prefixes with one scan and write results out over zeros: +0.0, or the
-(0.0, -0.0) an adjoint's conjugate leaves, as a sweep over the whole
-vector writes them.  Each target is reached by one step, so the relation
-residuals of `verify_gp` come from the N x N coefficient blocks alone, in
-O(steps N^3).  Products are written out in float64 as (ar br - ai bi,
-ar bi + ai br), since numpy's array complex multiply can round otherwise,
-and summed in scipy's order, so every residual, and every vector from a
-finite one, carries the bits of the sparse products it replaced.  The CSC
-arrays of each generator (`csc`: data, indices, indptr, in column order
-and ascending rows) are written from the table with numpy on first use,
-for the exports; `gens` wraps them, without a copy, as scipy csc_arrays,
-and only that loads scipy.sparse.  Nothing in this module, the package or
-its command line reads `gens`.
+`step_coeffs`), read-only, and everything else is derived from it: the
+dimension, Omega and `interior` when read, and the generators' entries for
+each export.  Inside this module a vector is held as its layer block
+prefixes, {layer position: the entries of the block up to its extent, one
+past its last nonzero entry}, with the blocks of zeros left out: the
+vectors reached from Omega fill block prefixes, since S_i maps m to
+N(m-1) + j, so an application costs about their support, not the
+dimension.  A generator moves each held block through the step leaving
+its layer: S_i x writes c_ij x_(source, m) into row N(m-1) + j of the step
+target, and S_i^T x sums those rows back into the step source; each
+result is cut to its extent again.  s(v) and s(v)* run the N generators
+on a block at once and add v_i times each block in the order of Python's
+`sum` over whole applications; the support guard of `apply_element` reads
+the same prefixes.  The dense entry points (`cycle_anchor_vectors`,
+`chain_vector`, `enumerate_basis`, `apply_element`, `power_vanish`) cut a
+vector into prefixes with one scan and write results out over zeros: +0.0,
+or the (0.0, -0.0) an adjoint's conjugate leaves, as a sweep over the
+whole vector writes them.  Each target is reached by one step, so the
+relation residuals of `verify_gp` come from the N x N coefficient blocks
+alone, in O(steps N^3).  Products are written out in float64 as
+(ar br - ai bi, ar bi + ai br), since numpy's array complex multiply can
+round otherwise, and summed in scipy's order, so every residual, and every
+vector from a finite one, carries the bits of the sparse products it
+replaced.
+
+`gens`, the generators as scipy csc_arrays built on first use from the
+entries the exports write, is the only scipy view of a truncation and the
+only code here that loads scipy.  Nothing in this module, the package or
+its command line reads it; it stays for the benchmark and the tests,
+which check a truncation against scipy's sparse products, and it is why
+scipy stays a dependency.
 
 `verify_gp` holds every vector it forms as prefixes: the anchors, the
 chain family E_t, pushed from Omega through the window once and reused by
@@ -74,11 +78,12 @@ enumerates, a basis check whose stack of count x rows entries would exceed
 8 REP_BUDGET, with the rows bounded from the prefixes of the vectors the
 family branches from.
 
-The exports read the stored arrays and cost about the bytes they emit.
-`export_coo` turns every index into text once and the `repr` text of an
-entry once per distinct bit pattern of its value, which a step table
-keeps to k N^2 per generator; every line is gathered from these tables by
-index and the output is one join, byte-stable with every -0.0 kept.
+The exports write each generator's entries from the step table in one
+vectorised pass and cost about the bytes they emit.  `export_coo` turns
+every index into text once and the `repr` text of an entry once per
+distinct bit pattern of its value, which a step table keeps to k N^2 per
+generator; every line is gathered from these tables by index and the
+output is one join, byte-stable with every -0.0 kept.
 `export_json` builds its nested lists with the cyclic garbage collector
 paused (`params._nested_list`).
 """
@@ -86,6 +91,7 @@ paused (`params._nested_list`).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -160,31 +166,37 @@ class TruncatedRep:
     step_sources: np.ndarray
     step_targets: np.ndarray
     step_coeffs: np.ndarray
-    omega: np.ndarray
-    interior: np.ndarray      # columns on which S_i* S_j = delta_ij is exact
-    sum_interior: np.ndarray  # columns on which sum_i S_i S_i* = I is exact
     param: object
     factor_rows: np.ndarray   # read-only rows of the factors realized (see module doc)
     window: tuple | None = None   # (d_minus, d_plus) for chains
 
     @property
     def dim(self) -> int:
-        return self.omega.size
+        return len(self.layers) * self.block
 
-    @cached_property
-    def csc(self) -> tuple:
-        """Read-only (data, indices, indptr) of each generator's CSC matrix,
-        written from the step table."""
-        return tuple(_csc_arrays(self, i) for i in range(self.n))
+    @property
+    def omega(self) -> np.ndarray:
+        """The distinguished vector, dense."""
+        return _dense(self, _omega(self))
+
+    @property
+    def interior(self) -> np.ndarray:
+        """Mask of the columns on which S_i* S_j = delta_ij is exact: the
+        first N^(D-1) of every step source."""
+        out = np.zeros((len(self.layers), self.block), dtype=bool)
+        out[self.step_sources, :self.block // self.n] = True
+        return out.ravel()
 
     @cached_property
     def gens(self) -> list:
-        """S_1..S_N as scipy csc_arrays over `csc`, not copies; the first
-        use loads scipy.sparse."""
+        """S_1..S_N as scipy csc_arrays built from `_generator_entries`; the
+        first use loads scipy.sparse."""
         import scipy.sparse as sp
 
         shape = (self.dim, self.dim)
-        return [sp.csc_array(arrays, shape=shape, copy=False) for arrays in self.csc]
+        columns = np.arange(self.dim + 1)
+        return [sp.csc_array((values, rows, np.searchsorted(cols, columns)), shape=shape)
+                for rows, cols, values in _generator_entries(self)]
 
     @property
     def block(self) -> int:
@@ -204,8 +216,12 @@ class TruncatedRep:
 
     def index(self, layer, m: int) -> int:
         """Basis index of e_(layer, m), m = 1..N^D."""
+        m = operator.index(m)
         if not 1 <= m <= self.block:
             raise ValueError(f"m = {m} is outside 1..{self.block}")
+        if layer not in self.layers:
+            raise ValueError(f"layer {layer!r} is not one of the truncation's layers "
+                             f"{self.layers}")
         return self.layers.index(layer) * self.block + (m - 1)
 
     def label_of(self, idx: int):
@@ -240,7 +256,8 @@ def _layered_rep(param, depth, layers, steps, kind, **fields) -> TruncatedRep:
     `steps` holds one (source layer, target layer, completing unitary,
     scale) row per step down.  No two rows share a source or a target, so
     each column of a generator is written by at most one step and each row
-    by at most one.  Coefficients are formed entry by entry as
+    by at most one, and the sources ascend, so the steps' columns come in
+    basis order.  Coefficients are formed entry by entry as
     `scale * conj(u_ij)`, since numpy's array complex multiply can differ
     from the scalar one in the last bit.  Chain steps pass scale None and
     keep `conj(u_ij)` as it is: a factor 1.0 would turn their -0.0
@@ -249,20 +266,13 @@ def _layered_rep(param, depth, layers, steps, kind, **fields) -> TruncatedRep:
     n = param.n
     sources = _read_only(np.array([layers.index(row[0]) for row in steps], dtype=np.intp))
     targets = _read_only(np.array([layers.index(row[1]) for row in steps], dtype=np.intp))
-    assert len(set(sources.tolist())) == len(steps) == len(set(targets.tolist())), \
-        "every step needs its own source and target layer"
+    assert np.all(np.diff(sources) > 0) and len(set(targets.tolist())) == len(steps), \
+        "every step needs its own target layer, and the sources must ascend"
     coeffs = _read_only(np.array(
         [[[np.conj(u[i, j]) if scale is None else scale * np.conj(u[i, j]) for j in range(n)]
           for i in range(n)] for _, _, u, scale in steps],
         dtype=complex,
     ).reshape(len(steps), n, n))
-    blocks = (len(layers), n ** depth)
-    interior = np.zeros(blocks, dtype=bool)
-    interior[sources, : n ** (depth - 1)] = True
-    sum_interior = np.zeros(blocks, dtype=bool)
-    sum_interior[targets] = True
-    omega = np.zeros(blocks, dtype=complex)
-    omega[layers.index(_OMEGA_LAYER[kind]), 0] = 1.0
     return TruncatedRep(
         n=n,
         kind=kind,
@@ -271,9 +281,6 @@ def _layered_rep(param, depth, layers, steps, kind, **fields) -> TruncatedRep:
         step_sources=sources,
         step_targets=targets,
         step_coeffs=coeffs,
-        omega=omega.ravel(),
-        interior=interior.ravel(),
-        sum_interior=sum_interior.ravel(),
         param=param,
         **fields,
     )
@@ -282,31 +289,6 @@ def _layered_rep(param, depth, layers, steps, kind, **fields) -> TruncatedRep:
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
-
-
-def _csc_arrays(rep: TruncatedRep, i: int) -> tuple:
-    """Read-only (data, indices, indptr) of S_(i+1): every step fills the
-    first N^(D-1) columns of its source with rows N m + j of its target in
-    ascending j, exact zeros skipped."""
-    # REP_BUDGET keeps every index and count far below 2^31, and scipy
-    # wraps int32 arrays as they are
-    idx = np.int32
-    blk = rep.block
-    inner = blk // rep.n
-    kept = [np.flatnonzero(row) for row in rep.step_coeffs[:, i]]
-    counts = np.zeros((len(rep.layers), blk), dtype=idx)
-    counts[rep.step_sources, :inner] = [[len(js)] for js in kept]
-    indptr = np.zeros(rep.dim + 1, dtype=idx)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=idx)
-    data = np.empty(indptr[-1], dtype=complex)
-    ms = np.arange(inner, dtype=idx)
-    for source, target, js, coeffs in zip(rep.step_sources, rep.step_targets, kept,
-                                          rep.step_coeffs[:, i]):
-        block = slice(indptr[source * blk], indptr[source * blk] + inner * len(js))
-        indices[block].reshape(inner, len(js))[:] = target * blk + rep.n * ms[:, None] + js
-        data[block].reshape(inner, len(js))[:] = coeffs[js]
-    return tuple(map(_read_only, (data, indices, indptr)))
 
 
 def _cycle_rep(z: CycleParam, depth: int, wrap_scale, kind: str, factor_rows) -> TruncatedRep:
@@ -496,15 +478,6 @@ def _iso_held(rep: TruncatedRep, v, held: dict, adjoint: bool = False) -> dict:
     return _trimmed(out)
 
 
-def _apply_gen(rep: TruncatedRep, i: int, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """S_(i+1) x, or S_(i+1)^T x, of a dense vector or a stack of column
-    vectors.  For finite x every entry carries the bits of scipy's CSC
-    product with `gens[i]`."""
-    if x.ndim == 2:
-        return np.stack([_apply_gen(rep, i, col, transpose) for col in x.T], axis=1)
-    return _dense(rep, _gen_held(rep, i, _prefixes(rep, x), transpose))
-
-
 def _apply_isometry(rep: TruncatedRep, v, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """s(v) x or s(v)* x of a dense vector or a stack of column vectors;
     outside the support s(v) x is 0j and s(v)* x its conjugate, (0.0, -0.0)."""
@@ -612,8 +585,10 @@ def apply_element(rep: TruncatedRep, a: AlgebraElement, vec: np.ndarray) -> np.n
 
 
 def vacuum_expectation(rep: TruncatedRep, a: AlgebraElement) -> complex:
-    """<Omega | pi(a) Omega> in the truncation."""
-    return complex(np.vdot(rep.omega, apply_element(rep, a, rep.omega)))
+    """<Omega | pi(a) Omega> in the truncation: Omega's entry of pi(a) Omega,
+    which `apply_element` adds up from +0.0, as np.vdot against Omega would."""
+    x = apply_element(rep, a, rep.omega)
+    return complex(x[rep.index(_OMEGA_LAYER[rep.kind], 1)])
 
 
 # ----------------------------------------------------------------------
@@ -666,11 +641,6 @@ def _chain_walk(rep: TruncatedRep, lo: int, hi: int):
     for t in range(-1, lo - 1, -1):
         vec = _letter_held(rep, 1, vec, adjoint=False)
         yield t, vec
-
-
-def _chain_vectors(rep: TruncatedRep, lo: int, hi: int) -> dict:
-    """{t: E_t} of `_chain_walk`, dense; E_t for t > 0 is an adjoint's."""
-    return {t: _dense(rep, vec, adjoint=t > 0) for t, vec in _chain_walk(rep, lo, hi)}
 
 
 def chain_vector(rep: TruncatedRep, t: int) -> np.ndarray:
@@ -1015,10 +985,18 @@ def power_vanish(rep: TruncatedRep, z: CycleParam, v: np.ndarray, m_max: int) ->
 
 def _generator_entries(rep: TruncatedRep):
     """Rows, columns and values of every generator, ordered by column and
-    then row: its stored CSC arrays, with the columns spelled out."""
-    for data, indices, indptr in rep.csc:
-        cols = np.repeat(np.arange(rep.dim, dtype=indptr.dtype), np.diff(indptr))
-        yield indices, cols, data
+    then row, exact zeros skipped.  A step fills column m < N^(D-1) of its
+    source with rows N m + j of its target: position p = N m + j of its
+    blocks holds target row p, source column p // N and coefficient j.
+    The sources ascend, so the steps come in column order."""
+    # REP_BUDGET keeps every index far below 2^31
+    positions = np.arange(rep.block, dtype=np.int32)
+    rows = rep.step_targets.astype(np.int32)[:, None] * rep.block + positions
+    cols = rep.step_sources.astype(np.int32)[:, None] * rep.block + positions // rep.n
+    for coeffs in rep.step_coeffs.transpose(1, 0, 2):
+        values = np.tile(coeffs, rep.block // rep.n)
+        kept = values != 0
+        yield rows[kept], cols[kept], values[kept]
 
 
 def _index_texts(dim: int):
@@ -1076,9 +1054,9 @@ def export_coo(rep: TruncatedRep) -> str:
     _add_lines(pieces, "# labels: index layer m\n", plain[:rep.dim],
                np.repeat(layers, rep.block), np.tile(spaced[1:rep.block + 1], len(rep.layers)),
                np.full(rep.dim, "\n", dtype=object))
-    support = np.flatnonzero(rep.omega)
-    _add_lines(pieces, "# omega: index re im\n", plain[support],
-               _value_texts(rep.omega[support]))
+    omega = rep.omega
+    support = np.flatnonzero(omega)
+    _add_lines(pieces, "# omega: index re im\n", plain[support], _value_texts(omega[support]))
     return "".join(pieces)
 
 

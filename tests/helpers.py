@@ -328,6 +328,14 @@ def reference_layered_gens(n, depth, layers, steps) -> list:
     ]
 
 
+def _reference_sum_interior(rep):
+    """Mask of the columns on which sum_i S_i S_i* = I is exact: the whole
+    block of every step target."""
+    mask = np.zeros((len(rep.layers), rep.block), dtype=bool)
+    mask[rep.step_targets] = True
+    return mask.ravel()
+
+
 def reference_relation_residuals(rep):
     """`verify_gp`'s isometry and completeness residuals by the route the
     step-table formulas replaced: sparse products of `rep.gens` with their
@@ -353,7 +361,7 @@ def reference_relation_residuals(rep):
     for si, si_h in zip(rep.gens, adjoints):
         piece = si @ si_h
         total = piece if total is None else total + piece
-    comp = max_abs((total - ident)[:, rep.sum_interior])
+    comp = max_abs((total - ident)[:, _reference_sum_interior(rep)])
     return iso, comp
 
 
@@ -376,8 +384,9 @@ def reference_value_texts(values) -> np.ndarray:
 
 
 def reference_apply_gen(rep, i, x, transpose=False):
-    """`reps._apply_gen` by the full sweep it replaced: every step's slices
-    of the whole layer blocks, whatever x holds there."""
+    """S_(i+1) x, or S_(i+1)^T x, by the full sweep that `reps._gen_held`
+    replaced: every step's slices of the whole layer blocks, whatever x
+    holds there."""
     if x.ndim == 2:
         return np.stack([reference_apply_gen(rep, i, col, transpose) for col in x.T], axis=1)
     n, count = rep.n, len(rep.layers)
@@ -458,14 +467,16 @@ def reference_apply_element(rep, a, vec):
     if a.n != rep.n:
         raise g.RankMismatchError(f"rank mismatch: {a.n} vs {rep.n}")
 
+    interior, sum_interior = rep.interior, _reference_sum_interior(rep)
+
     def apply_generator(letter, vec, adjoint):
         if adjoint:
-            if not np.all(np.abs(vec[~rep.sum_interior]) <= g.algebra.PRUNE_TOL):
+            if not np.all(np.abs(vec[~sum_interior]) <= g.algebra.PRUNE_TOL):
                 raise g.TruncationOverflowError(
                     "support reached the top window layer; enlarge d_plus"
                 )
             return reference_gen_adjoint(rep, letter) @ vec
-        if not np.all(np.abs(vec[~rep.interior]) <= g.algebra.PRUNE_TOL):
+        if not np.all(np.abs(vec[~interior]) <= g.algebra.PRUNE_TOL):
             raise g.TruncationOverflowError(
                 "support escaped the exact interior; enlarge the depth"
             )

@@ -121,6 +121,20 @@ def test_basis_labels_refuse_what_is_outside_the_truncation():
         rep.index(3, 1)
 
 
+def test_basis_index_refuses_a_non_integral_m_and_names_an_unknown_layer():
+    rep = g.build_cycle_rep(g.cycle([[0.6, 0.8]]), 3)
+    # unchecked, m = 1.5 gave the index 0.5
+    for m in (1.5, 2.0, np.float64(1.0)):
+        with pytest.raises(TypeError):
+            rep.index(1, m)
+    assert rep.index(1, np.int64(2)) == rep.index(1, np.int32(2)) == 1
+    with pytest.raises(ValueError, match=r"layer 7 is not one of the truncation's layers \(1,\)"):
+        rep.index(7, 1)
+    chain = g.build_chain_rep(g.gray_zone_chain(), 2, 1, 2)
+    with pytest.raises(ValueError, match=r"layer -2 is not one of .* \(-1, 0, 1, 2\)"):
+        chain.index(-2, 1)
+
+
 # ----------------------------------------------------------------------
 # chain representations
 
@@ -165,14 +179,11 @@ def test_chain_rep_masks():
     blk, inner = 3 ** 3, 3 ** 2
     assert rep.layers == (-2, -1, 0, 1, 2, 3)
     interior = np.zeros(rep.dim, dtype=bool)
-    sum_interior = np.zeros(rep.dim, dtype=bool)
     for pos, t in enumerate(rep.layers):
         if t != -2:
             interior[pos * blk : pos * blk + inner] = True
-        if t != 3:
-            sum_interior[pos * blk : (pos + 1) * blk] = True
     assert np.array_equal(rep.interior, interior)
-    assert np.array_equal(rep.sum_interior, sum_interior)
+    assert [rep.layers[pos] for pos in rep.step_targets] == [-2, -1, 0, 1, 2]
 
 
 def test_chain_rejects_prefix_kind():
@@ -226,7 +237,7 @@ def test_fiber_phase_one_matches_plain_cycle():
         assert abs(a - b).max() == 0.0
     assert np.array_equal(plain.omega, fiber.omega)
     assert np.array_equal(plain.interior, fiber.interior)
-    assert np.array_equal(plain.sum_interior, fiber.sum_interior)
+    assert np.array_equal(plain.step_targets, fiber.step_targets)
 
 
 def test_fiber_eigenequation():
@@ -592,14 +603,25 @@ def test_eigencheck_matches_the_assembled_product(seed, n, k, p, zeros):
     assert np.max(np.abs(mine - reference_numeric_cycle_eigencheck(v, p))) < 1e-9
 
 
-class _Untouchable:
-    """Stands in for `rep.gens` or `rep.csc`: any use of it fails."""
+def _apply_gen(rep, i, x, transpose=False):
+    """S_(i+1) x, or S_(i+1)^T x, of a dense vector or a stack of column
+    vectors, through the held kernel."""
+    if x.ndim == 2:
+        return np.stack([_apply_gen(rep, i, col, transpose) for col in x.T], axis=1)
+    return g.reps._dense(rep, g.reps._gen_held(rep, i, g.reps._prefixes(rep, x), transpose))
 
-    def __init__(self, name):
-        self.name = name
+
+def _chain_vectors(rep, lo, hi):
+    """{t: E_t} of `_chain_walk`, dense; E_t for t > 0 is an adjoint's."""
+    return {t: g.reps._dense(rep, vec, adjoint=t > 0)
+            for t, vec in g.reps._chain_walk(rep, lo, hi)}
+
+
+class _Untouchable:
+    """Stands in for `rep.gens`: any use of it fails."""
 
     def _refuse(self, *_args):
-        raise AssertionError(f"an operator read rep.{self.name}")
+        raise AssertionError("an operator read rep.gens")
 
     __getitem__ = __iter__ = __len__ = _refuse
 
@@ -609,7 +631,7 @@ def _operator_outputs(rep, z, element):
     `apply_element` and `power_vanish` return for `rep`, as bytes."""
     if rep.kind == "chain":
         d_minus, d_plus = rep.window
-        walked = list(g.reps._chain_vectors(rep, -d_minus, d_plus).values())
+        walked = list(_chain_vectors(rep, -d_minus, d_plus).values())
     else:
         walked = g.cycle_anchor_vectors(rep)
     basis = [vec for depth in (1, 2) for _, vec in g.enumerate_basis(rep, depth)]
@@ -633,12 +655,11 @@ def _operator_outputs(rep, z, element):
 ], ids=["fiber", "cycle N=3", "gray", "rotation", "explicit"])
 def test_operator_walks_assemble_nothing(rep, z, element):
     expected = _operator_outputs(rep, z, element)
-    # a fresh copy, with neither the generators nor their arrays built
+    # a fresh copy, without the generators built
     rep = dataclasses.replace(rep)
-    for name in ("gens", "csc"):
-        rep.__dict__[name] = _Untouchable(name)
-        with pytest.raises(AssertionError, match=f"read rep.{name}"):
-            getattr(rep, name)[0]
+    rep.__dict__["gens"] = _Untouchable()
+    with pytest.raises(AssertionError, match="read rep.gens"):
+        rep.gens[0]
     assert _operator_outputs(rep, z, element) == expected
     g.verify_gp(rep)
 
@@ -884,6 +905,20 @@ def test_exports_match_per_entry_reference_on_drawn_reps(rep):
             == json.dumps(reference_export_json(rep), sort_keys=True))
 
 
+@settings(max_examples=150, deadline=None)
+@given(rep=_drawn_reps(), seed=st.integers(0, 2 ** 32 - 1), terms=st.integers(1, 3))
+def test_vacuum_expectation_keeps_the_bits_of_vdot(rep, seed, terms):
+    a = random_element(np.random.default_rng(seed), rep.n, max_word=2, n_terms=terms)
+    omega = rep.omega
+    try:
+        expected = np.vdot(omega, g.apply_element(rep, a, omega))
+    except g.TruncationOverflowError:
+        with pytest.raises(g.TruncationOverflowError):
+            g.vacuum_expectation(rep, a)
+        return
+    assert np.complex128(g.vacuum_expectation(rep, a)).tobytes() == expected.tobytes()
+
+
 def _build_recording_steps(draw_rep):
     """A drawn rep and the (N, depth, layers, steps) its builder passed to
     `_layered_rep`."""
@@ -903,27 +938,30 @@ def _build_recording_steps(draw_rep):
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_stored_csc_arrays_match_the_coo_route(data):
+def test_generator_entries_match_the_coo_route(data):
     rep, table = _build_recording_steps(lambda: data.draw(_drawn_reps()))
     reference = reference_layered_gens(*table)
-    assert len(rep.csc) == len(reference) == rep.n
-    for (values, indices, indptr), mat in zip(rep.csc, reference):
+    entries = list(g.reps._generator_entries(rep))
+    assert len(entries) == len(reference) == rep.n
+    # in column-then-row order, the order of the reference's CSC arrays
+    for (rows, cols, values), mat in zip(entries, reference):
         assert mat.shape == (rep.dim, rep.dim)
         assert values.dtype == complex and values.tobytes() == mat.data.tobytes()
-        # the COO route keeps int64 indices; the stored ones are int32
-        for mine, theirs in ((indices, mat.indices), (indptr, mat.indptr)):
-            assert mine.dtype == np.int32 and np.array_equal(mine, theirs)
-        for array in (values, indices, indptr):
-            assert not array.flags.writeable
+        assert np.array_equal(rows, mat.indices)
+        assert np.array_equal(cols, np.repeat(np.arange(rep.dim), np.diff(mat.indptr)))
 
 
-def test_gens_wrap_the_stored_arrays():
-    rep = _export_reps()["gray zone window 2 3"]
+def test_gens_match_the_coo_route_and_are_cached():
+    rep, table = _build_recording_steps(
+        lambda: g.build_chain_rep(g.gray_zone_chain(), 3, 2, 3))
     assert "gens" not in rep.__dict__
-    for (values, indices, indptr), mat in zip(rep.csc, rep.gens):
-        assert np.shares_memory(mat.data, values)
-        assert np.shares_memory(mat.indices, indices)
-        assert np.shares_memory(mat.indptr, indptr)
+    reference = reference_layered_gens(*table)
+    assert len(rep.gens) == len(reference) == rep.n
+    for mat, expected in zip(rep.gens, reference):
+        assert mat.format == "csc" and mat.shape == expected.shape
+        assert mat.data.tobytes() == expected.data.tobytes()
+        assert np.array_equal(mat.indices, expected.indices)
+        assert np.array_equal(mat.indptr, expected.indptr)
     assert rep.gens is rep.gens
 
 
@@ -1124,9 +1162,8 @@ def test_step_table_matches_the_sparse_products(rep, seed):
         part[rng.random(rep.dim) < 0.3] = zero
     for x in (stack[:, 0].copy(), stack, np.asfortranarray(stack), stack[:, 1], signed_zeros):
         for i, gen in enumerate(rep.gens):
-            assert g.reps._apply_gen(rep, i, x).tobytes() == (gen @ x).tobytes()
-            assert (g.reps._apply_gen(rep, i, x, transpose=True).tobytes()
-                    == (gen.T @ x).tobytes())
+            assert _apply_gen(rep, i, x).tobytes() == (gen @ x).tobytes()
+            assert _apply_gen(rep, i, x, transpose=True).tobytes() == (gen.T @ x).tobytes()
 
 
 def _support_vector(rep, rng, shape):
@@ -1179,7 +1216,7 @@ def test_cut_kernels_match_the_full_sweep(rep, seed, shape, edges):
     for y in (x, stack[:, 1], stack, np.asfortranarray(stack)):
         for i in range(rep.n):
             for transpose in (False, True):
-                assert (key(g.reps._apply_gen(rep, i, y, transpose))
+                assert (key(_apply_gen(rep, i, y, transpose))
                         == key(reference_apply_gen(rep, i, y, transpose)))
         for adjoint in (False, True):
             assert (key(g.reps._apply_isometry(rep, v, y, adjoint))
@@ -1234,7 +1271,7 @@ def test_chain_vectors_match_walk_from_omega(window):
     chain = g.explicit_chain([random_unit(rng, 2) for _ in range(3)], [random_unit(rng, 2)])
     rep = g.build_chain_rep(chain, 4, *window)
     d_minus, d_plus = window
-    family = g.reps._chain_vectors(rep, -d_minus, d_plus)
+    family = _chain_vectors(rep, -d_minus, d_plus)
     assert sorted(family) == list(range(-d_minus, d_plus + 1))
     for t in range(-d_minus, d_plus + 1):
         expected = reference_chain_vector(rep, t).tobytes()
