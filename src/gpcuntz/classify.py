@@ -32,7 +32,7 @@ from .params import (
     primitive_root,
     scale_cycle,
 )
-from .reps import _apply_isometry, build_cycle_rep, build_fiber_rep
+from .reps import _apply_isometry, build_cycle_rep, build_fiber_rep, cycle_anchor_vectors
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,9 @@ def numeric_cycle_eigencheck(v: CycleParam, p: int, depth: int | None = None,
     In the representation of the p-th tensor power of a nonperiodic v,
     the vectors pi(s(v))^j Omega (j = 1..p) span a p-dimensional space on
     which pi(s(v)) acts as a cyclic shift; the returned eigenvalues are
-    the p-th roots of unity, sorted by phase angle.
+    the p-th roots of unity, sorted by phase angle.  The orbit is read off
+    the anchors of the tiled cycle's truncation: pi(s(v))^j Omega is
+    anchor (p - j) k + 1.
     """
     if p < 1:
         raise ValueError("power must be >= 1")
@@ -221,20 +223,13 @@ def numeric_cycle_eigencheck(v: CycleParam, p: int, depth: int | None = None,
     if depth < needed:
         raise ValueError(f"insufficient depth: need >= {needed}, have {depth}")
     rep = build_cycle_rep(CycleParam(np.tile(v.rows, (p, 1))), depth)
-
-    def apply(x):
-        # pi(s(v)) = s(v^(1)) ... s(v^(k)), one factor at a time
-        for f in v.rows[::-1]:
-            x = _apply_isometry(rep, f, x)
-        return x
-
-    orbit = []
-    w = rep.omega
-    for _ in range(p):
-        w = apply(w)
-        orbit.append(w)
+    orbit = cycle_anchor_vectors(rep)[(p - 1) * k::-k]
     q_mat, _ = np.linalg.qr(np.stack(orbit, axis=1))
-    compressed = q_mat.conj().T @ apply(q_mat)
+    image = q_mat
+    # pi(s(v)) = s(v^(1)) ... s(v^(k)), one factor at a time
+    for f in v.rows[::-1]:
+        image = _apply_isometry(rep, f, image)
+    compressed = q_mat.conj().T @ image
     eigenvalues = np.linalg.eigvals(compressed)
     # sort by phase angle, keeping values just below the positive axis at 0
     # instead of letting rounding noise wrap them to 2 pi

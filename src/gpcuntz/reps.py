@@ -48,15 +48,15 @@ on a block at once and add v_i times each block in the order of Python's
 `sum` over whole applications; the support guard of `apply_element` reads
 the same prefixes.  The dense entry points (`cycle_anchor_vectors`,
 `chain_vector`, `enumerate_basis`, `apply_element`, `power_vanish`) cut a
-vector into prefixes with one scan and write results out over zeros: +0.0,
-or the (0.0, -0.0) an adjoint's conjugate leaves, as a sweep over the
-whole vector writes them.  Each target is reached by one step, so the
-relation residuals of `verify_gp` come from the N x N coefficient blocks
-alone, in O(steps N^3).  Products are written out in float64 as
-(ar br - ai bi, ar bi + ai br), since numpy's array complex multiply can
-round otherwise, and summed in scipy's order, so every residual, and every
-vector from a finite one, carries the bits of the sparse products it
-replaced.
+vector's layer blocks through `_trimmed`, as every result is cut, and
+write results out over zeros: +0.0, or the (0.0, -0.0) an adjoint's
+conjugate leaves, as a sweep over the whole vector writes them.  Each
+target is reached by one step, so the relation residuals of `verify_gp`
+come from the N x N coefficient blocks alone, in O(steps N^3).  Products
+are written out in float64 as (ar br - ai bi, ar bi + ai br), since
+numpy's array complex multiply can round otherwise, and summed in scipy's
+order, so every residual, and every vector from a finite one, carries the
+bits of the sparse products it replaced.
 
 `gens`, the generators as scipy csc_arrays built on first use from the
 entries the exports write, is the only scipy view of a truncation and the
@@ -67,16 +67,16 @@ scipy stays a dependency.
 
 `verify_gp` holds every vector it forms as prefixes: the anchors, the
 chain family E_t, pushed from Omega through the window once and reused by
-the basis check, the branch words, and the differences its eigen and
-step residuals measure.  Its Gram checks stack only the union of their
-vectors' prefixes, and its norms run over a window of the dense layout
-aligned to 64 entries, which keeps the bits of numpy's norm of the whole
-vector; nothing it allocates or scans has the truncation's dimension.
-The builders refuse, before allocating, more than REP_BUDGET basis vectors
-at rank 2 (2 REP_BUDGET / N at rank N), and `verify_gp` refuses, before it
-enumerates, a basis check whose stack of count x rows entries would exceed
-8 REP_BUDGET, with the rows bounded from the prefixes of the vectors the
-family branches from.
+the step and basis checks, the branch words, and the differences its
+eigen and step residuals measure.  Its Gram checks stack only the union
+of their vectors' prefixes, and its norms run over a window of the dense
+layout aligned to 64 entries, which keeps the bits of numpy's norm of the
+whole vector; nothing it allocates or scans has the truncation's
+dimension.  The builders refuse, before allocating, more than REP_BUDGET
+basis vectors at rank 2 (2 REP_BUDGET / N at rank N), and `verify_gp`
+refuses, before it enumerates, a basis check whose stack of count x rows
+entries would exceed 8 REP_BUDGET, with the rows bounded from the
+prefixes of the vectors the family branches from.
 
 The exports write each generator's entries from the step table in one
 vectorised pass and cost about the bytes they emit.  `export_coo` turns
@@ -214,9 +214,9 @@ class TruncatedRep:
             up[target] = (c, source)
         return down, up
 
-    def index(self, layer, m: int) -> int:
+    def index(self, layer: int, m: int) -> int:
         """Basis index of e_(layer, m), m = 1..N^D."""
-        m = operator.index(m)
+        layer, m = operator.index(layer), operator.index(m)
         if not 1 <= m <= self.block:
             raise ValueError(f"m = {m} is outside 1..{self.block}")
         if layer not in self.layers:
@@ -226,6 +226,7 @@ class TruncatedRep:
 
     def label_of(self, idx: int):
         """(layer, m) of basis index idx = 0..dim - 1."""
+        idx = operator.index(idx)
         if not 0 <= idx < self.dim:
             raise ValueError(f"index {idx} is outside 0..{self.dim - 1}")
         return (self.layers[idx // self.block], idx % self.block + 1)
@@ -356,23 +357,11 @@ def _chain_factor(rows: np.ndarray, m: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 # operators applied to vectors, held as {layer position: block prefix}
 
-def _extents(rep: TruncatedRep, x: np.ndarray) -> np.ndarray:
-    """One past the last nonzero entry of each layer block of the vector x,
-    0 for a block of zeros, from one scan of its float64 view; NaN counts
-    as nonzero."""
-    flags = np.ascontiguousarray(x).view(np.float64).reshape(len(rep.layers), -1) != 0
-    back = flags[:, ::-1].argmax(axis=1)
-    hit = flags[np.arange(len(flags)), flags.shape[1] - 1 - back]
-    return np.where(hit, (flags.shape[1] - back + 1) // 2, 0)
-
-
 def _prefixes(rep: TruncatedRep, x: np.ndarray) -> dict:
     """The dense vector x held as its nonzero layer block prefixes, as
     views of x."""
     x = np.ascontiguousarray(x, dtype=complex)
-    blocks = x.reshape(len(rep.layers), rep.block)
-    return {layer: blocks[layer, :end]
-            for layer, end in enumerate(_extents(rep, x).tolist()) if end}
+    return _trimmed(dict(enumerate(x.reshape(len(rep.layers), rep.block))))
 
 
 def _dense(rep: TruncatedRep, held: dict, adjoint: bool = False) -> np.ndarray:
@@ -388,7 +377,8 @@ def _dense(rep: TruncatedRep, held: dict, adjoint: bool = False) -> np.ndarray:
 
 
 def _trimmed(blocks: dict) -> dict:
-    """Each block cut to its extent, the blocks of zeros dropped."""
+    """Each block cut to its extent, one past its last nonzero float64 part
+    (NaN counts, -0.0 does not), the blocks of zeros dropped."""
     out = {}
     for layer, x in blocks.items():
         flags = x.view(np.float64) != 0
@@ -766,30 +756,30 @@ def _relation_residuals(rep: TruncatedRep) -> tuple:
 
     A step's target rows are reached from its source alone, so with C its
     coefficients, S_i* S_j on each of the step's interior columns is
-    sum_l conj(C_il) C_jl, and sum_i S_i S_i* on its target block is the
-    N x N block sum_i C_il' conj(C_il) repeated down the diagonal.  The
-    sums run in ascending l and ascending i from zero, with each product
-    written out in float64 as `_forward` writes it: the order and
-    rounding of scipy's sparse products over the generators.  O(steps N^3).
+    sum_l conj(C_il) C_jl, `_overlaps(C)`, and sum_i S_i S_i* on its target
+    block is the N x N block sum_i C_il' conj(C_il) repeated down the
+    diagonal, `_overlaps` of the transposed blocks, transposed; a transpose
+    leaves max |X - I| as it is.  O(steps N^3).
     """
-    c = rep.step_coeffs
-    cr, ci = c.real, c.imag
     eye = np.eye(rep.n)
-    # [s, i, j]: conj(C_il) C_jl summed over l
-    iso_re, iso_im = np.zeros(c.shape), np.zeros(c.shape)
-    for l in range(rep.n):
+    c = rep.step_coeffs
+    return tuple(_max_abs(re - eye, im)
+                 for re, im in (_overlaps(c), _overlaps(c.transpose(0, 2, 1))))
+
+
+def _overlaps(c: np.ndarray) -> tuple:
+    """Real and imaginary parts of sum_l conj(c_il) c_jl at [s, i, j] for a
+    stack c of N x N blocks, from zero in ascending l, each product written
+    out in float64 as `_forward` writes it: the order and rounding of
+    scipy's sparse products, up to operand swaps IEEE arithmetic makes exact."""
+    cr, ci = c.real, c.imag
+    re, im = np.zeros(c.shape), np.zeros(c.shape)
+    for l in range(c.shape[-1]):
         ar, ai = cr[:, None, :, l], ci[:, None, :, l]
         br, bi = cr[:, :, None, l], -ci[:, :, None, l]
-        iso_re += ar * br - ai * bi
-        iso_im += ar * bi + ai * br
-    # [s, l', l]: C_il' conj(C_il) summed over i
-    comp_re, comp_im = np.zeros(c.shape), np.zeros(c.shape)
-    for i in range(rep.n):
-        ar, ai = cr[:, i, None, :], -ci[:, i, None, :]
-        br, bi = cr[:, i, :, None], ci[:, i, :, None]
-        comp_re += ar * br - ai * bi
-        comp_im += ar * bi + ai * br
-    return _max_abs(iso_re - eye, iso_im), _max_abs(comp_re - eye, comp_im)
+        re += ar * br - ai * bi
+        im += ar * bi + ai * br
+    return re, im
 
 
 def _max_abs(re: np.ndarray, im: np.ndarray) -> float:
@@ -898,30 +888,22 @@ def verify_gp(rep: TruncatedRep) -> VerificationReport:
     d = min(2, rep.depth - k)
     iso, comp = _relation_residuals(rep)
 
-    omega = _omega(rep)
     eigen = None
     step = None
     if cyclic:
         family = _anchors(rep)
         # family[0] is pi(s(z^(1)) ... s(z^(k))) Omega
-        eigen = _norm(rep, _difference(family[0], omega))
+        eigen = _norm(rep, _difference(family[0], _omega(rep)))
         columns = family
     else:
         d_minus, d_plus = rep.window
-        family = {}
-        steps = []
-        # the latest vector of the walk up from Omega and of the walk down
-        latest = {True: omega, False: omega}
-        for t, vec in _chain_walk(rep, -(d_minus - 1), d_plus):
-            family[t] = vec
-            if t == 0:
-                continue
-            # s(z_u) E_u = E_(u-1) for the step the walk just took
-            u, upper, lower = (t, vec, latest[True]) if t > 0 else (t + 1, latest[False], vec)
-            pushed = _iso_held(rep, _chain_factor(rep.factor_rows, u), upper)
-            steps.append(_norm(rep, _difference(pushed, lower)))
-            latest[t > 0] = vec
-        step = float(np.max(steps, initial=0.0))
+        family = dict(_chain_walk(rep, -(d_minus - 1), d_plus))
+        # s(z_u) E_u = E_(u-1)
+        step = float(np.max(
+            [_norm(rep, _difference(_iso_held(rep, _chain_factor(rep.factor_rows, u), family[u]),
+                                    family[u - 1]))
+             for u in range(-d_minus + 2, d_plus + 1)],
+            initial=0.0))
         columns = [family[t] for t in sorted(family)]
     family_residual = _compact_gram(columns)[1]
 

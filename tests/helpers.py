@@ -383,6 +383,19 @@ def reference_value_texts(values) -> np.ndarray:
     return texts[inverse.ravel()]
 
 
+def reference_prefixes(rep, x):
+    """{layer position: block up to one past its last nonzero entry} of a
+    dense vector, blocks of zeros left out, from `np.flatnonzero` of each
+    block's float64 view: NaN counts as nonzero and -0.0 as zero."""
+    blocks = np.ascontiguousarray(x, dtype=complex).reshape(len(rep.layers), rep.block)
+    out = {}
+    for layer, block in enumerate(blocks):
+        parts = np.flatnonzero(block.view(np.float64))
+        if parts.size:
+            out[layer] = block[:parts[-1] // 2 + 1]
+    return out
+
+
 def reference_apply_gen(rep, i, x, transpose=False):
     """S_(i+1) x, or S_(i+1)^T x, by the full sweep that `reps._gen_held`
     replaced: every step's slices of the whole layer blocks, whatever x

@@ -403,6 +403,11 @@ VERIFY_GOLDENS = [
       "--window", "3", "5"), "verify_rotation_2_7"),
     (("--inline", '{"kind":"chain","gray_zone":true}', "--depth", "4", "--window", "3", "5"),
      "verify_gray_zone"),
+    # the edges of the step range: every step above Omega, or one below it
+    (("--inline", '{"kind":"chain","rotation":{"num":2,"den":7}}', "--depth", "4",
+      "--window", "1", "2"), "verify_rotation_2_7_window_1_2"),
+    (("--inline", '{"kind":"chain","rotation":{"num":2,"den":7}}', "--depth", "4",
+      "--window", "2", "1"), "verify_rotation_2_7_window_2_1"),
 ]
 
 

@@ -28,6 +28,7 @@ from helpers import (
     reference_layered_gens,
     reference_numeric_cycle_eigencheck,
     reference_power_vanish,
+    reference_prefixes,
     reference_relation_residuals,
     reference_value_texts,
     reference_vector_isometry,
@@ -128,6 +129,15 @@ def test_basis_index_refuses_a_non_integral_m_and_names_an_unknown_layer():
         with pytest.raises(TypeError):
             rep.index(1, m)
     assert rep.index(1, np.int64(2)) == rep.index(1, np.int32(2)) == 1
+    # the layer and label_of's index go through operator.index as well:
+    # index(1.0, 1) gave 0, and label_of(np.int64(3)) kept the numpy type
+    for call in (lambda: rep.index(1.0, 1), lambda: rep.index(np.float64(1.0), 1),
+                 lambda: rep.label_of(1.5), lambda: rep.label_of(3.0)):
+        with pytest.raises(TypeError):
+            call()
+    assert rep.index(np.int64(1), 2) == 1
+    label = rep.label_of(np.int64(3))
+    assert label == (1, 4) and type(label[1]) is int
     with pytest.raises(ValueError, match=r"layer 7 is not one of the truncation's layers \(1,\)"):
         rep.index(7, 1)
     chain = g.build_chain_rep(g.gray_zone_chain(), 2, 1, 2)
@@ -1221,6 +1231,40 @@ def test_cut_kernels_match_the_full_sweep(rep, seed, shape, edges):
         for adjoint in (False, True):
             assert (key(g.reps._apply_isometry(rep, v, y, adjoint))
                     == key(reference_apply_isometry(rep, v, y, adjoint)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rep=_drawn_reps(), seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.sampled_from(["zero", "one-hot", "block prefix", "strided", "dense"]),
+       edges=st.sampled_from(["none", "signed zeros", "nan", "imaginary last"]))
+def test_prefixes_cut_every_block_after_its_last_nonzero_part(rep, seed, shape, edges):
+    rng = np.random.default_rng(seed)
+    x = _support_vector(rep, rng, shape)
+    blocks = x.reshape(len(rep.layers), rep.block)
+    if edges == "signed zeros":
+        for part, zero in ((x.real, -0.0), (x.imag, 0.0), (x.imag, -0.0)):
+            part[rng.random(rep.dim) < 0.3] = zero
+        # a tail of -0.0 past whatever a block holds
+        blocks[rng.integers(len(blocks)), -int(rng.integers(1, rep.block + 1)):] = complex(-0.0, -0.0)
+    elif edges == "nan":
+        for part in (x.real, x.imag):
+            part[rng.integers(rep.dim)] = np.nan
+    elif edges == "imaginary last":
+        # only the imaginary part of the block's last entry is nonzero
+        target = rng.integers(len(blocks))
+        blocks[target] = -0.0
+        blocks[target, -1] = complex(-0.0, rng.normal())
+    held = g.reps._prefixes(rep, x)
+    expected = reference_prefixes(rep, x)
+    assert {layer: b.size for layer, b in held.items()} == {
+        layer: b.size for layer, b in expected.items()}
+    assert list(held) == sorted(held)
+    for block in held.values():
+        assert np.shares_memory(block, x)
+    if edges == "imaginary last":
+        assert held[target].size == rep.block
+    if shape == "zero" and edges in ("none", "signed zeros"):
+        assert held == {}
 
 
 _EDGE_FLOATS = [0.0, -0.0, 0.8, -0.8, float("nan"), float("inf")]
