@@ -7,6 +7,12 @@ grammar of `gpcuntz.expressions`.  The environment variable GPCUNTZ_TOL, a
 finite positive number, overrides the default tolerance 1e-9.  Exit codes:
 0 success, 1 domain error, 2 usage error.  Floats print with shortest
 round-trip literals (up to 17 significant digits).
+
+Each handler imports the modules it runs when it is called, so a process
+compiles and imports only what its subcommand needs: `normalize` loads
+`expressions` and `algebra`; `classify`, `equivalent` and `decompose` load
+`params` and `decisions` but not `reps`; only `rep-build` and `verify` load
+`reps`.  No subcommand loads scipy.
 """
 
 from __future__ import annotations
@@ -20,13 +26,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import algebra, expressions, params, reps, states
-from .classify import classify, decompose_chain, decompose_cycle, equivalent
-
 
 def _tolerance() -> float:
+    from .algebra import DEFAULT_TOL
+
     raw = os.environ.get("GPCUNTZ_TOL")
-    tol = _number_in(raw, "GPCUNTZ_TOL") if raw else algebra.DEFAULT_TOL
+    tol = _number_in(raw, "GPCUNTZ_TOL") if raw else DEFAULT_TOL
     if not 0.0 < tol < np.inf:
         raise ValueError(f"GPCUNTZ_TOL must be a finite positive number, got {raw!r}")
     return tol
@@ -73,6 +78,8 @@ def param_from_json(obj):
 
     Malformed input raises ValueError naming the offending field.
     """
+    from . import params
+
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("parameter JSON must be an object with a 'kind' key")
     kind = obj["kind"]
@@ -117,6 +124,8 @@ def param_from_json(obj):
 
 
 def param_to_json(p) -> dict:
+    from . import params
+
     vec = params.complex_pairs
     if isinstance(p, params.CycleParam):
         return {"kind": "cycle", "N": p.n, "factors": vec(p.rows)}
@@ -164,6 +173,8 @@ def _emit(args, payload: dict, text_lines):
 # subcommands
 
 def _cmd_normalize(args) -> int:
+    from . import algebra, expressions
+
     elem = expressions.parse(args.expression, args.rank)
     if args.expand is not None:
         elem = algebra.expand_identity(elem, args.expand)
@@ -173,6 +184,8 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_state_eval(args) -> int:
+    from . import expressions, states
+
     param = _param_from_args(args)
     elem = expressions.parse(args.expression, param.n)
     value = states.state_eval(param, elem)
@@ -185,6 +198,8 @@ def _cmd_state_eval(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .decisions import classify
+
     param = _param_from_args(args)
     report = classify(param, _tolerance())
     payload = report.to_dict()
@@ -200,6 +215,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_equivalent(args) -> int:
+    from .decisions import equivalent
+
     a = _load_param(args.param)
     b = _load_param(args.other)
     result = equivalent(a, b, _tolerance())
@@ -208,6 +225,9 @@ def _cmd_equivalent(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from . import params
+    from .decisions import decompose_chain, decompose_cycle
+
     param = _param_from_args(args)
     # each dict is built once and serves the payload and the text lines
     if isinstance(param, params.CycleParam):
@@ -225,10 +245,14 @@ def _cmd_decompose(args) -> int:
 
 
 def _build_rep(args, param):
+    from . import params, reps
+
     if isinstance(param, params.CycleParam):
         if args.window:
             raise ValueError("--window applies to chain parameters only")
         if args.fiber:
+            from . import expressions
+
             phase_elem = expressions.parse(args.fiber, 2)
             phase = phase_elem.terms.get(((), ()), 0.0)
             if set(phase_elem.terms) - {((), ())}:
@@ -243,6 +267,8 @@ def _build_rep(args, param):
 
 
 def _cmd_rep_build(args) -> int:
+    from . import reps
+
     param = _param_from_args(args)
     rep = _build_rep(args, param)
     if args.format == "matrix-coo":
@@ -253,6 +279,8 @@ def _cmd_rep_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import reps
+
     tol = _tolerance()
     rep = _build_rep(args, _param_from_args(args))
     report = reps.verify_gp(rep)
@@ -264,6 +292,8 @@ def _cmd_verify(args) -> int:
 
 
 def _diag_chain(args):
+    from . import params
+
     picked = [
         bool(args.rotation),
         args.theta is not None,
@@ -288,6 +318,8 @@ def _diag_chain(args):
 
 
 def _cmd_diagnostics(args) -> int:
+    from . import params
+
     chain = _diag_chain(args)
     target = None
     if args.target:
@@ -308,6 +340,8 @@ def _cmd_diagnostics(args) -> int:
 
 
 def _cmd_car_check(args) -> int:
+    from . import algebra, states
+
     if args.n_max < 1:
         raise ValueError("--n-max must be >= 1")
     # generators 1..n_max hold 2^n_max - 1 terms; past the budget's bit length
@@ -428,15 +462,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DOMAIN_ERRORS = (
-    ValueError,
-    algebra.RankMismatchError,
-    params.UndecidableError,
-    reps.TruncationOverflowError,
-    expressions.ExprSyntaxError,
-    OSError,
-    json.JSONDecodeError,
-)
+def _domain_errors() -> tuple:
+    """The errors that exit 1 with one `error:` line.
+
+    Every domain error is a ValueError or an OSError, json.JSONDecodeError and
+    the package's own errors included, except reps.TruncationOverflowError, a
+    RuntimeError; only a subcommand that has loaded `reps` can raise it.
+    """
+    reps = sys.modules.get(f"{__package__}.reps")
+    return (ValueError, OSError) + ((reps.TruncationOverflowError,) if reps else ())
 
 
 def main(argv=None) -> int:
@@ -444,7 +478,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _DOMAIN_ERRORS as exc:
+    except _domain_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

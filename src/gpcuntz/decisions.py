@@ -7,6 +7,8 @@ the circle into the scaled-cycle family of its tail block), irreducible
 for irrational rotation chains (an analytic input, never computed from a
 float), and undecided in the gray zone.  `classify` reads the periodicity
 verdict, never the chain kind; `decompose_chain` reads the one tail block.
+Only `DirectIntegralDescriptor.fiber` and `numeric_cycle_eigencheck` build
+truncations, so they import `reps` when called and no verdict loads it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .params import (
     primitive_root,
     scale_cycle,
 )
-from .reps import _apply_isometry, build_cycle_rep, build_fiber_rep, cycle_anchor_vectors
 
 
 @dataclass(frozen=True)
@@ -143,6 +144,8 @@ class DirectIntegralDescriptor:
     uniqueness: str = "base fixed up to a unimodular scalar and cyclic rotation"
 
     def fiber(self, c, depth: int):
+        from .reps import build_fiber_rep
+
         return build_fiber_rep(self.base, c, depth)
 
     def to_dict(self):
@@ -211,6 +214,8 @@ def numeric_cycle_eigencheck(v: CycleParam, p: int, depth: int | None = None,
     the anchors of the tiled cycle's truncation: pi(s(v))^j Omega is
     anchor (p - j) k + 1.
     """
+    from .reps import _apply_isometry, build_cycle_rep, cycle_anchor_vectors
+
     if p < 1:
         raise ValueError("power must be >= 1")
     _root, q = primitive_root(v, tol)

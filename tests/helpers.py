@@ -3,6 +3,9 @@
 import cmath
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -697,3 +700,17 @@ def reference_format_element(a) -> str:
     for negative, body in rendered[1:]:
         out += (" - " if negative else " + ") + body
     return out
+
+
+def run_python(*args, preexec_fn=None):
+    # the child process imports gpcuntz from the same tree as this test run,
+    # installed or not
+    package_root = os.path.dirname(os.path.dirname(g.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=preexec_fn,
+    )

@@ -3,15 +3,14 @@
 import gc
 import json
 import math
-import os
 import pathlib
 import resource
-import subprocess
 import sys
 
 import pytest
 
-from gpcuntz import DirectIntegralDescriptor, cli
+from gpcuntz import DirectIntegralDescriptor, algebra, cli, expressions, params, reps
+from helpers import run_python
 
 CYCLE_E1 = '{"kind":"cycle","N":2,"factors":[[[1,0],[0,0]]]}'
 CYCLE_E1E1 = '{"kind":"cycle","N":2,"factors":[[[1,0],[0,0]],[[1,0],[0,0]]]}'
@@ -258,13 +257,13 @@ def test_car_check_reaches_n_max_8(capsys):
 
 def test_car_check_builds_each_adjoint_once(capsys, monkeypatch):
     calls = []
-    adjoint = cli.algebra.AlgebraElement.adjoint
+    adjoint = algebra.AlgebraElement.adjoint
 
     def counted(self):
         calls.append(len(self.terms))
         return adjoint(self)
 
-    monkeypatch.setattr(cli.algebra.AlgebraElement, "adjoint", counted)
+    monkeypatch.setattr(algebra.AlgebraElement, "adjoint", counted)
     code, _, _ = run_cli(capsys, "car-check", "--n-max", "4")
     assert code == 0
     # once per generator for the pairs, and once in each Fock residual
@@ -283,7 +282,7 @@ def test_car_check_over_budget_is_refused_before_generating(capsys, monkeypatch,
     def no_generators(_):
         raise AssertionError("a CAR generator was built for a refused request")
 
-    monkeypatch.setattr(cli.algebra, "car_generator", no_generators)
+    monkeypatch.setattr(algebra, "car_generator", no_generators)
     code, out, err = run_cli(capsys, "car-check", "--n-max", n_max)
     assert code == 1
     assert out == ""
@@ -293,7 +292,7 @@ def test_car_check_over_budget_is_refused_before_generating(capsys, monkeypatch,
 
 
 def test_car_check_budget_charges_every_generator(capsys, monkeypatch):
-    monkeypatch.setattr(cli.algebra, "EXPAND_BUDGET", 14)
+    monkeypatch.setattr(algebra, "EXPAND_BUDGET", 14)
     code, _, _ = run_cli(capsys, "car-check", "--n-max", "3")
     assert code == 0
     code, _, err = run_cli(capsys, "car-check", "--n-max", "4")
@@ -319,10 +318,10 @@ def test_rep_build_out_of_memory_in_a_json_list_prints_one_error_line(
         def tolist(self):
             raise MemoryError
 
-    nested_list = cli.params._nested_list
+    nested_list = params._nested_list
     # the real helper, with a tolist that runs out of memory
-    monkeypatch.setattr(cli.params, "_nested_list", lambda _array: nested_list(Exhausted()))
-    monkeypatch.setattr(cli.reps, "_nested_list", cli.params._nested_list)
+    monkeypatch.setattr(params, "_nested_list", lambda _array: nested_list(Exhausted()))
+    monkeypatch.setattr(reps, "_nested_list", params._nested_list)
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
@@ -364,7 +363,7 @@ def test_diagnostics_with_target_over_budget_is_refused(capsys, monkeypatch):
     def no_factors(*_):
         raise AssertionError("factors were generated for a refused request")
 
-    monkeypatch.setattr(cli.params, "chain_factors", no_factors)
+    monkeypatch.setattr(params, "chain_factors", no_factors)
     code, out, err = run_cli(capsys, "diagnostics", "--rotation", "1/3", "--M", "1000000000000",
                              "--target", GRAY_TARGET)
     assert code == 1
@@ -374,13 +373,13 @@ def test_diagnostics_with_target_over_budget_is_refused(capsys, monkeypatch):
 
 def test_diagnostics_target_shares_one_factor_pass(capsys, monkeypatch):
     calls = []
-    generate = cli.params.chain_factors
+    generate = params.chain_factors
 
     def counted(chain, start, count):
         calls.append((start, count))
         return generate(chain, start, count)
 
-    monkeypatch.setattr(cli.params, "chain_factors", counted)
+    monkeypatch.setattr(params, "chain_factors", counted)
     code, out, _ = run_cli(capsys, "diagnostics", "--gray-zone", "--p", "2", "--M", "2000",
                            "--target", GRAY_TARGET)
     assert code == 0
@@ -472,7 +471,7 @@ def test_verify_refuses_an_oversized_basis_check_before_enumerating(capsys, monk
     def no_family(*_):
         raise AssertionError("the basis family was enumerated for a refused check")
 
-    monkeypatch.setattr(cli.reps, "_branch_words", no_family)
+    monkeypatch.setattr(reps, "_branch_words", no_family)
     # every entry 1/4: the anchors fill their first 16 and 256 entries, and
     # the depth-2 family would fill the blocks of 65,536 and 4,096 rows
     quarters = [[[0.25, 0]] * 16] * 2
@@ -533,7 +532,7 @@ STATE_EVAL_ELEMENT = " ".join([STATE_EVAL_FACTOR] * 4 + ["(" + " ".join([STATE_E
      "state_eval_explicit"),
 ])
 def test_state_eval_output_is_stable(capsys, param, stem):
-    assert len(cli.expressions.parse(STATE_EVAL_ELEMENT, 2).terms) == 6561
+    assert len(expressions.parse(STATE_EVAL_ELEMENT, 2).terms) == 6561
     code, out, _ = run_cli(capsys, "state-eval", "--inline", param, STATE_EVAL_ELEMENT)
     assert code == 0
     assert out == (DATA / f"{stem}.txt").read_text()
@@ -608,7 +607,7 @@ def _no_factors(*_):
 
 
 def test_large_rotation_is_classified_in_closed_form(capsys, monkeypatch):
-    monkeypatch.setattr(cli.params, "chain_factors", _no_factors)
+    monkeypatch.setattr(params, "chain_factors", _no_factors)
     code, out, err = run_cli(capsys, "classify", "--inline", BIG_ROTATION)
     assert code == 0
     assert out.splitlines()[-1] == "period: 100000007"
@@ -636,7 +635,7 @@ LCM_ERROR = ("error: the tail blocks tiled to the lcm of their lengths would gen
 ], ids=["decompose", "equivalent", "equivalent-undecidable-other", "equivalent-undecidable-first",
         "equivalent-lcm"])
 def test_large_rotation_block_is_refused_before_allocating(capsys, monkeypatch, argv, error):
-    monkeypatch.setattr(cli.params, "chain_factors", _no_factors)
+    monkeypatch.setattr(params, "chain_factors", _no_factors)
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -714,10 +713,22 @@ def test_verify_checks_the_tolerance_before_building(capsys, monkeypatch):
     def no_build(*_):
         raise AssertionError("the rep was built")
 
-    monkeypatch.setattr(cli.reps, "build_cycle_rep", no_build)
+    monkeypatch.setattr(reps, "build_cycle_rep", no_build)
     code, _, err = run_cli(capsys, "verify", "--inline", CYCLE_E1, "--depth", "3")
     assert code == 1
     assert err == "error: GPCUNTZ_TOL must be a finite positive number, got '0'\n"
+
+
+def test_truncation_overflow_prints_one_error_line(capsys, monkeypatch):
+    # the one domain error that is not a ValueError
+    def overflow(_rep):
+        raise reps.TruncationOverflowError("support escaped the exact interior; enlarge the depth")
+
+    monkeypatch.setattr(reps, "verify_gp", overflow)
+    code, out, err = run_cli(capsys, "verify", "--inline", CYCLE_E1, "--depth", "2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: support escaped the exact interior; enlarge the depth\n"
 
 
 def test_nan_parameter_is_refused():
@@ -764,20 +775,6 @@ def test_integer_fields_accept_integral_floats(capsys):
     assert code == 0 and out.startswith("verdict: yes")
 
 
-def run_python(*args, preexec_fn=None):
-    # the child process imports gpcuntz from the same tree as this test run,
-    # installed or not
-    package_root = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        preexec_fn=preexec_fn,
-    )
-
-
 def run_module(*argv):
     return run_python("-m", "gpcuntz.cli", *argv)
 
@@ -794,26 +791,62 @@ sys.exit(code)
 """
 
 
+# one small query per subcommand, with the package modules it runs: each
+# query must load these and no other module of the package
+ONE_QUERY_EACH = [
+    (("normalize", "-N", "2", "s1* s1"), {"algebra", "expressions"}),
+    (("state-eval", "--inline", CYCLE_E1, "s1"), {"algebra", "expressions", "params", "states"}),
+    (("classify", "--inline", CYCLE_E1E1), {"algebra", "params", "decisions"}),
+    (("equivalent", "--param", CYCLE_E1, "--other", CHAIN_E2), {"algebra", "params", "decisions"}),
+    (("decompose", "--inline", ROTATION_THIRD), {"algebra", "params", "decisions"}),
+    (("diagnostics", "--rotation", "1/3", "--M", "10", "--target", GRAY_TARGET),
+     {"algebra", "params"}),
+    (("car-check", "--n-max", "2"), {"algebra", "params", "states"}),
+    (("rep-build", "--inline", CYCLE_E1, "--depth", "2", "-f", "json"),
+     {"algebra", "params", "reps"}),
+    (("rep-build", "--inline", CYCLE_E1, "--depth", "2", "-f", "matrix-coo"),
+     {"algebra", "params", "reps"}),
+    (("verify", "--inline", CYCLE_E1, "--depth", "2"), {"algebra", "params", "reps"}),
+]
+
+
+def _query_id(argv):
+    return argv[0] + ("-" + argv[-1] if argv[-2] == "-f" else "")
+
+
 # no subcommand loads scipy; the second column, False in every case, keeps
 # the case ids as they were named when rep-build and verify still loaded it
-@pytest.mark.parametrize("argv, loads_scipy", [
-    (("normalize", "-N", "2", "s1* s1"), False),
-    (("state-eval", "--inline", CYCLE_E1, "s1"), False),
-    (("classify", "--inline", CYCLE_E1E1), False),
-    (("equivalent", "--param", CYCLE_E1, "--other", CHAIN_E2), False),
-    (("decompose", "--inline", ROTATION_THIRD), False),
-    (("diagnostics", "--rotation", "1/3", "--M", "10", "--target", GRAY_TARGET), False),
-    (("car-check", "--n-max", "2"), False),
-    (("rep-build", "--inline", CYCLE_E1, "--depth", "2", "-f", "json"), False),
-    (("rep-build", "--inline", CYCLE_E1, "--depth", "2", "-f", "matrix-coo"), False),
-    (("verify", "--inline", CYCLE_E1, "--depth", "2"), False),
-], ids=lambda value: (value[0] + ("-" + value[-1] if value[-2] == "-f" else "")
-                      if isinstance(value, tuple) else None))
+@pytest.mark.parametrize("argv, loads_scipy", [(argv, False) for argv, _ in ONE_QUERY_EACH],
+                         ids=lambda value: _query_id(value) if isinstance(value, tuple) else None)
 def test_scipy_sparse_is_loaded_only_to_check_a_rep(argv, loads_scipy):
     proc = run_python("-c", SCIPY_PROBE, *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
     assert proc.stderr.splitlines()[-1] == f"scipy loaded: {loads_scipy}"
+
+
+# runs the CLI module as `python -m gpcuntz.cli` does, then writes on stderr
+# the modules loaded by the time it exits; -X importtime would not do, as it
+# leaves out submodules loaded by `from . import name`
+MODULES_PROBE = """
+import runpy, sys
+try:
+    runpy.run_module("gpcuntz.cli", run_name="__main__", alter_sys=True)
+finally:
+    print(" ".join(sorted(sys.modules)), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, modules", ONE_QUERY_EACH,
+                         ids=[_query_id(argv) for argv, _ in ONE_QUERY_EACH])
+def test_each_subcommand_loads_only_the_modules_it_runs(argv, modules):
+    proc = run_python("-c", MODULES_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    loaded = proc.stderr.splitlines()[-1].split()
+    assert {name for name in loaded if name.startswith("gpcuntz.")} == {
+        f"gpcuntz.{module}" for module in modules}
+    assert not [name for name in loaded if name == "scipy" or name.startswith("scipy.")]
 
 
 def _cap_address_space():
