@@ -123,24 +123,10 @@ def param_from_json(obj):
     )
 
 
-def param_to_json(p) -> dict:
+def _cycle_json(z) -> dict:
     from . import params
 
-    vec = params.complex_pairs
-    if isinstance(p, params.CycleParam):
-        return {"kind": "cycle", "N": p.n, "factors": vec(p.rows)}
-    if p.kind == "explicit":
-        return {"kind": "chain", "N": p.n, "preperiod": vec(p.preperiod), "period": vec(p.period)}
-    if p.kind == "rotation":
-        if isinstance(p.theta, Fraction):
-            return {
-                "kind": "chain",
-                "rotation": {"num": p.theta.numerator, "den": p.theta.denominator},
-            }
-        return {"kind": "chain", "theta": p.theta}
-    if p.kind == "gray_zone":
-        return {"kind": "chain", "gray_zone": True}
-    return {"kind": "chain", "prefix": vec(p.prefix)}
+    return {"kind": "cycle", "N": z.n, "factors": params.complex_pairs(z.rows)}
 
 
 def _load_param(source: str):
@@ -231,7 +217,7 @@ def _cmd_decompose(args) -> int:
     param = _param_from_args(args)
     # each dict is built once and serves the payload and the text lines
     if isinstance(param, params.CycleParam):
-        dicts = [param_to_json(c) for c in decompose_cycle(param, _tolerance())]
+        dicts = [_cycle_json(c) for c in decompose_cycle(param, _tolerance())]
         payload = {"components": dicts}
         head = [f"components: {len(dicts)}"]
     else:

@@ -52,31 +52,31 @@ vector's layer blocks through `_trimmed`, as every result is cut, and
 write results out over zeros: +0.0, or the (0.0, -0.0) an adjoint's
 conjugate leaves, as a sweep over the whole vector writes them.  Each
 target is reached by one step, so the relation residuals of `verify_gp`
-come from the N x N coefficient blocks alone, in O(steps N^3).  Products
-are written out in float64 as (ar br - ai bi, ar bi + ai br), since
-numpy's array complex multiply can round otherwise, and summed in scipy's
-order, so every residual, and every vector from a finite one, carries the
-bits of the sparse products it replaced.
+come from the N x N coefficient blocks alone, summed by `_backward` in
+O(steps N^3).  Products are written out in float64 as (ar br - ai bi,
+ar bi + ai br), since numpy's array complex multiply can round otherwise,
+and summed in scipy's order, so every residual, and every vector from a
+finite one, carries the bits of the sparse products it replaced.
 
 `gens`, the generators as scipy csc_arrays built on first use from the
 entries the exports write, is the only scipy view of a truncation and the
 only code here that loads scipy.  Nothing in this module, the package or
 its command line reads it; it stays for the benchmark and the tests,
-which check a truncation against scipy's sparse products, and it is why
-scipy stays a dependency.
+which check a truncation against scipy's sparse products, and it needs
+scipy, which only the package's `test` extra installs.
 
 `verify_gp` holds every vector it forms as prefixes: the anchors, the
 chain family E_t, pushed from Omega through the window once and reused by
-the step and basis checks, the branch words, and the differences its
-eigen and step residuals measure.  Its Gram checks stack only the union
-of their vectors' prefixes, and its norms run over a window of the dense
-layout aligned to 64 entries, which keeps the bits of numpy's norm of the
-whole vector; nothing it allocates or scans has the truncation's
-dimension.  The builders refuse, before allocating, more than REP_BUDGET
-basis vectors at rank 2 (2 REP_BUDGET / N at rank N), and `verify_gp`
-refuses, before it enumerates, a basis check whose stack of count x rows
-entries would exceed 8 REP_BUDGET, with the rows bounded from the
-prefixes of the vectors the family branches from.
+the step and basis checks, and the branch words.  Its Gram checks stack
+only the union of their vectors' prefixes, and its eigen and step
+residuals write both vectors of a difference through `_dense` into one
+window of the dense layout aligned to 64 entries, which keeps the bits of
+numpy's norm of the whole difference; nothing it allocates or scans has
+the truncation's dimension.  The builders refuse, before allocating, more
+than REP_BUDGET basis vectors at rank 2 (2 REP_BUDGET / N at rank N), and
+`verify_gp` refuses, before it enumerates, a basis check whose stack of
+count x rows entries would exceed 8 REP_BUDGET, with the rows bounded
+from the prefixes of the vectors the family branches from.
 
 The exports write each generator's entries from the step table in one
 vectorised pass and cost about the bytes they emit.  `export_coo` turns
@@ -190,7 +190,7 @@ class TruncatedRep:
     @cached_property
     def gens(self) -> list:
         """S_1..S_N as scipy csc_arrays built from `_generator_entries`; the
-        first use loads scipy.sparse."""
+        first use loads scipy.sparse, which needs the `test` extra."""
         import scipy.sparse as sp
 
         shape = (self.dim, self.dim)
@@ -364,15 +364,17 @@ def _prefixes(rep: TruncatedRep, x: np.ndarray) -> dict:
     return _trimmed(dict(enumerate(x.reshape(len(rep.layers), rep.block))))
 
 
-def _dense(rep: TruncatedRep, held: dict, adjoint: bool = False) -> np.ndarray:
-    """The dense vector of `held`, its zeros those of a sweep over the whole
-    vector: +0.0, or (0.0, -0.0) after an adjoint's conjugation."""
-    out = np.zeros(rep.dim, dtype=complex)
+def _dense(rep: TruncatedRep, held: dict, adjoint: bool = False, lo: int = 0,
+           hi: int | None = None) -> np.ndarray:
+    """Entries lo..hi - 1 of the dense vector of `held`, every held block
+    lying inside them, its zeros those of a sweep over the whole vector:
+    +0.0, or (0.0, -0.0) after an adjoint's conjugation."""
+    out = np.zeros((rep.dim if hi is None else hi) - lo, dtype=complex)
     if adjoint:
         out.imag = -0.0
-    blocks = out.reshape(len(rep.layers), rep.block)
     for layer, x in held.items():
-        blocks[layer, :x.size] = x
+        start = layer * rep.block - lo
+        out[start:start + x.size] = x
     return out
 
 
@@ -428,14 +430,15 @@ def _forward(c: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _backward(c: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum_j c_j y[m, j] at [..., m], for coefficients c of shape (..., N):
-    the rows of a step target summed back into the columns of its source,
-    from zero in ascending j, each product written out as `_forward`
-    writes it."""
+    """sum_j c_j y[..., m, j] at [..., m], for coefficients c of shape
+    (..., N) and rows y broadcast against them: the rows of a step target
+    summed back into the columns of its source, from zero in ascending j,
+    each product written out as `_forward` writes it.  `_relation_residuals`
+    runs it on a stack of coefficient blocks against their conjugates."""
     cr, ci = c.real[..., None, :], c.imag[..., None, :]
     re, im = cr * y.real - ci * y.imag, cr * y.imag + ci * y.real
     out = np.zeros(re.shape[:-1], dtype=complex)
-    for j in range(y.shape[1]):
+    for j in range(y.shape[-1]):
         out.real += re[..., j]
         out.imag += im[..., j]
     return out
@@ -502,16 +505,12 @@ def _letter_held(rep: TruncatedRep, letter: int, held: dict, adjoint: bool) -> d
     return _gen_held(rep, letter - 1, held)
 
 
-_EMPTY = np.zeros(0, dtype=complex)
-
-
-def _difference(a: dict, b: dict) -> dict:
-    """a - b of two held vectors, block by block."""
+def _union_rows(lengths) -> dict:
+    """{layer: longest prefix} over dicts of prefix lengths by layer."""
     out = {}
-    for layer in sorted(a.keys() | b.keys()):
-        x, y = a.get(layer, _EMPTY), b.get(layer, _EMPTY)
-        size = max(x.size, y.size)
-        out[layer] = _padded(x, size) - _padded(y, size)
+    for sizes in lengths:
+        for layer, size in sizes.items():
+            out[layer] = max(out.get(layer, 0), size)
     return out
 
 
@@ -519,26 +518,27 @@ def _difference(a: dict, b: dict) -> dict:
 _NORM_ALIGN = 64
 
 
-def _norm(rep: TruncatedRep, held: dict) -> float:
-    """np.linalg.norm of the dense vector of `held`.
+def _norm(rep: TruncatedRep, held: dict, minus: dict | None = None) -> float:
+    """np.linalg.norm of the dense vector of `held`, less that of `minus`.
 
-    The blocks are written into a window of the dense layout that starts
-    and ends on multiples of _NORM_ALIGN entries (or at the end of the
-    vector), so the strided BLAS dot numpy takes of its real and imaginary
-    parts meets every product at the same place in its unrolled groups as
-    in a one-thread sum of the whole vector, and the zeros outside the
-    window add nothing.  A BLAS that splits a long vector among threads
-    sums it in chunks, whose rounding this need not follow.
+    Both are written by `_dense` into one window of the dense layout that
+    holds the union of their prefixes and starts and ends on multiples of
+    _NORM_ALIGN entries (or at the end of the vector), so the strided BLAS
+    dot numpy takes of its real and imaginary parts meets every product at
+    the same place in its unrolled groups as in a one-thread sum of the
+    whole vector, and the zeros outside the window add nothing.  A BLAS
+    that splits a long vector among threads sums it in chunks, whose
+    rounding this need not follow.
     """
-    if not held:
+    ends = _union_rows({layer: x.size for layer, x in vec.items()} for vec in (held, minus or {}))
+    if not ends:
         return 0.0
-    first, last = min(held), max(held)
+    first, last = min(ends), max(ends)
     lo = first * rep.block // _NORM_ALIGN * _NORM_ALIGN
-    hi = min(-(-(last * rep.block + held[last].size) // _NORM_ALIGN) * _NORM_ALIGN, rep.dim)
-    window = np.zeros(hi - lo, dtype=complex)
-    for layer, x in held.items():
-        start = layer * rep.block - lo
-        window[start:start + x.size] = x
+    hi = min(-(-(last * rep.block + ends[last]) // _NORM_ALIGN) * _NORM_ALIGN, rep.dim)
+    window = _dense(rep, held, lo=lo, hi=hi)
+    if minus:
+        window -= _dense(rep, minus, lo=lo, hi=hi)
     return float(np.linalg.norm(window))
 
 
@@ -756,38 +756,14 @@ def _relation_residuals(rep: TruncatedRep) -> tuple:
 
     A step's target rows are reached from its source alone, so with C its
     coefficients, S_i* S_j on each of the step's interior columns is
-    sum_l conj(C_il) C_jl, `_overlaps(C)`, and sum_i S_i S_i* on its target
-    block is the N x N block sum_i C_il' conj(C_il) repeated down the
-    diagonal, `_overlaps` of the transposed blocks, transposed; a transpose
+    sum_l conj(C_il) C_jl, and sum_i S_i S_i* on its target block is that
+    sum over the transposed block repeated down the diagonal.  `_backward`
+    of the blocks against their conjugates gives both transposed, which
     leaves max |X - I| as it is.  O(steps N^3).
     """
     eye = np.eye(rep.n)
-    c = rep.step_coeffs
-    return tuple(_max_abs(re - eye, im)
-                 for re, im in (_overlaps(c), _overlaps(c.transpose(0, 2, 1))))
-
-
-def _overlaps(c: np.ndarray) -> tuple:
-    """Real and imaginary parts of sum_l conj(c_il) c_jl at [s, i, j] for a
-    stack c of N x N blocks, from zero in ascending l, each product written
-    out in float64 as `_forward` writes it: the order and rounding of
-    scipy's sparse products, up to operand swaps IEEE arithmetic makes exact."""
-    cr, ci = c.real, c.imag
-    re, im = np.zeros(c.shape), np.zeros(c.shape)
-    for l in range(c.shape[-1]):
-        ar, ai = cr[:, None, :, l], ci[:, None, :, l]
-        br, bi = cr[:, :, None, l], -ci[:, :, None, l]
-        re += ar * br - ai * bi
-        im += ar * bi + ai * br
-    return re, im
-
-
-def _max_abs(re: np.ndarray, im: np.ndarray) -> float:
-    """Largest modulus of re + i im, taken as complex moduli; 0.0 if empty."""
-    values = np.empty(re.size, dtype=complex)
-    values.real = re.ravel()
-    values.imag = im.ravel()
-    return float(np.max(np.abs(values), initial=0.0))
+    return tuple(float(np.max(np.abs(_backward(c, np.conj(c)[:, None]) - eye), initial=0.0))
+                 for c in (rep.step_coeffs, rep.step_coeffs.transpose(0, 2, 1)))
 
 
 @dataclass
@@ -824,15 +800,6 @@ class VerificationReport:
 
     def to_dict(self):
         return {k: v for k, v in self.__dict__.items()}
-
-
-def _union_rows(lengths) -> dict:
-    """{layer: longest prefix} over dicts of prefix lengths by layer."""
-    out = {}
-    for sizes in lengths:
-        for layer, size in sizes.items():
-            out[layer] = max(out.get(layer, 0), size)
-    return out
 
 
 def _compact_gram(vectors: list):
@@ -893,15 +860,15 @@ def verify_gp(rep: TruncatedRep) -> VerificationReport:
     if cyclic:
         family = _anchors(rep)
         # family[0] is pi(s(z^(1)) ... s(z^(k))) Omega
-        eigen = _norm(rep, _difference(family[0], _omega(rep)))
+        eigen = _norm(rep, family[0], _omega(rep))
         columns = family
     else:
         d_minus, d_plus = rep.window
         family = dict(_chain_walk(rep, -(d_minus - 1), d_plus))
         # s(z_u) E_u = E_(u-1)
         step = float(np.max(
-            [_norm(rep, _difference(_iso_held(rep, _chain_factor(rep.factor_rows, u), family[u]),
-                                    family[u - 1]))
+            [_norm(rep, _iso_held(rep, _chain_factor(rep.factor_rows, u), family[u]),
+                   family[u - 1])
              for u in range(-d_minus + 2, d_plus + 1)],
             initial=0.0))
         columns = [family[t] for t in sorted(family)]

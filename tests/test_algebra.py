@@ -509,6 +509,16 @@ def test_unitary_action_first_column():
     assert_elements_close(image, g.s_of(u[:, 0]), 1e-12)
 
 
+def test_unitary_action_drops_an_image_that_cancels():
+    # the Hadamard sends s1 + s2 to sqrt(2) s1: the s2 images cancel exactly
+    # and are pruned inside the kernel
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    a = g.generator(2, 1) + g.generator(2, 2)
+    image = g.unitary_action(h, a)
+    assert image.terms == reference_unitary_action(h, a).terms
+    assert g.format_element(image) == "1.414213562373095 s1"
+
+
 def test_parity_automorphism():
     beta = np.diag([1.0, -1.0])
     assert g.unitary_action(beta, g.generator(2, 2)) == -1 * g.generator(2, 2)

@@ -30,7 +30,7 @@ def run_cli(capsys, *argv):
 
 def test_schema_roundtrip_cycle():
     param = cli.param_from_json(json.loads(CYCLE_E1))
-    again = cli.param_from_json(cli.param_to_json(param))
+    again = cli.param_from_json(cli._cycle_json(param))
     assert again.k == 1 and again.n == 2
 
 
@@ -597,6 +597,13 @@ def test_equivalent_output_is_stable(capsys, stem, fmt, ext):
     assert out == (DATA / f"equivalent_{stem}.{ext}").read_text()
 
 
+def test_classify_states_the_analytic_assumption(capsys):
+    # an irrational rotation is decided under the analytic assumption
+    code, out, _ = run_cli(capsys, "classify", "--inline", '{"kind":"chain","theta":0.1}')
+    assert code == 0
+    assert out == (DATA / "classify_chain_theta.txt").read_text()
+
+
 BIG_ROTATION = '{"kind":"chain","rotation":{"num":1,"den":100000007}}'
 BIG_ROTATION_ERROR = ("error: the period block of rotation 1/100000007 would generate "
                       "100000007 factors, over the budget of 8388608\n")
@@ -645,7 +652,7 @@ def test_large_rotation_block_is_refused_before_allocating(capsys, monkeypatch, 
 @pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
 @pytest.mark.parametrize("stem", ["rotation_3_8", "cycle_p2_n2"])
 def test_decompose_serializes_each_dict_once(capsys, monkeypatch, stem, fmt, ext):
-    calls = {"to_dict": 0, "param_to_json": 0, "dumps": 0}
+    calls = {"to_dict": 0, "_cycle_json": 0, "dumps": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -655,12 +662,12 @@ def test_decompose_serializes_each_dict_once(capsys, monkeypatch, stem, fmt, ext
 
     monkeypatch.setattr(DirectIntegralDescriptor, "to_dict",
                         counted("to_dict", DirectIntegralDescriptor.to_dict))
-    monkeypatch.setattr(cli, "param_to_json", counted("param_to_json", cli.param_to_json))
+    monkeypatch.setattr(cli, "_cycle_json", counted("_cycle_json", cli._cycle_json))
     monkeypatch.setattr(cli.json, "dumps", counted("dumps", cli.json.dumps))
     code, out, _ = run_cli(capsys, "decompose", "--inline", DECISION_PARAMS[stem], "-f", fmt)
     assert code == 0
     assert out == (DATA / f"decompose_{stem}.{ext}").read_text()
-    dicts = calls["to_dict"] + calls["param_to_json"]
+    dicts = calls["to_dict"] + calls["_cycle_json"]
     # one dict per component (two for the cycle) or one for the direct integral
     assert dicts == (1 if "rotation" in stem else 2)
     # one dumps of the payload, or one per printed dict

@@ -82,6 +82,14 @@ def test_parse_errors_carry_offsets():
         g.parse("1/0", 2)
 
 
+def test_parse_divides_by_a_scalar_element():
+    assert g.format_element(g.parse("s1 / (2 I)", 2)) == "0.5 s1"
+    # s1* s1 reduces to I
+    assert g.format_element(g.parse("s1 / (s1* s1)", 2)) == "s1"
+    with pytest.raises(g.ExprSyntaxError, match="division by zero"):
+        g.parse("s1 / (s1 - s1)", 2)
+
+
 @pytest.mark.parametrize("text, position", [
     ("1e308 s1 + 1e308 s1", 0),
     ("(1e308 1e308 - 1e308 1e308) s1 + s2", 0),

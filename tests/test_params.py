@@ -694,6 +694,15 @@ def test_chain_factors_match_reference(name, start_kind):
     assert np.array_equal(g.chain_factor(chain, start), reference_chain_factor(chain, start))
 
 
+@pytest.mark.parametrize("theta", [Fraction(1, 2**31 + 11), Fraction(3, 2**31),
+                                   Fraction(12345, 2**61 - 1), Fraction(2**40 + 1, 2**62 - 57)])
+@pytest.mark.parametrize("start", [1, 2**31 - 3, 2**40])
+def test_chain_factors_of_large_denominators_match_reference(theta, start):
+    # a denominator of 2^31 or more is reduced in Python integers
+    chain = g.rotation_chain(theta)
+    _assert_reference_rows(g.chain_factors(chain, start, 7), chain, start, 7)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     b=st.integers(1, 64),

@@ -1123,15 +1123,34 @@ def test_verify_holds_the_vectors_of_the_dense_entry_points(rep):
 
 @settings(max_examples=150, deadline=None)
 @given(rep=_drawn_reps(), seed=st.integers(0, 2 ** 32 - 1),
-       scale=st.sampled_from([1.0, 1e-16, 1e150]))
-def test_windowed_norm_matches_the_dense_norm(rep, seed, scale):
+       scale=st.sampled_from([1.0, 1e-16, 1e150]),
+       shape=st.sampled_from(["random", "only in b", "unequal prefixes", "b empty"]))
+def test_windowed_norm_matches_the_dense_norm(rep, seed, scale, shape):
     rng = np.random.default_rng(seed)
-    held = {}
-    for layer in range(len(rep.layers)):
-        if rng.random() < 0.5:
-            size = int(rng.integers(1, rep.block + 1))
-            held[layer] = scale * (rng.normal(size=size) + 1j * rng.normal(size=size))
-    assert g.reps._norm(rep, held) == float(np.linalg.norm(g.reps._dense(rep, held)))
+    count = len(rep.layers)
+
+    def block(size):
+        return scale * (rng.normal(size=size) + 1j * rng.normal(size=size))
+
+    a, b = {}, {}
+    for layer in range(count):
+        for held in (a, b):
+            if rng.random() < 0.5:
+                held[layer] = block(int(rng.integers(1, rep.block + 1)))
+    if shape == "only in b":
+        layer = int(rng.integers(count))
+        a.pop(layer, None)
+        b[layer] = block(int(rng.integers(1, rep.block + 1)))
+    elif shape == "unequal prefixes":
+        # a block is at least N^2 entries long
+        sizes = rng.choice(np.arange(1, rep.block + 1), size=2, replace=False)
+        layer = int(rng.integers(count))
+        a[layer], b[layer] = block(int(sizes[0])), block(int(sizes[1]))
+    elif shape == "b empty":
+        b = {}
+    assert g.reps._norm(rep, a) == float(np.linalg.norm(g.reps._dense(rep, a)))
+    expected = float(np.linalg.norm(g.reps._dense(rep, a) - g.reps._dense(rep, b)))
+    assert g.reps._norm(rep, a, b) == expected
 
 
 @st.composite
@@ -1223,14 +1242,16 @@ def test_cut_kernels_match_the_full_sweep(rep, seed, shape, edges):
     v = (_real_unit if rng.random() < 0.3 else random_unit)(rng, rep.n)
     key = _nan_blind_bytes if edges == "nan and inf" else np.ndarray.tobytes
     stack = np.stack([x, _support_vector(rep, rng, shape), x[::-1]], axis=1)
-    for y in (x, stack[:, 1], stack, np.asfortranarray(stack)):
-        for i in range(rep.n):
-            for transpose in (False, True):
-                assert (key(_apply_gen(rep, i, y, transpose))
-                        == key(reference_apply_gen(rep, i, y, transpose)))
-        for adjoint in (False, True):
-            assert (key(g.reps._apply_isometry(rep, v, y, adjoint))
-                    == key(reference_apply_isometry(rep, v, y, adjoint)))
+    # the NaN and inf drawn make NaN products on purpose, each of which warns
+    with np.errstate(invalid="ignore" if edges == "nan and inf" else "warn"):
+        for y in (x, stack[:, 1], stack, np.asfortranarray(stack)):
+            for i in range(rep.n):
+                for transpose in (False, True):
+                    assert (key(_apply_gen(rep, i, y, transpose))
+                            == key(reference_apply_gen(rep, i, y, transpose)))
+            for adjoint in (False, True):
+                assert (key(g.reps._apply_isometry(rep, v, y, adjoint))
+                        == key(reference_apply_isometry(rep, v, y, adjoint)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -1364,6 +1385,17 @@ def test_a_nan_residual_fails_verification():
     assert report.isometry_residual == report.completeness_residual == 0.0
     assert np.isnan(report.max_residual())
     assert not report.passed(1e-9)
+
+
+def test_a_basis_count_short_of_the_expected_fails_verification():
+    report = g.VerificationReport(
+        kind="cycle", isometry_residual=0.0, completeness_residual=0.0,
+        family_residual=0.0, eigen_residual=0.0, basis_gram_residual=0.0,
+        basis_count=4, basis_count_expected=4, basis_min_singular=1.0,
+    )
+    assert report.passed(1e-9)
+    # every residual stays 0.0: the count alone fails it
+    assert not dataclasses.replace(report, basis_count=3).passed(1e-9)
 
 
 @pytest.mark.parametrize("field", ["isometry_residual", "step_residual", "basis_min_singular"])
