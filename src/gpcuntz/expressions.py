@@ -284,17 +284,20 @@ def format_element(a: AlgebraElement) -> str:
     check_finite(terms)
     left_text: dict = {}
     right_text: dict = {}
+    # word texts carry their leading space: " s1 s3", " s2* s1*", joined
+    # from the texts of their letters, indexed by letter
+    letters = [f" s{x}" for x in range(a.n + 1)]
+    adjoints = [f" s{x}*" for x in range(a.n + 1)]
     pieces = []
     append = pieces.append
-    # word texts carry their leading space: " s1 s3", " s2* s1*"
     for key in sorted(terms, key=term_sort_key):
         j, k = key
         left = left_text.get(j)
         if left is None:
-            left = left_text[j] = "".join([f" s{x}" for x in j])
+            left = left_text[j] = "".join(map(letters.__getitem__, j))
         right = right_text.get(k)
         if right is None:
-            right = right_text[k] = "".join([f" s{x}*" for x in reversed(k)])
+            right = right_text[k] = "".join(map(adjoints.__getitem__, reversed(k)))
         c = terms[key]
         real, imag = c.real, c.imag
         # the sign is pulled out so that the leading nonzero part is positive

@@ -78,14 +78,13 @@ than REP_BUDGET basis vectors at rank 2 (2 REP_BUDGET / N at rank N), and
 count x rows entries would exceed 8 REP_BUDGET, with the rows bounded
 from the prefixes of the vectors the family branches from.
 
-The exports write each generator's entries from the step table in one
-vectorised pass and cost about the bytes they emit.  `export_coo` turns
-every index into text once and the `repr` text of an entry once per
-distinct bit pattern of its value, which a step table keeps to k N^2 per
-generator; every line is gathered from these tables by index and the
-output is one join, byte-stable with every -0.0 kept.
-`export_json` builds its nested lists with the cyclic garbage collector
-paused (`params._nested_list`).
+The exports write from the step table and cost about the bytes they
+emit.  `export_coo` writes each step's lines from the row texts of its
+target layer, one slice of an index text table made once, its source's
+column texts repeated N times and the `repr` texts of its N coefficients
+tiled, with exact zeros dropped; the output is one join, byte-stable with
+every -0.0 kept.  `export_json` builds its whole dict with the cyclic
+garbage collector paused once.
 """
 
 from __future__ import annotations
@@ -98,7 +97,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import (PIVOT_TOL, PRUNE_TOL, AlgebraElement, RankMismatchError, _check_near,
-                      _unimodular)
+                      _collector_paused, _unimodular)
 from .params import (
     ChainParam,
     CycleParam,
@@ -949,78 +948,78 @@ def _generator_entries(rep: TruncatedRep):
 
 
 def _index_texts(dim: int):
-    """`i` and ` i` text of every index 0..dim, as two object arrays."""
-    plain = np.array(list(map(str, range(dim + 1))), dtype=object)
-    return plain, " " + plain
-
-
-def _value_texts(values: np.ndarray) -> np.ndarray:
-    """` re im` and a line end, in shortest round-trip text, for every
-    complex value.
-
-    repr runs once per distinct bit pattern, and a step table gives a
-    generator at most k N^2 of them.  The values are grouped by a lexsort
-    of their two raw 64-bit halves, not compared as numbers, so -0.0 stays
-    apart from 0.0.
-    """
-    halves = np.ascontiguousarray(values, dtype=complex).view(np.uint64).reshape(-1, 2).T.copy()
-    order = np.lexsort(halves[::-1])
-    re_bits, im_bits = halves[:, order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (re_bits[1:] != re_bits[:-1]) | (im_bits[1:] != im_bits[:-1])
-    pairs = np.stack((re_bits[first], im_bits[first]), axis=1).view(np.float64).tolist()
-    texts = np.array([f" {re!r} {im!r}\n" for re, im in pairs], dtype=object)
-    group = np.empty(len(order), dtype=np.intp)
-    group[order] = np.cumsum(first) - 1
-    return texts[group]
+    """`i` and ` i` text of every index 0..dim, as two object arrays: the
+    text of i // 1000 joined to the three digits of i % 1000 (i itself
+    below 1000)."""
+    highs = np.array([""] + list(map(str, range(1, dim // 1000 + 1))), dtype=object)
+    lows = np.array(list(map(str, range(1000))), dtype=object)
+    digits = np.array([f"{i:03d}" for i in range(1000)], dtype=object)
+    out = [np.add.outer(lead + highs, digits).ravel()[:dim + 1] for lead in ("", " ")]
+    for lead, texts in zip(("", " "), out):
+        texts[:1000] = (lead + lows)[:texts.size]
+    return out
 
 
 def _label_columns(rep: TruncatedRep):
     """Layer and m = 1..N^D of every basis index, in basis order."""
-    layers = np.repeat(np.asarray(rep.layers, dtype=np.int64), rep.block)
-    ms = np.tile(np.arange(1, rep.block + 1), len(rep.layers))
-    return layers, ms
+    return (np.repeat(np.asarray(rep.layers, dtype=np.int64), rep.block),
+            np.tile(np.arange(1, rep.block + 1), len(rep.layers)))
 
 
-def _add_lines(pieces: list, header: str, *columns) -> None:
-    """Append a header line, then one line per row of the text columns."""
-    pieces.append(header)
-    pieces += np.stack(columns, axis=1).ravel().tolist()
+def _lines(*columns) -> list:
+    """The texts of the text columns broadcast against each other, cell by
+    cell, each cell's texts in column order."""
+    out = np.empty(np.broadcast_shapes(*map(np.shape, columns)) + (len(columns),), dtype=object)
+    for k, column in enumerate(columns):
+        out[..., k] = column
+    return out.ravel().tolist()
 
 
 def export_coo(rep: TruncatedRep) -> str:
     """Coordinate-list text: `row col re im` per line, grouped by generator,
     with the basis labels and the distinguished vector appended.
 
-    Every line is gathered by index from tables of texts made once, and
-    the whole output is one join over them.
+    Each step writes a generator's lines for its source's columns, which
+    come in order since the sources ascend: position N m + j of its target
+    layer gives the row text, m of its source the column text and
+    coefficient j the value text, rendered once per step; the positions of
+    exact zeros are dropped.  The output is one join over these texts.
     """
     plain, spaced = _index_texts(rep.dim)
+    block, n = rep.block, rep.n
     pieces = []
-    for gi, (rows, cols, values) in enumerate(_generator_entries(rep), start=1):
-        _add_lines(pieces, f"# S{gi}\n", plain[rows], spaced[cols], _value_texts(values))
-    layers = np.array([f" {t}" for t in rep.layers], dtype=object)
-    _add_lines(pieces, "# labels: index layer m\n", plain[:rep.dim],
-               np.repeat(layers, rep.block), np.tile(spaced[1:rep.block + 1], len(rep.layers)),
-               np.full(rep.dim, "\n", dtype=object))
-    omega = rep.omega
-    support = np.flatnonzero(omega)
-    _add_lines(pieces, "# omega: index re im\n", plain[support], _value_texts(omega[support]))
+    for i in range(n):
+        pieces.append(f"# S{i + 1}\n")
+        for coeffs, source, target in zip(rep.step_coeffs[:, i].tolist(),
+                                          rep.step_sources.tolist(), rep.step_targets.tolist()):
+            kept = [c != 0 for c in coeffs]
+            pieces += _lines(plain[target * block:(target + 1) * block].reshape(-1, n)[:, kept],
+                             spaced[source * block:source * block + block // n, None],
+                             [f" {c.real!r} {c.imag!r}\n" for c in coeffs if c != 0])
+    pieces.append("# labels: index layer m\n")
+    pieces += _lines(plain[:rep.dim].reshape(len(rep.layers), block),
+                     np.array([[f" {t}"] for t in rep.layers], dtype=object),
+                     spaced[1:block + 1], "\n")
+    pieces.append("# omega: index re im\n")
+    pieces += [f"{layer * block + m} {c.real!r} {c.imag!r}\n"
+               for layer, x in _omega(rep).items() for m, c in enumerate(x.tolist()) if c != 0]
     return "".join(pieces)
 
 
 def export_json(rep: TruncatedRep) -> dict:
-    return {
-        "rank": rep.n,
-        "kind": rep.kind,
-        "depth": rep.depth,
-        "dim": rep.dim,
-        "layers": [int(t) for t in rep.layers],
-        "generators": [
-            {"rows": rows.tolist(), "cols": cols.tolist(), "values": complex_pairs(values)}
-            for rows, cols, values in _generator_entries(rep)
-        ],
-        "omega": complex_pairs(rep.omega),
-        "labels": _nested_list(np.stack(_label_columns(rep), axis=1)),
-        "interior": rep.interior.tolist(),
-    }
+    """The truncation as JSON-ready lists, built with the collector paused."""
+    with _collector_paused():
+        return {
+            "rank": rep.n,
+            "kind": rep.kind,
+            "depth": rep.depth,
+            "dim": rep.dim,
+            "layers": [int(t) for t in rep.layers],
+            "generators": [
+                {"rows": rows.tolist(), "cols": cols.tolist(), "values": complex_pairs(values)}
+                for rows, cols, values in _generator_entries(rep)
+            ],
+            "omega": complex_pairs(rep.omega),
+            "labels": _nested_list(np.stack(_label_columns(rep), axis=1)),
+            "interior": rep.interior.tolist(),
+        }

@@ -376,16 +376,6 @@ def reference_gram(mat):
     return gram, float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
 
 
-def reference_value_texts(values) -> np.ndarray:
-    """`reps._value_texts` by the grouping it replaced: `np.unique` over the
-    values as raw 16-byte records."""
-    bits = np.ascontiguousarray(values, dtype=complex).view("V16")
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    pairs = distinct.view(np.float64).reshape(-1, 2).tolist()
-    texts = np.array([f" {re!r} {im!r}\n" for re, im in pairs], dtype=object)
-    return texts[inverse.ravel()]
-
-
 def reference_prefixes(rep, x):
     """{layer position: block up to one past its last nonzero entry} of a
     dense vector, blocks of zeros left out, from `np.flatnonzero` of each

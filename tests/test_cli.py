@@ -335,6 +335,27 @@ def test_rep_build_out_of_memory_in_a_json_list_prints_one_error_line(
     assert err == "error: out of memory: the request does not fit in the memory available\n"
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_rep_build_out_of_memory_in_the_json_build_prints_one_error_line(
+        capsys, monkeypatch, enabled):
+    def exhausted(_rep):
+        raise MemoryError
+
+    # raised with every list of the export's dict built under one pause
+    monkeypatch.setattr(reps, "_label_columns", exhausted)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        code, out, err = run_cli(capsys, "rep-build", "--inline", CYCLE_E1, "--depth", "3",
+                                 "-f", "json")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert code == 1
+    assert out == ""
+    assert err == "error: out of memory: the request does not fit in the memory available\n"
+
+
 GRAY_TARGET = "[[0.7071067811865476,0],[0.7071067811865476,0]]"
 
 

@@ -30,7 +30,6 @@ from helpers import (
     reference_power_vanish,
     reference_prefixes,
     reference_relation_residuals,
-    reference_value_texts,
     reference_vector_isometry,
 )
 
@@ -847,7 +846,24 @@ def _export_reps():
         "explicit window 4 1": g.build_chain_rep(explicit, 4, 4, 1),
         "explicit N=3 window 1 1": g.build_chain_rep(
             g.explicit_chain([random_unit(rng, 3)]), 2, 1, 1),
+        # every step drops the positions of exact zeros: the middle entry
+        # of each factor is 0, so is that of its completing unitary's
+        # second column, and the third column is e_2
+        "cycle N=3 zero middle": g.build_cycle_rep(
+            g.cycle([_zero_middle(rng), _zero_middle(rng)]), 3),
+        "fiber -1, real factors": g.build_fiber_rep(g.cycle([REAL_A, REAL_B]), -1, 3),
+        "fiber 1j, real factors": g.build_fiber_rep(g.cycle([REAL_A, REAL_B]), 1j, 3),
+        # layers 0, -1 and -2 step through the identity completing e_1
+        "explicit N=3 zero middle window 3 2": g.build_chain_rep(
+            g.explicit_chain([_zero_middle(rng)], [_zero_middle(rng)]), 3, 3, 2),
     }
+
+
+def _zero_middle(rng):
+    """A random unit vector of C^3 whose middle entry is exactly 0."""
+    v = random_unit(rng, 3)
+    v[1] = 0.0
+    return v / np.linalg.norm(v)
 
 
 @pytest.mark.parametrize("name", sorted(_export_reps()))
@@ -910,6 +926,48 @@ def _drawn_reps(draw):
 @settings(max_examples=200, deadline=None)
 @given(rep=_drawn_reps())
 def test_exports_match_per_entry_reference_on_drawn_reps(rep):
+    assert g.export_coo(rep) == reference_export_coo(rep)
+    assert (json.dumps(g.export_json(rep), sort_keys=True)
+            == json.dumps(reference_export_json(rep), sort_keys=True))
+
+
+_SPARSE_ENTRIES = [1.0, -1.0, 1j, -1j, 0.6, -0.8j, 0.8 - 0.6j]
+
+
+@st.composite
+def _sparse_factor(draw, n):
+    """A unit vector of C^n with at least one entry exactly 0, its nonzero
+    entries exact or drawn at random."""
+    v = np.zeros(n, dtype=complex)
+    spots = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True))
+    for spot in spots:
+        v[spot] = draw(st.sampled_from(_SPARSE_ENTRIES)
+                       | st.complex_numbers(min_magnitude=0.1, max_magnitude=10))
+    return v / np.linalg.norm(v)
+
+
+@st.composite
+def _sparse_reps(draw):
+    """Small cycles, fibers and explicit chains of sparse factors, whose
+    step coefficient blocks hold exact zeros of either sign, on windows
+    stepping below layer 1 through the identity."""
+    n = draw(st.integers(2, 3))
+    factors = st.lists(_sparse_factor(n), min_size=1, max_size=3)
+    depth = draw(st.integers(2, 4))
+    family = draw(st.sampled_from(["cycle", "fiber", "chain"]))
+    if family == "cycle":
+        return g.build_cycle_rep(g.cycle(draw(factors)), depth)
+    if family == "fiber":
+        phase = draw(st.sampled_from([1, -1, 1j, -1j]))
+        return g.build_fiber_rep(g.cycle(draw(factors)), phase, depth)
+    chain = g.explicit_chain(draw(factors), draw(st.lists(_sparse_factor(n), max_size=2)))
+    return g.build_chain_rep(chain, depth, draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rep=_sparse_reps())
+def test_exports_match_per_entry_reference_on_sparse_factors(rep):
+    assert np.any(rep.step_coeffs == 0)
     assert g.export_coo(rep) == reference_export_coo(rep)
     assert (json.dumps(g.export_json(rep), sort_keys=True)
             == json.dumps(reference_export_json(rep), sort_keys=True))
@@ -1288,21 +1346,6 @@ def test_prefixes_cut_every_block_after_its_last_nonzero_part(rep, seed, shape, 
         assert held == {}
 
 
-_EDGE_FLOATS = [0.0, -0.0, 0.8, -0.8, float("nan"), float("inf")]
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    pool=st.lists(st.tuples(st.sampled_from(_EDGE_FLOATS) | st.floats(),
-                            st.sampled_from(_EDGE_FLOATS) | st.floats()),
-                  min_size=1, max_size=8),
-    picks=st.lists(st.integers(0, 7), max_size=60),
-)
-def test_value_texts_match_the_unique_grouping(pool, picks):
-    values = np.array([complex(*pool[i % len(pool)]) for i in picks], dtype=complex)
-    assert g.reps._value_texts(values).tolist() == reference_value_texts(values).tolist()
-
-
 class _ExhaustedArray:
     def tolist(self):
         raise MemoryError
@@ -1327,6 +1370,29 @@ def test_json_lists_restore_the_collector_when_the_list_build_raises(monkeypatch
     assert gc.isenabled() is collector
     with pytest.raises(MemoryError):
         g.export_json(rep)
+    assert gc.isenabled() is collector
+
+
+def test_export_json_holds_the_collector_paused_throughout(monkeypatch, collector):
+    label_columns = g.reps._label_columns
+
+    def paused(rep):
+        assert not gc.isenabled()
+        return label_columns(rep)
+
+    monkeypatch.setattr(g.reps, "_label_columns", paused)
+    rep = g.build_chain_rep(g.gray_zone_chain(), 3, 2, 3)
+    assert g.export_json(rep) == reference_export_json(rep)
+    assert gc.isenabled() is collector
+
+
+def test_export_json_restores_the_collector_when_the_build_raises(monkeypatch, collector):
+    def exhausted(_rep):
+        raise MemoryError
+
+    monkeypatch.setattr(g.reps, "_label_columns", exhausted)
+    with pytest.raises(MemoryError):
+        g.export_json(g.build_cycle_rep(g.cycle([E1, E2]), 3))
     assert gc.isenabled() is collector
 
 
