@@ -285,9 +285,9 @@ def format_element(a: AlgebraElement) -> str:
     left_text: dict = {}
     right_text: dict = {}
     # word texts carry their leading space: " s1 s3", " s2* s1*", joined
-    # from the texts of their letters, indexed by letter
-    letters = [f" s{x}" for x in range(a.n + 1)]
-    adjoints = [f" s{x}*" for x in range(a.n + 1)]
+    # from the texts of their letters 1..N
+    letters = {x: f" s{x}" for x in range(1, a.n + 1)}
+    adjoints = {x: f" s{x}*" for x in range(1, a.n + 1)}
     pieces = []
     append = pieces.append
     for key in sorted(terms, key=term_sort_key):

@@ -949,8 +949,8 @@ def _sparse_factor(draw, n):
 @st.composite
 def _sparse_reps(draw):
     """Small cycles, fibers and explicit chains of sparse factors, whose
-    step coefficient blocks hold exact zeros of either sign, on windows
-    stepping below layer 1 through the identity."""
+    step coefficient blocks hold exact zeros, the chains on windows that
+    step below layer 1 through the identity."""
     n = draw(st.integers(2, 3))
     factors = st.lists(_sparse_factor(n), min_size=1, max_size=3)
     depth = draw(st.integers(2, 4))
