@@ -298,7 +298,9 @@ def chain_factors(chain: ChainParam, start: int, count: int) -> np.ndarray:
     """Factors start, ..., start + count - 1 (start >= 1) as read-only rows.
 
     Every chain kind is generated here in one vectorised pass; each row is
-    bit-identical to what the per-index formula gives.
+    bit-identical to what the per-index formula gives.  A rational rotation
+    a/b repeats with period b, so it is evaluated and checked once per
+    residue mod b and the other rows are copies of those.
     """
     if start < 1:
         raise ValueError("factor index starts at 1")
@@ -307,44 +309,52 @@ def chain_factors(chain: ChainParam, start: int, count: int) -> np.ndarray:
     if start + count > 1 << 62:
         raise ValueError("factor indices must stay below 2^62")
     idx = np.arange(start, start + count, dtype=np.int64)
+    # the rows are table[pick], or the table itself when nothing is picked:
+    # each distinct factor is computed and checked once
+    pick = None
     if chain.kind == "explicit":
         table = np.concatenate((chain.preperiod, chain.period))
         pre = len(chain.preperiod)
         pos = idx - 1
-        rows = table[np.where(pos < pre, pos, pre + (pos - pre) % len(chain.period))]
+        pick = np.where(pos < pre, pos, pre + (pos - pre) % len(chain.period))
     elif chain.kind == "rotation":
         theta = chain.theta
         if isinstance(theta, Fraction):
             a, b = theta.numerator, theta.denominator
+            if count > b:
+                idx, pick = idx[:b], np.arange(count) % b
             if b < 1 << 31:
                 # float(Fraction) is the correctly rounded num / den, and so
                 # is float64 division of two integers below 2^53
                 frac = (idx % b * a % b) / b
             else:
-                frac = np.array([m * a % b / b for m in range(start, start + count)])
+                frac = np.array([m * a % b / b for m in range(start, start + len(idx))])
         else:
             # extended precision keeps the reduction of m*theta mod 1 near
             # machine accuracy for m up to ~1e9
             frac = np.fmod(idx.astype(np.longdouble) * np.longdouble(theta), 1.0)
             frac = frac.astype(float)
-        rows = _planar_rows(2.0 * math.pi * frac)
+        table = _planar_rows(2.0 * math.pi * frac)
     elif chain.kind == "gray_zone":
         # the m-th wobble pair has half-angle arcsin(1/(sqrt(2) m)); math.asin
         # is kept because np.arcsin differs from it in the last bit
         first, last = (start + 1) // 2, (start + count) // 2
         args = 1.0 / (math.sqrt(2.0) * np.arange(first, last + 1, dtype=np.int64))
-        halves = np.array([math.asin(x) for x in args.tolist()])
+        halves = np.fromiter(map(math.asin, args.tolist()), float, args.size)
         half = halves[(idx + 1) // 2 - first]
-        rows = _planar_rows(np.where(idx % 2 == 1, math.pi / 4 - half, math.pi / 4 + half))
+        table = _planar_rows(np.where(idx % 2 == 1, math.pi / 4 - half, math.pi / 4 + half))
     elif chain.kind == "prefix":
         if start + count - 1 > len(chain.prefix):
             raise UndecidableError(
                 f"prefix chain holds only {len(chain.prefix)} factors"
             )
-        rows = chain.prefix[start - 1 : start - 1 + count]
+        table = chain.prefix[start - 1 : start - 1 + count]
     else:
         raise ValueError(f"unknown chain kind {chain.kind!r}")
-    _check_near(np.linalg.norm(rows, axis=1), 1.0, _NOT_UNIT)
+    # norms of the real view, without the per-row calls of an axis sum
+    flat = table.view(float)
+    _check_near(np.sqrt(np.einsum("ij,ij->i", flat, flat)), 1.0, _NOT_UNIT)
+    rows = table if pick is None else table[pick]
     rows.flags.writeable = False
     return rows
 
@@ -516,7 +526,12 @@ def _diagnostics(chain: ChainParam, p_max: int, m_max: int, target=None, name="t
     rows = chain_factors(chain, 1, m_max + p_max)
     plain, absolute = {}, {}
     for p in range(1, p_max + 1):
-        inner = np.sum(np.conj(rows[:m_max]) * rows[p : p + m_max], axis=1)
+        # one vector product per column, where a sum over the row axis pays a
+        # call per row; added in index order, so a C^2 overlap keeps the bits
+        # of any order of its two terms
+        inner = np.conj(rows[:m_max, 0]) * rows[p : p + m_max, 0]
+        for j in range(1, chain.n):
+            inner += np.conj(rows[:m_max, j]) * rows[p : p + m_max, j]
         plain[p] = _cumulative(1.0 - inner.real)
         absolute[p] = _cumulative(1.0 - np.abs(inner))
     sums = None if target is None else _target_sums(rows[:m_max], target)

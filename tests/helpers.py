@@ -255,6 +255,28 @@ def reference_chain_factor(chain, m):
     return np.array([math.cos(angle), math.sin(angle)], dtype=complex)
 
 
+def reference_diagnostics(chain, p_max, m_max, target=None):
+    """(plain, absolute, target sums) of `asymptotic_diagnostics` and
+    `target_overlap_sums` by the formula they had when the overlaps were
+    summed over the row axis: rows from `reference_chain_factor`,
+    `np.sum(np.conj(a) * b, axis=1)` and a longdouble cumsum; `plain` and
+    `absolute` are dicts over p = 1..p_max, the sums None without a target."""
+    rows = np.stack([reference_chain_factor(chain, m) for m in range(1, m_max + p_max + 1)])
+
+    def cumulative(defects):
+        return np.cumsum(defects, dtype=np.longdouble).astype(float)
+
+    plain, absolute = {}, {}
+    for p in range(1, p_max + 1):
+        inner = np.sum(np.conj(rows[:m_max]) * rows[p : p + m_max], axis=1)
+        plain[p] = cumulative(1.0 - inner.real)
+        absolute[p] = cumulative(1.0 - np.abs(inner))
+    sums = None
+    if target is not None:
+        sums = cumulative(1.0 - np.abs(rows[:m_max] @ np.conj(np.asarray(target, dtype=complex))))
+    return plain, absolute, sums
+
+
 def _reference_sorted_coo(mat) -> dict:
     coo = mat.tocoo()
     order = np.lexsort((coo.row, coo.col))

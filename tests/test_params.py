@@ -20,6 +20,7 @@ from helpers import (
     reference_chain_factor,
     reference_chain_tail_equivalent,
     reference_cycles_equivalent,
+    reference_diagnostics,
     reference_gather_matches,
     reference_phase_split,
     reference_primitive_root,
@@ -682,12 +683,25 @@ def _assert_reference_rows(rows, chain, start, count):
     assert rows.dtype == ref.dtype and rows.tobytes() == ref.tobytes()
 
 
+def _period_counts(chain):
+    """Counts b - 1, b, b + 1 and 2b + 1 about a chain's period b, where the
+    rows of a rational rotation stop being its residue table."""
+    if chain.kind == "explicit":
+        b = len(chain.period)
+    elif isinstance(chain.theta, Fraction):
+        b = chain.theta.denominator
+    else:
+        return ()
+    return (b - 1, b, b + 1, 2 * b + 1)
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_CHAINS))
-@pytest.mark.parametrize("start_kind", ["1", "2", "7", "far"])
+@pytest.mark.parametrize("start_kind", ["1", "2", "7", "far", "top"])
 def test_chain_factors_match_reference(name, start_kind):
     chain, far = ORACLE_CHAINS[name]
-    start = far if start_kind == "far" else int(start_kind)
-    for count in (1, 2, 3, 10_007):
+    for count in (1, 2, 3, 10_007, *_period_counts(chain)):
+        # "top" starts one index below the last start the 2^62 limit allows
+        start = {"far": far, "top": (1 << 62) - count - 1}.get(start_kind) or int(start_kind)
         rows = g.chain_factors(chain, start, count)
         assert rows.shape == (count, chain.n)
         _assert_reference_rows(rows, chain, start, count)
@@ -830,3 +844,114 @@ def test_diagnostics_budget_charges_factor_entries(monkeypatch):
         g.asymptotic_diagnostics(wide, 1, budget // 8 - 1)
     with pytest.raises(Generated):
         g.target_overlap_sums(g.explicit_chain([E1]), E1, budget)
+
+
+@st.composite
+def _diagnostics_requests(draw):
+    """(chain, p_max, m_max) over every chain kind: rotations a/b with b <= 64
+    and M on both sides of b, a denominator of 2^31 or more at M <= 50, float
+    theta, the gray zone, and explicit (with preperiods) and prefix chains in
+    C^2, C^3 and C^4."""
+    kind = draw(st.sampled_from(["rotation", "large rotation", "theta", "gray zone",
+                                 "explicit", "prefix"]))
+    p_max = draw(st.integers(1, 4))
+    if kind == "rotation":
+        b = draw(st.integers(1, 64))
+        chain = g.rotation_chain(Fraction(draw(st.integers(0, b - 1)), b))
+        return chain, p_max, draw(st.integers(1, 2 * b + 2))
+    if kind == "large rotation":
+        b = draw(st.sampled_from([2**31 + 11, 2**61 - 1]))  # both prime
+        chain = g.rotation_chain(Fraction(draw(st.integers(1, b - 1)), b))
+        return chain, p_max, draw(st.integers(1, 50))
+    if kind == "theta":
+        chain = g.rotation_chain(draw(st.floats(0.0, 1.0, exclude_max=True)))
+        return chain, p_max, draw(st.integers(1, 200))
+    if kind == "gray zone":
+        return g.gray_zone_chain(), p_max, draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 4))
+    if kind == "explicit":
+        chain = random_explicit_chain(rng, n, draw(st.integers(0, 3)), draw(st.integers(1, 5)))
+        return chain, p_max, draw(st.integers(1, 60))
+    m_max = draw(st.integers(1, 60))
+    return g.prefix_chain([random_unit(rng, n) for _ in range(m_max + p_max)]), p_max, m_max
+
+
+@settings(max_examples=150, deadline=None)
+@given(request=_diagnostics_requests(), seed=st.integers(0, 2**32 - 1))
+def test_diagnostics_match_the_axis_sum_reference(request, seed):
+    chain, p_max, m_max = request
+    target = random_unit(np.random.default_rng(seed), chain.n)
+    plain, absolute, sums = reference_diagnostics(chain, p_max, m_max, target)
+    table = g.asymptotic_diagnostics(chain, p_max, m_max)
+    assert table.m_max == m_max and [*table.plain] == [*table.absolute] == [*plain]
+    for p in plain:
+        for got, ref in ((table.plain[p], plain[p]), (table.absolute[p], absolute[p])):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            if chain.n == 2:
+                # a two-term overlap rounds once, whatever order adds it
+                assert got.tobytes() == ref.tobytes()
+            else:
+                # the overlaps are summed in index order, numpy's axis sum may
+                # pair the terms: each summand moves by at most 2 n eps
+                bound = 2 * chain.n * np.finfo(float).eps * np.arange(1, m_max + 1)
+                assert np.all(np.abs(got - ref) <= bound + 2 * np.spacing(np.abs(ref)))
+    assert g.target_overlap_sums(chain, target, m_max).tobytes() == sums.tobytes()
+    # the command line's one pass serves the table and the target sums
+    assert g.params._diagnostics(chain, p_max, m_max, target)[1].tobytes() == sums.tobytes()
+
+
+# a finite entry off the unit sphere, NaN and infinity
+_BAD_ENTRIES = {"off the unit": 2.0, "nan": math.nan, "inf": math.inf}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_ENTRIES))
+@pytest.mark.parametrize("name, chain", [
+    # 20 rows of a period-7 rotation: the bad row 5 of the residue table is
+    # also rows 12 and 19 of the tiled output
+    ("rotation 3/7", g.rotation_chain(Fraction(3, 7))),
+    ("float theta", g.rotation_chain(0.1)),
+    ("gray zone", g.gray_zone_chain()),
+])
+def test_a_generated_row_off_the_unit_sphere_is_refused(monkeypatch, name, chain, bad):
+    planar = g.params._planar_rows
+
+    def spoiled(angles):
+        rows = planar(angles)
+        rows[5, 0] = _BAD_ENTRIES[bad]
+        return rows
+
+    monkeypatch.setattr(g.params, "_planar_rows", spoiled)
+    for call in (lambda: g.chain_factors(chain, 1, 20),
+                 lambda: g.asymptotic_diagnostics(chain, 1, 19),
+                 lambda: g.target_overlap_sums(chain, E1, 20)):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == g.params._NOT_UNIT
+
+
+def test_budget_refusals_come_before_any_factor(monkeypatch):
+    budget = g.params.DIAGNOSTICS_BUDGET
+
+    def no_rows(angles):
+        raise AssertionError("a factor was generated")
+
+    monkeypatch.setattr(g.params, "_planar_rows", no_rows)
+    over = f"over the budget of {budget}"
+    for chain in (g.rotation_chain(Fraction(1, 3)), g.rotation_chain(0.1), g.gray_zone_chain()):
+        refusals = {
+            f"diagnostics would generate {budget + 2} factors, {over}":
+                lambda: g.asymptotic_diagnostics(chain, 1, budget + 1),
+            f"diagnostics would generate {4 * budget} overlap summands, {over}":
+                lambda: g.asymptotic_diagnostics(chain, 64, budget // 16),
+            f"diagnostics would generate {budget + 1} factors, {over}":
+                lambda: g.target_overlap_sums(chain, E1, budget + 1),
+        }
+        for message, call in refusals.items():
+            with pytest.raises(ValueError) as refused:
+                call()
+            assert str(refused.value) == message
+    with pytest.raises(ValueError) as refused:
+        g.rotation_to_explicit(g.rotation_chain(Fraction(1, budget + 1)))
+    assert str(refused.value) == (f"the period block of rotation 1/{budget + 1} would "
+                                  f"generate {budget + 1} factors, {over}")
