@@ -351,9 +351,7 @@ def chain_factors(chain: ChainParam, start: int, count: int) -> np.ndarray:
         table = chain.prefix[start - 1 : start - 1 + count]
     else:
         raise ValueError(f"unknown chain kind {chain.kind!r}")
-    # norms of the real view, without the per-row calls of an axis sum
-    flat = table.view(float)
-    _check_near(np.sqrt(np.einsum("ij,ij->i", flat, flat)), 1.0, _NOT_UNIT)
+    _check_near(np.linalg.norm(table.view(float), axis=1), 1.0, _NOT_UNIT)
     rows = table if pick is None else table[pick]
     rows.flags.writeable = False
     return rows
@@ -512,6 +510,15 @@ def _target_in(chain: ChainParam, v, name: str) -> np.ndarray:
     return unit_vector(v)
 
 
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """`terms.sum(axis=1)`, bit for bit.  numpy adds a row of up to three terms
+    in index order and pairs longer rows in lanes; adding the columns gives
+    the same bits for up to three of them, without a call per row."""
+    if terms.shape[1] > 3:
+        return terms.sum(axis=1)
+    return sum(terms.T[1:], terms[:, 0])
+
+
 def _diagnostics(chain: ChainParam, p_max: int, m_max: int, target=None, name="target"):
     """The asymptotic_diagnostics table and, for a unit vector `target`
     (called `name` in errors), the target_overlap_sums of the same chain
@@ -526,12 +533,7 @@ def _diagnostics(chain: ChainParam, p_max: int, m_max: int, target=None, name="t
     rows = chain_factors(chain, 1, m_max + p_max)
     plain, absolute = {}, {}
     for p in range(1, p_max + 1):
-        # one vector product per column, where a sum over the row axis pays a
-        # call per row; added in index order, so a C^2 overlap keeps the bits
-        # of any order of its two terms
-        inner = np.conj(rows[:m_max, 0]) * rows[p : p + m_max, 0]
-        for j in range(1, chain.n):
-            inner += np.conj(rows[:m_max, j]) * rows[p : p + m_max, j]
+        inner = _row_sums(np.conj(rows[:m_max]) * rows[p : p + m_max])
         plain[p] = _cumulative(1.0 - inner.real)
         absolute[p] = _cumulative(1.0 - np.abs(inner))
     sums = None if target is None else _target_sums(rows[:m_max], target)

@@ -851,7 +851,7 @@ def _diagnostics_requests(draw):
     """(chain, p_max, m_max) over every chain kind: rotations a/b with b <= 64
     and M on both sides of b, a denominator of 2^31 or more at M <= 50, float
     theta, the gray zone, and explicit (with preperiods) and prefix chains in
-    C^2, C^3 and C^4."""
+    C^2 to C^5 and C^9, where numpy's row-axis sum pairs the terms of a row."""
     kind = draw(st.sampled_from(["rotation", "large rotation", "theta", "gray zone",
                                  "explicit", "prefix"]))
     p_max = draw(st.integers(1, 4))
@@ -869,7 +869,7 @@ def _diagnostics_requests(draw):
     if kind == "gray zone":
         return g.gray_zone_chain(), p_max, draw(st.integers(1, 200))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(2, 4))
+    n = draw(st.sampled_from([2, 3, 4, 5, 9]))
     if kind == "explicit":
         chain = random_explicit_chain(rng, n, draw(st.integers(0, 3)), draw(st.integers(1, 5)))
         return chain, p_max, draw(st.integers(1, 60))
@@ -887,15 +887,7 @@ def test_diagnostics_match_the_axis_sum_reference(request, seed):
     assert table.m_max == m_max and [*table.plain] == [*table.absolute] == [*plain]
     for p in plain:
         for got, ref in ((table.plain[p], plain[p]), (table.absolute[p], absolute[p])):
-            assert got.dtype == ref.dtype and got.shape == ref.shape
-            if chain.n == 2:
-                # a two-term overlap rounds once, whatever order adds it
-                assert got.tobytes() == ref.tobytes()
-            else:
-                # the overlaps are summed in index order, numpy's axis sum may
-                # pair the terms: each summand moves by at most 2 n eps
-                bound = 2 * chain.n * np.finfo(float).eps * np.arange(1, m_max + 1)
-                assert np.all(np.abs(got - ref) <= bound + 2 * np.spacing(np.abs(ref)))
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
     assert g.target_overlap_sums(chain, target, m_max).tobytes() == sums.tobytes()
     # the command line's one pass serves the table and the target sums
     assert g.params._diagnostics(chain, p_max, m_max, target)[1].tobytes() == sums.tobytes()
