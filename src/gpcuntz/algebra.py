@@ -5,8 +5,9 @@ s_1 s_1* + ... + s_N s_N* = I.  Every product of generators and adjoints
 reduces to a word s_J s_K* for multi-indices J, K over {1, ..., N} (the
 empty index stands for I on its side), so elements are stored as finite
 complex combinations of such words.  The first relation is applied as a
-rewrite on every product; `multiply` indexes its right factor by left word
-and visits only the pairs of terms that reduce.  The range relation is decided by
+rewrite on every product; `multiply` indexes its right factor by left word,
+once per element, and visits only the pairs of terms that reduce.  The
+range relation is decided by
 `leavitt_form`, which rewrites an element onto the basis of words s_J s_K*
 in which J and K do not both end in the letter N; two elements are equal
 modulo both relations exactly when their difference has zero Leavitt
@@ -24,6 +25,9 @@ it sparse at any length.
 Coefficients are double precision.  The table below is the package's one
 numeric policy; `_check_near` tests every unit, unimodular or unitary input.
 All values are immutable after construction and every operation is pure.
+Only the U(N) action, `s_of` and `_check_unitary` use numpy, and they import
+it when called, so the word arithmetic loads nothing outside the standard
+library.
 """
 
 from __future__ import annotations
@@ -34,8 +38,6 @@ import gc
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 PRUNE_TOL = 1e-12   # a coefficient, entry or imaginary residue at or below it is 0; NaN is not
 UNIT_TOL = 1e-10    # how far a unit or unimodular input may stray from 1 (G G^H from I)
@@ -60,15 +62,19 @@ def _as_word(letters, n: int) -> Word:
     return word
 
 
-def _pruned(terms) -> dict:
-    """Terms with complex coefficients not within PRUNE_TOL of 0; keys are
-    kept as given, and so is NaN, for `check_finite` to see."""
-    out = {}
+def _prune_in_place(terms: dict) -> dict:
+    """Drop from `terms` the coefficients within PRUNE_TOL of 0, in one pass
+    that keeps the order of the rest, and store the others as complex; NaN
+    is kept, for `check_finite` to see.  Returns `terms`."""
+    drop = []
     for key, c in terms.items():
-        c = complex(c)
-        if not abs(c) <= PRUNE_TOL:
-            out[key] = c
-    return out
+        if type(c) is not complex:
+            c = terms[key] = complex(c)
+        if abs(c) <= PRUNE_TOL:
+            drop.append(key)
+    for key in drop:
+        del terms[key]
+    return terms
 
 
 def check_finite(terms) -> None:
@@ -86,9 +92,10 @@ def check_finite(terms) -> None:
 
 def _check_near(values, target, message: str) -> None:
     """Raise ValueError(message) unless each |value - target| <= UNIT_TOL,
-    which NaN never is; a scalar skips the array reduction, which costs more."""
+    which NaN never is; a Python scalar skips the array reduction, which
+    costs more."""
     near = abs(values - target) <= UNIT_TOL
-    if not (near.all() if isinstance(near, np.ndarray) else near):
+    if not (near if isinstance(near, bool) else near.all()):
         raise ValueError(message)
 
 
@@ -128,7 +135,9 @@ class AlgebraElement:
     """Finite combination sum_c c * s_J s_K* in normal form.
 
     `terms` maps (J, K) pairs of letter tuples to nonzero complex
-    coefficients.  Use `AlgebraElement.from_terms` (or the module-level
+    coefficients, and must not be mutated after construction: `multiply`
+    keeps an index of an element's terms the first time the element is its
+    right factor.  Use `AlgebraElement.from_terms` (or the module-level
     constructors) so pruning, letter validation and the finiteness check
     happen uniformly.
     """
@@ -142,15 +151,33 @@ class AlgebraElement:
 
     @classmethod
     def from_terms(cls, n: int, terms) -> "AlgebraElement":
-        out = {(_as_word(j, n), _as_word(k, n)): c for (j, k), c in _pruned(terms).items()}
+        """The element of the given terms, read into a new dict: the caller's
+        mapping is left as it was."""
+        out = {}
+        for (j, k), c in terms.items():
+            c = complex(c)
+            if not abs(c) <= PRUNE_TOL:
+                out[_as_word(j, n), _as_word(k, n)] = c
         check_finite(out)
         return cls(n, out)
 
     @classmethod
-    def _from_words(cls, n: int, terms) -> "AlgebraElement":
-        """Like `from_terms` for keys that are already valid letter tuples,
-        such as the words of an operation on valid elements."""
-        return cls(n, _pruned(terms))
+    def _from_words(cls, n: int, terms: dict) -> "AlgebraElement":
+        """Like `from_terms` for a new dict whose keys are already valid
+        letter tuples, such as the words of an operation on valid elements;
+        the dict is pruned in place and becomes the element's terms."""
+        return cls(n, _prune_in_place(terms))
+
+    def _right_index(self) -> "_RightIndex":
+        """The index of these terms that `multiply` reads when this element
+        is its right factor, built on first use and kept; it is not a field,
+        so `==` and `repr` do not see it."""
+        try:
+            return self._index
+        except AttributeError:
+            index = _RightIndex(self.terms)
+            object.__setattr__(self, "_index", index)
+            return index
 
     # ------------------------------------------------------------------
     def is_zero(self) -> bool:
@@ -242,8 +269,10 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     leftover letters of K1 migrate into K2; otherwise the term vanishes.
 
     Only the pairs that reduce are visited.  The terms of b are indexed
-    once by J2 within each length of J2 and, for each length |K1| that a
-    needs, by J2[:|K1|] over the terms with |J2| >= |K1|.  A term of a then
+    by J2 within each length of J2 and, for each length |K1| that a needs,
+    by J2[:|K1|] over the terms with |J2| >= |K1|; the index is built the
+    first time b is a right factor and kept with b, and grows by the
+    lengths |K1| later left factors need (`_RightIndex`).  A term of a then
     probes K1[:L] for each length L < |K1| present in b and takes the one
     bucket keyed by K1, so the cost is sum |J2| to index, sum |K1| probes
     and the matches; an empty K1 matches every term of b.  The matches are
@@ -266,30 +295,52 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         return _matched_product(a, b)
 
 
-def _matched_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """`multiply` of two elements of the same rank."""
-    items = list(b.terms.items())
-    # b's positions by J2 (so within each length of J2), in b's term order
-    by_word: dict = {}
-    for pos, ((j2, _), _) in enumerate(items):
-        by_word.setdefault(j2, []).append(pos)
-    lengths = sorted({len(j2) for j2 in by_word})
-    # per |K1|, the positions of the terms with |J2| >= |K1| by J2[:|K1|];
-    # when no J2 is longer than K1, that is J2 itself
-    heads_by_len: dict = {}
-    out: dict = {}
-    for (j1, k1), c1 in a.terms.items():
-        m = len(k1)
-        heads = heads_by_len.get(m)
+class _RightIndex:
+    """The terms of an element, indexed for `multiply`'s right factor.
+
+    `items` is the list of (key, coefficient) pairs in term order,
+    `by_word` maps each J2 to its positions in that list (so it indexes
+    within each length of J2), and `lengths` are the distinct |J2| in
+    increasing order.  `heads(m)` maps J2[:m] to the positions of the terms
+    with |J2| >= m; it is built the first time a left factor needs that
+    |K1| = m and then kept.  Positions are in term order.
+    """
+
+    __slots__ = ("items", "by_word", "lengths", "heads_by_len")
+
+    def __init__(self, terms: dict):
+        self.items = list(terms.items())
+        by_word: dict = {}
+        for pos, ((j2, _), _) in enumerate(self.items):
+            by_word.setdefault(j2, []).append(pos)
+        self.by_word = by_word
+        self.lengths = sorted({len(j2) for j2 in by_word})
+        self.heads_by_len: dict = {}
+
+    def heads(self, m: int) -> dict:
+        heads = self.heads_by_len.get(m)
         if heads is None:
-            if lengths and m < lengths[-1]:
+            # when no J2 is longer than m, J2[:m] is J2 itself
+            if self.lengths and m < self.lengths[-1]:
                 heads = {}
-                for pos, ((j2, _), _) in enumerate(items):
+                for pos, ((j2, _), _) in enumerate(self.items):
                     if len(j2) >= m:
                         heads.setdefault(j2[:m], []).append(pos)
             else:
-                heads = by_word
-            heads_by_len[m] = heads
+                heads = self.by_word
+            self.heads_by_len[m] = heads
+        return heads
+
+
+def _matched_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """`multiply` of two elements of the same rank."""
+    index = b._right_index()
+    items, by_word, lengths = index.items, index.by_word, index.lengths
+    heads_by_len = index.heads_by_len
+    out: dict = {}
+    for (j1, k1), c1 in a.terms.items():
+        m = len(k1)
+        heads = heads_by_len.get(m) or index.heads(m)
         found = []
         for length in lengths:
             if length >= m:
@@ -464,6 +515,8 @@ def gauge_action(c, a: AlgebraElement) -> AlgebraElement:
 
 
 def _check_unitary(g, n: int):
+    import numpy as np
+
     g = np.asarray(g, dtype=complex)
     if g.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got {g.shape}")
@@ -474,6 +527,8 @@ def _check_unitary(g, n: int):
 def _segments(start, length):
     """(owner, position) for the concatenated ranges start[i] .. start[i] +
     length[i] - 1, each position with the index i of its range."""
+    import numpy as np
+
     owner = np.repeat(np.arange(len(length)), length)
     shift = np.repeat(start - (np.cumsum(length) - length), length)
     return owner, np.arange(owner.size) + shift
@@ -486,6 +541,8 @@ def _distinct(keys, space: int):
     keys, a table over the space replaces the sort: it costs less, and a
     process that never sorts never pages in numpy's sort kernels, which
     adds a quarter of a megabyte or more to its resident size."""
+    import numpy as np
+
     if space > 4 * len(keys):
         return np.unique(keys, return_inverse=True)
     seen = np.zeros(space, bool)
@@ -497,6 +554,8 @@ def _merge(keys, vals, height: int, width: int):
     """Sum the values that share a key row * width + col, for rows in
     range(height) and columns in range(width); returns the distinct rows
     and columns, sorted by (row, col), and the sums."""
+    import numpy as np
+
     keys, slot = _distinct(keys, height * width)
     sums = np.empty(len(keys), dtype=complex)
     sums.real = np.bincount(slot, vals.real, len(keys))
@@ -514,6 +573,8 @@ def _suffix_ids(letters, n: int):
     from the pair (first letter, id of the rest) in sorted order, so no
     id grows like n^m.
     """
+    import numpy as np
+
     count = [1] * (letters.shape[1] + 1)
     first, rest = [], []
     ids = np.zeros(len(letters), np.intp)
@@ -528,6 +589,8 @@ def _suffix_ids(letters, n: int):
 def _row_words(letters, n: int) -> list:
     """The rows of an array of letters in range(n) as words over 1..n, one
     tuple per distinct row."""
+    import numpy as np
+
     ids, count = _suffix_ids(letters, n)[::3]
     first_row = np.zeros(count[0], np.intp)
     first_row[ids] = np.arange(len(ids))
@@ -553,6 +616,8 @@ def _act_on_block(g, la, lb, word_letters, coeffs):
     image counted by the entries above PRUNE_TOL in the columns its letters
     pick, and a monomial G keeps one entry per term.
     """
+    import numpy as np
+
     n = g.shape[0]
     col_of, col_rows = np.nonzero(np.abs(g.T) > PRUNE_TOL)
     col_vals = g[col_rows, col_of]
@@ -617,6 +682,8 @@ def unitary_action(g, a: AlgebraElement) -> AlgebraElement:
     permutation or diagonal g keeps every term a single word at any length.
     A sum over EXPAND_BUDGET raises ValueError before any block is acted on.
     """
+    import numpy as np
+
     g = _check_unitary(g, a.n)
     blocks: dict = {}
     for (j, k), c in a.terms.items():
@@ -640,6 +707,8 @@ def _check_action_size(g, letter_blocks) -> None:
     image's size by the count of entries above PRUNE_TOL in the column of
     G it picks.  Sizes add up as base-2 logarithms, so a long word builds
     no huge integer."""
+    import numpy as np
+
     col_len = np.count_nonzero(np.abs(g) > PRUNE_TOL, axis=0)
     log_len = np.log2(col_len)
     logs = np.concatenate([np.zeros(0)] + [log_len[w].sum(axis=1) for w in letter_blocks])
@@ -689,6 +758,8 @@ def s_of(vectors, n: int | None = None) -> AlgebraElement:
     `vectors` is one unit vector or an ordered sequence of unit vectors;
     a k-factor input yields the normal form of s(z^(1)) ... s(z^(k)).
     """
+    import numpy as np
+
     arr = np.asarray(vectors, dtype=complex)
     if arr.ndim == 1:
         arr = arr[None, :]

@@ -11,7 +11,9 @@ factors, so rotation and gray-zone chains work on demand.
 element (and `gram_matrix` once per distinct word of all its entries),
 keeping them only for that call.  Each term then costs two lookups and
 the same scalar products, summed in the same order, as `word_value`
-would spend on it, so the result is the same to the bit.
+would spend on it, so the result is the same to the bit.  A state reads
+its factor rows once as Python `complex`, and z(J) is a Python `complex`:
+its products are the ones numpy's complex scalars give, at less cost.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ class GPState:
         self.is_cycle = isinstance(param, CycleParam)
         # chain factors 1..len(_chain_rows), generated in blocks on demand
         self._chain_rows = np.empty((0, param.n), dtype=complex)
+        # factors 1..len(_rows) as lists of Python complex: the chain rows
+        # generated so far, or the cycle's rows repeated
+        self._rows = param.rows.tolist() if self.is_cycle else []
 
     @property
     def n(self) -> int:
@@ -57,35 +62,47 @@ class GPState:
             self._chain_rows = chain_factors(self.param, 1, count)
         return self._chain_rows[m - 1]
 
-    def _letter_product(self, word) -> complex:
-        out = 1.0 + 0.0j
-        for pos, letter in enumerate(word, start=1):
-            out *= self.factor(pos)[letter - 1]
-            if out == 0.0:
-                break
-        return out
+    def _more_rows(self, count: int) -> list:
+        """`_rows` extended to at least `count` factors (at least doubled)."""
+        if self.is_cycle:
+            k = self.param.k
+            self._rows = self.param.rows.tolist() * max(-(-count // k), 2 * len(self._rows) // k)
+        else:
+            self.factor(count)
+            self._rows = self._chain_rows.tolist()
+        return self._rows
 
     def word_value(self, left, right) -> complex:
         """Value on s_J s_K* for J=left, K=right."""
-        return self._word_value(tuple(left), tuple(right), {})
+        return next(self._values([(tuple(left), tuple(right))], {}))
 
-    def _word_value(self, left, right, memo: dict) -> complex:
-        """`word_value`, with z(J) and its conjugate read from and added to
-        `memo`, which maps a word to the pair."""
-        if self.is_cycle:
-            if (len(left) - len(right)) % self.param.k != 0:
-                return 0.0
-        elif len(left) != len(right):
-            return 0.0
-        zj, zj_bar = memo.get(left) or self._z(left, memo)
-        if zj == 0.0:
-            return 0.0
-        return zj_bar * (memo.get(right) or self._z(right, memo))[0]
+    def _values(self, words, memo: dict):
+        """The value on s_J s_K* of each (J, K) in `words`, with z(J) and its
+        conjugate read from and added to `memo`, which maps a word to the
+        pair."""
+        period = self.param.k if self.is_cycle else 0
+        z = self._z
+        for left, right in words:
+            gap = len(left) - len(right)
+            if gap % period if period else gap:
+                yield 0.0
+                continue
+            zj, zj_bar = memo.get(left) or z(left, memo)
+            yield 0.0 if zj == 0.0 else zj_bar * (memo.get(right) or z(right, memo))[0]
 
     def _z(self, word, memo: dict):
-        """z(word) and its conjugate, stored in `memo`."""
-        value = self._letter_product(word)
-        pair = memo[word] = (value, np.conj(value))
+        """z(word) and its conjugate, stored in `memo`.  The factor entries
+        are multiplied in order from 1, and a product that reaches 0 stops
+        there, so no chain factor past it is generated."""
+        rows = self._rows
+        value = 1.0 + 0.0j
+        for pos, letter in enumerate(word):
+            if pos == len(rows):
+                rows = self._more_rows(pos + 1)
+            value *= rows[pos][letter - 1]
+            if value == 0.0:
+                break
+        pair = memo[word] = (value, value.conjugate())
         return pair
 
     def evaluate(self, a: AlgebraElement) -> complex:
@@ -94,8 +111,11 @@ class GPState:
     def _evaluate(self, a: AlgebraElement, memo: dict) -> complex:
         if a.n != self.n:
             raise RankMismatchError(f"rank mismatch: {a.n} vs {self.n}")
-        word_value = self._word_value
-        return complex(sum(c * word_value(j, k, memo) for (j, k), c in a.terms.items()))
+        # a left fold from 0, as `sum` takes it
+        total = 0
+        for c, value in zip(a.terms.values(), self._values(a.terms, memo)):
+            total = total + c * value
+        return complex(total)
 
 
 def as_state(param_or_state) -> GPState:
@@ -137,9 +157,18 @@ def fock_annihilation_residual(n: int) -> float:
     """
     if n < 1:
         raise ValueError("generator index must be >= 1")
-    vacuum = GPState(explicit_chain([basis_vector(2, 1)]))
     a = car_generator(n)
-    value = vacuum.evaluate(multiply(a.adjoint(), a))
-    if not abs(value.imag) <= PRUNE_TOL:
-        raise AssertionError("residual unexpectedly non-real")
-    return float(value.real)
+    return _vacuum_residuals([multiply(a.adjoint(), a)])[0]
+
+
+def _vacuum_residuals(products) -> list:
+    """omega(p), a float, for each product p = phi(a_n)* phi(a_n), all in
+    one constant e_1 chain state."""
+    vacuum = GPState(explicit_chain([basis_vector(2, 1)]))
+    out = []
+    for product in products:
+        value = vacuum.evaluate(product)
+        if not abs(value.imag) <= PRUNE_TOL:
+            raise AssertionError("residual unexpectedly non-real")
+        out.append(float(value.real))
+    return out

@@ -645,6 +645,56 @@ def reference_unitary_action(u, a):
     return g.AlgebraElement.from_terms(n, out)
 
 
+def _reference_letter_product(state, word):
+    """z(word) through numpy's complex scalars: the entry of each letter in
+    `state.factor(pos)` multiplied in from 1, stopping at an exact 0."""
+    out = 1.0 + 0.0j
+    for pos, letter in enumerate(word, start=1):
+        out *= state.factor(pos)[letter - 1]
+        if out == 0.0:
+            break
+    return out
+
+
+def reference_evaluate(state, a, memo=None):
+    """`GPState._evaluate` as it was when the state read its factors as
+    numpy rows: z(J) and its conjugate are numpy scalars memoized per word
+    in `memo`, and the terms are summed by `sum`."""
+    memo = {} if memo is None else memo
+
+    def z(word):
+        value = _reference_letter_product(state, word)
+        pair = memo[word] = (value, np.conj(value))
+        return pair
+
+    def word_value(left, right):
+        if state.is_cycle:
+            if (len(left) - len(right)) % state.param.k != 0:
+                return 0.0
+        elif len(left) != len(right):
+            return 0.0
+        zj, zj_bar = memo.get(left) or z(left)
+        if zj == 0.0:
+            return 0.0
+        return zj_bar * (memo.get(right) or z(right))[0]
+
+    return complex(sum(c * word_value(j, k) for (j, k), c in a.terms.items()))
+
+
+def reference_gram_matrix(param, elements):
+    """`gram_matrix` with every entry from `reference_evaluate`, one memo
+    for all of them."""
+    state = g.GPState(param)
+    size = len(elements)
+    out = np.zeros((size, size), dtype=complex)
+    memo: dict = {}
+    for i, a in enumerate(elements):
+        for j in range(i, size):
+            out[i, j] = reference_evaluate(state, g.multiply(a.adjoint(), elements[j]), memo)
+            out[j, i] = np.conj(out[i, j])
+    return out
+
+
 def reference_state_eval(param, a):
     """`state_eval` term by term: both words of each term are walked afresh
     through the factors, and the terms are summed by a left fold from 0."""
@@ -656,10 +706,10 @@ def reference_state_eval(param, a):
                 return 0.0
         elif len(j) != len(k):
             return 0.0
-        zj = state._letter_product(j)
+        zj = _reference_letter_product(state, j)
         if zj == 0.0:
             return 0.0
-        return np.conj(zj) * state._letter_product(k)
+        return np.conj(zj) * _reference_letter_product(state, k)
 
     return complex(sum(c * word_value(j, k) for (j, k), c in a.terms.items()))
 

@@ -1,6 +1,7 @@
 """Normal forms, structural maps and the anticommutation embedding."""
 
 import cmath
+import dataclasses
 import gc
 import itertools
 import math
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import gpcuntz as g
+from gpcuntz import algebra
 from helpers import (
     assert_elements_close,
     random_element,
@@ -156,6 +158,96 @@ def test_multiply_two_proper_prefix_buckets(order):
     assert_multiply_matches_references(a, b)
     first = [key for key in g.multiply(a, b).terms if key[0] == (2,)]
     assert first == [((2,), terms[i][0][1] + (1, 2, 1)[len(terms[i][0][0]):]) for i in order]
+
+
+@st.composite
+def shared_right_factors(draw):
+    """One right factor at N = 2..3 and a sequence of left factors whose
+    right words K1 have mixed lengths in random order; most K1 cut or
+    extend a left word J2 of the right factor, so many pairs reduce."""
+    n = draw(st.integers(2, 3))
+    word = st.lists(st.integers(1, n), max_size=5).map(tuple)
+    coeff = st.complex_numbers(min_magnitude=0.1, max_magnitude=4,
+                               allow_nan=False, allow_infinity=False)
+    b = draw(st.dictionaries(st.tuples(word, word), coeff, min_size=1, max_size=8))
+    lefts = []
+    for _ in range(draw(st.integers(1, 6))):
+        terms = {}
+        for _ in range(draw(st.integers(1, 5))):
+            k1 = draw(word)
+            if draw(st.booleans()):
+                j2 = draw(st.sampled_from(sorted(key[0] for key in b)))
+                k1 = (j2 + k1)[: draw(st.integers(0, 7))]
+            terms[draw(word), k1] = draw(coeff)
+        lefts.append(g.AlgebraElement.from_terms(n, terms))
+    return g.AlgebraElement.from_terms(n, b), lefts
+
+
+@given(shared_right_factors())
+def test_products_sharing_a_right_factor_match_pairwise_loop(case):
+    # the right factor's index is built by the first product and grown by
+    # the later ones, each |K1| the first time a left factor needs it
+    b, lefts = case
+    for a in lefts + [b] + lefts[::-1]:
+        assert_bit_identical(g.multiply(a, b), reference_pairwise_multiply(a, b))
+
+
+def test_multiply_indexes_each_right_factor_once(monkeypatch):
+    built = []
+    right_index = algebra._RightIndex
+
+    def counted(terms):
+        built.append(len(terms))
+        return right_index(terms)
+
+    monkeypatch.setattr(algebra, "_RightIndex", counted)
+    b = g.AlgebraElement.from_terms(2, {((1, 2), ()): 1.0, ((2,), (1,)): 2j, ((), ()): 0.5})
+    lefts = [g.word_element(2, (), k1) for k1 in [(1, 2, 1), (), (1,), (1, 2), (2, 2, 2, 2)]]
+    for a in lefts + [b]:
+        g.multiply(a, b)
+    g.multiply(b, lefts[0])
+    # once for b, which served six products, and once for lefts[0]
+    assert built == [3, 1]
+
+
+def test_serving_as_a_right_factor_changes_neither_equality_nor_repr():
+    b = g.AlgebraElement.from_terms(2, {((1, 2), (2,)): 1.5, ((2,), ()): -2j, ((), (1, 1)): 0.25})
+    twin = g.AlgebraElement.from_terms(2, b.terms)
+    text = repr(b)
+    for k1 in [(1,), (), (1, 2, 2), (2,)]:
+        g.multiply(g.word_element(2, (2,), k1), b)
+    assert b == twin and twin == b
+    assert repr(b) == repr(twin) == text
+    assert [field.name for field in dataclasses.fields(b)] == ["n", "terms"]
+
+
+def test_from_terms_leaves_its_argument_unchanged():
+    terms = {((1,), ()): 2, ((2,), (1,)): 1e-13, ((), ()): np.complex128(0.5j), ((1, 2), ()): 0.0}
+    copy = dict(terms)
+    a = g.AlgebraElement.from_terms(2, terms)
+    assert list(terms.items()) == list(copy.items())
+    assert [type(c) for c in terms.values()] == [type(c) for c in copy.values()]
+    assert a.terms is not terms
+    assert list(a.terms.items()) == [(((1,), ()), 2 + 0j), (((), ()), 0.5j)]
+
+
+def test_from_words_prunes_in_place_keeping_nan_and_key_order():
+    tol = algebra.PRUNE_TOL
+    terms = {
+        ((1,), ()): tol,                        # dropped: at the tolerance
+        ((2,), ()): np.float64(3.0),            # kept, stored as complex
+        ((), (1,)): complex(math.nan, 0.0),     # kept: NaN is not small
+        ((1, 1), ()): complex(0.0, -tol),       # dropped
+        ((2, 2), (1,)): 2 * tol,                # kept
+        ((), ()): -2j,
+        ((2,), (2,)): 0,                        # dropped
+    }
+    a = g.AlgebraElement._from_words(2, terms)
+    assert a.terms is terms
+    assert list(a.terms) == [((2,), ()), ((), (1,)), ((2, 2), (1,)), ((), ())]
+    assert all(type(c) is complex for c in a.terms.values())
+    assert a.terms[(2,), ()] == 3.0 and a.terms[(2, 2), (1,)] == 2 * tol
+    assert cmath.isnan(a.terms[(), (1,)])
 
 
 @given(words2, words2)

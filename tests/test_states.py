@@ -15,6 +15,8 @@ from helpers import (
     random_nonperiodic_cycle,
     random_unit,
     reference_chain_factor,
+    reference_evaluate,
+    reference_gram_matrix,
     reference_state_eval,
 )
 
@@ -176,6 +178,65 @@ def test_gram_matrix_is_bit_identical_to_term_by_term_reference():
                 expected[i, j] = reference_state_eval(param, g.multiply(a.adjoint(), elements[j]))
                 expected[j, i] = np.conj(expected[i, j])
         assert g.gram_matrix(param, elements).tobytes() == expected.tobytes()
+
+
+STATE_KINDS = ["cycle", "basis cycle", "rotation", "float rotation", "gray zone",
+               "explicit", "prefix"]
+
+
+def state_param(rng, n, kind):
+    """A parameter of the kind; rotations and the gray zone live in C^2."""
+    if kind in ("cycle", "basis cycle"):
+        return random_param(rng, n, kind)
+    if kind == "rotation":
+        return g.rotation_chain(Fraction(int(rng.integers(0, 12)), int(rng.integers(1, 12))))
+    if kind == "float rotation":
+        return g.rotation_chain(float(rng.random()))
+    if kind == "gray zone":
+        return g.gray_zone_chain()
+    if kind == "explicit":
+        return random_param(rng, n, "chain")
+    # basis factors end many products before the prefix runs out
+    return g.prefix_chain([g.basis_vector(n, int(rng.integers(1, n + 1))) if rng.random() < 0.5
+                           else random_unit(rng, n) for _ in range(int(rng.integers(1, 5)))])
+
+
+def with_zero_terms(rng, a):
+    """`a` built directly, with some coefficients made 0 or -0 and some
+    words of value 0 added."""
+    terms = dict(a.terms)
+    for key in list(terms)[::3]:
+        terms[key] = complex(-0.0, 0.0) if rng.random() < 0.5 else 0j
+    terms[(1,) * 3, (a.n,) * 2] = complex(rng.normal(), rng.normal())
+    return g.AlgebraElement(a.n, terms)
+
+
+def outcome(compute, arg):
+    """compute(arg), or the type of the error it raised."""
+    try:
+        return compute(arg)
+    except Exception as exc:
+        return type(exc)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.sampled_from(STATE_KINDS))
+def test_evaluate_matches_the_numpy_scalar_reference(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    param = state_param(rng, n, kind)
+    n = param.n
+    elements = []
+    for _ in range(4):
+        a = random_element(rng, n, max_word=4, n_terms=int(rng.integers(0, 20)))
+        if rng.random() < 0.5:
+            a = g.multiply(a, random_element(rng, n, max_word=3, n_terms=6).adjoint())
+        elements.append(with_zero_terms(rng, a) if rng.random() < 0.5 else a)
+    # one state each for all elements, so factor rows and z(J) carry over
+    state, reference = g.GPState(param), g.GPState(param)
+    for a in elements:
+        expected = outcome(lambda x: bits(reference_evaluate(reference, x)), a)
+        assert outcome(lambda x: bits(state.evaluate(x)), a) == expected
+    gram = outcome(lambda xs: g.gram_matrix(param, xs).tobytes(), elements)
+    assert gram == outcome(lambda xs: reference_gram_matrix(param, xs).tobytes(), elements)
 
 
 def test_evaluate_keeps_no_word_values_between_calls():
