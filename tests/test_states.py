@@ -230,7 +230,7 @@ def test_evaluate_matches_the_numpy_scalar_reference(seed, n, kind):
         if rng.random() < 0.5:
             a = g.multiply(a, random_element(rng, n, max_word=3, n_terms=6).adjoint())
         elements.append(with_zero_terms(rng, a) if rng.random() < 0.5 else a)
-    # one state each for all elements, so factor rows and z(J) carry over
+    # one state each for all elements, so the factor rows carry over between calls
     state, reference = g.GPState(param), g.GPState(param)
     for a in elements:
         expected = outcome(lambda x: bits(reference_evaluate(reference, x)), a)
