@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import gpcuntz as g
-from gpcuntz import algebra
+from gpcuntz import _unitary, algebra
 from helpers import (
     assert_elements_close,
     random_element,
@@ -664,7 +664,7 @@ def test_unitary_action_matches_term_by_term_reference(seed, n, kind):
 def test_distinct_keys_match_unique(keys, spare):
     # a table over the key space or a sort, by the space's size; both give np.unique's answer
     keys = np.array(keys, np.intp)
-    distinct, slot = g.algebra._distinct(keys, (int(keys.max()) + 1 if len(keys) else 0) + spare)
+    distinct, slot = _unitary._distinct(keys, (int(keys.max()) + 1 if len(keys) else 0) + spare)
     expected, expected_slot = np.unique(keys, return_inverse=True)
     assert distinct.tolist() == expected.tolist()
     assert slot.tolist() == expected_slot.tolist()
@@ -685,13 +685,13 @@ def test_unitary_action_on_a_forty_letter_word_at_rank_four():
     j = tuple(int(x) for x in rng.integers(1, 5, 40))
     k = tuple(int(x) for x in rng.integers(1, 5, 3))
     a = g.word_element(4, j, k, 1j) + g.word_element(4, j[:20], (), 2.0)
-    merge = g.algebra._merge
+    merge = _unitary._merge
     for kind in ("permutation", "diagonal"):
         u = unitary_of_kind(rng, 4, kind)
         # every letter axis keeps one entry per term
         sizes = []
         with mock.patch.object(
-            g.algebra, "_merge", lambda *args: sizes.append(len(args[0])) or merge(*args)
+            _unitary, "_merge", lambda *args: sizes.append(len(args[0])) or merge(*args)
         ):
             image = g.unitary_action(u, a)
         assert sizes == [1] * (40 + 3 + 20)
@@ -708,7 +708,7 @@ def test_unitary_action_budget_is_charged_before_acting(monkeypatch):
     def no_action(*_):
         raise AssertionError("a block was acted on for a refused request")
 
-    monkeypatch.setattr(g.algebra, "_act_on_block", no_action)
+    monkeypatch.setattr(_unitary, "_act_on_block", no_action)
     u = random_unitary(np.random.default_rng(41), 4)
     # one term whose images hold 4^14 = 2^28 entries
     with pytest.raises(ValueError, match=r"unitary_action would generate at least 2\^28 entries, "
