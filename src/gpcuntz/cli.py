@@ -18,6 +18,7 @@ compiles and imports only what its subcommand needs: `normalize` loads
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -373,6 +374,8 @@ def _cmd_car_check(args) -> int:
 # ----------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser of the command line.  `main` runs subcommand `name`
+    by the handler `_cmd_<name>`, its dashes written as underscores."""
     parser = argparse.ArgumentParser(
         prog="gpcuntz",
         description="Generalized permutative representation toolkit",
@@ -397,41 +400,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expand", type=int, default=None,
                    help="also expand to a common sandwich depth")
     add_format(p)
-    p.set_defaults(func=_cmd_normalize)
 
     p = sub.add_parser("state-eval", help="evaluate the parameter state on an expression")
     add_param(p)
     p.add_argument("expression")
     add_format(p)
-    p.set_defaults(func=_cmd_state_eval)
 
     p = sub.add_parser("classify", help="irreducibility classification of a parameter")
     add_param(p)
     add_format(p)
-    p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("equivalent", help="decide parameter equivalence")
     p.add_argument("--param", required=True)
     p.add_argument("--other", required=True)
     add_format(p)
-    p.set_defaults(func=_cmd_equivalent)
 
     p = sub.add_parser("decompose", help="irreducible or direct-integral decomposition")
     add_param(p)
     add_format(p)
-    p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("rep-build", help="build and export a truncated representation")
     add_param(p)
     add_truncation(p)
     add_format(p, choices=("json", "matrix-coo"))
-    p.set_defaults(func=_cmd_rep_build)
 
     p = sub.add_parser("verify", help="check the defining relations on a truncation")
     add_param(p)
     add_truncation(p)
     add_format(p)
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("diagnostics", help="asymptotic periodicity partial sums")
     add_param(p)
@@ -442,12 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", "-M", type=int, default=1000, help="number of summands")
     p.add_argument("--target", help="unit vector JSON for target-overlap sums")
     add_format(p)
-    p.set_defaults(func=_cmd_diagnostics)
 
     p = sub.add_parser("car-check", help="anticommutation and vacuum residuals")
     p.add_argument("--n-max", type=int, default=4)
     add_format(p)
-    p.set_defaults(func=_cmd_car_check)
 
     return parser
 
@@ -463,11 +457,19 @@ def _domain_errors() -> tuple:
     return (ValueError, OSError) + ((reps.TruncationOverflowError,) if reps else ())
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reads, built once per process: parse_args keeps no
+    state between calls, and building the tree takes about a millisecond."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # the handler is looked up when called, so one replaced at run time runs
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except _domain_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -84,7 +84,11 @@ target layer, one slice of an index text table made once, its source's
 column texts repeated N times and the `repr` texts of its N coefficients
 tiled, with exact zeros dropped; the output is one join, byte-stable with
 every -0.0 kept.  `export_json` builds its whole dict with the cyclic
-garbage collector paused once.
+garbage collector paused once and one list per distinct value: the
+`[re, im]` lists of each step's nonzero coefficients are made once and
+repeated over the step's columns, and every entry of Omega outside its
+held support is one shared `[0.0, 0.0]`.  The dict is for serialising and
+must be treated as read-only.
 """
 
 from __future__ import annotations
@@ -104,7 +108,6 @@ from .params import (
     _nested_list,
     basis_vector,
     chain_factors,
-    complex_pairs,
     scale_cycle,
 )
 
@@ -188,14 +191,16 @@ class TruncatedRep:
 
     @cached_property
     def gens(self) -> list:
-        """S_1..S_N as scipy csc_arrays built from `_generator_entries`; the
-        first use loads scipy.sparse, which needs the `test` extra."""
+        """S_1..S_N as scipy csc_arrays built from `_generator_entries` and
+        `_generator_values`; the first use loads scipy.sparse, which needs
+        the `test` extra."""
         import scipy.sparse as sp
 
         shape = (self.dim, self.dim)
         columns = np.arange(self.dim + 1)
         return [sp.csc_array((values, rows, np.searchsorted(cols, columns)), shape=shape)
-                for rows, cols, values in _generator_entries(self)]
+                for (rows, cols), values in zip(_generator_entries(self),
+                                                _generator_values(self))]
 
     @property
     def block(self) -> int:
@@ -932,7 +937,7 @@ def power_vanish(rep: TruncatedRep, z: CycleParam, v: np.ndarray, m_max: int) ->
 # export
 
 def _generator_entries(rep: TruncatedRep):
-    """Rows, columns and values of every generator, ordered by column and
+    """Rows and columns of every generator's entries, ordered by column and
     then row, exact zeros skipped.  A step fills column m < N^(D-1) of its
     source with rows N m + j of its target: position p = N m + j of its
     blocks holds target row p, source column p // N and coefficient j.
@@ -941,10 +946,18 @@ def _generator_entries(rep: TruncatedRep):
     positions = np.arange(rep.block, dtype=np.int32)
     rows = rep.step_targets.astype(np.int32)[:, None] * rep.block + positions
     cols = rep.step_sources.astype(np.int32)[:, None] * rep.block + positions // rep.n
+    for kept in (rep.step_coeffs != 0).transpose(1, 0, 2):
+        kept = np.tile(kept, rep.block // rep.n)
+        yield rows[kept], cols[kept]
+
+
+def _generator_values(rep: TruncatedRep):
+    """The values of every generator's entries, in the order of
+    `_generator_entries`: each step's nonzero coefficients tiled over its
+    source's columns.  Only `gens` needs them as arrays."""
+    tile = rep.block // rep.n
     for coeffs in rep.step_coeffs.transpose(1, 0, 2):
-        values = np.tile(coeffs, rep.block // rep.n)
-        kept = values != 0
-        yield rows[kept], cols[kept], values[kept]
+        yield np.concatenate([np.tile(c[c != 0], tile) for c in coeffs])
 
 
 def _index_texts(dim: int):
@@ -1007,19 +1020,35 @@ def export_coo(rep: TruncatedRep) -> str:
 
 
 def export_json(rep: TruncatedRep) -> dict:
-    """The truncation as JSON-ready lists, built with the collector paused."""
+    """The truncation as JSON-ready lists, built with the collector paused.
+
+    The dict is for serialising and must be treated as read-only: equal
+    `[re, im]` pairs are one list.  A generator's values repeat, step
+    after step, the pairs of the step's nonzero coefficients, made once,
+    over its source's columns, in the order of `_generator_entries`; every
+    entry of Omega outside its held support is one shared `[0.0, 0.0]`.
+    """
+    tile = rep.block // rep.n
     with _collector_paused():
+        generators = []
+        for coeffs, (rows, cols) in zip(rep.step_coeffs.transpose(1, 0, 2).tolist(),
+                                        _generator_entries(rep)):
+            values = []
+            for step in coeffs:
+                values += [[c.real, c.imag] for c in step if c != 0] * tile
+            generators.append({"rows": rows.tolist(), "cols": cols.tolist(), "values": values})
+        omega = [[0.0, 0.0]] * rep.dim
+        for layer, x in _omega(rep).items():
+            start = layer * rep.block
+            omega[start:start + x.size] = [[c.real, c.imag] for c in x.tolist()]
         return {
             "rank": rep.n,
             "kind": rep.kind,
             "depth": rep.depth,
             "dim": rep.dim,
             "layers": [int(t) for t in rep.layers],
-            "generators": [
-                {"rows": rows.tolist(), "cols": cols.tolist(), "values": complex_pairs(values)}
-                for rows, cols, values in _generator_entries(rep)
-            ],
-            "omega": complex_pairs(rep.omega),
+            "generators": generators,
+            "omega": omega,
             "labels": _nested_list(np.stack(_label_columns(rep), axis=1)),
             "interior": rep.interior.tolist(),
         }

@@ -919,6 +919,42 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
+def _exit_and_output(capsys, argv):
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_builds_its_parser_once_and_answers_as_a_fresh_parser(capsys, monkeypatch):
+    queries = [
+        ["normalize", "-N", "2", "s1* s1"],
+        ["verify", "--inline", ROTATION_THIRD, "--depth", "2", "--window", "1", "2"],
+        ["normalize", "-N", "two", "s1"],
+        ["verify", "--inline", ROTATION_THIRD, "--depth", "2", "-f", "json"],
+        ["car-check", "--n-max", "2", "-f", "json"],
+        ["rep-build", "--inline", CYCLE_E1, "--depth", "2", "--fiber", "-1"],
+        ["diagnostics", "--rotation", "1/3", "--M", "10"],
+        ["car-check", "--n-max", "-f"],
+        ["normalize", "-N", "2", "s1* s1"],
+    ]
+    # each query's answer when main builds a fresh parser for it
+    expected = []
+    for argv in queries:
+        cli._parser.cache_clear()
+        expected.append(_exit_and_output(capsys, argv))
+    assert [code for code, _out, _err in expected] == [0, 0, 2, 0, 0, 0, 0, 2, 0]
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    assert [_exit_and_output(capsys, argv) for argv in queries] == expected
+    assert len(built) == 1
+    assert cli.build_parser() is not cli.build_parser()
+
+
 def test_missing_file_exit_code():
     proc = run_module("classify", "--param", "/nonexistent.json")
     assert proc.returncode == 1

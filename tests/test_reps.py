@@ -973,6 +973,71 @@ def test_exports_match_per_entry_reference_on_sparse_factors(rep):
             == json.dumps(reference_export_json(rep), sort_keys=True))
 
 
+@st.composite
+def _json_reps(draw):
+    """Fibers of N = 2, 3 cycles of at most 3 factors at depth 2-5, twisted
+    by 1, -1, 1j or a random unit, and rotation, gray-zone and explicit
+    chains with a preperiod on several windows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    family = draw(st.sampled_from(["cycle", "rotation", "gray zone", "explicit"]))
+    depth = draw(st.integers(2, 5))
+    if family == "cycle":
+        n = draw(st.integers(2, 3))
+        z = g.cycle([random_unit(rng, n) for _ in range(draw(st.integers(1, 3)))])
+        phase = draw(st.sampled_from([1, -1, 1j, None]))
+        if phase is None:
+            phase = np.exp(2j * np.pi * rng.random())
+        return g.build_fiber_rep(z, phase, depth)
+    if family == "rotation":
+        den = draw(st.integers(1, 9))
+        chain = g.rotation_chain(Fraction(draw(st.integers(0, den - 1)), den))
+    elif family == "gray zone":
+        chain = g.gray_zone_chain()
+    else:
+        n = draw(st.integers(2, 3))
+        chain = g.explicit_chain([random_unit(rng, n) for _ in range(draw(st.integers(1, 2)))],
+                                 [random_unit(rng, n) for _ in range(draw(st.integers(1, 2)))])
+    return g.build_chain_rep(chain, depth, draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+
+
+def _assert_json_matches_reference_and_shares_pairs(rep):
+    data = g.export_json(rep)
+    expected = reference_export_json(rep)
+    assert data == expected
+    assert json.dumps(data, sort_keys=True) == json.dumps(expected, sort_keys=True)
+    # one [re, im] list per kept coefficient of each step, and one zero
+    # pair for every entry of Omega but the distinguished one
+    for gen in data["generators"]:
+        assert len({id(pair) for pair in gen["values"]}) <= len(rep.step_sources) * rep.n
+    (support,) = np.flatnonzero(rep.omega)
+    assert len({id(pair) for i, pair in enumerate(data["omega"]) if i != support}) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(rep=_json_reps())
+def test_export_json_equals_the_reference_and_shares_equal_pairs(rep):
+    _assert_json_matches_reference_and_shares_pairs(rep)
+
+
+@pytest.mark.parametrize("name", ["gray zone", "rotation 0", "explicit zero middle"])
+def test_export_json_keeps_signed_and_exact_zeros_of_the_steps(name):
+    rng = np.random.default_rng(29)
+    rep = {
+        # conj(u) of the gray zone's real unitaries keeps -0.0 imaginary parts
+        "gray zone": g.build_chain_rep(g.gray_zone_chain(), 4, 3, 2),
+        # every step completes e_1 to the identity: exact zeros off the diagonal
+        "rotation 0": g.build_chain_rep(g.rotation_chain(Fraction(0, 1)), 3, 2, 2),
+        "explicit zero middle": g.build_chain_rep(
+            g.explicit_chain([_zero_middle(rng)], [_zero_middle(rng)]), 3, 2, 3),
+    }[name]
+    coeffs = rep.step_coeffs.ravel()
+    if name == "gray zone":
+        assert np.any(np.signbit(coeffs.imag) & (coeffs.imag == 0))
+    else:
+        assert np.any(coeffs == 0)
+    _assert_json_matches_reference_and_shares_pairs(rep)
+
+
 @settings(max_examples=150, deadline=None)
 @given(rep=_drawn_reps(), seed=st.integers(0, 2 ** 32 - 1), terms=st.integers(1, 3))
 def test_vacuum_expectation_keeps_the_bits_of_vdot(rep, seed, terms):
@@ -1010,9 +1075,10 @@ def test_generator_entries_match_the_coo_route(data):
     rep, table = _build_recording_steps(lambda: data.draw(_drawn_reps()))
     reference = reference_layered_gens(*table)
     entries = list(g.reps._generator_entries(rep))
-    assert len(entries) == len(reference) == rep.n
+    tables = list(g.reps._generator_values(rep))
+    assert len(entries) == len(tables) == len(reference) == rep.n
     # in column-then-row order, the order of the reference's CSC arrays
-    for (rows, cols, values), mat in zip(entries, reference):
+    for (rows, cols), values, mat in zip(entries, tables, reference):
         assert mat.shape == (rep.dim, rep.dim)
         assert values.dtype == complex and values.tobytes() == mat.data.tobytes()
         assert np.array_equal(rows, mat.indices)
