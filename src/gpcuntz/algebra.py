@@ -56,7 +56,16 @@ class RankMismatchError(ValueError):
 
 
 def _as_word(letters, n: int) -> Word:
-    word = tuple(int(x) for x in letters)
+    """The letters as a tuple of ints in 1..n.  A letter that int() would
+    change or refuse, such as 1.7 or inf, raises ValueError; numpy integers
+    are taken."""
+    letters = tuple(letters)
+    try:
+        word = tuple(map(int, letters))
+    except (ValueError, OverflowError):  # NaN, infinities
+        word = None
+    if word != letters:
+        raise ValueError(f"letters must be integers, got {letters!r}")
     for x in word:
         if not 1 <= x <= n:
             raise ValueError(f"letter {x} outside alphabet 1..{n}")

@@ -5,14 +5,15 @@ rep-build, verify, diagnostics, car-check.  Parameters come from a JSON
 file (--param) or an inline JSON string (--inline); expressions use the
 grammar of `gpcuntz.expressions`.  The environment variable GPCUNTZ_TOL, a
 finite positive number, overrides the default tolerance 1e-9.  Exit codes:
-0 success, 1 domain error, 2 usage error.  Floats print with shortest
-round-trip literals (up to 17 significant digits).
+0 success, 1 domain error, 2 usage error; every domain error is a
+ValueError or an OSError, reps.TruncationOverflowError included.  Floats
+print with shortest round-trip literals (up to 17 significant digits).
 
 Each handler imports the modules it runs when it is called, so a process
 compiles and imports only what its subcommand needs: `normalize` loads
 `expressions` and `algebra`; `classify`, `equivalent` and `decompose` load
 `params` and `decisions` but not `reps`; only `rep-build` and `verify` load
-`reps`.  No subcommand loads scipy.
+`reps`.  `cli` itself imports no numpy, and no subcommand loads scipy.
 """
 
 from __future__ import annotations
@@ -61,12 +62,10 @@ def _complex_in(entry, field: str) -> complex:
     raise ValueError(f"{field}: expected a number or an [re, im] pair, got {entry!r}")
 
 
-def _vector_in(entry, field: str):
-    import numpy as np
-
+def _vector_in(entry, field: str) -> list:
     if not isinstance(entry, (list, tuple)):
         raise ValueError(f"{field} must be a list of entries, got {entry!r}")
-    return np.asarray([_complex_in(x, field) for x in entry], dtype=complex)
+    return [_complex_in(x, field) for x in entry]
 
 
 def _vectors_in(entry, field: str) -> list:
@@ -446,17 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _domain_errors() -> tuple:
-    """The errors that exit 1 with one `error:` line.
-
-    Every domain error is a ValueError or an OSError, json.JSONDecodeError and
-    the package's own errors included, except reps.TruncationOverflowError, a
-    RuntimeError; only a subcommand that has loaded `reps` can raise it.
-    """
-    reps = sys.modules.get(f"{__package__}.reps")
-    return (ValueError, OSError) + ((reps.TruncationOverflowError,) if reps else ())
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser `main` reads, built once per process: parse_args keeps no
@@ -470,7 +458,7 @@ def main(argv=None) -> int:
     handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
-    except _domain_errors() as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

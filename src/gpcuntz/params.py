@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -62,22 +63,21 @@ def unit_vector(components) -> np.ndarray:
 
 
 def basis_vector(n: int, i: int) -> np.ndarray:
+    """e_i in C^n, i = 1..n."""
+    if not (isinstance(i, numbers.Integral) and 1 <= i <= n):
+        raise ValueError(f"basis index must be an integer in 1..{n}, got {i!r}")
     v = np.zeros(n, dtype=complex)
     v[i - 1] = 1.0
     return unit_vector(v)
 
 
-def _nested_list(array: np.ndarray) -> list:
-    """`array.tolist()` with the cyclic garbage collector paused: a nested
-    list allocates one small container per row."""
-    with _collector_paused():
-        return array.tolist()
-
-
 def complex_pairs(values) -> list:
-    """[[re, im], ...] floats of a complex vector: the JSON form of vectors."""
+    """[[re, im], ...] floats of a complex vector, the JSON form of vectors,
+    built with the collector paused: one small list per entry."""
     values = np.asarray(values, dtype=complex)
-    return _nested_list(np.stack([values.real, values.imag], axis=-1))
+    pairs = np.stack([values.real, values.imag], axis=-1)
+    with _collector_paused():
+        return pairs.tolist()
 
 
 def _phase_split(rows: np.ndarray):

@@ -18,8 +18,10 @@ dropped.  The kinds differ only in their tables:
 
 S_i* S_j = delta_ij holds exactly on the first N^(D-1) columns of every
 step source (`interior`) and sum_i S_i S_i* = I on every step target; all
-contracts are stated there.  The distinguished vector sits at (1, 1) for
-cycles and (0, 1) for chains.
+contracts are stated there.  Support that would leave these columns, or a
+chain layer outside the window, raises TruncationOverflowError, a ValueError
+and a RuntimeError.  The distinguished vector sits at (1, 1) for cycles and
+(0, 1) for chains.
 
 A truncation carries, from construction, the read-only factor rows it
 realizes (`factor_rows`): the k rows of the cycle, or of c*v for a fiber
@@ -59,8 +61,10 @@ and summed in scipy's order, so every residual, and every vector from a
 finite one, carries the bits of the sparse products it replaced.
 
 `gens`, the generators as scipy csc_arrays built on first use from the
-entries the exports write, is the only scipy view of a truncation and the
-only code here that loads scipy.  Nothing in this module, the package or
+entries the exports write (the rows and columns of `_generator_entries`,
+and each step's coefficients tiled over its source's columns with the exact
+zeros dropped), is the only scipy view of a truncation and the only code
+here that loads scipy.  Nothing in this module, the package or
 its command line reads it; it stays for the benchmark and the tests,
 which check a truncation against scipy's sparse products, and it needs
 scipy, which only the package's `test` extra installs.
@@ -105,7 +109,6 @@ from .algebra import (PIVOT_TOL, PRUNE_TOL, AlgebraElement, RankMismatchError, _
 from .params import (
     ChainParam,
     CycleParam,
-    _nested_list,
     basis_vector,
     chain_factors,
     scale_cycle,
@@ -124,7 +127,7 @@ _BASIS_STACK_SHARE = 8
 _OMEGA_LAYER = {"cycle": 1, "fiber": 1, "chain": 0}
 
 
-class TruncationOverflowError(RuntimeError):
+class TruncationOverflowError(ValueError, RuntimeError):
     """A vector's support escaped the exact interior during application."""
 
 
@@ -191,16 +194,18 @@ class TruncatedRep:
 
     @cached_property
     def gens(self) -> list:
-        """S_1..S_N as scipy csc_arrays built from `_generator_entries` and
-        `_generator_values`; the first use loads scipy.sparse, which needs
-        the `test` extra."""
+        """S_1..S_N as scipy csc_arrays built from `_generator_entries`; the
+        first use loads scipy.sparse, which needs the `test` extra."""
         import scipy.sparse as sp
 
         shape = (self.dim, self.dim)
         columns = np.arange(self.dim + 1)
-        return [sp.csc_array((values, rows, np.searchsorted(cols, columns)), shape=shape)
-                for (rows, cols), values in zip(_generator_entries(self),
-                                                _generator_values(self))]
+        # each step's coefficients tiled over its source's columns: the
+        # entries' values once the exact zeros are dropped
+        tile = self.block // self.n
+        tiled = (np.tile(c, tile).ravel() for c in self.step_coeffs.transpose(1, 0, 2))
+        return [sp.csc_array((v[v != 0], rows, np.searchsorted(cols, columns)), shape=shape)
+                for (rows, cols), v in zip(_generator_entries(self), tiled)]
 
     @property
     def block(self) -> int:
@@ -951,15 +956,6 @@ def _generator_entries(rep: TruncatedRep):
         yield rows[kept], cols[kept]
 
 
-def _generator_values(rep: TruncatedRep):
-    """The values of every generator's entries, in the order of
-    `_generator_entries`: each step's nonzero coefficients tiled over its
-    source's columns.  Only `gens` needs them as arrays."""
-    tile = rep.block // rep.n
-    for coeffs in rep.step_coeffs.transpose(1, 0, 2):
-        yield np.concatenate([np.tile(c[c != 0], tile) for c in coeffs])
-
-
 def _index_texts(dim: int):
     """`i` and ` i` text of every index 0..dim, as two object arrays: the
     text of i // 1000 joined to the three digits of i % 1000 (i itself
@@ -1049,6 +1045,6 @@ def export_json(rep: TruncatedRep) -> dict:
             "layers": [int(t) for t in rep.layers],
             "generators": generators,
             "omega": omega,
-            "labels": _nested_list(np.stack(_label_columns(rep), axis=1)),
+            "labels": np.stack(_label_columns(rep), axis=1).tolist(),
             "interior": rep.interior.tolist(),
         }

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import PRUNE_TOL, AlgebraElement, RankMismatchError, car_generator, multiply
+from .algebra import (PRUNE_TOL, AlgebraElement, RankMismatchError, _as_word, car_generator,
+                      multiply)
 from .params import (
     ChainParam,
     CycleParam,
@@ -38,9 +39,7 @@ class GPState:
             raise TypeError("expected a cycle or chain parameter")
         self.param = param
         self.is_cycle = isinstance(param, CycleParam)
-        # chain factors 1..len(_chain_rows), generated in blocks on demand
-        self._chain_rows = np.empty((0, param.n), dtype=complex)
-        # factors 1..len(_rows) as lists of Python complex: the chain rows
+        # factors 1..len(_rows) as lists of Python complex: the chain factors
         # generated so far, or the cycle's rows repeated
         self._rows = param.rows.tolist() if self.is_cycle else []
 
@@ -49,32 +48,30 @@ class GPState:
         return self.param.n
 
     def factor(self, m: int) -> np.ndarray:
-        """Factor m: the cycle's rows repeat with period k; a chain's start at 1."""
+        """Factor m: the cycle's rows repeat with period k; a chain's start at 1.
+        A cycle's factor is a read-only view of its row, a chain's a new array."""
         if self.is_cycle:
             return self.param.rows[(m - 1) % self.param.k]
         if m < 1:
             raise ValueError("chain factor index starts at 1")
-        if m > len(self._chain_rows):
-            count = max(m, 2 * len(self._chain_rows))
-            if self.param.kind == "prefix":
-                # the whole prefix at once; past its end chain_factors raises
-                count = max(m, len(self.param.prefix))
-            self._chain_rows = chain_factors(self.param, 1, count)
-        return self._chain_rows[m - 1]
+        rows = self._rows if m <= len(self._rows) else self._more_rows(m)
+        return np.array(rows[m - 1], dtype=complex)
 
     def _more_rows(self, count: int) -> list:
-        """`_rows` extended to at least `count` factors (at least doubled)."""
+        """`_rows` extended to at least `count` factors: at least doubled, or
+        for a prefix chain the whole prefix at once."""
         if self.is_cycle:
             k = self.param.k
             self._rows = self.param.rows.tolist() * max(-(-count // k), 2 * len(self._rows) // k)
         else:
-            self.factor(count)
-            self._rows = self._chain_rows.tolist()
+            # past a prefix's end chain_factors raises
+            grown = len(self.param.prefix) if self.param.kind == "prefix" else 2 * len(self._rows)
+            self._rows = chain_factors(self.param, 1, max(count, grown)).tolist()
         return self._rows
 
     def word_value(self, left, right) -> complex:
-        """Value on s_J s_K* for J=left, K=right."""
-        return next(self._values([(tuple(left), tuple(right))], {}))
+        """Value on s_J s_K* for J=left, K=right, letters in 1..N."""
+        return next(self._values([(_as_word(left, self.n), _as_word(right, self.n))], {}))
 
     def _values(self, words, memo: dict):
         """The value on s_J s_K* of each (J, K) in `words`, with z(J) and its

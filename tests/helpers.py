@@ -13,6 +13,22 @@ import numpy as np
 import gpcuntz as g
 
 
+class _ExhaustedArray(np.ndarray):
+    """An array whose nested list runs out of memory."""
+
+    def tolist(self):
+        raise MemoryError
+
+
+def exhaust_stacked_lists(monkeypatch):
+    """Make the nested list of every array np.stack returns run out of
+    memory: the JSON list builds of `complex_pairs` and of `export_json`'s
+    labels stack their columns and call `tolist` on the result."""
+    stack = np.stack
+    monkeypatch.setattr(
+        np, "stack", lambda arrays, **kwargs: stack(arrays, **kwargs).view(_ExhaustedArray))
+
+
 def random_unit(rng, n):
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     return v / np.linalg.norm(v)

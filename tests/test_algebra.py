@@ -312,6 +312,17 @@ def test_public_constructors_reject_letters_outside_alphabet(n):
             g.generator(n, bad)
 
 
+@pytest.mark.parametrize("bad", [1.7, 0.5, "1", math.inf, math.nan])
+def test_public_constructors_refuse_a_non_integral_letter(bad):
+    with pytest.raises(ValueError, match="letters must be integers"):
+        g.word_element(2, (bad,), ())
+    with pytest.raises(ValueError, match="letters must be integers"):
+        g.AlgebraElement.from_terms(2, {((1,), (2, bad)): 1.0})
+    # numpy integers are letters
+    word = (np.int64(2), np.int32(1))
+    assert g.word_element(2, word, word[::-1]) == g.word_element(2, (2, 1), (1, 2))
+
+
 def test_linear_combine_rank_mismatch():
     with pytest.raises(g.RankMismatchError):
         g.linear_combine([(1, g.generator(2, 1)), (1, g.generator(3, 1))])

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from gpcuntz import DirectIntegralDescriptor, algebra, cli, expressions, params, reps
-from helpers import run_python
+from helpers import exhaust_stacked_lists, run_python
 
 CYCLE_E1 = '{"kind":"cycle","N":2,"factors":[[[1,0],[0,0]]]}'
 CYCLE_E1E1 = '{"kind":"cycle","N":2,"factors":[[[1,0],[0,0]],[[1,0],[0,0]]]}'
@@ -323,14 +323,8 @@ def test_memory_error_prints_one_error_line(capsys, monkeypatch):
 @pytest.mark.parametrize("enabled", [True, False])
 def test_rep_build_out_of_memory_in_a_json_list_prints_one_error_line(
         capsys, monkeypatch, enabled):
-    class Exhausted:
-        def tolist(self):
-            raise MemoryError
-
-    nested_list = params._nested_list
-    # the real helper, with a tolist that runs out of memory
-    monkeypatch.setattr(params, "_nested_list", lambda _array: nested_list(Exhausted()))
-    monkeypatch.setattr(reps, "_nested_list", params._nested_list)
+    # the real list build of the labels, with a tolist that runs out of memory
+    exhaust_stacked_lists(monkeypatch)
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
@@ -757,7 +751,7 @@ def test_verify_checks_the_tolerance_before_building(capsys, monkeypatch):
 
 
 def test_truncation_overflow_prints_one_error_line(capsys, monkeypatch):
-    # the one domain error that is not a ValueError
+    # a ValueError that is also a RuntimeError
     def overflow(_rep):
         raise reps.TruncationOverflowError("support escaped the exact interior; enlarge the depth")
 

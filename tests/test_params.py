@@ -37,6 +37,16 @@ E2 = g.basis_vector(2, 2)
 # ----------------------------------------------------------------------
 # canonical form
 
+@pytest.mark.parametrize("n, i", [(2, 0), (3, -1), (2, 3), (2, 1.0), (2, 1.5)])
+def test_basis_vector_refuses_an_index_outside_1_to_n(n, i):
+    with pytest.raises(ValueError, match=rf"basis index must be an integer in 1\.\.{n}"):
+        g.basis_vector(n, i)
+
+
+def test_basis_vector_takes_numpy_integers():
+    assert np.array_equal(g.basis_vector(3, np.int64(2)), [0, 1, 0])
+
+
 def test_canonicalize_collects_phases():
     canon = g.canonicalize_cycle(g.cycle([1j * E1, E2]))
     assert np.allclose(canon.factors[0], E1)

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import gpcuntz as g
 from helpers import (
+    exhaust_stacked_lists,
     random_element,
     random_nonperiodic_cycle,
     random_unit,
@@ -458,6 +459,14 @@ def test_apply_detects_overflow():
     deep = g.word_element(2, (2,) * 4)
     with pytest.raises(g.TruncationOverflowError):
         g.apply_element(rep, deep, rep.omega)
+
+
+def test_truncation_overflow_is_a_value_error_and_a_runtime_error():
+    rep = g.build_cycle_rep(g.cycle([E1]), 3)
+    deep = g.word_element(2, (2,) * 4)
+    for base in (ValueError, RuntimeError):
+        with pytest.raises(base):
+            g.apply_element(rep, deep, rep.omega)
 
 
 def test_apply_detects_chain_ceiling():
@@ -1075,12 +1084,11 @@ def test_generator_entries_match_the_coo_route(data):
     rep, table = _build_recording_steps(lambda: data.draw(_drawn_reps()))
     reference = reference_layered_gens(*table)
     entries = list(g.reps._generator_entries(rep))
-    tables = list(g.reps._generator_values(rep))
-    assert len(entries) == len(tables) == len(reference) == rep.n
+    assert len(entries) == len(rep.gens) == len(reference) == rep.n
     # in column-then-row order, the order of the reference's CSC arrays
-    for (rows, cols), values, mat in zip(entries, tables, reference):
+    for (rows, cols), gen, mat in zip(entries, rep.gens, reference):
         assert mat.shape == (rep.dim, rep.dim)
-        assert values.dtype == complex and values.tobytes() == mat.data.tobytes()
+        assert gen.data.dtype == complex and gen.data.tobytes() == mat.data.tobytes()
         assert np.array_equal(rows, mat.indices)
         assert np.array_equal(cols, np.repeat(np.arange(rep.dim), np.diff(mat.indptr)))
 
@@ -1412,11 +1420,6 @@ def test_prefixes_cut_every_block_after_its_last_nonzero_part(rep, seed, shape, 
         assert held == {}
 
 
-class _ExhaustedArray:
-    def tolist(self):
-        raise MemoryError
-
-
 def test_json_lists_leave_the_collector_as_they_found_it(collector):
     rep = g.build_fiber_rep(g.cycle([REAL_A, REAL_B]), 1j, 4)
     g.params.complex_pairs(rep.omega)
@@ -1426,11 +1429,9 @@ def test_json_lists_leave_the_collector_as_they_found_it(collector):
 
 
 def test_json_lists_restore_the_collector_when_the_list_build_raises(monkeypatch, collector):
-    nested_list = g.params._nested_list
-    # the real helper, with a tolist that runs out of memory
-    monkeypatch.setattr(g.params, "_nested_list", lambda _array: nested_list(_ExhaustedArray()))
-    monkeypatch.setattr(g.reps, "_nested_list", g.params._nested_list)
     rep = g.build_cycle_rep(g.cycle([E1, E2]), 3)
+    # the real list builds, each with a tolist that runs out of memory
+    exhaust_stacked_lists(monkeypatch)
     with pytest.raises(MemoryError):
         g.params.complex_pairs(rep.omega)
     assert gc.isenabled() is collector

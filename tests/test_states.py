@@ -83,6 +83,47 @@ def test_chain_state_factors_start_at_one():
     assert np.array_equal(cyc.factor(0), E2) and np.array_equal(cyc.factor(3), E1)
 
 
+@pytest.mark.parametrize("chain", [
+    g.rotation_chain(Fraction(2, 9)),
+    g.rotation_chain(0.2),
+    g.gray_zone_chain(),
+    random_explicit_chain(np.random.default_rng(7), 3, 2, 3),
+    g.prefix_chain([random_unit(np.random.default_rng(8), 2) for _ in range(24)]),
+], ids=["rotation", "float theta", "gray zone", "explicit", "prefix"])
+def test_chain_state_factors_are_the_chain_factors_as_evaluate_grows_the_table(chain):
+    count = 24
+    rows = g.chain_factors(chain, 1, count)
+    state = g.GPState(chain)
+    assert np.array_equal(state.factor(2), rows[1])
+    # a word of `count` letters, each on its factor's largest entry, so the
+    # product never reaches 0: evaluate reads factors 1..count
+    word = tuple(int(i) + 1 for i in np.argmax(np.abs(rows), axis=1))
+    state.evaluate(g.word_element(chain.n, word, word))
+    assert len(state._rows) >= count
+    for m in range(1, count + 1):
+        assert np.array_equal(state.factor(m), rows[m - 1])
+    # each call gives a new array
+    state.factor(1)[0] = 5.0
+    assert np.array_equal(state.factor(1), rows[0])
+    if chain.kind == "prefix":
+        assert len(state._rows) == count
+        with pytest.raises(g.UndecidableError):
+            state.factor(count + 1)
+        with pytest.raises(g.UndecidableError):
+            state.evaluate(g.word_element(chain.n, word + (1,), word + (1,)))
+
+
+@pytest.mark.parametrize("letter", [0, -1, 3, 1.7, "1"])
+def test_word_value_checks_its_letters(letter):
+    z = g.cycle([[0.6, 0.8]])
+    match = "must be integers" if letter in (1.7, "1") else f"letter {letter} outside alphabet 1..2"
+    with pytest.raises(ValueError, match=match):
+        g.state_eval_word(z, (letter,), ())
+    with pytest.raises(ValueError, match=match):
+        g.GPState(z).word_value((1,), (1, letter))
+    assert g.state_eval_word(z, (np.int64(2),), ()) == 0.8
+
+
 def test_prefix_chain_state_reads_only_what_it_needs():
     chain = g.prefix_chain([E1, E2])
     assert g.state_eval_word(chain, (1, 2), (1, 2)) == 1.0
