@@ -2,8 +2,8 @@
 
 Normal-form word arithmetic, a text syntax for elements, cycle/chain
 parameter procedures, exact parameter states, sparse truncated
-representations, and classification of irreducibility, equivalence,
-decomposition and branching.
+representations, and classification of irreducibility, equivalence and
+decomposition.
 
 Every name in `_EXPORTS` is exported from the package and loads on first use
 (PEP 562): `import gpcuntz` imports no submodule and not numpy, and
@@ -29,7 +29,6 @@ _EXPORTS = {
         "generator",
         "identity",
         "leavitt_form",
-        "linear_combine",
         "multiply",
         "s_of",
         "unitary_action",
@@ -37,10 +36,8 @@ _EXPORTS = {
         "zero",
     ),
     "decisions": (
-        "BranchingReport",
         "ClassificationReport",
         "DirectIntegralDescriptor",
-        "branching_u1",
         "classify",
         "decompose_chain",
         "decompose_cycle",
@@ -49,7 +46,6 @@ _EXPORTS = {
     ),
     "expressions": ("ExprSyntaxError", "format_element", "parse"),
     "params": (
-        "CanonicalCycle",
         "ChainParam",
         "CycleParam",
         "DiagnosticsTable",
@@ -57,20 +53,17 @@ _EXPORTS = {
         "UndecidableError",
         "asymptotic_diagnostics",
         "basis_vector",
-        "canonicalize_cycle",
         "chain_factor",
         "chain_factors",
         "chain_tail_equivalent",
         "cycle",
         "cycles_equivalent",
         "explicit_chain",
-        "full_tensor",
         "gray_zone_chain",
         "is_eventually_periodic",
         "prefix_chain",
         "primitive_root",
         "rotation_chain",
-        "rotation_to_explicit",
         "scale_cycle",
         "target_overlap_sums",
         "unit_vector",
@@ -96,10 +89,8 @@ _EXPORTS = {
     ),
     "states": (
         "GPState",
-        "fock_annihilation_residual",
         "gram_matrix",
         "state_eval",
-        "state_eval_word",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -57,12 +57,12 @@ class RankMismatchError(ValueError):
 
 def _as_word(letters, n: int) -> Word:
     """The letters as a tuple of ints in 1..n.  A letter that int() would
-    change or refuse, such as 1.7 or inf, raises ValueError; numpy integers
-    are taken."""
+    change or refuse, such as 1.7, inf or None, raises ValueError; numpy
+    integers are taken."""
     letters = tuple(letters)
     try:
         word = tuple(map(int, letters))
-    except (ValueError, OverflowError):  # NaN, infinities
+    except (ValueError, OverflowError, TypeError):  # NaN, infinities, None
         word = None
     if word != letters:
         raise ValueError(f"letters must be integers, got {letters!r}")
@@ -379,21 +379,6 @@ def _matched_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
                 key = (j1, k2 + k1[len(j2):])
             out[key] = out.get(key, 0.0) + c1 * c2
     return AlgebraElement._from_words(a.n, out)
-
-
-def linear_combine(pairs) -> AlgebraElement:
-    """Sum of coeff * element over (coeff, element) pairs (at least one)."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("need at least one (coefficient, element) pair")
-    n = pairs[0][1].n
-    out: dict = {}
-    for coeff, elem in pairs:
-        if elem.n != n:
-            raise RankMismatchError(f"rank mismatch: {elem.n} vs {n}")
-        for key, c in elem.terms.items():
-            out[key] = out.get(key, 0.0) + coeff * c
-    return AlgebraElement._from_words(n, out)
 
 
 def expand_identity(a: AlgebraElement, depth: int) -> AlgebraElement:

@@ -1,4 +1,4 @@
-"""Irreducibility, equivalence, decomposition and branching queries.
+"""Irreducibility, equivalence and decomposition queries.
 
 The decision layer sits on top of the parameter procedures: a cycle is
 irreducible exactly when it has no proper tensor-power root; a chain is
@@ -167,40 +167,6 @@ def decompose_chain(z: ChainParam, tol: float = DEFAULT_TOL) -> DirectIntegralDe
         raise UndecidableError("direct-integral decomposition needs an eventually periodic chain")
     root = primitive_root(CycleParam(_phase_split(_tail_block(z))[0]), tol)[0]
     return DirectIntegralDescriptor(CycleParam(_phase_split(root.rows)[0]))
-
-
-@dataclass(frozen=True)
-class BranchingReport:
-    """Component count of the restriction to the gauge-invariant part."""
-
-    component_count: int | None      # None marks countably infinite
-    infinite: bool
-    generator_words: tuple = ()      # factor suffixes (row stacks) generating each piece
-
-    def to_dict(self):
-        out = {
-            "component_count": self.component_count,
-            "infinite": self.infinite,
-        }
-        if self.generator_words:
-            out["generators"] = [complex_pairs(word) for word in self.generator_words]
-        return out
-
-
-def branching_u1(param) -> BranchingReport:
-    """Branching of the restriction to the gauge-fixed subalgebra.
-
-    A length-k cycle splits into exactly k pieces generated by the
-    suffix-product vectors pi(s(z^(i)) ... s(z^(k))) Omega; chains split
-    into countably many pieces.
-    """
-    if isinstance(param, CycleParam):
-        k = param.k
-        words = tuple(param.rows[i:] for i in range(k))
-        return BranchingReport(k, False, words)
-    if isinstance(param, ChainParam):
-        return BranchingReport(None, True)
-    raise TypeError("expected a cycle or chain parameter")
 
 
 def numeric_cycle_eigencheck(v: CycleParam, p: int, depth: int | None = None,

@@ -30,7 +30,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 
@@ -110,9 +109,13 @@ def _unit_rows(vectors, owner: str) -> np.ndarray:
 # ----------------------------------------------------------------------
 # cycles
 
-class _FactorStack:
-    """A read-only (k, N) array `rows` of unit vectors, built from a sequence
-    of them or such an array; `factors` is the tuple of its row views."""
+@dataclass(frozen=True, eq=False)
+class CycleParam:
+    """Factor stack of a finite tensor z^(1) x ... x z^(k) of unit vectors: a
+    read-only (k, N) array `rows`, built from a sequence of them or such an
+    array; `factors` is the tuple of its row views."""
+
+    rows: np.ndarray
 
     def __post_init__(self):
         if not len(self.rows):
@@ -132,13 +135,6 @@ class _FactorStack:
         return self.rows.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class CycleParam(_FactorStack):
-    """Factor stack of a finite tensor z^(1) x ... x z^(k) of unit vectors."""
-
-    rows: np.ndarray
-
-
 def cycle(vectors) -> CycleParam:
     return CycleParam(vectors)
 
@@ -147,24 +143,6 @@ def scale_cycle(z: CycleParam, c) -> CycleParam:
     """The tensor c*z, realized by scaling the first factor."""
     c = _unimodular(c, "cycle scaling")
     return CycleParam(np.vstack((z.rows[0] * c, z.rows[1:])))
-
-
-@dataclass(frozen=True, eq=False)
-class CanonicalCycle(_FactorStack):
-    rows: np.ndarray
-    global_phase: complex
-
-
-def canonicalize_cycle(z: CycleParam) -> CanonicalCycle:
-    rows, phases = _phase_split(z.rows)
-    return CanonicalCycle(rows, complex(np.prod(phases)))
-
-
-def full_tensor(z) -> np.ndarray:
-    """Flattened tensor product of the factors (times the stored phase)."""
-    if isinstance(z, CanonicalCycle):
-        return z.global_phase * reduce(np.kron, z.rows)
-    return reduce(np.kron, z.rows)
 
 
 def _divisors(k: int):
@@ -382,13 +360,6 @@ def _tail_block(chain: ChainParam) -> np.ndarray:
     if chain.kind == "explicit":
         return chain.period
     return chain_factors(chain, 1, _tail_length(chain))
-
-
-def rotation_to_explicit(chain: ChainParam) -> ChainParam:
-    """Exact period block of a rational rotation chain."""
-    if chain.kind != "rotation" or not isinstance(chain.theta, Fraction):
-        raise ValueError("only rational rotation chains have an exact period")
-    return explicit_chain(_tail_block(chain))
 
 
 # ----------------------------------------------------------------------

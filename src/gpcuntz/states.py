@@ -18,10 +18,11 @@ its products are the ones numpy's complex scalars give, at less cost.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
-from .algebra import (PRUNE_TOL, AlgebraElement, RankMismatchError, _as_word, car_generator,
-                      multiply)
+from .algebra import PRUNE_TOL, AlgebraElement, RankMismatchError, _as_word, multiply
 from .params import (
     ChainParam,
     CycleParam,
@@ -50,6 +51,8 @@ class GPState:
     def factor(self, m: int) -> np.ndarray:
         """Factor m: the cycle's rows repeat with period k; a chain's start at 1.
         A cycle's factor is a read-only view of its row, a chain's a new array."""
+        if not isinstance(m, numbers.Integral):
+            raise ValueError(f"factor index must be an integer, got {m!r}")
         if self.is_cycle:
             return self.param.rows[(m - 1) % self.param.k]
         if m < 1:
@@ -121,10 +124,6 @@ def as_state(param_or_state) -> GPState:
     return GPState(param_or_state)
 
 
-def state_eval_word(param, left, right) -> complex:
-    return as_state(param).word_value(left, right)
-
-
 def state_eval(param, a: AlgebraElement) -> complex:
     return as_state(param).evaluate(a)
 
@@ -146,21 +145,10 @@ def gram_matrix(param, elements) -> np.ndarray:
     return g
 
 
-def fock_annihilation_residual(n: int) -> float:
-    """omega(phi(a_n)* phi(a_n)) in the constant e_1 chain state.
-
-    The chain (e_1, e_1, ...) plays the vacuum: every CAR generator image
-    annihilates it, so the residual vanishes.
-    """
-    if n < 1:
-        raise ValueError("generator index must be >= 1")
-    a = car_generator(n)
-    return _vacuum_residuals([multiply(a.adjoint(), a)])[0]
-
-
 def _vacuum_residuals(products) -> list:
     """omega(p), a float, for each product p = phi(a_n)* phi(a_n), all in
-    one constant e_1 chain state."""
+    one constant e_1 chain state: it plays the vacuum, which every image
+    phi(a_n) annihilates, so each residual vanishes."""
     vacuum = GPState(explicit_chain([basis_vector(2, 1)]))
     out = []
     for product in products:

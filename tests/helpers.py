@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -75,6 +76,11 @@ def assert_elements_close(a, b, tol=1e-9):
     assert diff <= tol, f"elements differ by {diff}"
 
 
+def reference_full_tensor(rows):
+    """Flattened tensor product of the factor rows."""
+    return reduce(np.kron, rows)
+
+
 def divisors(k):
     return [d for d in range(1, k + 1) if k % d == 0]
 
@@ -86,11 +92,11 @@ def brute_force_power(z, tol=1e-9):
     flattened tensor of z is a unimodular multiple of the p-fold Kronecker
     power of its first d factors, with p = k // d.
     """
-    t = g.full_tensor(z)
+    t = reference_full_tensor(z.rows)
     k = z.k
     for d in divisors(k):
         p = k // d
-        head = g.full_tensor(g.CycleParam(z.factors[:d]))
+        head = reference_full_tensor(z.rows[:d])
         cand = head
         for _ in range(p - 1):
             cand = np.kron(cand, head)
@@ -104,9 +110,9 @@ def brute_force_cycles_equivalent(z, y, tol=1e-9):
     of z's factor list has the flattened tensor of y."""
     if z.k != y.k:
         return False
-    t = g.full_tensor(y)
+    t = reference_full_tensor(y.rows)
     return any(
-        np.linalg.norm(g.full_tensor(g.CycleParam(z.factors[r:] + z.factors[:r])) - t) < tol
+        np.linalg.norm(reference_full_tensor(z.factors[r:] + z.factors[:r]) - t) < tol
         for r in range(z.k)
     )
 
@@ -216,16 +222,16 @@ def reference_chain_tail_equivalent(z, y, tol=g.algebra.DEFAULT_TOL):
 
 
 def reference_primitive_root(z, tol=g.algebra.DEFAULT_TOL):
-    """(root, p) through canonicalize_cycle: the canonical rows and global
-    phase of a CanonicalCycle, its block period, and the p-th root of the
-    global phase times the phases matched where the pivot jumped."""
-    canon = g.canonicalize_cycle(z)
-    rows = canon.rows
+    """(root, p) through the per-factor canonical form: the canonical rows
+    and global phase of `reference_phase_split`, their block period, and the
+    p-th root of the global phase times the phases matched where the pivot
+    jumped."""
+    rows, phase = reference_phase_split(z.factors)
+    rows = np.stack(rows)
     d, phases = g.params._block_period(rows, tol)
     p = len(rows) // d
     if p == 1:
         return z, 1
-    phase = canon.global_phase
     jumped = np.linalg.norm(rows.reshape(p, d, -1) - rows[:d], axis=-1) >= tol
     if jumped.any():
         phase *= complex(np.prod(phases[jumped]))

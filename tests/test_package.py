@@ -1,5 +1,7 @@
 """The package namespace: each export loads on first use, from its module."""
 
+import pathlib
+import re
 import sys
 
 import pytest
@@ -8,6 +10,7 @@ import gpcuntz as g
 from helpers import run_python
 
 MODULES = {"algebra", "decisions", "expressions", "params", "reps", "states"}
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
 def test_each_export_is_the_object_its_module_defines():
@@ -20,6 +23,16 @@ def test_each_export_is_the_object_its_module_defines():
     assert set(g.__all__) <= set(dir(g))
     with pytest.raises(AttributeError):
         g.no_such_name
+
+
+def test_readme_public_api_lists_exactly_the_exports():
+    section = README.read_text().split("## Public API\n")[1].split("\n## ")[0]
+    # one item per module: "- `module`: `name`, ...", wrapped until the next item
+    listed = {module: re.findall(r"`(\w+)`", names)
+              for module, names in re.findall(r"^- `(\w+)`: (.*?)(?=^\S)", section, re.M | re.S)}
+    assert listed == {module: list(names) for module, names in g._EXPORTS.items()}
+    assert sorted(sum(listed.values(), [])) == sorted(g.__all__)
+    assert f"these {len(g.__all__)} names" in section
 
 
 def test_star_import_binds_every_export():

@@ -3,7 +3,6 @@
 import cmath
 import math
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from helpers import (
     reference_chain_tail_equivalent,
     reference_cycles_equivalent,
     reference_diagnostics,
+    reference_full_tensor,
     reference_gather_matches,
     reference_phase_split,
     reference_primitive_root,
@@ -48,29 +48,30 @@ def test_basis_vector_takes_numpy_integers():
 
 
 def test_canonicalize_collects_phases():
-    canon = g.canonicalize_cycle(g.cycle([1j * E1, E2]))
-    assert np.allclose(canon.factors[0], E1)
-    assert np.allclose(canon.factors[1], E2)
-    assert abs(canon.global_phase - 1j) < 1e-12
+    rows, phases = g.params._phase_split(g.cycle([1j * E1, E2]).rows)
+    assert np.allclose(rows[0], E1)
+    assert np.allclose(rows[1], E2)
+    assert abs(np.prod(phases) - 1j) < 1e-12
 
 
 def test_canonicalize_trivial():
-    canon = g.canonicalize_cycle(g.cycle([E1]))
-    assert abs(canon.global_phase - 1.0) < 1e-12
+    _, phases = g.params._phase_split(g.cycle([E1]).rows)
+    assert abs(np.prod(phases) - 1.0) < 1e-12
 
 
 def test_canonicalize_negative_vector():
-    canon = g.canonicalize_cycle(g.cycle([np.array([-1.0, 0.0])]))
-    assert np.allclose(canon.factors[0], E1)
-    assert abs(canon.global_phase + 1.0) < 1e-12
+    rows, phases = g.params._phase_split(g.cycle([np.array([-1.0, 0.0])]).rows)
+    assert np.allclose(rows[0], E1)
+    assert abs(np.prod(phases) + 1.0) < 1e-12
 
 
 def test_canonical_reconstruction():
     rng = np.random.default_rng(3)
     for _ in range(10):
         z = random_cycle(rng, 3, 3)
-        canon = g.canonicalize_cycle(z)
-        assert abs(np.vdot(g.full_tensor(canon), g.full_tensor(z)) - 1.0) < 1e-12
+        rows, phases = g.params._phase_split(z.rows)
+        canonical = np.prod(phases) * reference_full_tensor(rows)
+        assert abs(np.vdot(canonical, reference_full_tensor(z.rows)) - 1.0) < 1e-12
 
 
 def _row(rng, n, layout):
@@ -106,10 +107,10 @@ def _row(rng, n, layout):
 def test_row_wise_canonical_form_is_the_per_factor_loop_bit_for_bit(n, layouts, seed):
     rng = np.random.default_rng(seed)
     z = g.cycle([_row(rng, n, layout) for layout in layouts])
-    canon = g.canonicalize_cycle(z)
-    rows, phase = reference_phase_split(z.factors)
-    assert canon.rows.tobytes() == np.stack(rows).tobytes()
-    assert np.array([canon.global_phase]).tobytes() == np.array([phase]).tobytes()
+    rows, phases = g.params._phase_split(z.rows)
+    expected_rows, phase = reference_phase_split(z.factors)
+    assert rows.tobytes() == np.stack(expected_rows).tobytes()
+    assert np.array([complex(np.prod(phases))]).tobytes() == np.array([phase]).tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -118,9 +119,9 @@ def test_row_wise_canonical_form_is_the_per_factor_loop_bit_for_bit(n, layouts, 
 def test_factor_stacks_are_read_only():
     z = g.cycle([E1, 1j * E2])
     chain = g.explicit_chain([E2], [E1])
-    stacks = [z.rows, g.canonicalize_cycle(z).rows, chain.preperiod, chain.period,
+    stacks = [z.rows, g.scale_cycle(z, 1j).rows, chain.preperiod, chain.period,
               chain.prefix, g.prefix_chain([E1, E2]).prefix,
-              g.rotation_to_explicit(g.rotation_chain(Fraction(1, 3))).period,
+              g.decompose_chain(g.rotation_chain(Fraction(1, 3))).base.rows,
               g.gray_zone_chain().period]
     for rows in stacks:
         assert rows.dtype == complex and rows.ndim == 2 and rows.shape[1] == 2
@@ -216,8 +217,8 @@ def test_primitive_root_idempotent_and_reconstructs():
         assert found == p
         _, again = g.primitive_root(root)
         assert again == 1
-        rebuilt = g.full_tensor(g.CycleParam(root.factors * found))
-        overlap = np.vdot(rebuilt, g.full_tensor(z))
+        rebuilt = reference_full_tensor(root.factors * found)
+        overlap = np.vdot(rebuilt, reference_full_tensor(z.rows))
         assert abs(overlap - 1.0) < 1e-9
 
 
@@ -308,8 +309,8 @@ def test_decisions_do_not_jump_at_the_canonical_pivot():
     z = g.cycle([a, b])
     root, p = g.primitive_root(z)
     assert p == 2
-    square = np.kron(g.full_tensor(root), g.full_tensor(root))
-    assert np.linalg.norm(square - g.full_tensor(z)) <= 1e-9
+    square = reference_full_tensor(root.factors * 2)
+    assert np.linalg.norm(square - reference_full_tensor(z.rows)) <= 1e-9
     assert g.is_eventually_periodic(g.explicit_chain([a, b])).period == 1
 
 
@@ -359,8 +360,8 @@ def test_perturbations_across_the_pivot_never_flip_a_decision(n, d, power, shift
     for w in (z, near):
         root, p = g.primitive_root(w)
         assert p == power == brute_force_power(w)[1]
-        tensor = reduce(np.kron, [g.full_tensor(root)] * p)
-        assert np.linalg.norm(tensor - g.full_tensor(w)) <= 1e-9
+        tensor = reference_full_tensor(root.factors * p)
+        assert np.linalg.norm(tensor - reference_full_tensor(w.rows)) <= 1e-9
         assert g.cycles_equivalent(w, turned) is True is brute_force_cycles_equivalent(w, turned)
         assert g.cycles_equivalent(w, scaled) is False is brute_force_cycles_equivalent(w, scaled)
         chain = g.explicit_chain(w.factors, [block[0]])
@@ -402,8 +403,7 @@ def test_eventually_periodic_gray_zone_and_prefix():
 
 def test_rational_rotation_period_is_exact():
     chain = g.rotation_chain(Fraction(2, 5))
-    explicit = g.rotation_to_explicit(chain)
-    assert len(explicit.period) == 5
+    assert len(g.params._tail_block(chain)) == 5
     for m in range(1, 11):
         assert np.allclose(g.chain_factor(chain, m), g.chain_factor(chain, m + 5))
 
@@ -502,8 +502,6 @@ def test_rotation_block_over_the_factor_budget_is_refused(monkeypatch):
     chain = g.rotation_chain(Fraction(1, 100_000_007))
     message = ("the period block of rotation 1/100000007 would generate 100000007 factors, "
                "over the budget of 8388608")
-    with pytest.raises(ValueError, match=message):
-        g.rotation_to_explicit(chain)
     with pytest.raises(ValueError, match=message):
         g.chain_tail_equivalent(chain, g.explicit_chain([E1]))
     with pytest.raises(ValueError, match=message):
@@ -954,6 +952,6 @@ def test_budget_refusals_come_before_any_factor(monkeypatch):
                 call()
             assert str(refused.value) == message
     with pytest.raises(ValueError) as refused:
-        g.rotation_to_explicit(g.rotation_chain(Fraction(1, budget + 1)))
+        g.decompose_chain(g.rotation_chain(Fraction(1, budget + 1)))
     assert str(refused.value) == (f"the period block of rotation 1/{budget + 1} would "
                                   f"generate {budget + 1} factors, {over}")

@@ -25,6 +25,7 @@ from helpers import (
     reference_cycle_isometry,
     reference_export_coo,
     reference_export_json,
+    reference_full_tensor,
     reference_gram,
     reference_layered_gens,
     reference_numeric_cycle_eigencheck,
@@ -724,8 +725,8 @@ def test_power_vanish_rate_matches_overlap():
     z = random_nonperiodic_cycle(rng, 2, 2)
     rep = g.build_cycle_rep(z, 6)
     anchors = g.reps.cycle_anchor_vectors(rep)
-    y1 = g.full_tensor(z)
-    y2 = g.full_tensor(g.cycle([z.factors[1], z.factors[0]]))
+    y1 = reference_full_tensor(z.rows)
+    y2 = reference_full_tensor(z.rows[::-1])
     rate = abs(np.vdot(y1, y2))
     norms = g.power_vanish(rep, z, anchors[1], 2)
     assert norms[0] == pytest.approx(1.0, abs=1e-12)

@@ -70,7 +70,7 @@ def test_chain_state_factors_match_reference(chain):
     expected = 1.0 + 0.0j
     for m, letter in enumerate(word, start=1):
         expected *= reference_chain_factor(chain, m)[letter - 1]
-    assert g.state_eval_word(chain, word, word) == np.conj(expected) * expected
+    assert state.word_value(word, word) == np.conj(expected) * expected
 
 
 def test_chain_state_factors_start_at_one():
@@ -80,6 +80,9 @@ def test_chain_state_factors_start_at_one():
         with pytest.raises(ValueError, match="chain factor index starts at 1"):
             state.factor(m)
     cyc = g.GPState(g.cycle([E1, E2]))
+    for either in (state, cyc):
+        with pytest.raises(ValueError, match="factor index must be an integer, got 1.5"):
+            either.factor(1.5)
     assert np.array_equal(cyc.factor(0), E2) and np.array_equal(cyc.factor(3), E1)
 
 
@@ -113,24 +116,25 @@ def test_chain_state_factors_are_the_chain_factors_as_evaluate_grows_the_table(c
             state.evaluate(g.word_element(chain.n, word + (1,), word + (1,)))
 
 
-@pytest.mark.parametrize("letter", [0, -1, 3, 1.7, "1"])
+@pytest.mark.parametrize("letter", [0, -1, 3, 1.7, "1", None])
 def test_word_value_checks_its_letters(letter):
     z = g.cycle([[0.6, 0.8]])
-    match = "must be integers" if letter in (1.7, "1") else f"letter {letter} outside alphabet 1..2"
+    match = f"letter {letter} outside alphabet 1..2" if isinstance(letter, int) else "must be integers"
+    state = g.GPState(z)
     with pytest.raises(ValueError, match=match):
-        g.state_eval_word(z, (letter,), ())
+        state.word_value((letter,), ())
     with pytest.raises(ValueError, match=match):
-        g.GPState(z).word_value((1,), (1, letter))
-    assert g.state_eval_word(z, (np.int64(2),), ()) == 0.8
+        state.word_value((1,), (1, letter))
+    assert state.word_value((np.int64(2),), ()) == 0.8
 
 
 def test_prefix_chain_state_reads_only_what_it_needs():
-    chain = g.prefix_chain([E1, E2])
-    assert g.state_eval_word(chain, (1, 2), (1, 2)) == 1.0
+    state = g.GPState(g.prefix_chain([E1, E2]))
+    assert state.word_value((1, 2), (1, 2)) == 1.0
     # the product vanishes at the first letter, before the prefix runs out
-    assert g.state_eval_word(chain, (2, 1, 1), (2, 1, 1)) == 0.0
+    assert state.word_value((2, 1, 1), (2, 1, 1)) == 0.0
     with pytest.raises(g.UndecidableError):
-        g.state_eval_word(chain, (1, 2, 1), (1, 2, 1))
+        state.word_value((1, 2, 1), (1, 2, 1))
 
 
 def test_cycle_periodic_extension():
@@ -206,6 +210,10 @@ def test_evaluate_is_bit_identical_to_term_by_term_reference(seed, n, kind):
         # a product repeats each word across many terms
         a = g.multiply(a, random_element(rng, n, max_word=3, n_terms=8).adjoint())
     assert bits(g.state_eval(param, a)) == bits(reference_state_eval(param, a))
+    # a state is taken as it is
+    state = g.GPState(param)
+    assert g.states.as_state(state) is state
+    assert bits(g.state_eval(state, a)) == bits(reference_state_eval(param, a))
 
 
 def test_gram_matrix_is_bit_identical_to_term_by_term_reference():
@@ -359,8 +367,8 @@ def test_scaled_parameter_matches_gauge_twist():
 # vacuum property of the anticommutation embedding
 
 def test_fock_annihilation():
-    for n in range(1, 5):
-        assert g.fock_annihilation_residual(n) < 1e-10
+    products = [g.multiply(a.adjoint(), a) for a in map(g.car_generator, range(1, 5))]
+    assert all(r < 1e-10 for r in g.states._vacuum_residuals(products))
 
 
 def test_fock_negative_control():
@@ -370,7 +378,3 @@ def test_fock_negative_control():
     value = state.evaluate(g.multiply(a.adjoint(), a))
     assert abs(value - 1.0) < 1e-12
 
-
-def test_fock_validates_index():
-    with pytest.raises(ValueError):
-        g.fock_annihilation_residual(0)
