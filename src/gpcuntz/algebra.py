@@ -38,6 +38,7 @@ import contextlib
 import gc
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 PRUNE_TOL = 1e-12   # a coefficient, entry or imaginary residue at or below it is 0; NaN is not
@@ -53,6 +54,13 @@ Word = tuple[int, ...]
 
 class RankMismatchError(ValueError):
     """Combination of elements living over different generator counts."""
+
+
+def _check_integer(value, what: str) -> None:
+    """Raise ValueError naming `value` unless it is an integer; numpy
+    integers pass, 2.0 does not."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _as_word(letters, n: int) -> Word:
@@ -163,6 +171,7 @@ class AlgebraElement:
     def from_terms(cls, n: int, terms) -> "AlgebraElement":
         """The element of the given terms, read into a new dict: the caller's
         mapping is left as it was."""
+        _check_integer(n, "rank")
         out = {}
         for (j, k), c in terms.items():
             c = complex(c)
@@ -406,6 +415,7 @@ def expand_identity(a: AlgebraElement, depth: int) -> AlgebraElement:
     order: by first contributing term, then by tail.  The words are written
     out with the cyclic garbage collector paused.
     """
+    _check_integer(depth, "depth")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if not a.terms:
@@ -548,6 +558,7 @@ def car_generator(n: int) -> AlgebraElement:
     s_J s_1 s_2* s_J* signed by the parity automorphism s_2 -> -s_2,
     which contributes (-1)^(number of 2s in J).
     """
+    _check_integer(n, "generator index")
     if n < 1:
         raise ValueError("generator index must be >= 1")
     terms = {}

@@ -341,25 +341,38 @@ def _cmd_car_check(args) -> int:
         )
     gens = {n: algebra.car_generator(n) for n in range(1, args.n_max + 1)}
     adjoints = {n: gen.adjoint() for n, gen in gens.items()}
+
+    def residual(x):
+        return algebra.leavitt_form(x).sup_norm()
+
+    # (mixed, anti) residuals of each pair (n, m), formed once for n <= m and
+    # stored under (m, n) too: {a_m, a_n} is {a_n, a_m}, and {a_m, a_n*} is the
+    # adjoint of {a_n, a_m*}; leavitt_form commutes with the adjoint, which
+    # keeps every coefficient's modulus.  Every generator coefficient is +-1,
+    # so every product and sum is a small integer, computed exactly in any
+    # order, and the output is byte-identical to a loop over ordered pairs
+    residuals = {}
+    # a_n* a_n for n = 1, 2, ..., for the Fock residuals
+    squares = []
+    for n in range(1, args.n_max + 1):
+        a, a_star = gens[n], adjoints[n]
+        square = algebra.multiply(a_star, a)
+        squares.append(square)
+        mixed = algebra.multiply(a, a_star) + square - algebra.identity(2)
+        p = algebra.multiply(a, a)
+        residuals[n, n] = (residual(mixed), residual(p + p))
+        for m in range(n + 1, args.n_max + 1):
+            b, b_star = gens[m], adjoints[m]
+            mixed = algebra.multiply(a, b_star) + algebra.multiply(b_star, a)
+            anti = algebra.multiply(a, b) + algebra.multiply(b, a)
+            residuals[n, m] = residuals[m, n] = (residual(mixed), residual(anti))
     worst = 0.0
     lines = []
     payload = {"pairs": [], "fock": []}
-    # a_n* a_n for n = 1, 2, ..., formed by the pair loop at m = n
-    squares = []
-    for n in range(1, args.n_max + 1):
-        for m in range(1, args.n_max + 1):
-            a, b, b_star = gens[n], gens[m], adjoints[m]
-            b_star_a = algebra.multiply(b_star, a)
-            mixed = algebra.multiply(a, b_star) + b_star_a
-            if n == m:
-                squares.append(b_star_a)
-                mixed = mixed - algebra.identity(2)
-            r1 = algebra.leavitt_form(mixed).sup_norm()
-            anti = algebra.multiply(a, b) + algebra.multiply(b, a)
-            r2 = algebra.leavitt_form(anti).sup_norm()
-            worst = max(worst, r1, r2)
-            payload["pairs"].append({"n": n, "m": m, "mixed": r1, "anti": r2})
-            lines.append(f"n={n} m={m} mixed={r1!r} anti={r2!r}")
+    for (n, m), (r1, r2) in sorted(residuals.items()):
+        worst = max(worst, r1, r2)
+        payload["pairs"].append({"n": n, "m": m, "mixed": r1, "anti": r2})
+        lines.append(f"n={n} m={m} mixed={r1!r} anti={r2!r}")
     for n, r in enumerate(states._vacuum_residuals(squares), start=1):
         worst = max(worst, abs(r))
         payload["fock"].append({"n": n, "residual": r})

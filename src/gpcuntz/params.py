@@ -38,6 +38,7 @@ from .algebra import (
     PIVOT_TOL,
     UNIT_TOL,
     RankMismatchError,
+    _check_integer,
     _check_near,
     _collector_paused,
     _unimodular,
@@ -280,6 +281,8 @@ def chain_factors(chain: ChainParam, start: int, count: int) -> np.ndarray:
     a/b repeats with period b, so it is evaluated and checked once per
     residue mod b and the other rows are copies of those.
     """
+    _check_integer(start, "factor index")
+    _check_integer(count, "factor count")
     if start < 1:
         raise ValueError("factor index starts at 1")
     if count < 0:
@@ -497,6 +500,8 @@ def _diagnostics(chain: ChainParam, p_max: int, m_max: int, target=None, name="t
     anything is generated."""
     if target is not None:
         target = _target_in(chain, target, name)
+    _check_integer(p_max, "p_max")
+    _check_integer(m_max, "M")
     if p_max < 1 or m_max < 1:
         raise ValueError("p_max and M must be >= 1")
     _check_factor_budget(chain, m_max + p_max)
@@ -517,6 +522,7 @@ def asymptotic_diagnostics(chain: ChainParam, p_max: int, m_max: int) -> Diagnos
 
 def target_overlap_sums(chain: ChainParam, v, m_max: int) -> np.ndarray:
     """Cumulative sums of 1 - |<z^(m)|v>| against a fixed unit vector."""
+    _check_integer(m_max, "M")
     if m_max < 1:
         raise ValueError("M must be >= 1")
     v = _target_in(chain, v, "target")

@@ -104,8 +104,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import (PIVOT_TOL, PRUNE_TOL, AlgebraElement, RankMismatchError, _check_near,
-                      _collector_paused, _unimodular)
+from .algebra import (PIVOT_TOL, PRUNE_TOL, AlgebraElement, RankMismatchError, _check_integer,
+                      _check_near, _collector_paused, _unimodular)
 from .params import (
     ChainParam,
     CycleParam,
@@ -244,6 +244,7 @@ class TruncatedRep:
 def _check_size(n: int, depth: int, layer_count: int) -> None:
     """Refuse, before anything is allocated, a depth below 2 or a rank-n
     truncation of more than 2 REP_BUDGET / n basis vectors."""
+    _check_integer(depth, "depth")
     if depth < 2:
         raise ValueError("depth must be at least 2")
     limit = 2 * REP_BUDGET // n
@@ -342,6 +343,9 @@ def build_chain_rep(
     if z.kind == "prefix":
         raise ValueError("prefix chains carry no tail model; build from an "
                          "explicit, rotation or gray_zone chain")
+    for extent in (d_minus, d_plus):
+        if extent is not None:
+            _check_integer(extent, "window extent")
     if d_minus is None:
         d_minus = depth
     if d_plus is None:

@@ -18,11 +18,10 @@ its products are the ones numpy's complex scalars give, at less cost.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
-from .algebra import PRUNE_TOL, AlgebraElement, RankMismatchError, _as_word, multiply
+from .algebra import (PRUNE_TOL, AlgebraElement, RankMismatchError, _as_word, _check_integer,
+                      multiply)
 from .params import (
     ChainParam,
     CycleParam,
@@ -51,8 +50,7 @@ class GPState:
     def factor(self, m: int) -> np.ndarray:
         """Factor m: the cycle's rows repeat with period k; a chain's start at 1.
         A cycle's factor is a read-only view of its row, a chain's a new array."""
-        if not isinstance(m, numbers.Integral):
-            raise ValueError(f"factor index must be an integer, got {m!r}")
+        _check_integer(m, "factor index")
         if self.is_cycle:
             return self.param.rows[(m - 1) % self.param.k]
         if m < 1:

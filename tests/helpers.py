@@ -736,6 +736,26 @@ def reference_state_eval(param, a):
     return complex(sum(c * word_value(j, k) for (j, k), c in a.terms.items()))
 
 
+def reference_car_residuals(gens):
+    """car-check's JSON `pairs` and `fock` for the images `gens` = [a_1, a_2,
+    ...] of the CAR generators, by the loop over every ordered pair (n, m)
+    that forms each relation anew, {a_m, a_n} and {a_m, a_n*} included."""
+    vacuum = g.GPState(g.explicit_chain([g.basis_vector(2, 1)]))
+    pairs, fock = [], []
+    for n, a in enumerate(gens, start=1):
+        for m, b in enumerate(gens, start=1):
+            b_star = b.adjoint()
+            mixed = g.multiply(a, b_star) + g.multiply(b_star, a)
+            if n == m:
+                mixed = mixed - g.identity(2)
+            anti = g.multiply(a, b) + g.multiply(b, a)
+            pairs.append({"n": n, "m": m, "mixed": g.leavitt_form(mixed).sup_norm(),
+                          "anti": g.leavitt_form(anti).sup_norm()})
+        value = reference_evaluate(vacuum, g.multiply(a.adjoint(), a))
+        fock.append({"n": n, "residual": float(value.real)})
+    return {"pairs": pairs, "fock": fock}
+
+
 def reference_parse_sum(parser, summands):
     """The pair fold `expressions._Parser` did summand by summand: each
     step materializes both sides and adds them with `AlgebraElement.__add__`."""

@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import itertools
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -315,6 +316,30 @@ def test_public_constructors_refuse_a_non_integral_letter(bad):
     # numpy integers are letters
     word = (np.int64(2), np.int32(1))
     assert g.word_element(2, word, word[::-1]) == g.word_element(2, (2, 1), (1, 2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: g.identity(2.5), "rank must be an integer, got 2.5"),
+    (lambda: g.zero(3.0), "rank must be an integer, got 3.0"),
+    (lambda: g.generator(2.5, 1), "rank must be an integer, got 2.5"),
+    (lambda: g.word_element(2.0, (1,)), "rank must be an integer, got 2.0"),
+    (lambda: g.AlgebraElement.from_terms(2.5, {}), "rank must be an integer, got 2.5"),
+    (lambda: g.car_generator(1.5), "generator index must be an integer, got 1.5"),
+    (lambda: g.expand_identity(g.identity(2), 1.5), "depth must be an integer, got 1.5"),
+], ids=["identity", "zero", "generator", "word_element", "from_terms", "car_generator",
+        "expand_identity"])
+def test_non_integral_ranks_depths_and_indices_are_refused(call, message):
+    # identity(2.5) gave an element of rank 2.5; car_generator(1.5) and
+    # expand_identity(a, 1.5) raised TypeError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_numpy_integers_are_ranks_depths_and_indices():
+    assert g.identity(np.int64(2)) == g.identity(2)
+    assert g.car_generator(np.int32(3)) == g.car_generator(3)
+    a = g.car_generator(2)
+    assert g.expand_identity(a, np.int64(1)) == g.expand_identity(a, 1)
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from gpcuntz import DirectIntegralDescriptor, algebra, cli, expressions, params, reps
-from helpers import exhaust_stacked_lists, run_python
+from helpers import exhaust_stacked_lists, reference_car_residuals, run_python
 
 CYCLE_E1 = '{"kind":"cycle","N":2,"factors":[[[1,0],[0,0]]]}'
 CYCLE_E1E1 = '{"kind":"cycle","N":2,"factors":[[[1,0],[0,0]],[[1,0],[0,0]]]}'
@@ -284,6 +284,59 @@ def test_car_check_n6_output_is_byte_identical(capsys, fmt, golden):
     code, out, _ = run_cli(capsys, "car-check", "--n-max", "6", "-f", fmt)
     assert code == 0
     assert out == (DATA / golden).read_text()
+
+
+def _car_check_json(capsys, n_max):
+    code, out, _ = run_cli(capsys, "car-check", "--n-max", str(n_max), "-f", "json")
+    assert code == 0
+    return json.loads(out)
+
+
+def _bits(rows) -> str:
+    # repr keeps a float's every bit, and its sign of zero
+    return json.dumps(rows, sort_keys=True)
+
+
+@pytest.mark.parametrize("n_max", range(1, 9))
+def test_car_check_matches_the_loop_over_ordered_pairs(capsys, n_max):
+    out = _car_check_json(capsys, n_max)
+    ref = reference_car_residuals([algebra.car_generator(n) for n in range(1, n_max + 1)])
+    assert _bits(out["pairs"]) == _bits(ref["pairs"])
+    assert _bits(out["fock"]) == _bits(ref["fock"])
+
+
+def test_car_check_reports_a_broken_generator_in_both_orders(capsys, monkeypatch):
+    # a dyadic term keeps every coefficient exact; the residuals of a pair and
+    # of its transpose, formed once, must still match the loop that forms each
+    car = algebra.car_generator
+    broken = car(3) + algebra.word_element(2, (1,), (1,), 0.5)
+
+    def perturbed(n):
+        return broken if n == 3 else car(n)
+
+    monkeypatch.setattr(algebra, "car_generator", perturbed)
+    out = _car_check_json(capsys, 5)
+    ref = reference_car_residuals([perturbed(n) for n in range(1, 6)])
+    assert _bits(out["pairs"]) == _bits(ref["pairs"])
+    assert _bits(out["fock"]) == _bits(ref["fock"])
+    for row in out["pairs"]:
+        touched = 3 in (row["n"], row["m"])
+        assert (max(row["mixed"], row["anti"]) > 0) == touched, row
+    assert out["max_residual"] > 0
+
+
+@pytest.mark.parametrize("n_max, products, forms", [(1, 3, 2), (2, 10, 6), (6, 78, 42)])
+def test_car_check_forms_each_unordered_pair_once(capsys, monkeypatch, n_max, products, forms):
+    counts = {"multiply": 0, "leavitt_form": 0}
+    for name in counts:
+        def counted(*args, _name=name, _call=getattr(algebra, name)):
+            counts[_name] += 1
+            return _call(*args)
+
+        monkeypatch.setattr(algebra, name, counted)
+    _car_check_json(capsys, n_max)
+    # 2 n^2 + n products and n^2 + n Leavitt forms
+    assert counts == {"multiply": products, "leavitt_form": forms}
 
 
 @pytest.mark.parametrize("n_max", ["23", "40", str(10**9)])

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +46,37 @@ def test_basis_vector_refuses_an_index_outside_1_to_n(n, i):
 
 def test_basis_vector_takes_numpy_integers():
     assert np.array_equal(g.basis_vector(3, np.int64(2)), [0, 1, 0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: g.chain_factor(g.rotation_chain(Fraction(1, 3)), 1.5),
+     "factor index must be an integer, got 1.5"),
+    (lambda: g.chain_factors(g.explicit_chain([[1, 0]]), 1.0, 2),
+     "factor index must be an integer, got 1.0"),
+    (lambda: g.chain_factors(g.explicit_chain([[1, 0]]), 1, 2.5),
+     "factor count must be an integer, got 2.5"),
+    (lambda: g.asymptotic_diagnostics(g.rotation_chain(Fraction(1, 3)), 1.5, 10),
+     "p_max must be an integer, got 1.5"),
+    (lambda: g.asymptotic_diagnostics(g.rotation_chain(Fraction(1, 3)), 1, 2.5),
+     "M must be an integer, got 2.5"),
+    (lambda: g.target_overlap_sums(g.rotation_chain(Fraction(1, 3)), [1, 0], 2.5),
+     "M must be an integer, got 2.5"),
+], ids=["chain_factor", "chain_factors-start", "chain_factors-count",
+        "asymptotic_diagnostics-p_max", "asymptotic_diagnostics-M", "target_overlap_sums"])
+def test_non_integral_indices_and_counts_are_refused(call, message):
+    # chain_factor(.., 1.5) answered (-1, 0) and chain_factors(.., 1, 2.5)
+    # three rows; the diagnostics raised numpy's IndexError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_numpy_integers_index_and_count_factors():
+    chain = g.rotation_chain(Fraction(1, 3))
+    assert np.array_equal(g.chain_factors(chain, np.int64(2), np.int32(3)),
+                          g.chain_factors(chain, 2, 3))
+    assert np.array_equal(g.chain_factor(chain, np.int64(2)), g.chain_factor(chain, 2))
+    table = g.asymptotic_diagnostics(chain, np.int64(2), np.int64(10))
+    assert table.final(2) == g.asymptotic_diagnostics(chain, 2, 10).final(2)
 
 
 def test_canonicalize_collects_phases():

@@ -5,6 +5,7 @@ import gc
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -121,6 +122,30 @@ def test_basis_labels_refuse_what_is_outside_the_truncation():
             rep.label_of(idx)
     with pytest.raises(ValueError):
         rep.index(3, 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: g.build_cycle_rep(g.cycle([[0.6, 0.8]]), 2.5), "depth must be an integer, got 2.5"),
+    (lambda: g.build_fiber_rep(g.cycle([[0.6, 0.8]]), 1, 3.0), "depth must be an integer, got 3.0"),
+    (lambda: g.build_chain_rep(g.rotation_chain(Fraction(1, 3)), 2.5),
+     "depth must be an integer, got 2.5"),
+    (lambda: g.build_chain_rep(g.rotation_chain(Fraction(1, 3)), 3, 1.5, 2),
+     "window extent must be an integer, got 1.5"),
+    (lambda: g.build_chain_rep(g.rotation_chain(Fraction(1, 3)), 3, 1, 2.5),
+     "window extent must be an integer, got 2.5"),
+], ids=["build_cycle_rep", "build_fiber_rep", "build_chain_rep-depth",
+        "build_chain_rep-d_minus", "build_chain_rep-d_plus"])
+def test_non_integral_depths_and_windows_are_refused(call, message):
+    # build_cycle_rep(z, 2.5) gave a truncation of depth 2.5
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_numpy_integers_are_depths_and_windows():
+    chain = g.rotation_chain(Fraction(1, 3))
+    rep = g.build_chain_rep(chain, np.int64(3), np.int32(1), np.int64(2))
+    assert rep.dim == g.build_chain_rep(chain, 3, 1, 2).dim
+    assert g.build_cycle_rep(g.cycle([[0.6, 0.8]]), np.int64(3)).dim == 8
 
 
 def test_basis_index_refuses_a_non_integral_m_and_names_an_unknown_layer():
