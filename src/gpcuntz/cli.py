@@ -311,17 +311,18 @@ def _cmd_diagnostics(args) -> int:
     target = None
     if args.target:
         target = _vector_in(json.loads(args.target), "--target")
-    # one pass over the chain factors serves the table and the target sums
-    table, target_sums = params._diagnostics(chain, args.p, args.M, target, "--target")
+    # one pass over the chain factors serves every column; of each chunk
+    # only the totals at its end are kept
+    for _, sums in params._diagnostic_chunks(chain, args.p, args.M, target, "--target"):
+        totals = [float(s[-1]) for s in sums]
     payload = {"M": args.M, "sums": {}}
     lines = []
-    for p in range(1, args.p + 1):
-        plain, absolute = table.final(p)
+    for p, plain, absolute in zip(range(1, args.p + 1), totals, totals[args.p:]):
         payload["sums"][str(p)] = {"plain": plain, "abs": absolute}
         lines.append(f"p={p} S={plain!r} S_abs={absolute!r}")
     if target is not None:
-        payload["target_sum"] = float(target_sums[-1])
-        lines.append(f"target S={float(target_sums[-1])!r}")
+        payload["target_sum"] = totals[-1]
+        lines.append(f"target S={totals[-1]!r}")
     _emit(args, payload, lines)
     return 0
 

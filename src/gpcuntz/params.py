@@ -325,10 +325,7 @@ def chain_factors(chain: ChainParam, start: int, count: int) -> np.ndarray:
         half = halves[(idx + 1) // 2 - first]
         table = _planar_rows(np.where(idx % 2 == 1, math.pi / 4 - half, math.pi / 4 + half))
     elif chain.kind == "prefix":
-        if start + count - 1 > len(chain.prefix):
-            raise UndecidableError(
-                f"prefix chain holds only {len(chain.prefix)} factors"
-            )
+        _check_prefix(chain, start + count - 1)
         table = chain.prefix[start - 1 : start - 1 + count]
     else:
         raise ValueError(f"unknown chain kind {chain.kind!r}")
@@ -336,6 +333,11 @@ def chain_factors(chain: ChainParam, start: int, count: int) -> np.ndarray:
     rows = table if pick is None else table[pick]
     rows.flags.writeable = False
     return rows
+
+
+def _check_prefix(chain: ChainParam, last: int) -> None:
+    if last > len(chain.prefix):
+        raise UndecidableError(f"prefix chain holds only {len(chain.prefix)} factors")
 
 
 def chain_factor(chain: ChainParam, m: int) -> np.ndarray:
@@ -451,7 +453,15 @@ class DiagnosticsTable:
     absolute: dict
 
     def final(self, p: int):
+        """(plain, absolute) sums at m = M for a p in 1..p_max."""
+        _check_integer(p, "p")
+        if not 1 <= p <= len(self.plain):
+            raise ValueError(f"p = {p} is outside 1..{len(self.plain)}")
         return float(self.plain[p][-1]), float(self.absolute[p][-1])
+
+
+# factor entries a diagnostics chunk generates beside the rows it carries
+_CHUNK_ENTRIES = 1 << 15
 
 
 def _check_budget(what: str, count: int, limit: int = DIAGNOSTICS_BUDGET,
@@ -465,23 +475,15 @@ def _check_factor_budget(chain: ChainParam, count: int, source: str = "diagnosti
     _check_budget("factors", count, 2 * DIAGNOSTICS_BUDGET // chain.n, source)
 
 
-def _cumulative(defects: np.ndarray) -> np.ndarray:
-    # accumulate in extended precision: 1e4 nearly equal summands damage
-    # the last couple of digits of a plain float64 running sum
-    return np.cumsum(defects, dtype=np.longdouble).astype(float)
-
-
-def _target_sums(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return _cumulative(1.0 - np.abs(rows @ np.conj(v)))
-
-
 def _target_in(chain: ChainParam, v, name: str) -> np.ndarray:
     """`v` as a unit vector of the chain's C^N; a vector of another length
-    raises ValueError naming `name`, its length and the chain's rank."""
-    v = np.asarray(v, dtype=complex)
+    or off the unit sphere raises ValueError naming `name`."""
+    v = np.array(v, dtype=complex)
     if v.shape != (chain.n,):
         raise ValueError(f"{name} has {v.size} entries but the chain has rank {chain.n}")
-    return unit_vector(v)
+    _check_near(np.linalg.norm(v.view(float)), 1.0,
+                f"{name} must have unit norm within {UNIT_TOL}")
+    return v
 
 
 def _row_sums(terms: np.ndarray) -> np.ndarray:
@@ -493,27 +495,91 @@ def _row_sums(terms: np.ndarray) -> np.ndarray:
     return sum(terms.T[1:], terms[:, 0])
 
 
-def _diagnostics(chain: ChainParam, p_max: int, m_max: int, target=None, name="target"):
-    """The asymptotic_diagnostics table and, for a unit vector `target`
-    (called `name` in errors), the target_overlap_sums of the same chain
-    and M, from one chain_factors call; every budget is checked before
-    anything is generated."""
+def _chunks(chain: ChainParam, p_max: int, m_max: int, target):
+    """Refuse a request over the budget or past a prefix, then return the
+    generator of its chunks: (start, sums) with `sums` the longdouble
+    running sums at m = start + 1, ... of the plain columns p = 1..p_max,
+    the absolute columns, and the target column for a unit `target`.
+
+    A chunk is _CHUNK_ENTRIES factor entries, or two rows or p_max rows if
+    more (the last chunk takes a single row left over), and holds the p_max
+    rows past its end, which the next chunk takes over: every factor is
+    generated once, and the carried rows never outnumber a whole chunk.  No
+    chunk is one row unless M is: numpy multiplies one row by the target as
+    a dot product and more rows as a matrix-vector product, whose rows have
+    the same bits whatever their number.  Sums run in extended precision,
+    since 1e4 nearly equal summands damage the last digits of a float64
+    running sum, and each column continues from its running total, which
+    repeats the additions of one longdouble cumsum over the whole column
+    (the leading total 0 adds exactly, since 1 - x is never -0).
+    """
+    _check_factor_budget(chain, m_max + p_max)
+    _check_budget("overlap summands", p_max * m_max)
+    if chain.kind == "prefix":
+        _check_prefix(chain, m_max + p_max)
+
+    def generate():
+        size = max(2, p_max, _CHUNK_ENTRIES // chain.n)
+        totals = [np.longdouble(0)] * (2 * p_max + (target is not None))
+        rows = np.empty((0, chain.n), dtype=complex)
+        start = 0
+        while start < m_max:
+            count = min(size, m_max - start)
+            if m_max - start - count == 1:
+                count += 1
+            carry = rows[len(rows) - p_max:]
+            rows = chain_factors(chain, start + len(carry) + 1, count + p_max - len(carry))
+            if len(carry):
+                rows = np.concatenate((carry, rows))
+            inner = [_row_sums(np.conj(rows[:count]) * rows[p : p + count])
+                     for p in range(1, p_max + 1)]
+            defects = [1.0 - x.real for x in inner] + [1.0 - np.abs(x) for x in inner]
+            if target is not None:
+                defects.append(1.0 - np.abs(rows[:count] @ np.conj(target)))
+            sums = [np.cumsum(np.concatenate(([t], d)), dtype=np.longdouble)[1:]
+                    for t, d in zip(totals, defects)]
+            totals = [s[-1] for s in sums]
+            yield start, sums
+            start += count
+
+    return generate()
+
+
+def _diagnostic_chunks(chain: ChainParam, p_max: int, m_max: int, target=None,
+                       name="target"):
+    """The chunks of the asymptotic_diagnostics columns and, for a unit
+    vector `target` (called `name` in errors), of the target_overlap_sums
+    column of the same chain and M: one pass over the chain factors.  Every
+    argument and budget is checked before anything is generated."""
     if target is not None:
         target = _target_in(chain, target, name)
     _check_integer(p_max, "p_max")
     _check_integer(m_max, "M")
     if p_max < 1 or m_max < 1:
         raise ValueError("p_max and M must be >= 1")
-    _check_factor_budget(chain, m_max + p_max)
-    _check_budget("overlap summands", p_max * m_max)
-    rows = chain_factors(chain, 1, m_max + p_max)
-    plain, absolute = {}, {}
-    for p in range(1, p_max + 1):
-        inner = _row_sums(np.conj(rows[:m_max]) * rows[p : p + m_max])
-        plain[p] = _cumulative(1.0 - inner.real)
-        absolute[p] = _cumulative(1.0 - np.abs(inner))
-    sums = None if target is None else _target_sums(rows[:m_max], target)
-    return DiagnosticsTable(m_max, plain, absolute), sums
+    return _chunks(chain, p_max, m_max, target)
+
+
+def _columns(chunks, m_max: int) -> list:
+    """The whole float64 columns of the chunks, written chunk by chunk."""
+    columns = None
+    for start, sums in chunks:
+        if columns is None:
+            columns = [np.empty(m_max) for _ in sums]
+        for column, s in zip(columns, sums):
+            column[start : start + s.size] = s
+    return columns
+
+
+def _diagnostics(chain: ChainParam, p_max: int, m_max: int, target=None, name="target"):
+    """The asymptotic_diagnostics table and, for a unit vector `target`, the
+    target_overlap_sums of the same chain and M, from one pass over the
+    chain factors (the target sums None without one)."""
+    columns = _columns(_diagnostic_chunks(chain, p_max, m_max, target, name), m_max)
+    ps = range(1, p_max + 1)
+    table = DiagnosticsTable(m_max, dict(zip(ps, columns[:p_max])),
+                             dict(zip(ps, columns[p_max : 2 * p_max])))
+    return table, None if target is None else columns[-1]
 
 
 def asymptotic_diagnostics(chain: ChainParam, p_max: int, m_max: int) -> DiagnosticsTable:
@@ -525,6 +591,4 @@ def target_overlap_sums(chain: ChainParam, v, m_max: int) -> np.ndarray:
     _check_integer(m_max, "M")
     if m_max < 1:
         raise ValueError("M must be >= 1")
-    v = _target_in(chain, v, "target")
-    _check_factor_budget(chain, m_max)
-    return _target_sums(chain_factors(chain, 1, m_max), v)
+    return _columns(_chunks(chain, 0, m_max, _target_in(chain, v, "target")), m_max)[0]

@@ -88,11 +88,13 @@ target layer, one slice of an index text table made once, its source's
 column texts repeated N times and the `repr` texts of its N coefficients
 tiled, with exact zeros dropped; the output is one join, byte-stable with
 every -0.0 kept.  `export_json` builds its whole dict with the cyclic
-garbage collector paused once and one list per distinct value: the
-`[re, im]` lists of each step's nonzero coefficients are made once and
-repeated over the step's columns, and every entry of Omega outside its
-held support is one shared `[0.0, 0.0]`.  The dict is for serialising and
-must be treated as read-only.
+garbage collector paused once and one object per distinct value: every
+row, column and label m is an int of one table 0..dim, written into the
+generators' lists by extended slices, the `[re, im]` lists of each step's
+nonzero coefficients are made once and repeated over the step's columns,
+and every entry of Omega outside its held support is one shared
+`[0.0, 0.0]`.  The dict is for serialising and must be treated as
+read-only.
 """
 
 from __future__ import annotations
@@ -973,12 +975,6 @@ def _index_texts(dim: int):
     return out
 
 
-def _label_columns(rep: TruncatedRep):
-    """Layer and m = 1..N^D of every basis index, in basis order."""
-    return (np.repeat(np.asarray(rep.layers, dtype=np.int64), rep.block),
-            np.tile(np.arange(1, rep.block + 1), len(rep.layers)))
-
-
 def _lines(*columns) -> list:
     """The texts of the text columns broadcast against each other, cell by
     cell, each cell's texts in column order."""
@@ -1023,32 +1019,47 @@ def export_json(rep: TruncatedRep) -> dict:
     """The truncation as JSON-ready lists, built with the collector paused.
 
     The dict is for serialising and must be treated as read-only: equal
-    `[re, im]` pairs are one list.  A generator's values repeat, step
-    after step, the pairs of the step's nonzero coefficients, made once,
-    over its source's columns, in the order of `_generator_entries`; every
-    entry of Omega outside its held support is one shared `[0.0, 0.0]`.
+    ints and equal `[re, im]` pairs are one object.  Every row, column and
+    label m is an int of one table 0..dim.  Generator i takes, step after
+    step, the entries of `_generator_entries`: for the t-th of the k
+    nonzero coefficients j of the step, every k-th entry from t on has row
+    N m + j of the target layer and column m of the source, both read as
+    slices of the table, and value the pair of that coefficient, made once.
+    Every entry of Omega outside its held support is one shared `[0.0, 0.0]`.
     """
-    tile = rep.block // rep.n
+    block, n = rep.block, rep.n
+    tile = block // n
     with _collector_paused():
+        ints = list(range(rep.dim + 1))
+        steps = list(zip(rep.step_sources.tolist(), rep.step_targets.tolist()))
         generators = []
-        for coeffs, (rows, cols) in zip(rep.step_coeffs.transpose(1, 0, 2).tolist(),
-                                        _generator_entries(rep)):
+        for coeffs in rep.step_coeffs.transpose(1, 0, 2).tolist():
+            kept = [[j for j, c in enumerate(step) if c != 0] for step in coeffs]
+            rows = [0] * (tile * sum(map(len, kept)))
+            cols = rows.copy()
             values = []
-            for step in coeffs:
+            end = 0
+            for step, js, (source, target) in zip(coeffs, kept, steps):
+                at, end = end, end + len(js) * tile
+                columns = ints[source * block:source * block + tile]
+                for t, j in enumerate(js, at):
+                    rows[t:end:len(js)] = ints[target * block + j:(target + 1) * block:n]
+                    cols[t:end:len(js)] = columns
                 values += [[c.real, c.imag] for c in step if c != 0] * tile
-            generators.append({"rows": rows.tolist(), "cols": cols.tolist(), "values": values})
+            generators.append({"rows": rows, "cols": cols, "values": values})
         omega = [[0.0, 0.0]] * rep.dim
         for layer, x in _omega(rep).items():
-            start = layer * rep.block
+            start = layer * block
             omega[start:start + x.size] = [[c.real, c.imag] for c in x.tolist()]
+        layers = [int(t) for t in rep.layers]
         return {
             "rank": rep.n,
             "kind": rep.kind,
             "depth": rep.depth,
             "dim": rep.dim,
-            "layers": [int(t) for t in rep.layers],
+            "layers": layers,
             "generators": generators,
             "omega": omega,
-            "labels": np.stack(_label_columns(rep), axis=1).tolist(),
+            "labels": [[t, m] for t in layers for m in ints[1:block + 1]],
             "interior": rep.interior.tolist(),
         }

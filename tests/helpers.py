@@ -23,11 +23,19 @@ class _ExhaustedArray(np.ndarray):
 
 def exhaust_stacked_lists(monkeypatch):
     """Make the nested list of every array np.stack returns run out of
-    memory: the JSON list builds of `complex_pairs` and of `export_json`'s
-    labels stack their columns and call `tolist` on the result."""
+    memory: the JSON list build of `complex_pairs` stacks its columns and
+    calls `tolist` on the result."""
     stack = np.stack
     monkeypatch.setattr(
         np, "stack", lambda arrays, **kwargs: stack(arrays, **kwargs).view(_ExhaustedArray))
+
+
+def exhaust_omega_lists(monkeypatch):
+    """Make the list of every held block of Omega run out of memory:
+    `export_json` builds its omega entries from their `tolist`."""
+    omega = g.reps._omega
+    monkeypatch.setattr(g.reps, "_omega", lambda rep: {
+        layer: x.view(_ExhaustedArray) for layer, x in omega(rep).items()})
 
 
 def random_unit(rng, n):

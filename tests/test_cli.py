@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from gpcuntz import DirectIntegralDescriptor, algebra, cli, expressions, params, reps
-from helpers import exhaust_stacked_lists, reference_car_residuals, run_python
+from helpers import exhaust_omega_lists, reference_car_residuals, run_python
 
 CYCLE_E1 = '{"kind":"cycle","N":2,"factors":[[[1,0],[0,0]]]}'
 CYCLE_E1E1 = '{"kind":"cycle","N":2,"factors":[[[1,0],[0,0]],[[1,0],[0,0]]]}'
@@ -376,8 +376,9 @@ def test_memory_error_prints_one_error_line(capsys, monkeypatch):
 @pytest.mark.parametrize("enabled", [True, False])
 def test_rep_build_out_of_memory_in_a_json_list_prints_one_error_line(
         capsys, monkeypatch, enabled):
-    # the real list build of the labels, with a tolist that runs out of memory
-    exhaust_stacked_lists(monkeypatch)
+    # the real list build of omega's held entries, with a tolist that runs
+    # out of memory
+    exhaust_omega_lists(monkeypatch)
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
@@ -397,8 +398,8 @@ def test_rep_build_out_of_memory_in_the_json_build_prints_one_error_line(
     def exhausted(_rep):
         raise MemoryError
 
-    # raised with every list of the export's dict built under one pause
-    monkeypatch.setattr(reps, "_label_columns", exhausted)
+    # raised with the generators' lists built under the export's one pause
+    monkeypatch.setattr(reps, "_omega", exhausted)
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
@@ -593,6 +594,15 @@ def test_diagnostics_target_of_wrong_rank_is_named(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: --target has 3 entries but the chain has rank 2\n"
+
+
+@pytest.mark.parametrize("target", ["[[1,0],[1,0]]", "[[0.5,0],[0,0]]", "[[NaN,0],[0,0]]"])
+def test_diagnostics_target_off_the_unit_sphere_is_named(capsys, target):
+    code, out, err = run_cli(capsys, "diagnostics", "--gray-zone", "--p", "1", "--M", "10",
+                             "--target", target)
+    assert code == 1
+    assert out == ""
+    assert err == "error: --target must have unit norm within 1e-10\n"
 
 
 STATE_EVAL_FACTOR = "(0.6 s1 + (0.3 + 0.4 i) s2 s1 - 0.5 i s2 s2)"

@@ -1,15 +1,21 @@
 """Cycle/chain parameters: canonical forms, periodicity, equivalence, diagnostics."""
 
 import cmath
+import contextlib
+import io
+import json
 import math
 import re
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gpcuntz as g
+from gpcuntz import cli
 from helpers import (
     brute_force_cycles_equivalent,
     brute_force_power,
@@ -931,6 +937,122 @@ def test_diagnostics_match_the_axis_sum_reference(request, seed):
     assert g.target_overlap_sums(chain, target, m_max).tobytes() == sums.tobytes()
     # the command line's one pass serves the table and the target sums
     assert g.params._diagnostics(chain, p_max, m_max, target)[1].tobytes() == sums.tobytes()
+
+
+@st.composite
+def _chunked_requests(draw):
+    """(chain, p_max, m_max, chunk entries, rows per chunk) over every chain
+    kind, chunks of 1, 7 and the default number of entries, p <= 4 and M
+    one below, at, one and two past one or two whole chunks: a chunk takes
+    the entries' rows, or two or p_max rows if more, as in explicit chains
+    in C^4 and in C^(2^14) at the default, whose entries make fewer rows
+    than p_max."""
+    entries = draw(st.sampled_from([1, 7, g.params._CHUNK_ENTRIES]))
+    kind = draw(st.sampled_from(["rotation", "theta", "gray zone", "prefix", "explicit",
+                                 "explicit C^4", "wide"]))
+    p_max = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = {"explicit C^4": 4, "wide": 1 << 14}.get(kind, 2)
+    size = max(2, p_max, entries // n)
+    m_max = max(1, size * draw(st.integers(1, 2)) + draw(st.integers(-1, 2)))
+    if kind == "rotation":
+        b = draw(st.integers(1, 64))
+        chain = g.rotation_chain(Fraction(draw(st.integers(0, b - 1)), b))
+    elif kind == "theta":
+        chain = g.rotation_chain(draw(st.floats(0.0, 1.0, exclude_max=True)))
+    elif kind == "gray zone":
+        chain = g.gray_zone_chain()
+    elif kind == "prefix":
+        chain = g.prefix_chain([random_unit(rng, n) for _ in range(m_max + p_max)])
+    else:
+        chain = random_explicit_chain(rng, n, draw(st.integers(1, 3)), draw(st.integers(1, 5)))
+    return chain, p_max, m_max, entries, size
+
+
+def _cli_totals(chain, p_max, m_max, target) -> dict:
+    """The JSON payload of the `diagnostics` subcommand on the chain."""
+    if chain.kind == "rotation" and isinstance(chain.theta, Fraction):
+        source = ["--rotation", f"{chain.theta.numerator}/{chain.theta.denominator}"]
+    elif chain.kind == "rotation":
+        source = ["--theta", repr(chain.theta)]
+    elif chain.kind == "gray_zone":
+        source = ["--gray-zone"]
+    elif chain.kind == "prefix":
+        source = ["--inline", json.dumps(
+            {"kind": "chain", "prefix": g.params.complex_pairs(chain.prefix)})]
+    else:
+        source = ["--inline", json.dumps({
+            "kind": "chain", "period": g.params.complex_pairs(chain.period),
+            "preperiod": g.params.complex_pairs(chain.preperiod)})]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["diagnostics", *source, "--p", str(p_max), "--M", str(m_max),
+                         "--target", json.dumps(g.params.complex_pairs(target)), "-f", "json"])
+    assert code == 0
+    return json.loads(out.getvalue())
+
+
+@settings(max_examples=50, deadline=None)
+@given(request=_chunked_requests(), seed=st.integers(0, 2**32 - 1))
+def test_chunked_diagnostics_match_the_whole_array_reference(request, seed):
+    chain, p_max, m_max, entries, size = request
+    target = random_unit(np.random.default_rng(seed), chain.n)
+    plain, absolute, sums = reference_diagnostics(chain, p_max, m_max, target)
+    whole = g.chain_factors(chain, 1, m_max + p_max)
+    generate = g.params.chain_factors
+    calls = []
+
+    def recorded(chain, start, count):
+        rows = generate(chain, start, count)
+        # each chunk's rows are the slice of one call
+        assert rows.tobytes() == whole[start - 1 : start - 1 + count].tobytes()
+        calls.append((start, count))
+        return rows
+
+    with mock.patch.object(g.params, "_CHUNK_ENTRIES", entries), \
+            mock.patch.object(g.params, "chain_factors", recorded):
+        table, target_sums = g.params._diagnostics(chain, p_max, m_max, target)
+        # every factor requested once, in order: M + p_max rows in all
+        starts = [start for start, _ in calls]
+        assert starts == [1 + sum(count for _, count in calls[:i]) for i in range(len(calls))]
+        assert sum(count for _, count in calls) == m_max + p_max
+        # chunks of `size` rows, the last one row more where it would leave one
+        counts = [count for _, count in calls]
+        counts[0] -= p_max
+        assert all(count == size for count in counts[:-1]) and counts[-1] <= size + 1
+        assert counts[-1] >= 2 or m_max == 1
+        columns = [table.plain[p] for p in plain] + [table.absolute[p] for p in plain]
+        columns += [target_sums, g.target_overlap_sums(chain, target, m_max)]
+        refs = [plain[p] for p in plain] + [absolute[p] for p in plain] + [sums, sums]
+        for got, ref in zip(columns, refs):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        payload = _cli_totals(chain, p_max, m_max, target)
+    expected = {"M": m_max, "target_sum": float(sums[-1]), "sums": {
+        str(p): {"plain": float(plain[p][-1]), "abs": float(absolute[p][-1])} for p in plain}}
+    # shortest round-trip texts: equal exactly when the bits are
+    assert json.dumps(payload, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+def test_the_command_line_holds_no_column():
+    # M = 2^21 at p = 2 with a target: five float columns would be 80 MiB,
+    # one alone 16 MiB; the chunks and their totals are far less
+    tracemalloc.start()
+    try:
+        payload = _cli_totals(g.rotation_chain(Fraction(2, 7)), 2, 1 << 21,
+                              np.array([0.6, 0.8j], dtype=complex))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert payload["M"] == 1 << 21
+    assert peak < 8 << 20
+
+
+@pytest.mark.parametrize("p", [0, 3, -1, 1.0, 2.5, "1"])
+def test_final_refuses_a_p_outside_the_table(p):
+    table = g.asymptotic_diagnostics(g.rotation_chain(Fraction(1, 3)), 2, 10)
+    with pytest.raises(ValueError, match=r"p = .* is outside 1\.\.2|p must be an integer"):
+        table.final(p)
+    assert table.final(np.int64(2)) == table.final(2)
 
 
 # a finite entry off the unit sphere, NaN and infinity

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import gpcuntz as g
 from helpers import (
+    exhaust_omega_lists,
     exhaust_stacked_lists,
     random_element,
     random_nonperiodic_cycle,
@@ -1461,29 +1462,51 @@ def test_json_lists_restore_the_collector_when_the_list_build_raises(monkeypatch
     with pytest.raises(MemoryError):
         g.params.complex_pairs(rep.omega)
     assert gc.isenabled() is collector
+    exhaust_omega_lists(monkeypatch)
     with pytest.raises(MemoryError):
         g.export_json(rep)
     assert gc.isenabled() is collector
 
 
 def test_export_json_holds_the_collector_paused_throughout(monkeypatch, collector):
-    label_columns = g.reps._label_columns
+    rep = g.build_chain_rep(g.gray_zone_chain(), 3, 2, 3)
+    expected = reference_export_json(rep)
+    interior = g.reps.TruncatedRep.interior
+    reads = []
 
     def paused(rep):
+        # the last read of the build
         assert not gc.isenabled()
-        return label_columns(rep)
+        reads.append(rep)
+        return interior.fget(rep)
 
-    monkeypatch.setattr(g.reps, "_label_columns", paused)
-    rep = g.build_chain_rep(g.gray_zone_chain(), 3, 2, 3)
-    assert g.export_json(rep) == reference_export_json(rep)
+    monkeypatch.setattr(g.reps.TruncatedRep, "interior", property(paused))
+    assert g.export_json(rep) == expected
+    assert reads == [rep]
     assert gc.isenabled() is collector
+
+
+# dimensions past 256, the ints CPython keeps one object of
+@pytest.mark.parametrize("rep", [
+    g.build_fiber_rep(g.cycle([REAL_A, REAL_B]), 1j, 9),
+    g.build_cycle_rep(g.cycle([[1, 0, 0], [0.6, 0, 0.8]]), 6),
+    g.build_chain_rep(g.gray_zone_chain(), 7, 3, 2),
+], ids=["fiber", "cycle C^3", "chain"])
+def test_export_json_ints_are_one_table(rep):
+    assert rep.dim > 256
+    out = g.export_json(rep)
+    assert out == reference_export_json(rep)
+    ints = [x for gen in out["generators"] for x in gen["rows"] + gen["cols"]]
+    ints += [m for _, m in out["labels"]]
+    assert len({id(x) for x in ints}) <= rep.dim + 1
+    assert {id(t) for t, _ in out["labels"]} == {id(t) for t in out["layers"]}
 
 
 def test_export_json_restores_the_collector_when_the_build_raises(monkeypatch, collector):
     def exhausted(_rep):
         raise MemoryError
 
-    monkeypatch.setattr(g.reps, "_label_columns", exhausted)
+    monkeypatch.setattr(g.reps, "_omega", exhausted)
     with pytest.raises(MemoryError):
         g.export_json(g.build_cycle_rep(g.cycle([E1, E2]), 3))
     assert gc.isenabled() is collector
