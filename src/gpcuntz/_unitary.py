@@ -9,16 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import (
-    EXPAND_BUDGET,
-    PRUNE_TOL,
-    UNIT_TOL,
-    AlgebraElement,
-    RankMismatchError,
-    _check_near,
-    identity,
-    multiply,
-)
+from ._policy import PRUNE_TOL, UNIT_TOL, RankMismatchError, _check_near
+from .algebra import EXPAND_BUDGET, AlgebraElement, identity, multiply
 
 
 def _check_unitary(g, n: int):

@@ -22,9 +22,11 @@ terms of one (|J|, |K|) block at once rather than term by term, as one
 sparse tensor acted on letter axis by letter axis, so a sparse G keeps
 it sparse at any length.
 
-Coefficients are double precision.  The table below is the package's one
-numeric policy; `_check_near` tests every unit, unimodular or unitary input.
-All values are immutable after construction and every operation is pure.
+Coefficients are double precision.  The package's one numeric policy, its
+tolerance table, unit checks and collector pause, lives in
+`gpcuntz._policy`; this module re-exports it, so `algebra.PRUNE_TOL` and
+`algebra.RankMismatchError` are the same objects.  All values are
+immutable after construction and every operation is pure.
 Only the U(N) action and `s_of` use numpy; they do their work in
 `gpcuntz._unitary`, which they import when called, so the word arithmetic
 loads nothing outside the standard library, and a process that never calls
@@ -34,33 +36,20 @@ them neither imports numpy nor compiles that module.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import gc
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
-PRUNE_TOL = 1e-12   # a coefficient, entry or imaginary residue at or below it is 0; NaN is not
-UNIT_TOL = 1e-10    # how far a unit or unimodular input may stray from 1 (G G^H from I)
-PIVOT_TOL = 1e-8    # least magnitude a component or Gram-Schmidt residual needs as a pivot
-DEFAULT_TOL = 1e-9  # the decision tolerance, which GPCUNTZ_TOL overrides
+# re-exported, so that the policy's names can be read here as well
+from ._policy import (DEFAULT_TOL, PIVOT_TOL, PRUNE_TOL, UNIT_TOL, RankMismatchError,
+                      _check_integer, _check_near, _collector_paused, _unimodular)
+
 # most terms expand_identity may generate before merging them, and most
 # entries unitary_action may hold
 EXPAND_BUDGET = 1 << 22
 
 Word = tuple[int, ...]
-
-
-class RankMismatchError(ValueError):
-    """Combination of elements living over different generator counts."""
-
-
-def _check_integer(value, what: str) -> None:
-    """Raise ValueError naming `value` unless it is an integer; numpy
-    integers pass, 2.0 does not."""
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _as_word(letters, n: int) -> Word:
@@ -106,40 +95,6 @@ def check_finite(terms) -> None:
     for (j, k), c in terms.items():
         if not cmath.isfinite(c):
             raise ValueError(f"coefficient {c} of the word J={j}, K={k} is not finite")
-
-
-def _check_near(values, target, message: str) -> None:
-    """Raise ValueError(message) unless each |value - target| <= UNIT_TOL,
-    which NaN never is; a Python scalar skips the array reduction, which
-    costs more."""
-    near = abs(values - target) <= UNIT_TOL
-    if not (near if isinstance(near, bool) else near.all()):
-        raise ValueError(message)
-
-
-def _unimodular(c, what: str) -> complex:
-    """complex(c), refused unless |c| = 1 within UNIT_TOL."""
-    c = complex(c)
-    _check_near(abs(c), 1.0, f"{what} must be unimodular")
-    return c
-
-
-@contextlib.contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector for the block.
-
-    Building millions of small containers (key tuples, nested lists) sets
-    off repeated collections that each traverse every live object, and
-    none of them can be garbage.  The collector's previous state is
-    restored however the block ends.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def term_sort_key(key):
@@ -566,6 +521,45 @@ def car_generator(n: int) -> AlgebraElement:
         sign = -1.0 if sum(1 for x in j if x == 2) % 2 else 1.0
         terms[(j + (1,), j + (2,))] = sign
     return AlgebraElement._from_words(2, terms)
+
+
+# the factor e_1 of the vacuum's constant chain, as the states read it
+_E1 = (1.0 + 0.0j, 0.0j)
+
+
+def _vacuum_z(word) -> complex:
+    """z(word) along the constant chain e_1: the running product of the
+    entries, stopped when it reaches 0."""
+    value = 1.0 + 0.0j
+    for letter in word:
+        value *= _E1[letter - 1]
+        if value == 0.0:
+            break
+    return value
+
+
+def _fock_vacuum(a: AlgebraElement) -> complex:
+    """The Fock vacuum of the rank-2 algebra: s_J s_K* goes to 1 when
+    J = K = 1^m and to 0 otherwise.
+
+    It is the state of the constant chain e_1 (the Cuntz state of e_1), and
+    every `car_generator` image annihilates it.  It is evaluated step for
+    step as `states.GPState` evaluates that chain, so the two agree to the
+    bit, signed zeros included: a left fold from the int 0 of c * value,
+    where value is the float 0.0 when |J| != |K|, else conj(z(J)) z(K), or
+    0.0 when z(J) is 0.
+    """
+    if a.n != 2:
+        raise RankMismatchError(f"rank mismatch: {a.n} vs 2")
+    total = 0
+    for (j, k), c in a.terms.items():
+        if len(j) != len(k):
+            value = 0.0
+        else:
+            zj = _vacuum_z(j)
+            value = 0.0 if zj == 0.0 else zj.conjugate() * _vacuum_z(k)
+        total = total + c * value
+    return complex(total)
 
 
 def s_of(vectors, n: int | None = None) -> AlgebraElement:

@@ -11,9 +11,12 @@ print with shortest round-trip literals (up to 17 significant digits).
 
 Each handler imports the modules it runs when it is called, so a process
 compiles and imports only what its subcommand needs: `normalize` loads
-`expressions` and `algebra`; `classify`, `equivalent` and `decompose` load
-`params` and `decisions` but not `reps`; only `rep-build` and `verify` load
-`reps`.  `cli` itself imports no numpy, and no subcommand loads scipy.
+`expressions` and the word layer `algebra`, `car-check` only `algebra`, and
+neither imports numpy; the numeric subcommands load the tolerance policy
+`_policy` but not `algebra`, which only `state-eval` of them runs;
+`classify`, `equivalent` and `decompose` load `params` and `decisions` but
+not `reps`; only `rep-build` and `verify` load `reps`.  `cli` itself
+imports no numpy, and no subcommand loads scipy.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from fractions import Fraction
 
 
 def _tolerance() -> float:
-    from .algebra import DEFAULT_TOL
+    from ._policy import DEFAULT_TOL
 
     raw = os.environ.get("GPCUNTZ_TOL")
     tol = _number_in(raw, "GPCUNTZ_TOL") if raw else DEFAULT_TOL
@@ -307,6 +310,9 @@ def _diag_chain(args):
 def _cmd_diagnostics(args) -> int:
     from . import params
 
+    for flag, value in (("--p", args.p), ("--M", args.M)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1")
     chain = _diag_chain(args)
     target = None
     if args.target:
@@ -328,7 +334,7 @@ def _cmd_diagnostics(args) -> int:
 
 
 def _cmd_car_check(args) -> int:
-    from . import algebra, states
+    from . import algebra
 
     if args.n_max < 1:
         raise ValueError("--n-max must be >= 1")
@@ -346,6 +352,12 @@ def _cmd_car_check(args) -> int:
     def residual(x):
         return algebra.leavitt_form(x).sup_norm()
 
+    def vacuum(x):
+        value = algebra._fock_vacuum(x)
+        if not abs(value.imag) <= algebra.PRUNE_TOL:
+            raise AssertionError("residual unexpectedly non-real")
+        return float(value.real)
+
     # (mixed, anti) residuals of each pair (n, m), formed once for n <= m and
     # stored under (m, n) too: {a_m, a_n} is {a_n, a_m}, and {a_m, a_n*} is the
     # adjoint of {a_n, a_m*}; leavitt_form commutes with the adjoint, which
@@ -353,12 +365,12 @@ def _cmd_car_check(args) -> int:
     # so every product and sum is a small integer, computed exactly in any
     # order, and the output is byte-identical to a loop over ordered pairs
     residuals = {}
-    # a_n* a_n for n = 1, 2, ..., for the Fock residuals
-    squares = []
+    # a_n* a_n in the Fock vacuum, which every a_n annihilates, for n = 1, 2, ...
+    fock = []
     for n in range(1, args.n_max + 1):
         a, a_star = gens[n], adjoints[n]
         square = algebra.multiply(a_star, a)
-        squares.append(square)
+        fock.append(vacuum(square))
         mixed = algebra.multiply(a, a_star) + square - algebra.identity(2)
         p = algebra.multiply(a, a)
         residuals[n, n] = (residual(mixed), residual(p + p))
@@ -374,7 +386,7 @@ def _cmd_car_check(args) -> int:
         worst = max(worst, r1, r2)
         payload["pairs"].append({"n": n, "m": m, "mixed": r1, "anti": r2})
         lines.append(f"n={n} m={m} mixed={r1!r} anti={r2!r}")
-    for n, r in enumerate(states._vacuum_residuals(squares), start=1):
+    for n, r in enumerate(fock, start=1):
         worst = max(worst, abs(r))
         payload["fock"].append({"n": n, "residual": r})
         lines.append(f"fock n={n} residual={r!r}")

@@ -28,8 +28,8 @@ import cmath
 import math
 import re
 
+from ._policy import PRUNE_TOL
 from .algebra import (
-    PRUNE_TOL,
     AlgebraElement,
     check_finite,
     identity,

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import (
+from ._policy import (
     DEFAULT_TOL,
     PIVOT_TOL,
     UNIT_TOL,

@@ -103,11 +103,12 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .algebra import (PIVOT_TOL, PRUNE_TOL, AlgebraElement, RankMismatchError, _check_integer,
-                      _check_near, _collector_paused, _unimodular)
+from ._policy import (PIVOT_TOL, PRUNE_TOL, RankMismatchError, _check_integer, _check_near,
+                      _collector_paused, _unimodular)
 from .params import (
     ChainParam,
     CycleParam,
@@ -115,6 +116,9 @@ from .params import (
     chain_factors,
     scale_cycle,
 )
+
+if TYPE_CHECKING:  # named in annotations only, so a truncation loads no word layer
+    from .algebra import AlgebraElement
 
 
 # most basis vectors, len(layers) * N^D, one truncation of rank 2 may have;

@@ -20,15 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import (PRUNE_TOL, AlgebraElement, RankMismatchError, _as_word, _check_integer,
-                      multiply)
-from .params import (
-    ChainParam,
-    CycleParam,
-    basis_vector,
-    chain_factors,
-    explicit_chain,
-)
+from .algebra import AlgebraElement, RankMismatchError, _as_word, _check_integer, multiply
+from .params import ChainParam, CycleParam, chain_factors
 
 
 class GPState:
@@ -141,17 +134,3 @@ def gram_matrix(param, elements) -> np.ndarray:
             g[i, j] = state._evaluate(multiply(a_star, b), memo)
             g[j, i] = np.conj(g[i, j])
     return g
-
-
-def _vacuum_residuals(products) -> list:
-    """omega(p), a float, for each product p = phi(a_n)* phi(a_n), all in
-    one constant e_1 chain state: it plays the vacuum, which every image
-    phi(a_n) annihilates, so each residual vanishes."""
-    vacuum = GPState(explicit_chain([basis_vector(2, 1)]))
-    out = []
-    for product in products:
-        value = vacuum.evaluate(product)
-        if not abs(value.imag) <= PRUNE_TOL:
-            raise AssertionError("residual unexpectedly non-real")
-        out.append(float(value.real))
-    return out

@@ -605,6 +605,15 @@ def test_diagnostics_target_off_the_unit_sphere_is_named(capsys, target):
     assert err == "error: --target must have unit norm within 1e-10\n"
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+@pytest.mark.parametrize("flag", ["--p", "--M"])
+def test_diagnostics_count_below_one_is_named(capsys, flag, value):
+    code, out, err = run_cli(capsys, "diagnostics", "--rotation", "1/3", flag, value)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {flag} must be >= 1\n"
+
+
 STATE_EVAL_FACTOR = "(0.6 s1 + (0.3 + 0.4 i) s2 s1 - 0.5 i s2 s2)"
 STATE_EVAL_OTHER = "(exp(i 0.3) s1 + 0.25 s2 s1 + (0.1 - 0.7 i) s2 s2)"
 # 81 x 81 = 6561 terms with words of 4 to 8 letters on each side
@@ -888,19 +897,20 @@ sys.exit(code)
 # one small query per subcommand, with the package modules it runs: each
 # query must load these and no other module of the package
 ONE_QUERY_EACH = [
-    (("normalize", "-N", "2", "s1* s1"), {"algebra", "expressions"}),
-    (("state-eval", "--inline", CYCLE_E1, "s1"), {"algebra", "expressions", "params", "states"}),
-    (("classify", "--inline", CYCLE_E1E1), {"algebra", "params", "decisions"}),
-    (("equivalent", "--param", CYCLE_E1, "--other", CHAIN_E2), {"algebra", "params", "decisions"}),
-    (("decompose", "--inline", ROTATION_THIRD), {"algebra", "params", "decisions"}),
+    (("normalize", "-N", "2", "s1* s1"), {"_policy", "algebra", "expressions"}),
+    (("state-eval", "--inline", CYCLE_E1, "s1"),
+     {"_policy", "algebra", "expressions", "params", "states"}),
+    (("classify", "--inline", CYCLE_E1E1), {"_policy", "params", "decisions"}),
+    (("equivalent", "--param", CYCLE_E1, "--other", CHAIN_E2), {"_policy", "params", "decisions"}),
+    (("decompose", "--inline", ROTATION_THIRD), {"_policy", "params", "decisions"}),
     (("diagnostics", "--rotation", "1/3", "--M", "10", "--target", GRAY_TARGET),
-     {"algebra", "params"}),
-    (("car-check", "--n-max", "2"), {"algebra", "params", "states"}),
+     {"_policy", "params"}),
+    (("car-check", "--n-max", "2"), {"_policy", "algebra"}),
     (("rep-build", "--inline", CYCLE_E1, "--depth", "2", "-f", "json"),
-     {"algebra", "params", "reps"}),
+     {"_policy", "params", "reps"}),
     (("rep-build", "--inline", CYCLE_E1, "--depth", "2", "-f", "matrix-coo"),
-     {"algebra", "params", "reps"}),
-    (("verify", "--inline", CYCLE_E1, "--depth", "2"), {"algebra", "params", "reps"}),
+     {"_policy", "params", "reps"}),
+    (("verify", "--inline", CYCLE_E1, "--depth", "2"), {"_policy", "params", "reps"}),
 ]
 
 
@@ -941,9 +951,31 @@ def test_each_subcommand_loads_only_the_modules_it_runs(argv, modules):
     assert {name for name in loaded if name.startswith("gpcuntz.")} == {
         f"gpcuntz.{module}" for module in modules}
     assert not [name for name in loaded if name == "scipy" or name.startswith("scipy.")]
-    if argv[0] == "normalize":
+    if argv[0] in ("normalize", "car-check"):
         # the word layer and the parser import nothing outside the standard library
         assert not [name for name in loaded if name == "numpy" or name.startswith("numpy.")]
+
+
+# runs the CLI module as `python -m gpcuntz.cli` does, with every import of
+# numpy raising ImportError
+NUMPY_BLOCKED = """
+import runpy, sys
+sys.modules["numpy"] = None
+runpy.run_module("gpcuntz.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", [
+    ("normalize", "-N", "2", "--expand", "2", "s1 s1* + s2 s2* - 2 s1* s2 + 0.5 i s2 s1*"),
+    ("car-check", "--n-max", "5"),
+], ids=lambda argv: argv[0])
+def test_word_subcommands_answer_without_numpy(argv, fmt):
+    blocked = run_python("-c", NUMPY_BLOCKED, *argv, "-f", fmt)
+    plain = run_module(*argv, "-f", fmt)
+    assert blocked.returncode == plain.returncode == 0, blocked.stderr
+    assert blocked.stderr == plain.stderr == ""
+    assert blocked.stdout and blocked.stdout == plain.stdout
 
 
 def _cap_address_space():

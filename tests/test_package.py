@@ -1,6 +1,7 @@
 """The package namespace: each export loads on first use, from its module."""
 
 import pathlib
+import pickle
 import re
 import sys
 
@@ -23,6 +24,16 @@ def test_each_export_is_the_object_its_module_defines():
     assert set(g.__all__) <= set(dir(g))
     with pytest.raises(AttributeError):
         g.no_such_name
+
+
+def test_rank_mismatch_error_keeps_its_home_in_algebra():
+    # it is defined beside the tolerances, which the numeric layers import
+    # without the word layer, but named, exported and pickled as algebra's
+    err = g.params.RankMismatchError("rank mismatch: 2 vs 3")
+    assert type(err) is g.RankMismatchError is g.algebra.RankMismatchError
+    assert repr(g.RankMismatchError) == "<class 'gpcuntz.algebra.RankMismatchError'>"
+    again = pickle.loads(pickle.dumps(err))
+    assert type(again) is g.RankMismatchError and again.args == err.args
 
 
 def test_readme_public_api_lists_exactly_the_exports():

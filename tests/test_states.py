@@ -368,7 +368,41 @@ def test_scaled_parameter_matches_gauge_twist():
 
 def test_fock_annihilation():
     products = [g.multiply(a.adjoint(), a) for a in map(g.car_generator, range(1, 5))]
-    assert all(r < 1e-10 for r in g.states._vacuum_residuals(products))
+    vacuum = g.GPState(g.explicit_chain([E1]))
+    for product in products:
+        value = g.algebra._fock_vacuum(product)
+        assert abs(value) < 1e-10
+        assert repr(value) == repr(vacuum.evaluate(product))
+
+
+def vacuum_words(min_size=0, max_size=5):
+    return st.lists(st.sampled_from((1, 2)), min_size=min_size, max_size=max_size).map(tuple)
+
+
+# words over {1, 2} of up to 5 letters: pairs of any lengths, of equal
+# lengths and equal pairs, so that J = K = 1^m and J = 1^m != K both turn up;
+# coefficients built of +-1, +-0.0, dyadic and other finite parts
+vacuum_keys = st.one_of(
+    st.tuples(vacuum_words(), vacuum_words()),
+    st.integers(0, 5).flatmap(lambda m: st.tuples(vacuum_words(m, m), vacuum_words(m, m))),
+    vacuum_words().map(lambda w: (w, w)),
+)
+vacuum_parts = st.one_of(st.sampled_from([1.0, -1.0, 0.0, -0.0, 0.5, -0.375, 2.0**-30, 3.0]),
+                         st.floats(-4.0, 4.0))
+vacuum_coeffs = st.builds(complex, vacuum_parts, vacuum_parts)
+
+
+@given(st.dictionaries(vacuum_keys, vacuum_coeffs, max_size=12))
+def test_word_vacuum_is_the_e1_chain_state_to_the_bit(terms):
+    # built directly, so that zero coefficients of either sign are kept
+    a = g.AlgebraElement(2, terms)
+    expected = g.GPState(g.explicit_chain([g.basis_vector(2, 1)])).evaluate(a)
+    assert repr(g.algebra._fock_vacuum(a)) == repr(expected)
+
+
+def test_word_vacuum_refuses_another_rank():
+    with pytest.raises(g.RankMismatchError):
+        g.algebra._fock_vacuum(g.identity(3))
 
 
 def test_fock_negative_control():

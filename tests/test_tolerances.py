@@ -1,5 +1,6 @@
-"""The one tolerance policy: the threshold table in `algebra`, NaN-refusing
-unit checks, and zero tests that never treat NaN as zero."""
+"""The one tolerance policy: the threshold table in `_policy`, which `algebra`
+re-exports, NaN-refusing unit checks, and zero tests that never treat NaN
+as zero."""
 
 import cmath
 import math
@@ -10,24 +11,25 @@ import numpy as np
 import pytest
 
 import gpcuntz as g
-from gpcuntz import algebra
+from gpcuntz import _policy, algebra
 
 SRC = pathlib.Path(g.__file__).parent
 E1 = g.basis_vector(2, 1)
+TOLERANCES = ("PRUNE_TOL", "UNIT_TOL", "PIVOT_TOL", "DEFAULT_TOL")
 
 
-def test_four_thresholds_all_in_algebra():
+def test_four_thresholds_all_in_policy():
     names = {}
     for path in sorted(SRC.glob("*.py")):
         for name in re.findall(r"^\s*([A-Z_]*TOL)\s*=", path.read_text(), re.M):
             names[name] = path.name
-    assert names == dict.fromkeys(["PRUNE_TOL", "UNIT_TOL", "PIVOT_TOL", "DEFAULT_TOL"],
-                                  "algebra.py")
-    assert (algebra.PRUNE_TOL, algebra.UNIT_TOL, algebra.PIVOT_TOL, algebra.DEFAULT_TOL) == (
-        1e-12, 1e-10, 1e-8, 1e-9)
+    assert names == dict.fromkeys(TOLERANCES, "_policy.py")
+    assert tuple(getattr(_policy, name) for name in TOLERANCES) == (1e-12, 1e-10, 1e-8, 1e-9)
+    for name in TOLERANCES:
+        assert getattr(algebra, name) is getattr(_policy, name)
     assert g.params.DEFAULT_TOL is algebra.DEFAULT_TOL
     for path in sorted(SRC.glob("*.py")):
-        if path.name != "algebra.py":
+        if path.name != "_policy.py":
             text = path.read_text()
             assert not re.search(r"\b1e-(8|10|12)\b", text), path.name
             assert "> UNIT_TOL" not in text, path.name
