@@ -42,7 +42,6 @@ _EXPORTS = {
         "decompose_chain",
         "decompose_cycle",
         "equivalent",
-        "numeric_cycle_eigencheck",
     ),
     "expressions": ("ExprSyntaxError", "format_element", "parse"),
     "params": (
@@ -83,6 +82,7 @@ _EXPORTS = {
         "enumerate_basis",
         "export_coo",
         "export_json",
+        "numeric_cycle_eigencheck",
         "power_vanish",
         "vacuum_expectation",
         "verify_gp",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._policy import PRUNE_TOL, UNIT_TOL, RankMismatchError, _check_near
+from ._policy import PRUNE_TOL, UNIT_TOL, _check_near
 from .algebra import EXPAND_BUDGET, AlgebraElement, identity, multiply
 
 
@@ -206,17 +206,14 @@ def _check_action_size(g, letter_blocks) -> None:
         )
 
 
-def s_of(vectors, n: int | None = None) -> AlgebraElement:
+def s_of(vectors) -> AlgebraElement:
     """`algebra.s_of`."""
     arr = np.asarray(vectors, dtype=complex)
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2:
         raise ValueError("expected a vector or a sequence of vectors")
-    if n is None:
-        n = arr.shape[1]
-    elif arr.shape[1] != n:
-        raise RankMismatchError(f"vectors live in C^{arr.shape[1]}, expected C^{n}")
+    n = arr.shape[1]
     _check_near(np.linalg.norm(arr, axis=1), 1.0,
                 f"factors must be unit vectors within {UNIT_TOL}")
     out = identity(n)

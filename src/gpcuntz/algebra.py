@@ -562,7 +562,7 @@ def _fock_vacuum(a: AlgebraElement) -> complex:
     return complex(total)
 
 
-def s_of(vectors, n: int | None = None) -> AlgebraElement:
+def s_of(vectors) -> AlgebraElement:
     """s(z) = z_1 s_1 + ... + z_N s_N, extended to products over factor lists.
 
     `vectors` is one unit vector or an ordered sequence of unit vectors;
@@ -570,4 +570,4 @@ def s_of(vectors, n: int | None = None) -> AlgebraElement:
     """
     from . import _unitary
 
-    return _unitary.s_of(vectors, n)
+    return _unitary.s_of(vectors)

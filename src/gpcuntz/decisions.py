@@ -7,8 +7,9 @@ the circle into the scaled-cycle family of its tail block), irreducible
 for irrational rotation chains (an analytic input, never computed from a
 float), and undecided in the gray zone.  `classify` reads the periodicity
 verdict, never the chain kind; `decompose_chain` reads the one tail block.
-Only `DirectIntegralDescriptor.fiber` and `numeric_cycle_eigencheck` build
-truncations, so they import `reps` when called and no verdict loads it.
+No query here builds a truncation: the fibers of a direct integral are
+`reps.build_fiber_rep(descriptor.base, c, depth)`, and the numeric check of
+the cycle formula is `reps.numeric_cycle_eigencheck`.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .params import (
     DEFAULT_TOL,
@@ -140,13 +139,9 @@ class DirectIntegralDescriptor:
     """
 
     base: CycleParam
-    measure: str = "haar-U(1)"
-    uniqueness: str = "base fixed up to a unimodular scalar and cyclic rotation"
-
-    def fiber(self, c, depth: int):
-        from .reps import build_fiber_rep
-
-        return build_fiber_rep(self.base, c, depth)
+    # constants, not fields: every descriptor has the same measure and uniqueness
+    measure = "haar-U(1)"
+    uniqueness = "base fixed up to a unimodular scalar and cyclic rotation"
 
     def to_dict(self):
         return {
@@ -168,42 +163,3 @@ def decompose_chain(z: ChainParam, tol: float = DEFAULT_TOL) -> DirectIntegralDe
     root = primitive_root(CycleParam(_phase_split(_tail_block(z))[0]), tol)[0]
     return DirectIntegralDescriptor(CycleParam(_phase_split(root.rows)[0]))
 
-
-def numeric_cycle_eigencheck(v: CycleParam, p: int, depth: int | None = None,
-                             tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Eigenvalues of the cycle isometry on the span of its power orbit.
-
-    In the representation of the p-th tensor power of a nonperiodic v,
-    the vectors pi(s(v))^j Omega (j = 1..p) span a p-dimensional space on
-    which pi(s(v)) acts as a cyclic shift; the returned eigenvalues are
-    the p-th roots of unity, sorted by phase angle.  The orbit is read off
-    the anchors of the tiled cycle's truncation: pi(s(v))^j Omega is
-    anchor (p - j) k + 1.
-    """
-    from .reps import _apply_isometry, build_cycle_rep, cycle_anchor_vectors
-
-    if p < 1:
-        raise ValueError("power must be >= 1")
-    _root, q = primitive_root(v, tol)
-    if q != 1:
-        raise ValueError("the base cycle must be nonperiodic")
-    k = v.k
-    needed = k * (p + 1)
-    if depth is None:
-        depth = max(2, needed)
-    if depth < needed:
-        raise ValueError(f"insufficient depth: need >= {needed}, have {depth}")
-    rep = build_cycle_rep(CycleParam(np.tile(v.rows, (p, 1))), depth)
-    orbit = cycle_anchor_vectors(rep)[(p - 1) * k::-k]
-    q_mat, _ = np.linalg.qr(np.stack(orbit, axis=1))
-    image = q_mat
-    # pi(s(v)) = s(v^(1)) ... s(v^(k)), one factor at a time
-    for f in v.rows[::-1]:
-        image = _apply_isometry(rep, f, image)
-    compressed = q_mat.conj().T @ image
-    eigenvalues = np.linalg.eigvals(compressed)
-    # sort by phase angle, keeping values just below the positive axis at 0
-    # instead of letting rounding noise wrap them to 2 pi
-    angles = np.angle(eigenvalues)
-    angles = np.where(angles < -math.pi / (2 * p), angles + 2 * math.pi, angles)
-    return eigenvalues[np.argsort(angles)]

@@ -28,7 +28,7 @@ import cmath
 import math
 import re
 
-from ._policy import PRUNE_TOL
+from ._policy import PRUNE_TOL, _check_integer
 from .algebra import (
     AlgebraElement,
     check_finite,
@@ -80,6 +80,7 @@ class _Parser:
     """
 
     def __init__(self, text: str, n: int):
+        _check_integer(n, "rank")
         if n < 2:
             raise ValueError("rank must be at least 2")
         self.text = text

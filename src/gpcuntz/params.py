@@ -21,6 +21,9 @@ Chains come in four kinds:
   diagonal direction with half-angle arcsin(1/(sqrt(2) n)); it is
   asymptotically periodic but has no eventual period;
 * ``prefix``     -- finitely many observed factors, diagnostics only.
+
+The diagnostics take every overlap, with a shift or with a target, as a
+row sum of entrywise products, so the first m sums do not depend on M.
 """
 
 from __future__ import annotations
@@ -501,17 +504,16 @@ def _chunks(chain: ChainParam, p_max: int, m_max: int, target):
     running sums at m = start + 1, ... of the plain columns p = 1..p_max,
     the absolute columns, and the target column for a unit `target`.
 
-    A chunk is _CHUNK_ENTRIES factor entries, or two rows or p_max rows if
-    more (the last chunk takes a single row left over), and holds the p_max
-    rows past its end, which the next chunk takes over: every factor is
-    generated once, and the carried rows never outnumber a whole chunk.  No
-    chunk is one row unless M is: numpy multiplies one row by the target as
-    a dot product and more rows as a matrix-vector product, whose rows have
-    the same bits whatever their number.  Sums run in extended precision,
-    since 1e4 nearly equal summands damage the last digits of a float64
-    running sum, and each column continues from its running total, which
-    repeats the additions of one longdouble cumsum over the whole column
-    (the leading total 0 adds exactly, since 1 - x is never -0).
+    A chunk is _CHUNK_ENTRIES factor entries, or p_max rows if more, and
+    holds the p_max rows past its end, which the next chunk takes over:
+    every factor is generated once, and the carried rows never outnumber a
+    whole chunk.  Every overlap, the target's too, is a row sum of its
+    entrywise products, so its bits do not depend on the chunk it falls in.
+    Sums run in extended precision, since 1e4 nearly equal summands damage
+    the last digits of a float64 running sum, and each column continues
+    from its running total, which repeats the additions of one longdouble
+    cumsum over the whole column (the leading total 0 adds exactly, since
+    1 - x is never -0).
     """
     _check_factor_budget(chain, m_max + p_max)
     _check_budget("overlap summands", p_max * m_max)
@@ -519,14 +521,12 @@ def _chunks(chain: ChainParam, p_max: int, m_max: int, target):
         _check_prefix(chain, m_max + p_max)
 
     def generate():
-        size = max(2, p_max, _CHUNK_ENTRIES // chain.n)
+        size = max(1, p_max, _CHUNK_ENTRIES // chain.n)
         totals = [np.longdouble(0)] * (2 * p_max + (target is not None))
         rows = np.empty((0, chain.n), dtype=complex)
         start = 0
         while start < m_max:
             count = min(size, m_max - start)
-            if m_max - start - count == 1:
-                count += 1
             carry = rows[len(rows) - p_max:]
             rows = chain_factors(chain, start + len(carry) + 1, count + p_max - len(carry))
             if len(carry):
@@ -535,7 +535,7 @@ def _chunks(chain: ChainParam, p_max: int, m_max: int, target):
                      for p in range(1, p_max + 1)]
             defects = [1.0 - x.real for x in inner] + [1.0 - np.abs(x) for x in inner]
             if target is not None:
-                defects.append(1.0 - np.abs(rows[:count] @ np.conj(target)))
+                defects.append(1.0 - np.abs(_row_sums(rows[:count] * np.conj(target))))
             sums = [np.cumsum(np.concatenate(([t], d)), dtype=np.longdouble)[1:]
                     for t, d in zip(totals, defects)]
             totals = [s[-1] for s in sums]
@@ -571,19 +571,10 @@ def _columns(chunks, m_max: int) -> list:
     return columns
 
 
-def _diagnostics(chain: ChainParam, p_max: int, m_max: int, target=None, name="target"):
-    """The asymptotic_diagnostics table and, for a unit vector `target`, the
-    target_overlap_sums of the same chain and M, from one pass over the
-    chain factors (the target sums None without one)."""
-    columns = _columns(_diagnostic_chunks(chain, p_max, m_max, target, name), m_max)
-    ps = range(1, p_max + 1)
-    table = DiagnosticsTable(m_max, dict(zip(ps, columns[:p_max])),
-                             dict(zip(ps, columns[p_max : 2 * p_max])))
-    return table, None if target is None else columns[-1]
-
-
 def asymptotic_diagnostics(chain: ChainParam, p_max: int, m_max: int) -> DiagnosticsTable:
-    return _diagnostics(chain, p_max, m_max)[0]
+    columns = _columns(_diagnostic_chunks(chain, p_max, m_max), m_max)
+    ps = range(1, p_max + 1)
+    return DiagnosticsTable(m_max, dict(zip(ps, columns[:p_max])), dict(zip(ps, columns[p_max:])))
 
 
 def target_overlap_sums(chain: ChainParam, v, m_max: int) -> np.ndarray:

@@ -30,6 +30,8 @@ Every anchor, basis vector and residual is formed from these rows;
 nothing goes back to the parameter.  No operator s(v) = sum_i v_i S_i is
 ever assembled: one routine applies s(v) or s(v)* to a vector from the N
 generators, and every product of factors is applied one factor at a time.
+`numeric_cycle_eigencheck`, the spectrum of pi(s(v)) on the power orbit,
+is the one decision check that needs a truncation, so it lives here.
 `verify_gp(rep)` takes no options: its eigen residual is |anchor_1 - Omega|,
 where anchor_1 is the same pi(s(z^(1)) ... s(z^(k))) Omega its family and
 basis checks use, and its basis depth is min(2, D - k).
@@ -107,13 +109,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._policy import (PIVOT_TOL, PRUNE_TOL, RankMismatchError, _check_integer, _check_near,
-                      _collector_paused, _unimodular)
+from ._policy import (DEFAULT_TOL, PIVOT_TOL, PRUNE_TOL, RankMismatchError, _check_integer,
+                      _check_near, _collector_paused, _unimodular)
 from .params import (
     ChainParam,
     CycleParam,
     basis_vector,
     chain_factors,
+    primitive_root,
     scale_cycle,
 )
 
@@ -623,6 +626,37 @@ def cycle_anchor_vectors(rep: TruncatedRep) -> list:
     if rep.kind not in ("cycle", "fiber"):
         raise ValueError("anchor vectors of this form require a cycle truncation")
     return [_dense(rep, vec) for vec in _anchors(rep)]
+
+
+def numeric_cycle_eigencheck(v: CycleParam, p: int) -> np.ndarray:
+    """Eigenvalues of the cycle isometry on the span of its power orbit.
+
+    In the representation of the p-th tensor power of a nonperiodic v,
+    the vectors pi(s(v))^j Omega (j = 1..p) span a p-dimensional space on
+    which pi(s(v)) acts as a cyclic shift; the returned eigenvalues are
+    the p-th roots of unity, sorted by phase angle.  The orbit is read off
+    the anchors of the tiled cycle's truncation at depth k(p + 1), the
+    least that holds it: pi(s(v))^j Omega is anchor (p - j) k + 1.
+    """
+    _check_integer(p, "power")
+    if p < 1:
+        raise ValueError("power must be >= 1")
+    if primitive_root(v, DEFAULT_TOL)[1] != 1:
+        raise ValueError("the base cycle must be nonperiodic")
+    k = v.k
+    rep = build_cycle_rep(CycleParam(np.tile(v.rows, (p, 1))), k * (p + 1))
+    orbit = cycle_anchor_vectors(rep)[(p - 1) * k::-k]
+    q_mat, _ = np.linalg.qr(np.stack(orbit, axis=1))
+    image = q_mat
+    # pi(s(v)) = s(v^(1)) ... s(v^(k)), one factor at a time
+    for f in v.rows[::-1]:
+        image = _apply_isometry(rep, f, image)
+    eigenvalues = np.linalg.eigvals(q_mat.conj().T @ image)
+    # sort by phase angle, keeping values just below the positive axis at 0
+    # instead of letting rounding noise wrap them to 2 pi
+    angles = np.angle(eigenvalues)
+    angles = np.where(angles < -math.pi / (2 * p), angles + 2 * math.pi, angles)
+    return eigenvalues[np.argsort(angles)]
 
 
 def _chain_walk(rep: TruncatedRep, lo: int, hi: int):

@@ -13,14 +13,16 @@ keeping them only for that call.  Each term then costs two lookups and
 the same scalar products, summed in the same order, as `word_value`
 would spend on it, so the result is the same to the bit.  A state reads
 its factor rows once as Python `complex`, and z(J) is a Python `complex`:
-its products are the ones numpy's complex scalars give, at less cost.
+its products are the ones numpy's complex scalars give, at less cost.  The
+table is private; a factor is read from the parameter (`CycleParam.rows`,
+`chain_factor`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraElement, RankMismatchError, _as_word, _check_integer, multiply
+from .algebra import AlgebraElement, RankMismatchError, _as_word, multiply
 from .params import ChainParam, CycleParam, chain_factors
 
 
@@ -39,17 +41,6 @@ class GPState:
     @property
     def n(self) -> int:
         return self.param.n
-
-    def factor(self, m: int) -> np.ndarray:
-        """Factor m: the cycle's rows repeat with period k; a chain's start at 1.
-        A cycle's factor is a read-only view of its row, a chain's a new array."""
-        _check_integer(m, "factor index")
-        if self.is_cycle:
-            return self.param.rows[(m - 1) % self.param.k]
-        if m < 1:
-            raise ValueError("chain factor index starts at 1")
-        rows = self._rows if m <= len(self._rows) else self._more_rows(m)
-        return np.array(rows[m - 1], dtype=complex)
 
     def _more_rows(self, count: int) -> list:
         """`_rows` extended to at least `count` factors: at least doubled, or

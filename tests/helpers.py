@@ -289,8 +289,9 @@ def reference_diagnostics(chain, p_max, m_max, target=None):
     """(plain, absolute, target sums) of `asymptotic_diagnostics` and
     `target_overlap_sums` by the formula they had when the overlaps were
     summed over the row axis: rows from `reference_chain_factor`,
-    `np.sum(np.conj(a) * b, axis=1)` and a longdouble cumsum; `plain` and
-    `absolute` are dicts over p = 1..p_max, the sums None without a target."""
+    `np.sum(np.conj(a) * b, axis=1)`, `np.sum(rows * conj(target), axis=1)`
+    and a longdouble cumsum; `plain` and `absolute` are dicts over
+    p = 1..p_max, the sums None without a target."""
     rows = np.stack([reference_chain_factor(chain, m) for m in range(1, m_max + p_max + 1)])
 
     def cumulative(defects):
@@ -303,7 +304,8 @@ def reference_diagnostics(chain, p_max, m_max, target=None):
         absolute[p] = cumulative(1.0 - np.abs(inner))
     sums = None
     if target is not None:
-        sums = cumulative(1.0 - np.abs(rows[:m_max] @ np.conj(np.asarray(target, dtype=complex))))
+        target = np.conj(np.asarray(target, dtype=complex))
+        sums = cumulative(1.0 - np.abs(np.sum(rows[:m_max] * target, axis=1)))
     return plain, absolute, sums
 
 
@@ -564,13 +566,10 @@ def reference_power_vanish(rep, z, v, m_max):
     return np.asarray(norms)
 
 
-def reference_numeric_cycle_eigencheck(v, p, depth=None):
+def reference_numeric_cycle_eigencheck(v, p):
     """`numeric_cycle_eigencheck` of a nonperiodic `v` with the assembled
     cycle isometry."""
-    needed = v.k * (p + 1)
-    if depth is None:
-        depth = max(2, needed)
-    rep = g.build_cycle_rep(g.CycleParam(np.tile(v.rows, (p, 1))), depth)
+    rep = g.build_cycle_rep(g.CycleParam(np.tile(v.rows, (p, 1))), v.k * (p + 1))
     a = reference_cycle_isometry(rep, v.rows)
     orbit = []
     w = rep.omega
@@ -675,12 +674,24 @@ def reference_unitary_action(u, a):
     return g.AlgebraElement.from_terms(n, out)
 
 
+def _reference_factor(param, pos):
+    """Factor `pos` read from the parameter, not from a state's table: the
+    cycle's rows mod k, or `reference_chain_factor`; past a prefix's end
+    UndecidableError, as the state raises."""
+    if isinstance(param, g.CycleParam):
+        return param.rows[(pos - 1) % param.k]
+    if param.kind == "prefix" and pos > len(param.prefix):
+        raise g.UndecidableError(f"the prefix has {len(param.prefix)} factors, not {pos}")
+    return reference_chain_factor(param, pos)
+
+
 def _reference_letter_product(state, word):
     """z(word) through numpy's complex scalars: the entry of each letter in
-    `state.factor(pos)` multiplied in from 1, stopping at an exact 0."""
+    its factor from `_reference_factor` multiplied in from 1, stopping at an
+    exact 0."""
     out = 1.0 + 0.0j
     for pos, letter in enumerate(word, start=1):
-        out *= state.factor(pos)[letter - 1]
+        out *= _reference_factor(state.param, pos)[letter - 1]
         if out == 0.0:
             break
     return out
@@ -723,6 +734,31 @@ def reference_gram_matrix(param, elements):
             out[i, j] = reference_evaluate(state, g.multiply(a.adjoint(), elements[j]), memo)
             out[j, i] = np.conj(out[i, j])
     return out
+
+
+def state_mixture_gap(param, parts, words):
+    """The largest |omega_param(s_J s_K*) - mean of omega_part(s_J s_K*)|
+    over the parameters in `parts`, for (J, K) in `words`.
+
+    Both decomposition formulae are such identities: a cycle's state is the
+    mean of the states of its `decompose_cycle` pieces, and a purely
+    periodic chain's state is the mean of those of c*base over L + 1
+    equally spaced c on the circle, exactly on words of length <= L.  Each
+    value comes from `GPState.word_value`, never from a truncation."""
+    state = g.GPState(param)
+    states = [g.GPState(part) for part in parts]
+    gap = 0.0
+    for left, right in words:
+        mean = sum(s.word_value(left, right) for s in states) / len(states)
+        gap = max(gap, abs(state.word_value(left, right) - mean))
+    return gap
+
+
+def circle_fibers(base, count):
+    """c*base for the `count` equally spaced c = exp(2 pi i j / count) on
+    the circle: the mean of their states is the Haar integral on words
+    shorter than `count`."""
+    return [g.scale_cycle(base, cmath.exp(2j * math.pi * j / count)) for j in range(count)]
 
 
 def reference_state_eval(param, a):

@@ -240,7 +240,7 @@ def test_descriptor_materializes_fibers():
     y = random_nonperiodic_cycle(rng, 2, 2)
     descriptor = g.decompose_chain(g.explicit_chain(list(y.factors)))
     c = np.exp(0.9j)
-    rep = descriptor.fiber(c, 4)
+    rep = g.build_fiber_rep(descriptor.base, c, 4)
     assert g.verify_gp(rep).passed(1e-10)
 
 
@@ -303,10 +303,12 @@ def test_eigencheck_phase_order_with_conjugate_pairs():
 
 
 def test_eigencheck_validates_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the base cycle must be nonperiodic"):
         g.numeric_cycle_eigencheck(g.cycle([E1, E1]), 2)
-    with pytest.raises(ValueError):
-        g.numeric_cycle_eigencheck(g.cycle([E1]), 3, depth=2)
+    with pytest.raises(ValueError, match=r"^power must be an integer, got 2\.0$"):
+        g.numeric_cycle_eigencheck(g.cycle([E1]), 2.0)
+    with pytest.raises(ValueError, match="^power must be >= 1$"):
+        g.numeric_cycle_eigencheck(g.cycle([E1]), 0)
 
 
 # ----------------------------------------------------------------------

@@ -39,6 +39,15 @@ def test_parse_identity_any_rank():
     assert g.parse("I", 3) == g.identity(3)
 
 
+@pytest.mark.parametrize("text", ["2", "i", "2 I", "s1"])
+def test_parse_takes_an_integral_rank_only(text):
+    # a scalar expression builds no generator, so the rank is checked first
+    for rank in (2.5, 3.0):
+        with pytest.raises(ValueError, match=f"^rank must be an integer, got {rank}$"):
+            g.parse(text, rank)
+    assert g.parse(text, np.int64(3)) == g.parse(text, 3)
+
+
 def test_parse_scaled_sum():
     elem = g.parse("(1/sqrt(2))(s1+s2)", 2)
     root = 1.0 / math.sqrt(2.0)

@@ -1,5 +1,6 @@
 """The package namespace: each export loads on first use, from its module."""
 
+import ast
 import pathlib
 import pickle
 import re
@@ -77,3 +78,25 @@ def test_classify_is_the_function_in_every_import_order(first):
                                     "print(gpcuntz.classify is classify)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "True"
+
+
+def test_no_decision_builds_a_truncation():
+    # the decision layer imports neither numpy nor reps itself, and no
+    # decision query loads reps
+    tree = ast.parse(pathlib.Path(g.decisions.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and not node.module:
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert not imported & {"numpy", "reps"}
+    proc = run_python("-c", "import sys, fractions, gpcuntz as g\n"
+                            "e1, e2 = [1, 0], [0, 1]\n"
+                            "z, r = g.cycle([e1, e1]), g.rotation_chain(fractions.Fraction(1, 3))\n"
+                            "g.classify(z); g.classify(r); g.equivalent(z, g.cycle([e2]))\n"
+                            "g.equivalent(r, g.explicit_chain([e1])); g.decompose_cycle(z)\n"
+                            "g.decompose_chain(r)\n"
+                            "print(sorted(m for m in sys.modules if m.startswith('gpcuntz')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['gpcuntz', 'gpcuntz._policy', 'gpcuntz.decisions', 'gpcuntz.params']\n"

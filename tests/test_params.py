@@ -936,7 +936,29 @@ def test_diagnostics_match_the_axis_sum_reference(request, seed):
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
     assert g.target_overlap_sums(chain, target, m_max).tobytes() == sums.tobytes()
     # the command line's one pass serves the table and the target sums
-    assert g.params._diagnostics(chain, p_max, m_max, target)[1].tobytes() == sums.tobytes()
+    chunks = g.params._diagnostic_chunks(chain, p_max, m_max, target)
+    assert g.params._columns(chunks, m_max)[-1].tobytes() == sums.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(request=_diagnostics_requests(), data=st.data(),
+       entries=st.sampled_from([1, 7, g.params._CHUNK_ENTRIES]))
+def test_diagnostics_columns_do_not_depend_on_m(request, data, entries):
+    # the first m entries of every column, plain, absolute and target, are
+    # the same whether M is m or more, whatever chunks the two runs cut
+    chain, p_max, m_max = request
+    m_max += 1
+    if chain.kind == "prefix":
+        chain = g.prefix_chain(list(chain.prefix) + [chain.prefix[-1]])
+    m = data.draw(st.integers(1, m_max - 1))
+    target = random_unit(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), chain.n)
+    with mock.patch.object(g.params, "_CHUNK_ENTRIES", entries):
+        whole, head = (g.params._columns(g.params._diagnostic_chunks(chain, p_max, count, target),
+                                         count) for count in (m_max, m))
+        sums = [g.target_overlap_sums(chain, target, count) for count in (m_max, m)]
+    assert len(whole) == len(head) == 2 * p_max + 1
+    for got, ref in zip([*whole, sums[0]], [*head, sums[1]]):
+        assert got[:m].tobytes() == ref.tobytes()
 
 
 @st.composite
@@ -944,16 +966,16 @@ def _chunked_requests(draw):
     """(chain, p_max, m_max, chunk entries, rows per chunk) over every chain
     kind, chunks of 1, 7 and the default number of entries, p <= 4 and M
     one below, at, one and two past one or two whole chunks: a chunk takes
-    the entries' rows, or two or p_max rows if more, as in explicit chains
-    in C^4 and in C^(2^14) at the default, whose entries make fewer rows
-    than p_max."""
+    the entries' rows, or p_max rows if more, as in explicit chains in C^4
+    and in C^(2^14) at the default, whose entries make fewer rows than
+    p_max."""
     entries = draw(st.sampled_from([1, 7, g.params._CHUNK_ENTRIES]))
     kind = draw(st.sampled_from(["rotation", "theta", "gray zone", "prefix", "explicit",
                                  "explicit C^4", "wide"]))
     p_max = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = {"explicit C^4": 4, "wide": 1 << 14}.get(kind, 2)
-    size = max(2, p_max, entries // n)
+    size = max(1, p_max, entries // n)
     m_max = max(1, size * draw(st.integers(1, 2)) + draw(st.integers(-1, 2)))
     if kind == "rotation":
         b = draw(st.integers(1, 64))
@@ -1011,18 +1033,17 @@ def test_chunked_diagnostics_match_the_whole_array_reference(request, seed):
 
     with mock.patch.object(g.params, "_CHUNK_ENTRIES", entries), \
             mock.patch.object(g.params, "chain_factors", recorded):
-        table, target_sums = g.params._diagnostics(chain, p_max, m_max, target)
+        columns = g.params._columns(g.params._diagnostic_chunks(chain, p_max, m_max, target),
+                                    m_max)
         # every factor requested once, in order: M + p_max rows in all
         starts = [start for start, _ in calls]
         assert starts == [1 + sum(count for _, count in calls[:i]) for i in range(len(calls))]
         assert sum(count for _, count in calls) == m_max + p_max
-        # chunks of `size` rows, the last one row more where it would leave one
+        # chunks of `size` rows, the last one what is left
         counts = [count for _, count in calls]
         counts[0] -= p_max
-        assert all(count == size for count in counts[:-1]) and counts[-1] <= size + 1
-        assert counts[-1] >= 2 or m_max == 1
-        columns = [table.plain[p] for p in plain] + [table.absolute[p] for p in plain]
-        columns += [target_sums, g.target_overlap_sums(chain, target, m_max)]
+        assert all(count == size for count in counts[:-1]) and 1 <= counts[-1] <= size
+        columns.append(g.target_overlap_sums(chain, target, m_max))
         refs = [plain[p] for p in plain] + [absolute[p] for p in plain] + [sums, sums]
         for got, ref in zip(columns, refs):
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()

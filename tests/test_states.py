@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import gpcuntz as g
 from helpers import (
+    circle_fibers,
     random_cycle,
     random_element,
     random_explicit_chain,
@@ -18,6 +19,7 @@ from helpers import (
     reference_evaluate,
     reference_gram_matrix,
     reference_state_eval,
+    state_mixture_gap,
 )
 
 E1 = g.basis_vector(2, 1)
@@ -63,9 +65,15 @@ def test_chain_state_is_length_balanced():
 ], ids=["rotation", "float theta", "gray zone", "explicit"])
 def test_chain_state_factors_match_reference(chain):
     state = g.GPState(chain)
-    # out of order, so the factor rows are generated in several blocks
+    # out of order, so the factor rows are generated in several blocks; each
+    # word's letter picks the factor's largest entry, so its product is not 0
     for m in (1, 3, 2, 9, 4, 17, 40, 5):
-        assert np.array_equal(state.factor(m), reference_chain_factor(chain, m))
+        word = tuple(int(np.argmax(np.abs(reference_chain_factor(chain, pos)))) + 1
+                     for pos in range(1, m + 1))
+        state.word_value(word, word)
+        assert len(state._rows) >= m
+        for pos in range(1, m + 1):
+            assert np.array_equal(state._rows[pos - 1], reference_chain_factor(chain, pos))
     word = tuple(int(x) for x in np.random.default_rng(6).integers(1, chain.n + 1, size=12))
     expected = 1.0 + 0.0j
     for m, letter in enumerate(word, start=1):
@@ -75,15 +83,15 @@ def test_chain_state_factors_match_reference(chain):
 
 def test_chain_state_factors_start_at_one():
     state = g.GPState(g.rotation_chain(Fraction(1, 3)))
-    assert np.array_equal(state.factor(1), reference_chain_factor(state.param, 1))
-    for m in (0, -1):
-        with pytest.raises(ValueError, match="chain factor index starts at 1"):
-            state.factor(m)
+    assert state._rows == []
+    first = reference_chain_factor(state.param, 1)
+    assert state.word_value((1,), (1,)) == np.conj(first[0]) * first[0]
+    assert np.array_equal(state._rows[0], first)
+    # a cycle's table starts as its rows and repeats them with period k
     cyc = g.GPState(g.cycle([E1, E2]))
-    for either in (state, cyc):
-        with pytest.raises(ValueError, match="factor index must be an integer, got 1.5"):
-            either.factor(1.5)
-    assert np.array_equal(cyc.factor(0), E2) and np.array_equal(cyc.factor(3), E1)
+    assert np.array_equal(cyc._rows, [E1, E2])
+    assert cyc.word_value((1, 2, 1), (1, 2, 1)) == 1.0
+    assert np.array_equal(cyc._rows[2], E1)
 
 
 @pytest.mark.parametrize("chain", [
@@ -97,21 +105,15 @@ def test_chain_state_factors_are_the_chain_factors_as_evaluate_grows_the_table(c
     count = 24
     rows = g.chain_factors(chain, 1, count)
     state = g.GPState(chain)
-    assert np.array_equal(state.factor(2), rows[1])
     # a word of `count` letters, each on its factor's largest entry, so the
     # product never reaches 0: evaluate reads factors 1..count
     word = tuple(int(i) + 1 for i in np.argmax(np.abs(rows), axis=1))
     state.evaluate(g.word_element(chain.n, word, word))
     assert len(state._rows) >= count
     for m in range(1, count + 1):
-        assert np.array_equal(state.factor(m), rows[m - 1])
-    # each call gives a new array
-    state.factor(1)[0] = 5.0
-    assert np.array_equal(state.factor(1), rows[0])
+        assert np.array_equal(state._rows[m - 1], rows[m - 1])
     if chain.kind == "prefix":
         assert len(state._rows) == count
-        with pytest.raises(g.UndecidableError):
-            state.factor(count + 1)
         with pytest.raises(g.UndecidableError):
             state.evaluate(g.word_element(chain.n, word + (1,), word + (1,)))
 
@@ -412,3 +414,59 @@ def test_fock_negative_control():
     value = state.evaluate(g.multiply(a.adjoint(), a))
     assert abs(value - 1.0) < 1e-12
 
+
+
+# ----------------------------------------------------------------------
+# the decomposition formulae as exact state identities
+
+@st.composite
+def _word_pairs(draw, n, max_len, period):
+    """1-12 pairs (J, K) over 1..n with |J|, |K| <= max_len, about half with
+    |J| - |K| a multiple of `period`, where the pieces' states need not
+    vanish."""
+    letters = st.integers(1, n)
+    pairs = []
+    for _ in range(draw(st.integers(1, 12))):
+        size = draw(st.integers(0, max_len))
+        if draw(st.booleans()):
+            other = draw(st.sampled_from(range(size % period, max_len + 1, period)))
+        else:
+            other = draw(st.integers(0, max_len))
+        pairs.append(tuple(tuple(draw(st.lists(letters, min_size=m, max_size=m)))
+                           for m in (size, other)))
+    return pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3), k=st.integers(1, 3),
+       p=st.integers(2, 4), data=st.data())
+def test_cycle_state_is_the_mean_of_its_pieces(seed, n, k, p, data):
+    # omega_z = (1/p) sum_j omega_(piece j) for z = v^(x p), v nonperiodic,
+    # here tiled with factor phases of product 1
+    rng = np.random.default_rng(seed)
+    v = random_nonperiodic_cycle(rng, n, k)
+    phases = np.exp(2j * np.pi * rng.uniform(size=p * k))
+    phases[-1] /= np.prod(phases)
+    z = g.CycleParam(np.tile(v.rows, (p, 1)) * phases[:, None])
+    pieces = g.decompose_cycle(z)
+    assert len(pieces) == p and all(piece.k == k for piece in pieces)
+    words = data.draw(_word_pairs(n, 2 * p * k + 1, k))
+    assert state_mixture_gap(z, pieces, words) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3), k=st.integers(1, 3),
+       p=st.integers(1, 4), data=st.data())
+def test_periodic_chain_state_is_the_circle_mean_of_its_base(seed, n, k, p, data):
+    # a purely periodic chain with period block v^(x p) times factor phases:
+    # omega_z is the Haar integral of omega_(c base), which the mean over
+    # L + 1 equally spaced c gives exactly on words of length <= L
+    rng = np.random.default_rng(seed)
+    v = random_nonperiodic_cycle(rng, n, k)
+    phases = np.exp(2j * np.pi * rng.uniform(size=p * k))
+    z = g.explicit_chain(list(np.tile(v.rows, (p, 1)) * phases[:, None]))
+    base = g.decompose_chain(z).base
+    assert base.k == k
+    max_len = 2 * p * k + 1
+    words = data.draw(_word_pairs(n, max_len, k))
+    assert state_mixture_gap(z, circle_fibers(base, max_len + 1), words) <= 1e-12
