@@ -293,8 +293,9 @@ def chain_factors(chain: ChainParam, start: int, count: int) -> np.ndarray:
     if start + count > 1 << 62:
         raise ValueError("factor indices must stay below 2^62")
     idx = np.arange(start, start + count, dtype=np.int64)
-    # the rows are table[pick], or the table itself when nothing is picked:
-    # each distinct factor is computed and checked once
+    # the rows are table[pick], or the table itself when nothing is picked,
+    # a rational rotation's first b rows tiled: each distinct factor is
+    # computed and checked once
     pick = None
     if chain.kind == "explicit":
         table = np.concatenate((chain.preperiod, chain.period))
@@ -305,8 +306,7 @@ def chain_factors(chain: ChainParam, start: int, count: int) -> np.ndarray:
         theta = chain.theta
         if isinstance(theta, Fraction):
             a, b = theta.numerator, theta.denominator
-            if count > b:
-                idx, pick = idx[:b], np.arange(count) % b
+            idx = idx[:b]
             if b < 1 << 31:
                 # float(Fraction) is the correctly rounded num / den, and so
                 # is float64 division of two integers below 2^53
@@ -334,6 +334,8 @@ def chain_factors(chain: ChainParam, start: int, count: int) -> np.ndarray:
         raise ValueError(f"unknown chain kind {chain.kind!r}")
     _check_near(np.linalg.norm(table.view(float), axis=1), 1.0, _NOT_UNIT)
     rows = table if pick is None else table[pick]
+    if len(rows) < count:
+        rows = np.tile(rows, (-(-count // len(rows)), 1))[:count]
     rows.flags.writeable = False
     return rows
 
@@ -509,16 +511,25 @@ def _chunks(chain: ChainParam, p_max: int, m_max: int, target):
     every factor is generated once, and the carried rows never outnumber a
     whole chunk.  Every overlap, the target's too, is a row sum of its
     entrywise products, so its bits do not depend on the chunk it falls in.
-    Sums run in extended precision, since 1e4 nearly equal summands damage
-    the last digits of a float64 running sum, and each column continues
-    from its running total, which repeats the additions of one longdouble
-    cumsum over the whole column (the leading total 0 adds exactly, since
-    1 - x is never -0).
+    The factors of a rational rotation a/b repeat bit for bit with period
+    b, so on a chunk of more than b rows the overlaps and defects are
+    formed once per residue, on its first b rows and the p_max after them,
+    and tiled over the chunk; the sums still add every summand.  Sums run
+    in extended precision, since 1e4 nearly equal summands damage the last
+    digits of a float64 running sum, and each column continues from its
+    running total, which repeats the additions of one longdouble cumsum
+    over the whole column (the leading total 0 adds exactly, since 1 - x
+    is never -0).
     """
     _check_factor_budget(chain, m_max + p_max)
     _check_budget("overlap summands", p_max * m_max)
     if chain.kind == "prefix":
         _check_prefix(chain, m_max + p_max)
+
+    # the period of the defects: b for a rational rotation a/b
+    period = m_max
+    if chain.kind == "rotation" and isinstance(chain.theta, Fraction):
+        period = chain.theta.denominator
 
     def generate():
         size = max(1, p_max, _CHUNK_ENTRIES // chain.n)
@@ -531,11 +542,14 @@ def _chunks(chain: ChainParam, p_max: int, m_max: int, target):
             rows = chain_factors(chain, start + len(carry) + 1, count + p_max - len(carry))
             if len(carry):
                 rows = np.concatenate((carry, rows))
-            inner = [_row_sums(np.conj(rows[:count]) * rows[p : p + count])
+            span = min(count, period)
+            inner = [_row_sums(np.conj(rows[:span]) * rows[p : p + span])
                      for p in range(1, p_max + 1)]
             defects = [1.0 - x.real for x in inner] + [1.0 - np.abs(x) for x in inner]
             if target is not None:
-                defects.append(1.0 - np.abs(_row_sums(rows[:count] * np.conj(target))))
+                defects.append(1.0 - np.abs(_row_sums(rows[:span] * np.conj(target))))
+            if span < count:
+                defects = [np.tile(d, -(-count // span))[:count] for d in defects]
             sums = [np.cumsum(np.concatenate(([t], d)), dtype=np.longdouble)[1:]
                     for t, d in zip(totals, defects)]
             totals = [s[-1] for s in sums]

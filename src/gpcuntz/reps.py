@@ -85,11 +85,15 @@ count x rows entries would exceed 8 REP_BUDGET, with the rows bounded
 from the prefixes of the vectors the family branches from.
 
 The exports write from the step table and cost about the bytes they
-emit.  `export_coo` writes each step's lines from the row texts of its
-target layer, one slice of an index text table made once, its source's
-column texts repeated N times and the `repr` texts of its N coefficients
-tiled, with exact zeros dropped; the output is one join, byte-stable with
-every -0.0 kept.  `export_json` builds its whole dict with the cyclic
+emit.  `export_coo` fills one preallocated byte buffer and decodes it
+once, making no Python object per line or per index: each step's columns
+split into runs on which every row and column keeps its digit count, and
+a run is a (count, line width) view of the buffer that takes its spaces,
+newlines and the `repr` texts of the step's nonzero coefficients by one
+broadcast and each index field by one strided copy from a table of the
+ASCII digits of 0..dim, made once per call; the labels are written the
+same way, and the output is byte-stable with every -0.0 kept.
+`export_json` builds its whole dict with the cyclic
 garbage collector paused once and one object per distinct value: every
 row, column and label m is an int of one table 0..dim, written into the
 generators' lists by extended slices, the `[re, im]` lists of each step's
@@ -1000,57 +1004,127 @@ def _generator_entries(rep: TruncatedRep):
         yield rows[kept], cols[kept]
 
 
-def _index_texts(dim: int):
-    """`i` and ` i` text of every index 0..dim, as two object arrays: the
-    text of i // 1000 joined to the three digits of i % 1000 (i itself
-    below 1000)."""
-    highs = np.array([""] + list(map(str, range(1, dim // 1000 + 1))), dtype=object)
-    lows = np.array(list(map(str, range(1000))), dtype=object)
-    digits = np.array([f"{i:03d}" for i in range(1000)], dtype=object)
-    out = [np.add.outer(lead + highs, digits).ravel()[:dim + 1] for lead in ("", " ")]
-    for lead, texts in zip(("", " "), out):
-        texts[:1000] = (lead + lows)[:texts.size]
-    return out
+# the ASCII digits, whose broadcasts write `_digit_table`
+_DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
 
 
-def _lines(*columns) -> list:
-    """The texts of the text columns broadcast against each other, cell by
-    cell, each cell's texts in column order."""
-    out = np.empty(np.broadcast_shapes(*map(np.shape, columns)) + (len(columns),), dtype=object)
-    for k, column in enumerate(columns):
-        out[..., k] = column
-    return out.ravel().tolist()
+def _digit_table(dim: int) -> np.ndarray:
+    """ASCII digits of every index 0..dim, right-aligned in rows of
+    len(str(dim)) bytes; the places left of a shorter index hold `0`.
+
+    The place of 10^e cycles through `0`..`9`, each held for 10^e rows, so
+    it is written by one broadcast over rows padded to whole cycles of the
+    top place; no integer is formed per index."""
+    width = len(str(dim))
+    top = 10 ** (width - 1)
+    rows = -(-(dim + 1) // top) * top
+    table = np.empty((rows, width), dtype=np.uint8)
+    place = 1
+    for at in range(width - 1, 0, -1):
+        table.reshape(-1, 10, place, width)[..., at] = _DIGITS[:, None]
+        place *= 10
+    table.reshape(-1, top, width)[..., 0] = _DIGITS[:rows // top, None]
+    return table[:dim + 1]
+
+
+def _runs(count: int, fields, dim: int):
+    """Split 0 <= m < count into runs a <= m < b on which every index
+    base + stride * m of `fields`, (base, stride) pairs, keeps its digit
+    count; the counts grow with m, so a run ends only where one of these
+    indices reaches a power of ten."""
+    cuts = {0, count}
+    power = 10
+    while power <= dim:
+        for base, stride in fields:
+            m = -(-(power - base) // stride)
+            if 0 < m < count:
+                cuts.add(m)
+        power *= 10
+    cuts = sorted(cuts)
+    return zip(cuts, cuts[1:])
+
+
+def _digits(table: np.ndarray, start: int, count: int, stride: int = 1) -> np.ndarray:
+    """The digits of indices start, start + stride, ... (count of them),
+    all as long as start's, as a view of the digit table."""
+    return table[start:start + stride * count:stride, table.shape[1] - len(str(start)):]
+
+
+def _written(plan: list) -> str:
+    """The text of `plan`, a list of runs, each a list of pieces: a run of
+    count lines, count the length of its digit views (1 without one), each
+    line its pieces in order, bytes as they are and the k-th row of each
+    view for line k.
+
+    Every run is a (count, line width) view of one preallocated buffer,
+    filled by one broadcast of its line, placeholders in the digit
+    fields, and one strided copy per digit view."""
+    runs, total = [], 0
+    for pieces in plan:
+        line, fields, count = bytearray(), [], 1
+        for piece in pieces:
+            if isinstance(piece, bytes):
+                line += piece
+            else:
+                fields.append((len(line), piece))
+                line += bytes(piece.shape[1])
+                count = len(piece)
+        runs.append((line, fields, count))
+        total += count * len(line)
+    buf = np.empty(total, dtype=np.uint8)
+    end = 0
+    for line, fields, count in runs:
+        at, end = end, end + count * len(line)
+        view = buf[at:end].reshape(count, len(line))
+        view[:] = np.frombuffer(line, dtype=np.uint8)
+        for offset, digits in fields:
+            view[:, offset:offset + digits.shape[1]] = digits
+    return str(buf, "ascii")
 
 
 def export_coo(rep: TruncatedRep) -> str:
     """Coordinate-list text: `row col re im` per line, grouped by generator,
     with the basis labels and the distinguished vector appended.
 
-    Each step writes a generator's lines for its source's columns, which
-    come in order since the sources ascend: position N m + j of its target
-    layer gives the row text, m of its source the column text and
-    coefficient j the value text, rendered once per step; the positions of
-    exact zeros are dropped.  The output is one join over these texts.
+    Each step writes a generator's lines for its source's columns m, which
+    come in order since the sources ascend: one line per nonzero
+    coefficient j, with row N m + j of its target layer, column m of its
+    source and the `repr` text of the coefficient, rendered once per step.
+    The columns split into `_runs` on which every row and column keeps its
+    digit count, so every column of a run writes lines of the same widths
+    and the run is written by `_written` from views of one `_digit_table`:
+    the rows of coefficient j every N-th index from N a + j, the columns
+    consecutive from a.  The labels are runs of `index layer m` lines in
+    the same way; Omega's few lines are formatted one by one.
     """
-    plain, spaced = _index_texts(rep.dim)
-    block, n = rep.block, rep.n
-    pieces = []
+    dim, block, n = rep.dim, rep.block, rep.n
+    tile = block // n
+    table = _digit_table(dim)
+    plan = []
     for i in range(n):
-        pieces.append(f"# S{i + 1}\n")
+        plan.append([f"# S{i + 1}\n".encode()])
         for coeffs, source, target in zip(rep.step_coeffs[:, i].tolist(),
                                           rep.step_sources.tolist(), rep.step_targets.tolist()):
-            kept = [c != 0 for c in coeffs]
-            pieces += _lines(plain[target * block:(target + 1) * block].reshape(-1, n)[:, kept],
-                             spaced[source * block:source * block + block // n, None],
-                             [f" {c.real!r} {c.imag!r}\n" for c in coeffs if c != 0])
-    pieces.append("# labels: index layer m\n")
-    pieces += _lines(plain[:rep.dim].reshape(len(rep.layers), block),
-                     np.array([[f" {t}"] for t in rep.layers], dtype=object),
-                     spaced[1:block + 1], "\n")
-    pieces.append("# omega: index re im\n")
-    pieces += [f"{layer * block + m} {c.real!r} {c.imag!r}\n"
-               for layer, x in _omega(rep).items() for m, c in enumerate(x.tolist()) if c != 0]
-    return "".join(pieces)
+            kept = [(j, f" {c.real!r} {c.imag!r}\n".encode()) for j, c in enumerate(coeffs)
+                    if c != 0]
+            fields = [(source * block, 1)] + [(target * block + j, n) for j, _ in kept]
+            for a, b in _runs(tile, fields, dim):
+                columns = _digits(table, source * block + a, b - a)
+                run = []
+                for j, value in kept:
+                    run += [_digits(table, target * block + n * a + j, b - a, n), b" ", columns,
+                            value]
+                plan.append(run)
+    plan.append([b"# labels: index layer m\n"])
+    for position, layer in enumerate(rep.layers):
+        for a, b in _runs(block, [(position * block, 1), (1, 1)], dim):
+            plan.append([_digits(table, position * block + a, b - a), f" {layer} ".encode(),
+                         _digits(table, a + 1, b - a), b"\n"])
+    plan.append([b"# omega: index re im\n"])
+    plan.append(["".join(f"{layer * block + m} {c.real!r} {c.imag!r}\n"
+                         for layer, x in _omega(rep).items()
+                         for m, c in enumerate(x.tolist()) if c != 0).encode()])
+    return _written(plan)
 
 
 def export_json(rep: TruncatedRep) -> dict:

@@ -910,6 +910,23 @@ def test_exports_match_per_entry_reference(name):
             == json.dumps(reference_export_json(rep), sort_keys=True))
 
 
+def test_export_coo_runs_cross_every_digit_boundary():
+    """The exporter writes a run of columns at a time, each of whose rows
+    and columns keeps its digit count; the runs must split where any of
+    them gains a digit, also between two lines of one column."""
+    rng = np.random.default_rng(36)
+    # N = 3, depth 7: column 333 holds rows 999 and 1000 (j = 0 and 1)
+    rep = g.build_cycle_rep(g.cycle([random_unit(rng, 3)]), 7)
+    assert np.all(rep.step_coeffs != 0)
+    text = g.export_coo(rep)
+    assert re.search(r"^999 333 .*\n1000 333 .*\n1001 333 ", text, re.MULTILINE)
+    assert text == reference_export_coo(rep)
+    # N = 2, depth 17: dim 131,072 crosses every power of ten from 10 to 10^5
+    rep = g.build_cycle_rep(g.cycle([random_unit(rng, 2)]), 17)
+    assert rep.dim == 131_072
+    assert g.export_coo(rep) == reference_export_coo(rep)
+
+
 def test_export_coo_keeps_the_sign_of_zero():
     text = g.export_coo(g.build_fiber_rep(g.cycle([REAL_A, REAL_B]), 1, 3))
     first = text.split("# S2")[0].splitlines()[1:]
