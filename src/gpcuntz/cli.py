@@ -179,11 +179,9 @@ def _cmd_state_eval(args) -> int:
     param = _param_from_args(args)
     elem = expressions.parse(args.expression, param.n)
     value = states.state_eval(param, elem)
-    _emit(
-        args,
-        {"value": [value.real, value.imag]},
-        [f"{value.real!r} {value.imag!r}"],
-    )
+    # + 0.0 prints every zero part as 0.0
+    re, im = value.real + 0.0, value.imag + 0.0
+    _emit(args, {"value": [re, im]}, [f"{re!r} {im!r}"])
     return 0
 
 

@@ -14,8 +14,6 @@ the cycle formula is `reps.numeric_cycle_eigencheck`.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 from .params import (
@@ -25,6 +23,7 @@ from .params import (
     UndecidableError,
     _has_exact_tail,
     _phase_split,
+    _root_of_unity,
     _tail_block,
     chain_tail_equivalent,
     complex_pairs,
@@ -125,7 +124,7 @@ def decompose_cycle(z: CycleParam, tol: float = DEFAULT_TOL) -> list:
     root, power = primitive_root(z, tol)
     if power == 1:
         return [z]
-    return [scale_cycle(root, cmath.exp(2j * math.pi * j / power)) for j in range(power)]
+    return [scale_cycle(root, _root_of_unity(j, power)) for j in range(power)]
 
 
 @dataclass(frozen=True)

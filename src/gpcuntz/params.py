@@ -76,9 +76,10 @@ def basis_vector(n: int, i: int) -> np.ndarray:
 
 def complex_pairs(values) -> list:
     """[[re, im], ...] floats of a complex vector, the JSON form of vectors,
-    built with the collector paused: one small list per entry."""
+    built with the collector paused: one small list per entry, every zero
+    +0.0."""
     values = np.asarray(values, dtype=complex)
-    pairs = np.stack([values.real, values.imag], axis=-1)
+    pairs = np.stack([values.real, values.imag], axis=-1) + 0.0
     with _collector_paused():
         return pairs.tolist()
 
@@ -149,6 +150,18 @@ def scale_cycle(z: CycleParam, c) -> CycleParam:
     return CycleParam(np.vstack((z.rows[0] * c, z.rows[1:])))
 
 
+# e^(2 pi i q/4) for q = 0..3, every zero part +0.0
+_QUARTER_TURNS = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
+
+
+def _root_of_unity(j: int, p: int) -> complex:
+    """e^(2 pi i j/p): exactly 1, i, -1 or -i when the turn j/p is a
+    multiple of 1/4, else cmath.exp(2j * pi * j / p)."""
+    if 4 * j % p == 0:
+        return _QUARTER_TURNS[4 * j // p % 4]
+    return cmath.exp(2j * math.pi * j / p)
+
+
 def _divisors(k: int):
     low = [d for d in range(1, math.isqrt(k) + 1) if k % d == 0]
     return sorted({*low, *(k // d for d in low)})
@@ -193,7 +206,11 @@ def primitive_root(z: CycleParam, tol: float = DEFAULT_TOL):
     jumped = np.linalg.norm(rows.reshape(p, d, -1) - rows[:d], axis=-1) >= tol
     if jumped.any():
         phase *= complex(np.prod(phases[jumped]))
-    root_phase = cmath.exp(cmath.log(phase) / p)
+    # the principal p-th root: the phase 1, i, -1 or -i is a turn of 0, 1,
+    # 2 or -1 quarters, and its root that turn over p, exact at a quarter
+    quarters = {1: 0, 1j: 1, -1: 2, -1j: -1}.get(phase)
+    root_phase = (cmath.exp(cmath.log(phase) / p) if quarters is None
+                  else _root_of_unity(quarters, 4 * p))
     return CycleParam(np.vstack((rows[0] * root_phase, rows[1:d]))), p
 
 

@@ -53,14 +53,13 @@ on a block at once and add v_i times each block in the order of Python's
 the same prefixes.  The dense entry points (`cycle_anchor_vectors`,
 `chain_vector`, `enumerate_basis`, `apply_element`, `power_vanish`) cut a
 vector's layer blocks through `_trimmed`, as every result is cut, and
-write results out over zeros: +0.0, or the (0.0, -0.0) an adjoint's
-conjugate leaves, as a sweep over the whole vector writes them.  Each
-target is reached by one step, so the relation residuals of `verify_gp`
-come from the N x N coefficient blocks alone, summed by `_backward` in
-O(steps N^3).  Products are written out in float64 as (ar br - ai bi,
-ar bi + ai br), since numpy's array complex multiply can round otherwise,
-and summed in scipy's order, so every residual, and every vector from a
-finite one, carries the bits of the sparse products it replaced.
+write results out over +0.0.  Each target is reached by one step, so the
+relation residuals of `verify_gp` come from the N x N coefficient blocks
+alone, summed by `_backward` in O(steps N^3).  Products are written out
+in float64 as (ar br - ai bi, ar bi + ai br), since numpy's array complex
+multiply can round otherwise, and summed in scipy's order, so every
+residual, and every vector from a finite one, carries the bits of the
+sparse products it replaced.
 
 `gens`, the generators as scipy csc_arrays built on first use from the
 entries the exports write (the rows and columns of `_generator_entries`,
@@ -92,7 +91,7 @@ a run is a (count, line width) view of the buffer that takes its spaces,
 newlines and the `repr` texts of the step's nonzero coefficients by one
 broadcast and each index field by one strided copy from a table of the
 ASCII digits of 0..dim, made once per call; the labels are written the
-same way, and the output is byte-stable with every -0.0 kept.
+same way.
 `export_json` builds its whole dict with the cyclic
 garbage collector paused once and one object per distinct value: every
 row, column and label m is an int of one table 0..dim, written into the
@@ -282,10 +281,10 @@ def _layered_rep(param, depth, layers, steps, kind, **fields) -> TruncatedRep:
     each column of a generator is written by at most one step and each row
     by at most one, and the sources ascend, so the steps' columns come in
     basis order.  Coefficients are formed entry by entry as
-    `scale * conj(u_ij)`, since numpy's array complex multiply can differ
-    from the scalar one in the last bit.  Chain steps pass scale None and
-    keep `conj(u_ij)` as it is: a factor 1.0 would turn their -0.0
-    imaginary parts into 0.0.
+    `scale * conj(u_ij) + 0.0`, since numpy's array complex multiply can
+    differ from the scalar one in the last bit; the added 0.0 leaves every
+    nonzero part as it is and makes every zero +0.0, so no zero of the
+    table, or of an export written from it, carries a sign.
     """
     n = param.n
     sources = _read_only(np.array([layers.index(row[0]) for row in steps], dtype=np.intp))
@@ -293,8 +292,8 @@ def _layered_rep(param, depth, layers, steps, kind, **fields) -> TruncatedRep:
     assert np.all(np.diff(sources) > 0) and len(set(targets.tolist())) == len(steps), \
         "every step needs its own target layer, and the sources must ascend"
     coeffs = _read_only(np.array(
-        [[[np.conj(u[i, j]) if scale is None else scale * np.conj(u[i, j]) for j in range(n)]
-          for i in range(n)] for _, _, u, scale in steps],
+        [[[scale * np.conj(u[i, j]) + 0.0 for j in range(n)] for i in range(n)]
+         for _, _, u, scale in steps],
         dtype=complex,
     ).reshape(len(steps), n, n))
     return TruncatedRep(
@@ -315,12 +314,12 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _cycle_rep(z: CycleParam, depth: int, wrap_scale, kind: str, factor_rows) -> TruncatedRep:
-    """Layer t steps to t - 1 through factor t - 1 of `z`; layer 1 wraps
-    onto layer k through the last factor, scaled by `wrap_scale`."""
+def _cycle_rep(z: CycleParam, depth: int, c: complex, kind: str, factor_rows) -> TruncatedRep:
+    """Layer t steps to t - 1 through factor t - 1 of `z`, scaled by 1.0;
+    layer 1 wraps onto layer k through the last factor, scaled by conj(c)."""
     _check_size(z.n, depth, z.k)
     steps = [
-        (t, (t - 2) % z.k + 1, complete_unitary(z.rows[t - 2]), wrap_scale if t == 1 else 1.0)
+        (t, (t - 2) % z.k + 1, complete_unitary(z.rows[t - 2]), np.conj(c) if t == 1 else 1.0)
         for t in range(1, z.k + 1)
     ]
     return _layered_rep(z, depth, tuple(range(1, z.k + 1)), steps, kind,
@@ -337,11 +336,11 @@ def build_fiber_rep(v: CycleParam, c, depth: int) -> TruncatedRep:
     """Cycle truncation with the wrap step scaled by conj(c).
 
     The result realizes the parameter c*v with the same distinguished
-    vector e_(1,1); with c = 1 the matrices coincide with
-    build_cycle_rep(v, depth).
+    vector e_(1,1); with c = 1 its step table, and so each export, is
+    byte for byte that of build_cycle_rep(v, depth).
     """
     c = _unimodular(c, "fiber phase")
-    return _cycle_rep(v, depth, np.conj(c), "fiber", scale_cycle(v, c).rows)
+    return _cycle_rep(v, depth, c, "fiber", scale_cycle(v, c).rows)
 
 
 def build_chain_rep(
@@ -369,7 +368,7 @@ def build_chain_rep(
     layers = tuple(range(-d_minus, d_plus + 1))
     rows = chain_factors(z, 1, d_plus)
     # the bottom layer has no step: stepping down would leave the window
-    steps = [(t, t - 1, complete_unitary(_chain_factor(rows, t)), None) for t in layers[1:]]
+    steps = [(t, t - 1, complete_unitary(_chain_factor(rows, t)), 1.0) for t in layers[1:]]
     return _layered_rep(z, depth, layers, steps, "chain", factor_rows=rows,
                         window=(d_minus, d_plus))
 
@@ -390,14 +389,10 @@ def _prefixes(rep: TruncatedRep, x: np.ndarray) -> dict:
     return _trimmed(dict(enumerate(x.reshape(len(rep.layers), rep.block))))
 
 
-def _dense(rep: TruncatedRep, held: dict, adjoint: bool = False, lo: int = 0,
-           hi: int | None = None) -> np.ndarray:
+def _dense(rep: TruncatedRep, held: dict, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """Entries lo..hi - 1 of the dense vector of `held`, every held block
-    lying inside them, its zeros those of a sweep over the whole vector:
-    +0.0, or (0.0, -0.0) after an adjoint's conjugation."""
+    lying inside them, +0.0 outside the held blocks."""
     out = np.zeros((rep.dim if hi is None else hi) - lo, dtype=complex)
-    if adjoint:
-        out.imag = -0.0
     for layer, x in held.items():
         start = layer * rep.block - lo
         out[start:start + x.size] = x
@@ -481,7 +476,8 @@ def _iso_held(rep: TruncatedRep, v, held: dict, adjoint: bool = False) -> dict:
     """s(v) x = sum_i v_i S_i x, or s(v)* x = conj(sum_i v_i S_i^T conj(x)),
     of a held vector: the N generators run on each block at once, and
     numpy's v_i * block is added to +0.0 in ascending i, in place, as
-    Python's `sum` of whole generator applications adds them to 0."""
+    Python's `sum` of whole generator applications adds them to 0; an
+    adjoint's conjugate is added to 0.0, so none of its zeros is -0.0."""
     out = {}
     for c, y, dest in _step_blocks(rep, held, adjoint):
         if adjoint:
@@ -493,16 +489,16 @@ def _iso_held(rep: TruncatedRep, v, held: dict, adjoint: bool = False) -> dict:
             # not into `term`: numpy's complex multiply in place can round
             # otherwise
             block += vi * term
-        out[dest] = np.conj(block, out=block) if adjoint else block
+        out[dest] = np.add(np.conj(block, out=block), 0.0, out=block) if adjoint else block
     return _trimmed(out)
 
 
 def _apply_isometry(rep: TruncatedRep, v, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """s(v) x or s(v)* x of a dense vector or a stack of column vectors;
-    outside the support s(v) x is 0j and s(v)* x its conjugate, (0.0, -0.0)."""
+    """s(v) x or s(v)* x of a dense vector or a stack of column vectors,
+    +0.0 outside the support."""
     if x.ndim == 2:
         return np.stack([_apply_isometry(rep, v, col, adjoint) for col in x.T], axis=1)
-    return _dense(rep, _iso_held(rep, v, _prefixes(rep, x), adjoint), adjoint)
+    return _dense(rep, _iso_held(rep, v, _prefixes(rep, x), adjoint))
 
 
 def _conj(held: dict) -> dict:
@@ -692,7 +688,7 @@ def _chain_walk(rep: TruncatedRep, lo: int, hi: int):
 
 def chain_vector(rep: TruncatedRep, t: int) -> np.ndarray:
     """E_t: Omega pushed |t| steps backward (t > 0) or forward along e_1."""
-    return _dense(rep, dict(_chain_walk(rep, t, t))[t], adjoint=t > 0)
+    return _dense(rep, dict(_chain_walk(rep, t, t))[t])
 
 
 @dataclass(frozen=True)
@@ -720,10 +716,8 @@ def enumerate_basis(rep: TruncatedRep, max_depth: int):
     """
     if max_depth < 0:
         raise ValueError("depth must be nonnegative")
-    chain = rep.kind == "chain"
-    # a chain's anchored vectors are E_t, adjoints' for t > 0
-    return [(label, _dense(rep, vec, adjoint=chain and not label.branch and label.anchor > 0))
-            for label, vec in _enumerate(rep, _basis_plan(rep, max_depth))]
+    plan = _basis_plan(rep, max_depth)
+    return [(label, _dense(rep, vec)) for label, vec in _enumerate(rep, plan)]
 
 
 def _basis_plan(rep: TruncatedRep, max_depth: int, family=None) -> list:

@@ -370,7 +370,7 @@ def reference_layered_gens(n, depth, layers, steps) -> list:
         for i in range(n):
             rows, cols, vals = entries[i]
             for j in range(n):
-                coeff = np.conj(u[i, j]) if scale is None else scale * np.conj(u[i, j])
+                coeff = scale * np.conj(u[i, j])
                 if abs(coeff) == 0.0:
                     continue
                 rows.append(row_base + n * ms + j)

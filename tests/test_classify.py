@@ -145,6 +145,54 @@ def test_decomposition_is_multiplicity_free_by_the_tensor_oracle(n, k, p, angle,
             assert not brute_force_cycles_equivalent(comp, other)
 
 
+def _permutative_unit(rng, n):
+    """A basis vector of C^n times 1, i, -1 or -i: a Bratteli-Jorgensen
+    permutative factor."""
+    return g.basis_vector(n, int(rng.integers(1, n + 1))) * (1, 1j, -1, -1j)[rng.integers(4)]
+
+
+def _signed_real_unit(rng, n):
+    """(0.6, 0.8) with random signs on two random coordinates of C^n."""
+    v = np.zeros(n)
+    v[rng.choice(n, 2, replace=False)] = rng.choice([-1.0, 1.0], 2) * [0.6, 0.8]
+    return v
+
+
+def _times_quarter_turn(w, row):
+    """w row for w in 1, i, -1, -i, each part moved or negated exactly."""
+    return {1: row, 1j: -row.imag + 1j * row.real, -1: -row, -1j: row.imag - 1j * row.real}[w]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    k=st.integers(1, 3),
+    p=st.sampled_from([2, 4]),
+    layout=st.sampled_from(["permutative", "real", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_decompose_pieces_are_exact_quarter_turns_of_the_root(n, k, p, layout, seed):
+    rng = np.random.default_rng(seed)
+    unit = {"permutative": _permutative_unit, "real": _signed_real_unit,
+            "random": random_unit}[layout]
+    y = g.cycle([unit(rng, n) for _ in range(k)])
+    if g.primitive_root(y)[1] != 1:
+        y = g.cycle([unit(rng, n)])
+    z = g.CycleParam(np.tile(y.rows, (p, 1)))
+    root, power = g.primitive_root(z)
+    assert power == p
+    pieces = g.decompose_cycle(z)
+    assert len(pieces) == p
+    for j, piece in enumerate(pieces):
+        first = piece.rows[0]
+        # an exact zero wherever the root's entry is zero, and every other
+        # part exactly that of omega^j times the root's
+        assert np.all(first[root.rows[0] == 0] == 0)
+        assert np.array_equal(first, _times_quarter_turn((1, 1j, -1, -1j)[4 * j // p],
+                                                         root.rows[0]))
+        assert piece.rows[1:].tobytes() == root.rows[1:].tobytes()
+
+
 # ----------------------------------------------------------------------
 # chain decomposition
 

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: schemas, formats, exit codes."""
 
 import gc
+import itertools
 import json
 import math
 import pathlib
@@ -682,6 +683,26 @@ def test_decision_output_is_stable(capsys, command, stem, fmt, ext):
     code, out, _ = run_cli(capsys, command, "--inline", DECISION_PARAMS[stem], "-f", fmt)
     assert code == 0
     assert out == (DATA / f"{command}_{stem}.{ext}").read_text()
+
+
+@pytest.mark.parametrize("param", [
+    *(DECISION_PARAMS[stem] for stem in sorted(DECISION_PARAMS) if stem.startswith("cycle")),
+    # e_1^(x4), and (e_1, i e_2)^(x4): permutative roots of p = 4
+    _cycle(*["[[1,0],[0,0]]"] * 4),
+    _cycle(*["[[1,0],[0,0]]", "[[0,0],[0,1]]"] * 4),
+], ids=[*(stem for stem in sorted(DECISION_PARAMS) if stem.startswith("cycle")),
+        "e1_p4", "permutative_p4"])
+def test_decomposed_components_classify_irreducible_and_pairwise_inequivalent(capsys, param):
+    code, out, _ = run_cli(capsys, "decompose", "--inline", param, "-f", "json")
+    assert code == 0
+    components = [json.dumps(c) for c in json.loads(out)["components"]]
+    assert len(components) >= 2
+    for component in components:
+        code, out, _ = run_cli(capsys, "classify", "--inline", component)
+        assert (code, out.splitlines()[0]) == (0, "verdict: yes")
+    for a, b in itertools.combinations(components, 2):
+        code, out, _ = run_cli(capsys, "equivalent", "--param", a, "--other", b)
+        assert (code, out) == (0, "inequivalent\n")
 
 
 @pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])

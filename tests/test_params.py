@@ -680,6 +680,10 @@ def test_tail_equivalence_refuses_either_side_before_building_a_block(monkeypatc
                 g.chain_tail_equivalent(*pair)
 
 
+# e^(2 pi i q/4), q = 0..3, with every zero part +0.0
+QUARTER_TURNS = (complex(1.0, 0.0), complex(0.0, 1.0), complex(-1.0, 0.0), complex(0.0, -1.0))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(2, 4),
@@ -702,10 +706,23 @@ def test_roots_and_powers_match_the_canonical_cycle_route(n, layouts, p, moved, 
     expected_root, expected_power = reference_primitive_root(z)
     assert power == expected_power
     assert root.rows.tobytes() == expected_root.rows.tobytes()
+    # omega^j is exact at the quarter turns 1, i, -1 and -i
     expected = [z] if power == 1 else [
-        g.scale_cycle(expected_root, cmath.exp(2j * math.pi * j / power)) for j in range(power)
+        g.scale_cycle(expected_root, QUARTER_TURNS[4 * j // power] if 4 * j % power == 0
+                      else cmath.exp(2j * math.pi * j / power)) for j in range(power)
     ]
     assert [c.rows.tobytes() for c in g.decompose_cycle(z)] == [c.rows.tobytes() for c in expected]
+
+
+def test_roots_of_unity_are_exact_at_quarter_turns_and_keep_the_other_bits():
+    for p in range(1, 25):
+        for j in range(-p, 2 * p):
+            got = g.params._root_of_unity(j, p)
+            if 4 * j % p == 0:
+                expected = QUARTER_TURNS[4 * j // p % 4]
+            else:
+                expected = cmath.exp(2j * math.pi * j / p)
+            assert np.complex128(got).tobytes() == np.complex128(expected).tobytes(), (j, p)
 
 
 # ----------------------------------------------------------------------
