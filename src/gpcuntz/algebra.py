@@ -39,11 +39,10 @@ import cmath
 import gc
 import itertools
 import math
-from dataclasses import dataclass
 
 # re-exported, so that the policy's names can be read here as well
 from ._policy import (DEFAULT_TOL, PIVOT_TOL, PRUNE_TOL, UNIT_TOL, RankMismatchError,
-                      _check_integer, _check_near, _collector_paused, _unimodular)
+                      _check_integer, _check_near, _collector_paused, _Record, _unimodular)
 
 # most terms expand_identity may generate before merging them, and most
 # entries unitary_action may hold
@@ -103,8 +102,7 @@ def term_sort_key(key):
     return (len(j), j, len(k), k)
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(_Record):
     """Finite combination sum_c c * s_J s_K* in normal form.
 
     `terms` maps (J, K) pairs of letter tuples to nonzero complex
@@ -115,12 +113,13 @@ class AlgebraElement:
     happen uniformly.
     """
 
-    n: int
-    terms: dict
+    _fields = ("n", "terms")
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n: int, terms: dict):
+        if n < 2:
             raise ValueError("rank must be at least 2")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def from_terms(cls, n: int, terms) -> "AlgebraElement":

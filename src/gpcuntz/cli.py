@@ -16,7 +16,11 @@ neither imports numpy; the numeric subcommands load the tolerance policy
 `_policy` but not `algebra`, which only `state-eval` of them runs;
 `classify`, `equivalent` and `decompose` load `params` and `decisions` but
 not `reps`; only `rep-build` and `verify` load `reps`.  `cli` itself
-imports no numpy, and no subcommand loads scipy.
+imports no numpy, and no subcommand loads scipy.  The package's records
+are plain classes, so no subcommand loads `dataclasses` (nor `copy`), and
+`fractions` is imported where a rotation is read: `normalize` and
+`car-check` load neither `inspect` (with `ast`, `dis` and `tokenize`),
+`fractions` nor `decimal`.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 
 def _tolerance() -> float:
@@ -97,6 +100,8 @@ def param_from_json(obj):
     if kind != "chain":
         raise ValueError(f"unknown parameter kind {kind!r}")
     if "rotation" in obj:
+        from fractions import Fraction
+
         rot = obj["rotation"]
         if not isinstance(rot, dict):
             raise ValueError(

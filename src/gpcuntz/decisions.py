@@ -14,8 +14,7 @@ the cycle formula is `reps.numeric_cycle_eigencheck`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._policy import _Record
 from .params import (
     DEFAULT_TOL,
     ChainParam,
@@ -34,16 +33,20 @@ from .params import (
 )
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(_Record):
     """verdict: 'yes' / 'no' (irreducible or not), 'gray_zone', 'unknown'."""
 
-    verdict: str
-    reason: str
-    analytic_assumption: bool = False
-    root: CycleParam | None = None
-    power: int | None = None
-    period: int | None = None
+    _fields = ("verdict", "reason", "analytic_assumption", "root", "power", "period")
+
+    def __init__(self, verdict: str, reason: str, analytic_assumption: bool = False,
+                 root: CycleParam | None = None, power: int | None = None,
+                 period: int | None = None):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "analytic_assumption", analytic_assumption)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "period", period)
 
     @property
     def irreducible(self):
@@ -127,8 +130,7 @@ def decompose_cycle(z: CycleParam, tol: float = DEFAULT_TOL) -> list:
     return [scale_cycle(root, _root_of_unity(j, power)) for j in range(power)]
 
 
-@dataclass(frozen=True)
-class DirectIntegralDescriptor:
+class DirectIntegralDescriptor(_Record):
     """Symbolic direct integral over the circle with Haar measure.
 
     `base` is a nonperiodic cycle with canonical factors and trivial
@@ -137,10 +139,13 @@ class DirectIntegralDescriptor:
     unimodular and a cyclic rotation of its factors.
     """
 
-    base: CycleParam
+    _fields = ("base",)
     # constants, not fields: every descriptor has the same measure and uniqueness
     measure = "haar-U(1)"
     uniqueness = "base fixed up to a unimodular scalar and cyclic rotation"
+
+    def __init__(self, base: CycleParam):
+        object.__setattr__(self, "base", base)
 
     def to_dict(self):
         return {

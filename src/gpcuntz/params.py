@@ -31,7 +31,6 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -44,6 +43,7 @@ from ._policy import (
     _check_integer,
     _check_near,
     _collector_paused,
+    _Record,
     _unimodular,
 )
 
@@ -114,18 +114,17 @@ def _unit_rows(vectors, owner: str) -> np.ndarray:
 # ----------------------------------------------------------------------
 # cycles
 
-@dataclass(frozen=True, eq=False)
-class CycleParam:
+class CycleParam(_Record, eq=False):
     """Factor stack of a finite tensor z^(1) x ... x z^(k) of unit vectors: a
     read-only (k, N) array `rows`, built from a sequence of them or such an
     array; `factors` is the tuple of its row views."""
 
-    rows: np.ndarray
+    _fields = ("rows",)
 
-    def __post_init__(self):
-        if not len(self.rows):
+    def __init__(self, rows):
+        if not len(rows):
             raise ValueError("a cycle needs at least one factor")
-        object.__setattr__(self, "rows", _unit_rows(self.rows, "cycle"))
+        object.__setattr__(self, "rows", _unit_rows(rows, "cycle"))
 
     @property
     def factors(self) -> tuple:
@@ -236,23 +235,21 @@ def cycles_equivalent(z: CycleParam, y: CycleParam, tol: float = DEFAULT_TOL) ->
 # ----------------------------------------------------------------------
 # chains
 
-@dataclass(frozen=True, eq=False)
-class ChainParam:
+class ChainParam(_Record, eq=False):
     """`preperiod`, `period`, `prefix`: read-only (count, N) stacks, (0, N) if unused."""
 
-    kind: str
-    n: int
-    preperiod: np.ndarray = None
-    period: np.ndarray = None
-    theta: object = None
-    prefix: np.ndarray = None
+    _fields = ("kind", "n", "preperiod", "period", "theta", "prefix")
 
-    def __post_init__(self):
-        for name in ("preperiod", "period", "prefix"):
-            if getattr(self, name) is None:
-                empty = np.empty((0, self.n), dtype=complex)
-                empty.flags.writeable = False
-                object.__setattr__(self, name, empty)
+    def __init__(self, kind: str, n: int, preperiod: np.ndarray = None,
+                 period: np.ndarray = None, theta=None, prefix: np.ndarray = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
+        for name, rows in (("preperiod", preperiod), ("period", period), ("prefix", prefix)):
+            if rows is None:
+                rows = np.empty((0, n), dtype=complex)
+                rows.flags.writeable = False
+            object.__setattr__(self, name, rows)
+        object.__setattr__(self, "theta", theta)
 
 
 def explicit_chain(period, preperiod=()) -> ChainParam:
@@ -392,8 +389,7 @@ def _tail_block(chain: ChainParam) -> np.ndarray:
 # ----------------------------------------------------------------------
 # periodicity
 
-@dataclass(frozen=True)
-class PeriodicityVerdict:
+class PeriodicityVerdict(_Record):
     """Outcome of the eventual-periodicity test.
 
     ``eventually_periodic`` is None when the data cannot decide (prefix
@@ -401,10 +397,14 @@ class PeriodicityVerdict:
     irrationality rather than computation.
     """
 
-    eventually_periodic: bool | None
-    period: int | None = None
-    analytic_assumption: bool = False
-    note: str = ""
+    _fields = ("eventually_periodic", "period", "analytic_assumption", "note")
+
+    def __init__(self, eventually_periodic: bool | None, period: int | None = None,
+                 analytic_assumption: bool = False, note: str = ""):
+        object.__setattr__(self, "eventually_periodic", eventually_periodic)
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "analytic_assumption", analytic_assumption)
+        object.__setattr__(self, "note", note)
 
 
 def is_eventually_periodic(chain: ChainParam, tol: float = DEFAULT_TOL) -> PeriodicityVerdict:
@@ -460,8 +460,7 @@ def chain_tail_equivalent(z: ChainParam, y: ChainParam, tol: float = DEFAULT_TOL
 # ----------------------------------------------------------------------
 # asymptotic diagnostics
 
-@dataclass(frozen=True)
-class DiagnosticsTable:
+class DiagnosticsTable(_Record):
     """Cumulative overlap-defect sums S(p, m) for m = 1..M.
 
     ``plain`` accumulates 1 - Re<z^(n)|z^(n+p)> (the closed-form column
@@ -470,9 +469,12 @@ class DiagnosticsTable:
     defines asymptotic periodicity.
     """
 
-    m_max: int
-    plain: dict
-    absolute: dict
+    _fields = ("m_max", "plain", "absolute")
+
+    def __init__(self, m_max: int, plain: dict, absolute: dict):
+        object.__setattr__(self, "m_max", m_max)
+        object.__setattr__(self, "plain", plain)
+        object.__setattr__(self, "absolute", absolute)
 
     def final(self, p: int):
         """(plain, absolute) sums at m = M for a p in 1..p_max."""

@@ -106,14 +106,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._policy import (DEFAULT_TOL, PIVOT_TOL, PRUNE_TOL, RankMismatchError, _check_integer,
-                      _check_near, _collector_paused, _unimodular)
+                      _check_near, _collector_paused, _Record, _unimodular)
 from .params import (
     ChainParam,
     CycleParam,
@@ -169,23 +168,28 @@ def complete_unitary(z) -> np.ndarray:
 # ----------------------------------------------------------------------
 # the truncated representation container
 
-@dataclass(eq=False)
-class TruncatedRep:
+class TruncatedRep(_Record, eq=False, frozen=False):
     """Generators S_1..S_N on the truncated graded basis, given by a step table."""
 
-    n: int
-    kind: str                 # "cycle" | "chain" | "fiber"
-    depth: int
-    layers: tuple             # layer ids in basis order
-    # the step table, read-only: step s steps layer position step_sources[s]
-    # down to step_targets[s] with S_i e_(source, m) =
-    # sum_j step_coeffs[s, i, j] e_(target, N(m-1) + j)
-    step_sources: np.ndarray
-    step_targets: np.ndarray
-    step_coeffs: np.ndarray
-    param: object
-    factor_rows: np.ndarray   # read-only rows of the factors realized (see module doc)
-    window: tuple | None = None   # (d_minus, d_plus) for chains
+    _fields = ("n", "kind", "depth", "layers", "step_sources", "step_targets", "step_coeffs",
+               "param", "factor_rows", "window")
+
+    def __init__(self, n: int, kind: str, depth: int, layers: tuple,
+                 step_sources: np.ndarray, step_targets: np.ndarray, step_coeffs: np.ndarray,
+                 param, factor_rows: np.ndarray, window: tuple | None = None):
+        self.n = n
+        self.kind = kind              # "cycle" | "chain" | "fiber"
+        self.depth = depth
+        self.layers = layers          # layer ids in basis order
+        # the step table, read-only: step s steps layer position step_sources[s]
+        # down to step_targets[s] with S_i e_(source, m) =
+        # sum_j step_coeffs[s, i, j] e_(target, N(m-1) + j)
+        self.step_sources = step_sources
+        self.step_targets = step_targets
+        self.step_coeffs = step_coeffs
+        self.param = param
+        self.factor_rows = factor_rows  # read-only rows of the factors realized (see module doc)
+        self.window = window          # (d_minus, d_plus) for chains
 
     @property
     def dim(self) -> int:
@@ -691,8 +695,7 @@ def chain_vector(rep: TruncatedRep, t: int) -> np.ndarray:
     return _dense(rep, dict(_chain_walk(rep, t, t))[t])
 
 
-@dataclass(frozen=True)
-class BasisLabel:
+class BasisLabel(_Record):
     """Label of one enumerated basis vector.
 
     depth  -- number of extra letters on top of the anchor vector;
@@ -701,10 +704,13 @@ class BasisLabel:
     prefix -- leading letter word for the deeper levels.
     """
 
-    depth: int
-    anchor: int
-    branch: int = 0
-    prefix: tuple = ()
+    _fields = ("depth", "anchor", "branch", "prefix")
+
+    def __init__(self, depth: int, anchor: int, branch: int = 0, prefix: tuple = ()):
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "prefix", prefix)
 
 
 def enumerate_basis(rep: TruncatedRep, max_depth: int):
@@ -817,18 +823,29 @@ def _relation_residuals(rep: TruncatedRep) -> tuple:
                  for c in (rep.step_coeffs, rep.step_coeffs.transpose(0, 2, 1)))
 
 
-@dataclass
-class VerificationReport:
-    kind: str
-    isometry_residual: float
-    completeness_residual: float
-    family_residual: float
-    eigen_residual: float | None = None
-    step_residual: float | None = None
-    basis_gram_residual: float | None = None
-    basis_count: int | None = None
-    basis_count_expected: int | None = None
-    basis_min_singular: float | None = None
+class VerificationReport(_Record, frozen=False):
+    """Residuals of `verify_gp`; a check that does not apply to the kind
+    leaves its field None."""
+
+    _fields = ("kind", "isometry_residual", "completeness_residual", "family_residual",
+               "eigen_residual", "step_residual", "basis_gram_residual", "basis_count",
+               "basis_count_expected", "basis_min_singular")
+
+    def __init__(self, kind: str, isometry_residual: float, completeness_residual: float,
+                 family_residual: float, eigen_residual: float | None = None,
+                 step_residual: float | None = None, basis_gram_residual: float | None = None,
+                 basis_count: int | None = None, basis_count_expected: int | None = None,
+                 basis_min_singular: float | None = None):
+        self.kind = kind
+        self.isometry_residual = isometry_residual
+        self.completeness_residual = completeness_residual
+        self.family_residual = family_residual
+        self.eigen_residual = eigen_residual
+        self.step_residual = step_residual
+        self.basis_gram_residual = basis_gram_residual
+        self.basis_count = basis_count
+        self.basis_count_expected = basis_count_expected
+        self.basis_min_singular = basis_min_singular
 
     def max_residual(self) -> float:
         """The largest residual, NaN if any residual is NaN."""
@@ -850,7 +867,7 @@ class VerificationReport:
         return self.max_residual() < tol
 
     def to_dict(self):
-        return {k: v for k, v in self.__dict__.items()}
+        return {name: getattr(self, name) for name in self._fields}
 
 
 def _compact_gram(vectors: list):

@@ -38,6 +38,13 @@ def exhaust_omega_lists(monkeypatch):
         layer: x.view(_ExhaustedArray) for layer, x in omega(rep).items()})
 
 
+def replaced(record, **changes):
+    """A new record of the same class built from the fields of `record`,
+    with `changes` in place of some of them."""
+    fields = {name: getattr(record, name) for name in record._fields}
+    return type(record)(**{**fields, **changes})
+
+
 def random_unit(rng, n):
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     return v / np.linalg.norm(v)

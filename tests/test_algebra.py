@@ -1,7 +1,6 @@
 """Normal forms, structural maps and the anticommutation embedding."""
 
 import cmath
-import dataclasses
 import gc
 import itertools
 import math
@@ -220,7 +219,6 @@ def test_serving_as_a_right_factor_changes_neither_equality_nor_repr():
         g.multiply(g.word_element(2, (2,), k1), b)
     assert b == twin and twin == b
     assert repr(b) == repr(twin) == text
-    assert [field.name for field in dataclasses.fields(b)] == ["n", "terms"]
 
 
 def test_from_terms_leaves_its_argument_unchanged():
@@ -420,6 +418,8 @@ def test_large_multiply_pauses_the_collector(low_thresholds, collector):
     a = g.s_of([[0.6, 0.48, 0.64], [0.48j, 0.6, -0.64]])
     b = a.adjoint()
     assert len(a.terms) * len(b.terms) >= math.prod(gc.get_threshold())
+    # a pass already due from earlier allocations would start inside multiply
+    gc.collect()
     passes = []
 
     def count(phase, _info):

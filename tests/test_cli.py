@@ -972,9 +972,13 @@ def test_each_subcommand_loads_only_the_modules_it_runs(argv, modules):
     assert {name for name in loaded if name.startswith("gpcuntz.")} == {
         f"gpcuntz.{module}" for module in modules}
     assert not [name for name in loaded if name == "scipy" or name.startswith("scipy.")]
+    # the records are plain classes
+    assert "dataclasses" not in loaded
     if argv[0] in ("normalize", "car-check"):
-        # the word layer and the parser import nothing outside the standard library
+        # the word layer and the parser import nothing outside the standard
+        # library, and of it neither `inspect` (numpy loads it) nor `fractions`
         assert not [name for name in loaded if name == "numpy" or name.startswith("numpy.")]
+        assert not {"inspect", "fractions"} & set(loaded)
 
 
 # runs the CLI module as `python -m gpcuntz.cli` does, with every import of

@@ -6,6 +6,7 @@ import pickle
 import re
 import sys
 
+import numpy as np
 import pytest
 
 import gpcuntz as g
@@ -100,3 +101,108 @@ def test_no_decision_builds_a_truncation():
                             "print(sorted(m for m in sys.modules if m.startswith('gpcuntz')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "['gpcuntz', 'gpcuntz._policy', 'gpcuntz.decisions', 'gpcuntz.params']\n"
+
+
+
+def _records():
+    """Per record: (class, its fields in order, the required arguments, the
+    defaults of the others, how it compares and hashes, frozen, its repr
+    with the defaults, or None for `Name(field=value, ...)`)."""
+    z = g.cycle([[1, 0]])
+    rep = g.build_cycle_rep(z, 2)
+    no_rows = np.empty((0, 2), dtype=complex)
+    plain, absolute = {1: [0.0, 0.5]}, {1: [0.0, 0.25]}
+    rep_fields = ("n", "kind", "depth", "layers", "step_sources", "step_targets",
+                  "step_coeffs", "param", "factor_rows")
+    report_extras = ("eigen_residual", "step_residual", "basis_gram_residual", "basis_count",
+                     "basis_count_expected", "basis_min_singular")
+    return [
+        (g.AlgebraElement, ("n", "terms"), (2, {((1,), (2,)): 1.5j, ((), ()): 1.0}), {},
+         "fields", True, "AlgebraElement(n=2, {((), ()): 1.0, ((1,), (2,)): 1.5j})"),
+        (g.CycleParam, ("rows",), (z.rows,), {}, "identity", True, None),
+        (g.ChainParam, ("kind", "n", "preperiod", "period", "theta", "prefix"),
+         ("gray_zone", 2), {"preperiod": no_rows, "period": no_rows, "theta": None,
+                            "prefix": no_rows}, "identity", True, None),
+        (g.PeriodicityVerdict, ("eventually_periodic", "period", "analytic_assumption", "note"),
+         (True,), {"period": None, "analytic_assumption": False, "note": ""}, "fields", True,
+         "PeriodicityVerdict(eventually_periodic=True, period=None, "
+         "analytic_assumption=False, note='')"),
+        (g.DiagnosticsTable, ("m_max", "plain", "absolute"), (2, plain, absolute), {},
+         "fields", True, "DiagnosticsTable(m_max=2, plain={1: [0.0, 0.5]}, "
+         "absolute={1: [0.0, 0.25]})"),
+        (g.ClassificationReport,
+         ("verdict", "reason", "analytic_assumption", "root", "power", "period"),
+         ("yes", "trivial root"),
+         {"analytic_assumption": False, "root": None, "power": None, "period": None},
+         "fields", True, "ClassificationReport(verdict='yes', reason='trivial root', "
+         "analytic_assumption=False, root=None, power=None, period=None)"),
+        (g.DirectIntegralDescriptor, ("base",), (z,), {}, "fields", True, None),
+        (g.TruncatedRep, rep_fields + ("window",),
+         tuple(getattr(rep, name) for name in rep_fields), {"window": None},
+         "identity", False, None),
+        (g.BasisLabel, ("depth", "anchor", "branch", "prefix"), (1, 2), {"branch": 0, "prefix": ()},
+         "fields", True, "BasisLabel(depth=1, anchor=2, branch=0, prefix=())"),
+        (g.VerificationReport, ("kind", "isometry_residual", "completeness_residual",
+                                "family_residual") + report_extras,
+         ("cycle", 1e-16, 0.0, 2e-16), dict.fromkeys(report_extras), "fields", False,
+         "VerificationReport(kind='cycle', isometry_residual=1e-16, completeness_residual=0.0, "
+         "family_residual=2e-16, eigen_residual=None, step_residual=None, "
+         "basis_gram_residual=None, basis_count=None, basis_count_expected=None, "
+         "basis_min_singular=None)"),
+    ]
+
+
+def _same(x, y):
+    if isinstance(x, np.ndarray):
+        return type(y) is np.ndarray and x.shape == y.shape and np.array_equal(x, y)
+    return type(x) is type(y) and (x is y or x == y)
+
+
+def _hash_or_type_error(value):
+    try:
+        return hash(value)
+    except TypeError:
+        return TypeError
+
+
+# each record built from its required arguments, from all of them in order and
+# by keyword: the fields, ==, hash(), repr() and read-only fields of the
+# dataclass each record once was
+@pytest.mark.parametrize("case", _records(), ids=lambda case: case[0].__name__)
+def test_records_construct_compare_hash_and_print_by_their_fields(case):
+    cls, names, required, defaults, compares, frozen, text = case
+    values = required + tuple(defaults.values())
+    assert len(values) == len(names)
+    short, full = cls(*required), cls(*values)
+    by_name = cls(**dict(zip(names, values)))
+    for record in (short, full, by_name):
+        assert all(_same(getattr(record, name), value) for name, value in zip(names, values))
+    if cls is g.ChainParam:
+        # the unused stacks default to empty read-only (0, N) arrays
+        assert not short.prefix.flags.writeable
+    fields = ", ".join(f"{name}={getattr(short, name)!r}" for name in names)
+    assert repr(short) == (text or f"{cls.__name__}({fields})")
+    assert short == short and not short != short
+    assert short != object() and (short == None) is False  # noqa: E711
+    own = tuple(getattr(short, name) for name in names)
+    if compares == "identity":
+        assert short != full and short != by_name
+        assert hash(short) == object.__hash__(short)
+    else:
+        assert short == full == by_name and not short != by_name
+        if frozen:
+            assert _hash_or_type_error(short) == _hash_or_type_error(own)
+        else:
+            assert cls.__hash__ is None
+            with pytest.raises(TypeError):
+                hash(short)
+    if frozen:
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(short, name, None)
+            with pytest.raises(AttributeError):
+                delattr(short, name)
+        assert all(getattr(short, name) is value for name, value in zip(names, own))
+    else:
+        setattr(short, names[0], "changed")
+        assert getattr(short, names[0]) == "changed"

@@ -1,6 +1,5 @@
 """Truncated representations: construction, relations, bases, exports."""
 
-import dataclasses
 import gc
 import itertools
 import json
@@ -35,6 +34,7 @@ from helpers import (
     reference_prefixes,
     reference_relation_residuals,
     reference_vector_isometry,
+    replaced,
 )
 
 E1 = g.basis_vector(2, 1)
@@ -700,7 +700,7 @@ def _operator_outputs(rep, z, element):
 def test_operator_walks_assemble_nothing(rep, z, element):
     expected = _operator_outputs(rep, z, element)
     # a fresh copy, without the generators built
-    rep = dataclasses.replace(rep)
+    rep = replaced(rep)
     rep.__dict__["gens"] = _Untouchable()
     with pytest.raises(AssertionError, match="read rep.gens"):
         rep.gens[0]
@@ -713,7 +713,7 @@ def test_verify_flags_corruption():
     # one coefficient of the first step, as S_1 reads it from the table
     coeffs = rep.step_coeffs.copy()
     coeffs[0, 0, 0] += 0.25
-    rep = dataclasses.replace(rep, step_coeffs=coeffs)
+    rep = replaced(rep, step_coeffs=coeffs)
     report = g.verify_gp(rep)
     assert not report.passed(1e-9)
     assert report.max_residual() > 0.1
@@ -1386,7 +1386,7 @@ def _perturbed_reps(draw):
             flat[pos] = complex(-0.0, -0.0)
         elif flat[pos] == 0:
             flat[pos] = complex(*draw(st.tuples(*[st.floats(-1.0, 1.0)] * 2)))
-    return dataclasses.replace(rep, step_coeffs=coeffs)
+    return replaced(rep, step_coeffs=coeffs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1617,7 +1617,7 @@ def test_a_nan_residual_fails_verification():
     rep = g.build_cycle_rep(g.cycle([[0.6, 0.8], [1, 0]]), 2)
     rows = rep.factor_rows.copy()
     rows[0, 0] = np.nan
-    report = g.verify_gp(dataclasses.replace(rep, factor_rows=rows))
+    report = g.verify_gp(replaced(rep, factor_rows=rows))
     assert np.isnan(report.family_residual) and np.isnan(report.eigen_residual)
     # the relation residuals, which come first, read the step table alone
     assert report.isometry_residual == report.completeness_residual == 0.0
@@ -1633,7 +1633,7 @@ def test_a_basis_count_short_of_the_expected_fails_verification():
     )
     assert report.passed(1e-9)
     # every residual stays 0.0: the count alone fails it
-    assert not dataclasses.replace(report, basis_count=3).passed(1e-9)
+    assert not replaced(report, basis_count=3).passed(1e-9)
 
 
 @pytest.mark.parametrize("field", ["isometry_residual", "step_residual", "basis_min_singular"])
@@ -1646,7 +1646,7 @@ def test_max_residual_keeps_a_nan_wherever_it_comes(field):
         basis_count=6, basis_count_expected=6, basis_min_singular=1.0,
     )
     assert report.max_residual() == 3e-16 and report.passed(1e-9)
-    report = dataclasses.replace(report, **{field: float("nan")})
+    report = replaced(report, **{field: float("nan")})
     assert np.isnan(report.max_residual())
     assert not report.passed(1e-9)
 
